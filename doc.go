@@ -89,23 +89,28 @@
 // (reshaped with Reset) and a Scratch holding the union-find equivalence
 // arrays. Reusing both across calls makes sustained labeling with the
 // paper's algorithms allocation-free, the regime a long-lived server needs.
-// internal/service builds on it: an Engine runs LabelInto on a bounded
-// worker pool with sync.Pool-managed rasters and backpressure, and its HTTP
-// handler (cmd/ccserve) serves POST /v1/label with JSON statistics, PGM/PNG
-// label maps, or CCL1 label streams, plus /healthz and /metrics with the
-// per-phase timings above as live counters. When the queue is full the
-// service answers 429 with a Retry-After derived from the observed mean job
-// latency and the current backlog.
+// internal/service builds on it: an Engine runs every workload — binary,
+// bit-packed, gray, volume and the band stream — as one kind of task on a
+// bounded worker pool, with counting buffer pools and backpressure, and its
+// HTTP handler (cmd/ccserve) serves POST /v1/label with JSON statistics,
+// PGM/PNG label maps, or CCL1 label streams, plus /healthz and /metrics
+// with the per-phase timings above as live counters. A synchronous request
+// is an async job without the store: the sync endpoints, job submission,
+// job recovery and the job result endpoint share one decode, one engine
+// queue, one finish and one renderer. When the queue is full the service
+// answers 429 with a Retry-After derived from the observed mean job latency
+// and the current backlog.
 //
 // The service is fully instrumented: every request carries an X-Request-ID
-// (inbound honored, otherwise generated, always echoed), /v1/label responses
-// report per-phase durations in a Server-Timing header, /metrics exposes
-// lock-free log₂-bucket latency histograms (per-endpoint request duration,
-// queue wait, worker service time, per-phase splits) alongside the counters,
-// and recent per-request phase traces are retained in a ring buffer dumped
-// by GET /debug/requests on the separate ccserve -debug-addr listener, which
-// also serves net/http/pprof. Structured slog logging (access lines, job
-// lifecycle events) is configured with ccserve -log-level and -log-format.
+// (inbound honored, otherwise generated, always echoed), synchronous
+// responses report per-phase durations in a Server-Timing header, /metrics
+// exposes lock-free log₂-bucket latency histograms (per-endpoint request
+// duration, queue wait, worker service time, per-phase splits) alongside
+// the counters, and recent per-request phase traces are retained in a ring
+// buffer dumped by GET /debug/requests on the separate ccserve -debug-addr
+// listener, which also serves net/http/pprof. Structured slog logging
+// (access lines, job lifecycle events) is configured with ccserve
+// -log-level and -log-format.
 //
 // # Asynchronous jobs
 //
@@ -212,7 +217,8 @@
 // not_found). The endpoint x mode matrix: POST /v1/label serves
 // mode=binary (PBM/PGM/PNG in; JSON, PGM, PNG or CCL1 out) and
 // mode=gray|gray-delta (P5/PNG in, same outputs), plus ?contours=true to
-// attach boundary polylines to JSON responses; POST /v1/volume takes
+// attach boundary polylines to binary-mode JSON responses (the request
+// then computes the contours job kind); POST /v1/volume takes
 // concatenated raw-PGM z-slices and returns JSON only; POST /v1/stats is
 // binary-only. Async jobs mirror the matrix via ?kind=
 // (labels|stats|contours|gray|volume), keyed by JobKeyMode so the same

@@ -468,6 +468,11 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 		JobTimeout:       *jobTimeoutFlag,
 		BaseContext:      baseCtx,
 	})
+	// Deferred after store.Close, so it runs first: every return path has
+	// closed the engine by then, and each admitted job's terminal state
+	// lands in the store before the journal closes (a durable store would
+	// otherwise re-run a job that finished during the drain).
+	defer handler.WaitJobs()
 	// A durable store replayed its journal at Open; resubmit everything
 	// that was queued or running at the last shutdown before the listener
 	// accepts traffic, so recovered jobs queue ahead of new load.

@@ -68,19 +68,21 @@ type Engine struct {
 	// onPanic is Config.OnPanic (may be nil).
 	onPanic func(v any, stack []byte)
 
-	imgPool  sync.Pool // *paremsp.Image
-	bmPool   sync.Pool // *paremsp.Bitmap
-	lmPool   sync.Pool // *paremsp.LabelMap
-	scPool   sync.Pool // *paremsp.Scratch
-	grayPool sync.Pool // *paremsp.GrayImage
-	volPool  sync.Pool // *paremsp.Volume
-	lvPool   sync.Pool // *paremsp.LabelVolumeMap
+	// The buffer pools: the inputs callers decode into, and the label maps
+	// and union-find scratch the workers label into.
+	images    pool[paremsp.Image]
+	bitmaps   pool[paremsp.Bitmap]
+	grays     pool[paremsp.GrayImage]
+	volumes   pool[paremsp.Volume]
+	labelMaps pool[paremsp.LabelMap]
+	labelVols pool[paremsp.LabelVolumeMap]
+	scratch   pool[paremsp.Scratch]
 
 	// run performs one labeling; tests substitute it to control timing. The
 	// context is the request's: the labeling polls it between row blocks and
 	// returns its error when canceled.
 	run func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runBM is run for bit-packed jobs (LabelBitmap requests).
+	// runBM is run for bit-packed rasters (raw PBM with bremsp/pbremsp).
 	runBM func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
 	// runGray is run for gray-level jobs (modes gray and gray-delta).
 	runGray func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
@@ -88,19 +90,132 @@ type Engine struct {
 	runVol func(ctx context.Context, vol *paremsp.Volume, dst *paremsp.LabelVolumeMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.VolumeResult, error)
 }
 
-// job carries one request; exactly one of img, bm, gray, vol and stream is
-// non-nil. stream jobs run the out-of-core band labeler on the worker (the
-// thunk reads the request body itself), so they obey the same in-flight
-// bound and queue backpressure as raster labelings.
+// pool is a sync.Pool of *T that counts its borrows: gets is every get,
+// misses the gets that found nothing to reuse and allocated, so
+// gets − misses is the hit count (GC-emptied pools show up as misses).
+type pool[T any] struct {
+	p            sync.Pool
+	gets, misses atomic.Int64
+}
+
+func (p *pool[T]) get() *T {
+	p.gets.Add(1)
+	if v, ok := p.p.Get().(*T); ok {
+		return v
+	}
+	p.misses.Add(1)
+	return new(T)
+}
+
+// put returns v to the pool; nil is ignored.
+func (p *pool[T]) put(v *T) {
+	if v != nil {
+		p.p.Put(v)
+	}
+}
+
+func (p *pool[T]) census(name string) PoolSnapshot {
+	return PoolSnapshot{Name: name, Gets: p.gets.Load(), Misses: p.misses.Load()}
+}
+
+// task is one labeling the engine runs: a pooled input and the kernel that
+// labels it. Every input type — binary, bit-packed, gray, volume and the
+// band stream — is a task, so admission, the worker loop, panic
+// containment and the accounting are written once.
+type task interface {
+	// run labels the input on a worker. It borrows its output and scratch
+	// buffers and returns them, and its input, to their pools in
+	// straight-line code after the kernel call: a panic skips those lines,
+	// so every buffer a panicking labeling may have left mid-mutation is
+	// quarantined (dropped instead of pooled) and the next request never
+	// sees a half-written buffer.
+	run(ctx context.Context, e *Engine, opt paremsp.Options) jobResult
+	// release returns the input to its pool when the task never runs
+	// (rejected at admission or by the worker's precheck).
+	release(e *Engine)
+}
+
+// rasterTask labels a 2-D raster — binary, bit-packed or gray — into a
+// pooled label map with the kernel seam in force when the task was made.
+type rasterTask[T any] struct {
+	in     *T
+	from   *pool[T]
+	kernel func(context.Context, *T, *paremsp.LabelMap, *paremsp.Scratch, paremsp.Options) (*paremsp.Result, error)
+}
+
+func (t rasterTask[T]) run(ctx context.Context, e *Engine, opt paremsp.Options) jobResult {
+	lm, sc := e.labelMaps.get(), e.scratch.get()
+	res, err := t.kernel(ctx, t.in, lm, sc, opt)
+	e.scratch.put(sc)
+	t.release(e)
+	if err != nil {
+		e.labelMaps.put(lm)
+		return jobResult{err: err}
+	}
+	return jobResult{res: res, pixels: int64(res.Labels.Width) * int64(res.Labels.Height),
+		components: int64(res.NumComponents), phases: res.Phases}
+}
+
+func (t rasterTask[T]) release(*Engine) { t.from.put(t.in) }
+
+func (e *Engine) imageTask(img *paremsp.Image) task {
+	return rasterTask[paremsp.Image]{in: img, from: &e.images, kernel: e.run}
+}
+
+func (e *Engine) bitmapTask(bm *paremsp.Bitmap) task {
+	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, kernel: e.runBM}
+}
+
+func (e *Engine) grayTask(img *paremsp.GrayImage) task {
+	return rasterTask[paremsp.GrayImage]{in: img, from: &e.grays, kernel: e.runGray}
+}
+
+// volumeTask labels a voxel volume into a pooled label volume.
+type volumeTask struct{ vol *paremsp.Volume }
+
+func (t volumeTask) run(ctx context.Context, e *Engine, opt paremsp.Options) jobResult {
+	lv, sc := e.labelVols.get(), e.scratch.get()
+	vres, err := e.runVol(ctx, t.vol, lv, sc, opt)
+	e.scratch.put(sc)
+	t.release(e)
+	if err != nil {
+		e.labelVols.put(lv)
+		return jobResult{err: err}
+	}
+	return jobResult{vres: vres, pixels: int64(len(vres.Labels.L)), components: int64(vres.NumComponents)}
+}
+
+func (t volumeTask) release(e *Engine) { e.volumes.put(t.vol) }
+
+// streamTask runs the out-of-core band labeler. Its source is read on the
+// worker, so a stream obeys the same in-flight bound and queue
+// backpressure as a raster labeling; with no Ctx of its own it polls the
+// job's.
+type streamTask struct {
+	src band.Source
+	opt band.Options
+}
+
+func (t streamTask) run(ctx context.Context, _ *Engine, _ paremsp.Options) jobResult {
+	if t.opt.Ctx == nil {
+		t.opt.Ctx = ctx
+	}
+	bres, err := band.Stream(t.src, t.opt)
+	if err != nil {
+		return jobResult{err: err}
+	}
+	return jobResult{bres: bres, pixels: int64(bres.Width) * int64(bres.Height),
+		components: int64(bres.NumComponents), paced: true}
+}
+
+func (streamTask) release(*Engine) {}
+
+// job is one admitted task on its way through the queue.
 type job struct {
-	ctx    context.Context
-	img    *paremsp.Image
-	bm     *paremsp.Bitmap
-	gray   *paremsp.GrayImage
-	vol    *paremsp.Volume
-	stream func() (*band.Result, error)
-	opt    paremsp.Options
-	done   chan jobResult
+	ctx  context.Context
+	task task
+	opt  paremsp.Options
+	done chan jobResult
 	// enqueued is when the job was admitted to the queue; the worker's
 	// dequeue time minus this is the queue wait.
 	enqueued time.Time
@@ -110,6 +225,8 @@ type job struct {
 	onStart func()
 }
 
+// jobResult is a task's outcome: on success exactly one of res, bres and
+// vres is set.
 type jobResult struct {
 	res  *paremsp.Result
 	bres *band.Result
@@ -120,6 +237,12 @@ type jobResult struct {
 	// request trace from its own goroutine — the worker never touches a
 	// Trace, which keeps pooled trace records race-free under cancellation.
 	wait time.Duration
+	// pixels (voxels for a volume), components and phases feed the
+	// engine's counters. paced marks a stream, whose duration is dominated
+	// by how fast the client's source delivers bands, not by compute.
+	pixels, components int64
+	phases             paremsp.PhaseTimes
+	paced              bool
 }
 
 // NewEngine starts a worker pool per cfg. Callers must Close it to stop the
@@ -151,15 +274,6 @@ func NewEngine(cfg Config) *Engine {
 		runGray:    paremsp.LabelGrayIntoCtx,
 		runVol:     paremsp.LabelVolumeIntoCtx,
 	}
-	// Pool miss accounting lives in the New closures: a pool Get that finds
-	// nothing to reuse is exactly one New call, so gets − misses = hits.
-	e.imgPool.New = func() any { e.metrics.poolMisses[poolImage].Add(1); return &paremsp.Image{} }
-	e.bmPool.New = func() any { e.metrics.poolMisses[poolBitmap].Add(1); return &paremsp.Bitmap{} }
-	e.lmPool.New = func() any { e.metrics.poolMisses[poolLabelMap].Add(1); return &paremsp.LabelMap{} }
-	e.scPool.New = func() any { e.metrics.poolMisses[poolScratch].Add(1); return &paremsp.Scratch{} }
-	e.grayPool.New = func() any { e.metrics.poolMisses[poolGray].Add(1); return &paremsp.GrayImage{} }
-	e.volPool.New = func() any { e.metrics.poolMisses[poolVolume].Add(1); return &paremsp.Volume{} }
-	e.lvPool.New = func() any { e.metrics.poolMisses[poolLabelVol].Add(1); return &paremsp.LabelVolumeMap{} }
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -176,39 +290,16 @@ func (e *Engine) QueueDepth() int { return e.queueDepth }
 // GetImage borrows a binary image from the raster pool; decode into it with
 // the DecodeInto helpers and hand it to Label, which consumes it. If the
 // image never reaches Label (e.g. decoding failed), return it with PutImage.
-func (e *Engine) GetImage() *paremsp.Image {
-	e.metrics.poolGets[poolImage].Add(1)
-	return e.imgPool.Get().(*paremsp.Image)
-}
+func (e *Engine) GetImage() *paremsp.Image { return e.images.get() }
 
 // PutImage returns a borrowed image to the raster pool.
-func (e *Engine) PutImage(img *paremsp.Image) {
-	if img != nil {
-		e.imgPool.Put(img)
-	}
-}
-
-// GetBitmap borrows a bit-packed raster from the bitmap pool; decode raw PBM
-// into it with pnm.DecodePBMBitmapInto and hand it to LabelBitmap, which
-// consumes it. If the bitmap never reaches LabelBitmap (e.g. decoding
-// failed), return it with PutBitmap.
-func (e *Engine) GetBitmap() *paremsp.Bitmap {
-	e.metrics.poolGets[poolBitmap].Add(1)
-	return e.bmPool.Get().(*paremsp.Bitmap)
-}
-
-// PutBitmap returns a borrowed bitmap to the bitmap pool.
-func (e *Engine) PutBitmap(bm *paremsp.Bitmap) {
-	if bm != nil {
-		e.bmPool.Put(bm)
-	}
-}
+func (e *Engine) PutImage(img *paremsp.Image) { e.images.put(img) }
 
 // PutResult returns a Label result's label map to the raster pool. Call it
 // after the response has been written; the result must not be used afterward.
 func (e *Engine) PutResult(res *paremsp.Result) {
-	if res != nil && res.Labels != nil {
-		e.lmPool.Put(res.Labels)
+	if res != nil {
+		e.labelMaps.put(res.Labels)
 		res.Labels = nil
 	}
 }
@@ -216,37 +307,23 @@ func (e *Engine) PutResult(res *paremsp.Result) {
 // GetGray borrows a gray raster from the gray pool; decode into it with
 // pnm.DecodeGrayInto and hand it to LabelGray, which consumes it. If it
 // never reaches LabelGray, return it with PutGray.
-func (e *Engine) GetGray() *paremsp.GrayImage {
-	e.metrics.poolGets[poolGray].Add(1)
-	return e.grayPool.Get().(*paremsp.GrayImage)
-}
+func (e *Engine) GetGray() *paremsp.GrayImage { return e.grays.get() }
 
 // PutGray returns a borrowed gray raster to the gray pool.
-func (e *Engine) PutGray(img *paremsp.GrayImage) {
-	if img != nil {
-		e.grayPool.Put(img)
-	}
-}
+func (e *Engine) PutGray(img *paremsp.GrayImage) { e.grays.put(img) }
 
 // GetVolume borrows a voxel volume from the volume pool; decode into it with
 // pnm.DecodeVolumeInto and hand it to LabelVolume, which consumes it. If it
 // never reaches LabelVolume, return it with PutVolume.
-func (e *Engine) GetVolume() *paremsp.Volume {
-	e.metrics.poolGets[poolVolume].Add(1)
-	return e.volPool.Get().(*paremsp.Volume)
-}
+func (e *Engine) GetVolume() *paremsp.Volume { return e.volumes.get() }
 
 // PutVolume returns a borrowed volume to the volume pool.
-func (e *Engine) PutVolume(vol *paremsp.Volume) {
-	if vol != nil {
-		e.volPool.Put(vol)
-	}
-}
+func (e *Engine) PutVolume(vol *paremsp.Volume) { e.volumes.put(vol) }
 
 // PutVolumeResult returns a LabelVolume result's label volume to its pool.
 func (e *Engine) PutVolumeResult(res *paremsp.VolumeResult) {
-	if res != nil && res.Labels != nil {
-		e.lvPool.Put(res.Labels)
+	if res != nil {
+		e.labelVols.put(res.Labels)
 		res.Labels = nil
 	}
 }
@@ -262,16 +339,7 @@ func (e *Engine) PutVolumeResult(res *paremsp.VolumeResult) {
 // facts (dimensions, density) before calling. The returned result's label
 // map is pool-owned; release it with PutResult.
 func (e *Engine) Label(ctx context.Context, img *paremsp.Image, opt paremsp.Options) (*paremsp.Result, error) {
-	r := e.submit(&job{ctx: ctx, img: img, opt: opt, done: make(chan jobResult, 1)})
-	return r.res, r.err
-}
-
-// LabelBitmap is Label for a bit-packed raster (algorithms AlgBREMSP /
-// AlgPBREMSP, see paremsp.LabelBitmapInto). It consumes bm under the same
-// contract Label applies to img: on every path the engine returns it to the
-// bitmap pool, so read any per-raster facts before calling.
-func (e *Engine) LabelBitmap(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options) (*paremsp.Result, error) {
-	r := e.submit(&job{ctx: ctx, bm: bm, opt: opt, done: make(chan jobResult, 1)})
+	r := e.do(ctx, e.imageTask(img), opt)
 	return r.res, r.err
 }
 
@@ -280,7 +348,7 @@ func (e *Engine) LabelBitmap(ctx context.Context, bm *paremsp.Bitmap, opt parems
 // applies to its raster: on every path the engine returns it to the gray
 // pool, so read any per-image facts before calling.
 func (e *Engine) LabelGray(ctx context.Context, img *paremsp.GrayImage, opt paremsp.Options) (*paremsp.Result, error) {
-	r := e.submit(&job{ctx: ctx, gray: img, opt: opt, done: make(chan jobResult, 1)})
+	r := e.do(ctx, e.grayTask(img), opt)
 	return r.res, r.err
 }
 
@@ -289,7 +357,7 @@ func (e *Engine) LabelGray(ctx context.Context, img *paremsp.GrayImage, opt pare
 // The returned result's label volume is pool-owned; release it with
 // PutVolumeResult.
 func (e *Engine) LabelVolume(ctx context.Context, vol *paremsp.Volume, opt paremsp.Options) (*paremsp.VolumeResult, error) {
-	r := e.submit(&job{ctx: ctx, vol: vol, opt: opt, done: make(chan jobResult, 1)})
+	r := e.do(ctx, volumeTask{vol}, opt)
 	return r.vres, r.err
 }
 
@@ -307,12 +375,7 @@ func (e *Engine) LabelVolume(ctx context.Context, vol *paremsp.Volume, opt parem
 // bands, so slow uploads hold labeling capacity — deployments should bound
 // request read time (server timeouts) alongside MaxImageBytes.
 func (e *Engine) Stats(ctx context.Context, src band.Source, opt band.Options) (*band.Result, error) {
-	j := &job{
-		ctx:    ctx,
-		stream: func() (*band.Result, error) { return band.Stream(src, opt) },
-		done:   make(chan jobResult, 1),
-	}
-	r := e.submit(j)
+	r := e.do(ctx, streamTask{src: src, opt: opt}, paremsp.Options{})
 	return r.bres, r.err
 }
 
@@ -330,9 +393,9 @@ type Submitted struct {
 func (s *Submitted) QueuePosition() int { return s.pos }
 
 // Wait blocks until the job finishes. Exactly one of the results is non-nil
-// on success: the raster result for SubmitLabel/SubmitBitmap/SubmitGray,
-// the streaming result for SubmitStats, the volume result for SubmitVolume.
-// Wait must be called exactly once.
+// on success: the raster result for SubmitLabel/SubmitGray, the streaming
+// result for SubmitStats, the volume result for SubmitVolume. Wait must be
+// called exactly once.
 func (s *Submitted) Wait() (*paremsp.Result, *band.Result, *paremsp.VolumeResult, error) {
 	r := <-s.done
 	return r.res, r.bres, r.vres, r.err
@@ -345,59 +408,24 @@ func (s *Submitted) Wait() (*paremsp.Result, *band.Result, *paremsp.VolumeResult
 // Label. Backpressure is unchanged: a full queue rejects with ErrQueueFull
 // at submit time.
 func (e *Engine) SubmitLabel(ctx context.Context, img *paremsp.Image, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, img: img, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
-}
-
-// SubmitBitmap is SubmitLabel for a bit-packed raster (see LabelBitmap).
-func (e *Engine) SubmitBitmap(ctx context.Context, bm *paremsp.Bitmap, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, bm: bm, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
+	return e.submit(ctx, e.imageTask(img), opt, onStart)
 }
 
 // SubmitGray is SubmitLabel for a gray raster (see LabelGray).
 func (e *Engine) SubmitGray(ctx context.Context, img *paremsp.GrayImage, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, gray: img, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
+	return e.submit(ctx, e.grayTask(img), opt, onStart)
 }
 
 // SubmitVolume is SubmitLabel for a voxel volume (see LabelVolume).
 func (e *Engine) SubmitVolume(ctx context.Context, vol *paremsp.Volume, opt paremsp.Options, onStart func()) (*Submitted, error) {
-	j := &job{ctx: ctx, vol: vol, opt: opt, onStart: onStart, done: make(chan jobResult, 1)}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
+	return e.submit(ctx, volumeTask{vol}, opt, onStart)
 }
 
 // SubmitStats is the asynchronous form of Stats. Unlike Stats, the source
 // must stay readable until Wait returns — async callers hand it an
 // in-memory buffer, not a request body.
 func (e *Engine) SubmitStats(ctx context.Context, src band.Source, opt band.Options, onStart func()) (*Submitted, error) {
-	j := &job{
-		ctx:     ctx,
-		stream:  func() (*band.Result, error) { return band.Stream(src, opt) },
-		onStart: onStart,
-		done:    make(chan jobResult, 1),
-	}
-	pos, err := e.enqueue(j)
-	if err != nil {
-		return nil, err
-	}
-	return &Submitted{pos: pos, done: j.done}, nil
+	return e.submit(ctx, streamTask{src: src, opt: opt}, paremsp.Options{}, onStart)
 }
 
 // RetryAfter estimates how long a client shed with ErrQueueFull should wait
@@ -424,100 +452,67 @@ func (e *Engine) RetryAfter() time.Duration {
 	return est
 }
 
-// reclaimInput returns the job's raster (whichever kind it carries, if any)
-// to its pool.
-func (e *Engine) reclaimInput(j *job) {
-	switch {
-	case j.img != nil:
-		e.imgPool.Put(j.img)
-	case j.bm != nil:
-		e.bmPool.Put(j.bm)
-	case j.gray != nil:
-		e.grayPool.Put(j.gray)
-	case j.vol != nil:
-		e.volPool.Put(j.vol)
-	}
-}
-
-// enqueue admits j to the queue and returns its approximate queue position
-// (the queue length just after insertion, so including the job itself). It
-// is the shared front half of the synchronous and asynchronous submit
-// paths; on rejection the input raster is reclaimed.
-func (e *Engine) enqueue(j *job) (int, error) {
+// submit admits t to the queue and returns its handle, positioned at the
+// queue length just after insertion (so including the job itself). Every
+// labeling, synchronous or async, enters the engine here; on rejection the
+// input goes back to its pool.
+func (e *Engine) submit(ctx context.Context, t task, opt paremsp.Options, onStart func()) (*Submitted, error) {
 	e.metrics.requests.Add(1)
 	if faultinject.Fire(faultinject.QueueFull) {
-		e.metrics.rejected.Add(1)
-		e.reclaimInput(j)
-		return 0, ErrQueueFull
+		return nil, e.reject(t, ErrQueueFull)
 	}
-	if j.opt.Threads == 0 {
-		j.opt.Threads = e.threads
+	if opt.Threads == 0 {
+		opt.Threads = e.threads
 	}
-	j.enqueued = time.Now()
+	j := &job{ctx: ctx, task: t, opt: opt, done: make(chan jobResult, 1), enqueued: time.Now(), onStart: onStart}
 
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.RUnlock()
-		e.metrics.rejected.Add(1)
-		e.reclaimInput(j)
-		return 0, ErrClosed
+		return nil, e.reject(t, ErrClosed)
 	}
 	select {
 	case e.queue <- j:
-		pos := len(e.queue)
-		e.mu.RUnlock()
-		return pos, nil
+		return &Submitted{pos: len(e.queue), done: j.done}, nil
 	default:
-		e.mu.RUnlock()
-		e.metrics.rejected.Add(1)
-		e.reclaimInput(j)
-		return 0, ErrQueueFull
+		return nil, e.reject(t, ErrQueueFull)
 	}
 }
 
-func (e *Engine) submit(j *job) jobResult {
-	if _, err := e.enqueue(j); err != nil {
+// reject counts a shed admission and releases its input.
+func (e *Engine) reject(t task, err error) error {
+	e.metrics.rejected.Add(1)
+	t.release(e)
+	return err
+}
+
+// do is a synchronous labeling: submit, then wait for the outcome or for
+// ctx, whichever comes first. Once enqueued, the worker owns the input and
+// returns it to its pool; a caller that gives up leaves a goroutine to
+// recycle the result the worker still delivers, so the pools stay warm.
+//
+// A stream is always waited for: it reads its source (an HTTP request
+// body) on the worker, so returning before the worker finishes would let
+// the engine touch the body after the handler has returned. A queued
+// stream with a dead ctx is rejected by the worker's precheck, and a
+// running one stops at the first failed read.
+func (e *Engine) do(ctx context.Context, t task, opt paremsp.Options) jobResult {
+	s, err := e.submit(ctx, t, opt, nil)
+	if err != nil {
 		return jobResult{err: err}
 	}
-	ctx := j.ctx
-
-	// Stream jobs read their source (an HTTP request body) on the worker, so
-	// returning before the worker finishes would let the engine touch the
-	// body after the handler has returned. Wait unconditionally: a queued
-	// job with a dead ctx is rejected by the worker's precheck, and a
-	// running one stops at the first failed read.
-	if j.stream != nil {
-		r := <-j.done
-		if tr := traceFrom(ctx); tr != nil {
-			tr.QueueNs = r.wait.Nanoseconds()
-		}
-		return r
+	if _, stream := t.(streamTask); stream {
+		return <-s.done
 	}
-
-	// Once enqueued, the worker owns the raster and returns it to its pool.
 	select {
-	case r := <-j.done:
-		// The channel receive orders the worker's writes before this
-		// caller-side trace fill; on the cancellation path below the trace
-		// is left untouched, so a worker finishing late never races the
-		// (pooled, recycled) record.
-		if tr := traceFrom(ctx); tr != nil {
-			tr.QueueNs = r.wait.Nanoseconds()
-		}
+	case r := <-s.done:
 		return r
 	case <-ctx.Done():
 		e.metrics.canceled.Add(1)
-		// The worker may still pick the job up (and is the one holding the
-		// raster); reclaim the label map when it finishes so the pool stays
-		// warm.
 		go func() {
-			r := <-j.done
-			if r.res != nil {
-				e.PutResult(r.res)
-			}
-			if r.vres != nil {
-				e.PutVolumeResult(r.vres)
-			}
+			r := <-s.done
+			e.PutResult(r.res)
+			e.PutVolumeResult(r.vres)
 		}()
 		return jobResult{err: ctx.Err()}
 	}
@@ -596,8 +591,8 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 }
 
 // injectWorkerFaults runs the worker-stall and worker-panic failpoints. The
-// panic deliberately escapes into the compute helpers' recoverPanic so the
-// chaos suite exercises the same containment path a real panic takes.
+// panic deliberately escapes into compute's recoverPanic so the chaos suite
+// exercises the same containment path a real panic takes.
 func injectWorkerFaults(ctx context.Context) {
 	if !faultinject.Armed() {
 		return
@@ -610,40 +605,14 @@ func injectWorkerFaults(ctx context.Context) {
 	}
 }
 
-// computeRaster runs one raster labeling with panic containment: a panic in
-// the labeling (or an injected one) surfaces as a wrapped ErrWorkerPanic
-// instead of killing the worker goroutine.
-func (e *Engine) computeRaster(j *job, lm *paremsp.LabelMap, sc *paremsp.Scratch) (res *paremsp.Result, npix int, err error) {
-	defer e.recoverPanic(&err)
+// compute runs one task with panic containment: a panic in the labeling
+// (or an injected one) surfaces as a wrapped ErrWorkerPanic instead of
+// killing the worker goroutine, and leaves the task's buffers quarantined
+// (see task.run).
+func (e *Engine) compute(j *job) (r jobResult) {
+	defer e.recoverPanic(&r.err)
 	injectWorkerFaults(j.ctx)
-	switch {
-	case j.img != nil:
-		npix = len(j.img.Pix)
-		res, err = e.run(j.ctx, j.img, lm, sc, j.opt)
-	case j.gray != nil:
-		npix = len(j.gray.Pix)
-		res, err = e.runGray(j.ctx, j.gray, lm, sc, j.opt)
-	default:
-		npix = j.bm.Width * j.bm.Height
-		res, err = e.runBM(j.ctx, j.bm, lm, sc, j.opt)
-	}
-	return res, npix, err
-}
-
-// computeVolume is computeRaster for voxel-volume jobs.
-func (e *Engine) computeVolume(j *job, lv *paremsp.LabelVolumeMap, sc *paremsp.Scratch) (vres *paremsp.VolumeResult, npix int, err error) {
-	defer e.recoverPanic(&err)
-	injectWorkerFaults(j.ctx)
-	npix = len(j.vol.Vox)
-	vres, err = e.runVol(j.ctx, j.vol, lv, sc, j.opt)
-	return vres, npix, err
-}
-
-// computeStream is computeRaster for band-streaming jobs.
-func (e *Engine) computeStream(j *job) (bres *band.Result, err error) {
-	defer e.recoverPanic(&err)
-	injectWorkerFaults(j.ctx)
-	return j.stream()
+	return j.task.run(j.ctx, e, j.opt)
 }
 
 func (e *Engine) worker() {
@@ -657,7 +626,7 @@ func (e *Engine) worker() {
 				err = context.Canceled
 			}
 			e.metrics.errors.Add(1)
-			e.reclaimInput(j)
+			j.task.release(e)
 			j.done <- jobResult{err: err}
 			continue
 		}
@@ -668,101 +637,43 @@ func (e *Engine) worker() {
 		start := time.Now()
 		wait := start.Sub(j.enqueued)
 		e.metrics.queueWaitHist.observe(wait.Nanoseconds())
-		if j.stream != nil {
-			// Stream durations are dominated by how fast the client's
-			// source delivers bands, not by compute, so they stay out of
-			// the jobNs mean that RetryAfter is derived from (and out of
-			// the service-time histogram, for the same reason). They do
-			// count as busy time: the worker is occupied either way.
-			bres, err := e.computeStream(j)
-			e.metrics.busyNs.Add(time.Since(start).Nanoseconds())
-			e.metrics.inFlight.Add(-1)
-			if err != nil {
-				e.metrics.errors.Add(1)
-				j.done <- jobResult{err: err, wait: wait}
-				continue
-			}
-			e.metrics.completed.Add(1)
-			e.metrics.pixels.Add(int64(bres.Width) * int64(bres.Height))
-			e.metrics.components.Add(int64(bres.NumComponents))
-			j.done <- jobResult{bres: bres, wait: wait}
-			continue
+		r := e.compute(j)
+		r.wait = wait
+		e.account(r, time.Since(start).Nanoseconds())
+		j.done <- r
+	}
+}
+
+// account lands one run in the counters. Busy time covers every run,
+// whatever its outcome: the worker is occupied either way. A stream stays out of the service-time statistics
+// — the jobNs mean RetryAfter is derived from and the service-time
+// histogram — because its duration follows the client's upload pace.
+// Phases are observed only when the kernel timed them (PAREMSP, PBREMSP),
+// so the phase histograms never record zeros for the kernels that do not.
+// Histogram observes are two uncontended atomic adds each, with nothing
+// allocated.
+func (e *Engine) account(r jobResult, elapsed int64) {
+	m := &e.metrics
+	m.busyNs.Add(elapsed)
+	m.inFlight.Add(-1)
+	if r.err != nil {
+		m.errors.Add(1)
+		return
+	}
+	m.completed.Add(1)
+	m.pixels.Add(r.pixels)
+	m.components.Add(r.components)
+	if r.paced {
+		return
+	}
+	m.jobNs.Add(elapsed)
+	m.jobsTimed.Add(1)
+	m.jobHist.observe(elapsed)
+	if r.phases.Total() > 0 {
+		ph := [phaseCount]time.Duration{r.phases.Scan, r.phases.Merge, r.phases.Flatten, r.phases.Relabel}
+		for i, d := range ph {
+			m.phaseNs[i].Add(d.Nanoseconds())
+			m.phaseHist[i].observe(d.Nanoseconds())
 		}
-		if j.vol != nil {
-			// Volume jobs mirror the raster path with a 3-D label buffer and
-			// no phase breakdown (the slab labeler does not time phases).
-			e.metrics.poolGets[poolLabelVol].Add(1)
-			lv := e.lvPool.Get().(*paremsp.LabelVolumeMap)
-			e.metrics.poolGets[poolScratch].Add(1)
-			sc := e.scPool.Get().(*paremsp.Scratch)
-			vres, npix, err := e.computeVolume(j, lv, sc)
-			panicked := errors.Is(err, ErrWorkerPanic)
-			if !panicked {
-				e.scPool.Put(sc)
-				e.reclaimInput(j)
-			}
-			elapsed := time.Since(start).Nanoseconds()
-			e.metrics.busyNs.Add(elapsed)
-			e.metrics.inFlight.Add(-1)
-			if err != nil {
-				if !panicked {
-					e.lvPool.Put(lv)
-				}
-				e.metrics.errors.Add(1)
-				j.done <- jobResult{err: err, wait: wait}
-				continue
-			}
-			e.metrics.completed.Add(1)
-			e.metrics.jobNs.Add(elapsed)
-			e.metrics.jobsTimed.Add(1)
-			e.metrics.pixels.Add(int64(npix))
-			e.metrics.components.Add(int64(vres.NumComponents))
-			e.metrics.jobHist.observe(elapsed)
-			j.done <- jobResult{vres: vres, wait: wait}
-			continue
-		}
-		e.metrics.poolGets[poolLabelMap].Add(1)
-		lm := e.lmPool.Get().(*paremsp.LabelMap)
-		e.metrics.poolGets[poolScratch].Add(1)
-		sc := e.scPool.Get().(*paremsp.Scratch)
-		res, npix, err := e.computeRaster(j, lm, sc)
-		panicked := errors.Is(err, ErrWorkerPanic)
-		if !panicked {
-			// A panicking labeling may have left lm, sc and the input raster
-			// mid-mutation; quarantine them (drop instead of pooling) so the
-			// next request never sees a half-written buffer.
-			e.scPool.Put(sc)
-			e.reclaimInput(j)
-		}
-		elapsed := time.Since(start).Nanoseconds()
-		e.metrics.busyNs.Add(elapsed)
-		e.metrics.inFlight.Add(-1)
-		if err != nil {
-			if !panicked {
-				e.lmPool.Put(lm)
-			}
-			e.metrics.errors.Add(1)
-			j.done <- jobResult{err: err, wait: wait}
-			continue
-		}
-		e.metrics.completed.Add(1)
-		e.metrics.jobNs.Add(elapsed)
-		e.metrics.jobsTimed.Add(1)
-		e.metrics.pixels.Add(int64(npix))
-		e.metrics.components.Add(int64(res.NumComponents))
-		e.metrics.scanNs.Add(res.Phases.Scan.Nanoseconds())
-		e.metrics.mergeNs.Add(res.Phases.Merge.Nanoseconds())
-		e.metrics.flattenNs.Add(res.Phases.Flatten.Nanoseconds())
-		e.metrics.relabelNs.Add(res.Phases.Relabel.Nanoseconds())
-		// Histogram observes are two uncontended atomic adds each; the
-		// six of them cost tens of nanoseconds against a job measured in
-		// micro- to milliseconds, keeping hot-path overhead under the 2%
-		// budget with nothing allocated.
-		e.metrics.jobHist.observe(elapsed)
-		e.metrics.phaseHist[phaseScan].observe(res.Phases.Scan.Nanoseconds())
-		e.metrics.phaseHist[phaseMerge].observe(res.Phases.Merge.Nanoseconds())
-		e.metrics.phaseHist[phaseFlatten].observe(res.Phases.Flatten.Nanoseconds())
-		e.metrics.phaseHist[phaseRelabel].observe(res.Phases.Relabel.Nanoseconds())
-		j.done <- jobResult{res: res, wait: wait}
 	}
 }

@@ -2,15 +2,17 @@ package service
 
 import (
 	"bufio"
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"mime"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,7 +50,7 @@ type HandlerConfig struct {
 	DefaultAlgorithm paremsp.Algorithm
 	// Jobs, when non-nil, enables the asynchronous job API (POST /v1/jobs
 	// and the /v1/jobs/{id} endpoints) backed by this store. The handler
-	// does not own the store; the caller closes it.
+	// does not own the store; the caller closes it, after WaitJobs.
 	Jobs *jobs.Store
 	// Obs carries the request-observability state: the structured logger,
 	// the per-endpoint latency histograms, and the trace ring that
@@ -70,8 +72,8 @@ type HandlerConfig struct {
 }
 
 // Handler is the service's HTTP surface — an http.Handler that additionally
-// exposes the drain lifecycle (StartDrain/Draining). Create it with
-// NewHandler.
+// exposes the drain lifecycle (StartDrain/Draining) and the async jobs'
+// shutdown barrier (WaitJobs). Create it with NewHandler.
 type Handler struct {
 	engine     *Engine
 	maxBytes   int64
@@ -87,18 +89,22 @@ type Handler struct {
 	// "draining" once StartDrain is called.
 	draining atomic.Bool
 
+	// pending counts admitted async jobs whose terminal state has not yet
+	// landed in the store; WaitJobs waits for it.
+	pending sync.WaitGroup
+
 	// root is the observability-wrapped mux ServeHTTP delegates to.
 	root http.Handler
 }
 
 // NewHandler wraps an Engine in the service's HTTP surface: POST /v1/label,
-// POST /v1/stats, GET /healthz, GET /metrics, and — when cfg.Jobs is set —
-// the asynchronous job API POST /v1/jobs, GET /v1/jobs/{id},
-// GET /v1/jobs/{id}/result, DELETE /v1/jobs/{id}. Every route runs inside
-// the observability middleware: responses carry X-Request-ID (inbound IDs
-// are honored, otherwise one is minted), access lines go to the Obs
-// logger, per-endpoint latency feeds the /metrics histograms, and each
-// request leaves a phase trace in the Obs ring buffer.
+// POST /v1/stats, POST /v1/volume, GET /healthz, GET /metrics, and — when
+// cfg.Jobs is set — the asynchronous job API POST /v1/jobs,
+// GET /v1/jobs/{id}, GET /v1/jobs/{id}/result, DELETE /v1/jobs/{id}. Every
+// route runs inside the observability middleware: responses carry
+// X-Request-ID (inbound IDs are honored, otherwise one is minted), access
+// lines go to the Obs logger, per-endpoint latency feeds the /metrics
+// histograms, and each request leaves a phase trace in the Obs ring buffer.
 func NewHandler(e *Engine, cfg HandlerConfig) *Handler {
 	h := &Handler{
 		engine:     e,
@@ -124,9 +130,9 @@ func NewHandler(e *Engine, cfg HandlerConfig) *Handler {
 		h.baseCtx = context.Background()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/label", h.label)
-	mux.HandleFunc("POST /v1/stats", h.stats)
-	mux.HandleFunc("POST /v1/volume", h.volume)
+	mux.HandleFunc("POST /v1/label", h.serveSync)
+	mux.HandleFunc("POST /v1/stats", h.serveSync)
+	mux.HandleFunc("POST /v1/volume", h.serveSync)
 	mux.HandleFunc("GET /healthz", h.healthz)
 	mux.HandleFunc("GET /metrics", h.metrics)
 	if h.jobs != nil {
@@ -143,30 +149,36 @@ func NewHandler(e *Engine, cfg HandlerConfig) *Handler {
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.root.ServeHTTP(w, r) }
 
 // StartDrain flips the handler into drain mode: admission endpoints
-// (/v1/label, /v1/stats, POST /v1/jobs) answer 503 with a Retry-After hint
-// and /healthz reports "draining" with 503 so load balancers take the
-// instance out of rotation. Read endpoints (job status/result, /metrics)
-// keep working so in-flight outcomes stay fetchable during the drain
-// window. Idempotent; there is no undo.
+// (/v1/label, /v1/stats, /v1/volume, POST /v1/jobs) answer 503 with a
+// Retry-After hint and /healthz reports "draining" with 503 so load
+// balancers take the instance out of rotation. Read endpoints (job
+// status/result, /metrics) keep working so in-flight outcomes stay
+// fetchable during the drain window. Idempotent; there is no undo.
 func (h *Handler) StartDrain() { h.draining.Store(true) }
 
 // Draining reports whether StartDrain has been called.
 func (h *Handler) Draining() bool { return h.draining.Load() }
 
+// WaitJobs blocks until every async job admitted through h has landed its
+// terminal state (done, failed or canceled) in the store. Call it after the
+// engine has stopped — Close, or Drain followed by canceling BaseContext
+// and Close — and before closing the store: a completion that raced
+// Store.Close would be dropped, and a durable store would then re-run a
+// job that had already finished.
+func (h *Handler) WaitJobs() { h.pending.Wait() }
+
 // rejectDraining answers an admission attempt made during drain.
 func (h *Handler) rejectDraining(w http.ResponseWriter) {
-	secs := int(math.Ceil(h.engine.RetryAfter().Seconds()))
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	h.setRetryAfter(w)
 	writeError(w, http.StatusServiceUnavailable, codeUnavailable, "server is draining")
 }
 
-// labelCtx derives the context a synchronous labeling runs under: the
-// request's, deadline-bounded when RequestTimeout is configured.
-func (h *Handler) labelCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if h.reqTimeout > 0 {
-		return context.WithTimeout(r.Context(), h.reqTimeout)
-	}
-	return r.Context(), func() {}
+// setRetryAfter sets the backoff hint of a 429 or 503, derived from the
+// engine's observed mean job latency and current backlog instead of a
+// fixed guess.
+func (h *Handler) setRetryAfter(w http.ResponseWriter) {
+	secs := int(math.Ceil(h.engine.RetryAfter().Seconds()))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
@@ -190,25 +202,24 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rejectBusy writes the 429 for a full queue, with a Retry-After derived
-// from the engine's observed mean job latency and current backlog instead
-// of a fixed guess.
-func (h *Handler) rejectBusy(w http.ResponseWriter, err error) {
-	secs := int(math.Ceil(h.engine.RetryAfter().Seconds()))
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, codeQueueFull, err.Error())
-}
-
-// writeEngineError maps an engine/labeling error to its envelope: 429 on
-// backpressure (Retry-After set), 503 on shutdown or client cancellation,
-// 500 for a contained worker panic, 504 for a lapsed deadline, 413 for a
-// body that ran over the cap mid-stream, 400 for option-validation
-// failures. Shared by every endpoint that runs work on the engine.
-func (h *Handler) writeEngineError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
+// writeErr maps a failed request to its envelope, whatever stage failed:
+// a validation failure keeps its own status (400, 406, 415), backpressure
+// answers 429 (Retry-After set), shutdown or client cancellation 503, a
+// contained worker panic 500, a lapsed deadline 504, a body over the cap
+// 413, and anything else — an undecodable body, or an engine
+// option-validation failure (unknown algorithm, unsupported connectivity
+// or mode) — 400.
+func (h *Handler) writeErr(w http.ResponseWriter, err error) {
+	var (
+		ae     *apiError
+		tooBig *http.MaxBytesError
+	)
 	switch {
+	case errors.As(err, &ae):
+		writeError(w, ae.status, ae.code, ae.message)
 	case errors.Is(err, ErrQueueFull):
-		h.rejectBusy(w, err)
+		h.setRetryAfter(w)
+		writeError(w, http.StatusTooManyRequests, codeQueueFull, err.Error())
 	case errors.Is(err, ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, codeUnavailable, err.Error())
 	case errors.Is(err, ErrWorkerPanic):
@@ -223,17 +234,15 @@ func (h *Handler) writeEngineError(w http.ResponseWriter, err error) {
 		// Client gave up; nothing useful to write.
 		writeError(w, http.StatusServiceUnavailable, codeUnavailable, err.Error())
 	case errors.As(err, &tooBig):
-		// The body ran over the cap mid-stream, after labeling began.
 		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
 			fmt.Sprintf("image exceeds %d bytes", tooBig.Limit))
 	default:
-		// Engine labeling errors are option-validation failures
-		// (unknown algorithm, unsupported connectivity or mode).
 		writeError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
 	}
 }
 
-// labelResponse is the JSON body of a successful /v1/label request.
+// labelResponse is the JSON body of a labeling: /v1/label, and the result
+// of a done labels, contours or gray job.
 type labelResponse struct {
 	Width         int             `json:"width"`
 	Height        int             `json:"height"`
@@ -251,6 +260,20 @@ type phasesJSON struct {
 	RelabelNs int64 `json:"relabel_ns"`
 }
 
+// phasesJSONFrom renders a labeling's phase times; nil when the kernel
+// did not time its phases.
+func phasesJSONFrom(ph paremsp.PhaseTimes) *phasesJSON {
+	if ph.Total() <= 0 {
+		return nil
+	}
+	return &phasesJSON{
+		ScanNs:    ph.Scan.Nanoseconds(),
+		MergeNs:   ph.Merge.Nanoseconds(),
+		FlattenNs: ph.Flatten.Nanoseconds(),
+		RelabelNs: ph.Relabel.Nanoseconds(),
+	}
+}
+
 type componentJSON struct {
 	Label    int32      `json:"label"`
 	Area     int        `json:"area"`
@@ -265,191 +288,7 @@ type contourJSON struct {
 	Points [][2]int `json:"points"`
 }
 
-func contoursJSONFrom(cs []paremsp.Contour) []contourJSON {
-	out := make([]contourJSON, len(cs))
-	for i, c := range cs {
-		pts := make([][2]int, len(c.Points))
-		for j, p := range c.Points {
-			pts[j] = [2]int{p.X, p.Y}
-		}
-		out[i] = contourJSON{Label: int32(c.Label), Points: pts}
-	}
-	return out
-}
-
-// label handles POST /v1/label for the 2-D modes. mode=binary (default)
-// takes PBM/PGM/PNG and binarizes grayscale at ?level=; mode=gray and
-// mode=gray-delta take PGM/PNG and label the gray levels directly
-// (exact-value components, or delta-tolerant ones). ?contours=true
-// additionally traces each component's outer boundary into the JSON
-// response (JSON only). mode=volume is served by POST /v1/volume.
-func (h *Handler) label(w http.ResponseWriter, r *http.Request) {
-	if h.draining.Load() {
-		h.rejectDraining(w)
-		return
-	}
-	spec, aerr := h.parseSpec(r)
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	if spec.mode == paremsp.ModeVolume {
-		writeError(w, http.StatusBadRequest, codeInvalidArgument,
-			"mode volume is served by POST /v1/volume")
-		return
-	}
-	accept, ok := negotiateAccept(r.Header.Get("Accept"))
-	if !ok {
-		writeError(w, http.StatusNotAcceptable, codeNotAcceptable,
-			fmt.Sprintf("unsupported Accept %q (want %s, %s, %s or %s)",
-				r.Header.Get("Accept"), ctJSON, ctPGM, ctPNG, ctCCL))
-		return
-	}
-	if spec.contours && accept != ctJSON {
-		writeError(w, http.StatusNotAcceptable, codeNotAcceptable,
-			fmt.Sprintf("contours are %s only", ctJSON))
-		return
-	}
-	tr := traceFrom(r.Context())
-	if tr != nil {
-		tr.Alg = string(spec.opt.Algorithm)
-		if tr.Alg == "" {
-			tr.Alg = string(paremsp.AlgPAREMSP)
-		}
-	}
-
-	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, h.maxBytes))
-	kind, err := bodyKind(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		writeError(w, http.StatusUnsupportedMediaType, codeUnsupportedMedia, err.Error())
-		return
-	}
-
-	gray := spec.mode == paremsp.ModeGray || spec.mode == paremsp.ModeGrayDelta
-	decodeStart := time.Now()
-	var (
-		d    decoded
-		gimg *paremsp.GrayImage
-	)
-	if gray {
-		gimg, err = h.decodeGray(kind, body)
-		if err == nil {
-			// Gray labeling has no background: every pixel belongs to a
-			// component, so the foreground density is definitionally 1.
-			d = decoded{width: gimg.Width, height: gimg.Height, density: 1}
-		}
-	} else {
-		d, err = h.decodeRaster(kind, body, spec.opt.Algorithm, spec.level)
-	}
-	if err != nil {
-		h.decodeError(w, err)
-		return
-	}
-	width, height, density := d.width, d.height, d.density
-	if tr != nil {
-		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
-		tr.Pixels = int64(width) * int64(height)
-	}
-	ctx, cancel := h.labelCtx(r)
-	defer cancel()
-	var res *paremsp.Result
-	switch {
-	case gray:
-		res, err = h.engine.LabelGray(ctx, gimg, spec.opt)
-	case d.bm != nil:
-		res, err = h.engine.LabelBitmap(ctx, d.bm, spec.opt)
-	default:
-		res, err = h.engine.Label(ctx, d.img, spec.opt)
-	}
-	if err != nil {
-		h.writeEngineError(w, err)
-		return
-	}
-	defer h.engine.PutResult(res)
-
-	var comps []paremsp.Component
-	if spec.components && accept == ctJSON {
-		comps = paremsp.ComponentsOf(res.Labels)
-	}
-	var contours []paremsp.Contour
-	if spec.contours {
-		// Tracing runs on the request goroutine under the request context:
-		// it is output shaping, not labeling, so it does not hold a worker.
-		contours, err = paremsp.TraceContoursCtx(ctx, res.Labels, res.NumComponents)
-		if err != nil {
-			h.writeEngineError(w, err)
-			return
-		}
-	}
-	encodeStart := time.Now()
-	if tr != nil {
-		tr.setPhases(res.Phases.Scan, res.Phases.Merge, res.Phases.Flatten, res.Phases.Relabel)
-		// Server-Timing must precede the body; encode time therefore lives
-		// only in the /debug/requests trace record.
-		w.Header().Set("Server-Timing", string(appendServerTiming(nil, tr, encodeStart.Sub(tr.Start))))
-	}
-	writeLabeling(w, accept, width, height, density, res.Labels, res.NumComponents, res.Phases, comps, contours)
-	if tr != nil {
-		tr.EncodeNs = time.Since(encodeStart).Nanoseconds()
-	}
-}
-
-// writeLabeling renders a finished labeling in the negotiated format; a
-// nil comps omits the per-component list from JSON, a nil contours the
-// boundary polylines (raster formats carry neither). It is shared by the
-// synchronous /v1/label response (which computes comps on demand) and the
-// async job result endpoint (which serves them precomputed).
-func writeLabeling(w http.ResponseWriter, accept string, width, height int, density float64,
-	lm *paremsp.LabelMap, numComponents int, phases paremsp.PhaseTimes, comps []paremsp.Component,
-	contours []paremsp.Contour) {
-	if d := faultinject.Delay(faultinject.EncodeSlow); d > 0 {
-		time.Sleep(d)
-	}
-	switch accept {
-	case ctJSON:
-		resp := labelResponse{
-			Width:         width,
-			Height:        height,
-			NumComponents: numComponents,
-			Density:       density,
-		}
-		if phases.Total() > 0 {
-			resp.Phases = &phasesJSON{
-				ScanNs:    phases.Scan.Nanoseconds(),
-				MergeNs:   phases.Merge.Nanoseconds(),
-				FlattenNs: phases.Flatten.Nanoseconds(),
-				RelabelNs: phases.Relabel.Nanoseconds(),
-			}
-		}
-		if comps != nil {
-			resp.Components = make([]componentJSON, len(comps))
-			for i, c := range comps {
-				resp.Components[i] = componentJSON{
-					Label:    c.Label,
-					Area:     c.Area,
-					BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
-					Centroid: [2]float64{c.CentroidX, c.CentroidY},
-				}
-			}
-		}
-		if contours != nil {
-			resp.Contours = contoursJSONFrom(contours)
-		}
-		w.Header().Set("Content-Type", ctJSON)
-		json.NewEncoder(w).Encode(resp)
-	case ctPGM:
-		w.Header().Set("Content-Type", ctPGM)
-		paremsp.EncodeLabelsPGM(w, lm)
-	case ctPNG:
-		w.Header().Set("Content-Type", ctPNG)
-		paremsp.EncodeLabelsPNG(w, lm)
-	case ctCCL:
-		w.Header().Set("Content-Type", ctCCL)
-		stream.WriteLabels(w, lm, numComponents)
-	}
-}
-
-// statsResponse is the JSON body of a successful /v1/stats request.
+// statsResponse is the JSON body of /v1/stats and of a done stats job.
 type statsResponse struct {
 	Width         int                  `json:"width"`
 	Height        int                  `json:"height"`
@@ -467,61 +306,6 @@ type statsComponentJSON struct {
 	Runs     int64      `json:"runs"`
 }
 
-// stats handles POST /v1/stats: the request body (raw PBM P4 or raw PGM P5)
-// is streamed through the out-of-core band labeler, so arbitrarily tall
-// images — chunked uploads included — are labeled in O(band) memory and
-// only their component statistics come back. Query parameters: level
-// (binarization threshold for P5), band (band height in rows, 0 = default).
-// The response is always JSON; there is no label raster to return.
-func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	if h.draining.Load() {
-		h.rejectDraining(w)
-		return
-	}
-	if accept, ok := negotiateAccept(r.Header.Get("Accept")); !ok || accept != ctJSON {
-		writeError(w, http.StatusNotAcceptable, codeNotAcceptable,
-			fmt.Sprintf("unsupported Accept %q (stats responses are %s)",
-				r.Header.Get("Accept"), ctJSON))
-		return
-	}
-	spec, aerr := h.parseSpec(r)
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	if spec.mode != paremsp.ModeBinary {
-		writeError(w, http.StatusBadRequest, codeInvalidArgument,
-			fmt.Sprintf("stats supports only mode=%s (the band labeler streams binary rasters)", paremsp.ModeBinary))
-		return
-	}
-
-	decodeStart := time.Now()
-	src, err := pnm.NewBandReader(http.MaxBytesReader(w, r.Body, h.maxBytes), spec.level)
-	if err != nil {
-		h.decodeError(w, err)
-		return
-	}
-	tr := traceFrom(r.Context())
-	if tr != nil {
-		// Only the header parse happens up front — band decoding is
-		// interleaved with labeling on the worker — so DecodeNs here is
-		// the header cost and the streamed pass lands in queue+total.
-		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
-		tr.Alg = "band"
-		tr.Pixels = int64(src.Width()) * int64(src.Height())
-	}
-	ctx, cancel := h.labelCtx(r)
-	defer cancel()
-	res, err := h.engine.Stats(ctx, src, band.Options{BandRows: spec.bandRows, Ctx: ctx})
-	if err != nil {
-		h.writeEngineError(w, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", ctJSON)
-	json.NewEncoder(w).Encode(statsResponseFrom(res, spec.bandRows))
-}
-
 // volumeResponse is the JSON body of a successful /v1/volume request (and
 // of a done volume job's result). The labeled voxel grid itself is not
 // returned — at W*H*D*4 bytes it dwarfs the input — only the component
@@ -534,181 +318,318 @@ type volumeResponse struct {
 	ComponentSizes []int `json:"component_sizes,omitempty"`
 }
 
-// volume handles POST /v1/volume: the body is a stack of concatenated
-// raw-PGM (P5) frames — every frame one z-slice, all with identical
-// dimensions — binarized at ?level= and labeled as one 3-D volume with
-// 26-connectivity, slab-parallel per the paper's chunked scheme. The
-// response is always JSON.
-func (h *Handler) volume(w http.ResponseWriter, r *http.Request) {
+// serveSync handles the synchronous endpoints. A synchronous request is an
+// async job without the store: parseSpec resolves its kind and Params,
+// decode reads the body into a pooled engine task, the engine runs it on
+// the shared queue, finish builds the jobs.Result and writeResult renders
+// it — the path a job takes, answered on the request's own connection.
+//
+// POST /v1/label labels the 2-D modes. mode=binary (default) takes
+// PBM/PGM/PNG and binarizes grayscale at ?level=; mode=gray and
+// mode=gray-delta take PGM/PNG and label the gray levels directly
+// (exact-value components, or delta-tolerant ones). ?contours=true
+// additionally traces each component's outer boundary into the JSON
+// response (JSON only).
+//
+// POST /v1/stats streams the body (raw PBM P4 or raw PGM P5) through the
+// out-of-core band labeler, so arbitrarily tall images — chunked uploads
+// included — are labeled in O(band) memory and only their component
+// statistics come back. Query parameters: level (binarization threshold
+// for P5), band (band height in rows, 0 = default). The response is
+// always JSON; there is no label raster to return.
+//
+// POST /v1/volume takes a stack of concatenated raw-PGM (P5) frames —
+// every frame one z-slice, all with identical dimensions — binarized at
+// ?level= and labeled as one 3-D volume with 26-connectivity,
+// slab-parallel per the paper's chunked scheme. The response is always
+// JSON.
+func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 	if h.draining.Load() {
 		h.rejectDraining(w)
 		return
 	}
-	if accept, ok := negotiateAccept(r.Header.Get("Accept")); !ok || accept != ctJSON {
-		writeError(w, http.StatusNotAcceptable, codeNotAcceptable,
-			fmt.Sprintf("unsupported Accept %q (volume responses are %s)",
-				r.Header.Get("Accept"), ctJSON))
-		return
-	}
-	spec, aerr := h.parseSpec(r)
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	switch spec.mode {
-	case paremsp.ModeBinary:
-		// mode= absent: the endpoint itself selects the volume workload.
-		spec.mode = paremsp.ModeVolume
-		spec.opt.Mode = paremsp.ModeVolume
-	case paremsp.ModeVolume:
-	default:
-		writeError(w, http.StatusBadRequest, codeInvalidArgument,
-			fmt.Sprintf("mode %s is served by POST /v1/label", spec.mode))
-		return
-	}
-
-	decodeStart := time.Now()
-	vol := h.engine.GetVolume()
-	if err := pnm.DecodeVolumeInto(http.MaxBytesReader(w, r.Body, h.maxBytes), spec.level, vol); err != nil {
-		h.engine.PutVolume(vol)
-		h.decodeError(w, err)
-		return
-	}
-	width, height, depth := vol.W, vol.H, vol.D
-	tr := traceFrom(r.Context())
-	if tr != nil {
-		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
-		tr.Alg = string(spec.opt.Algorithm)
-		if tr.Alg == "" {
-			tr.Alg = string(paremsp.AlgPAREMSP)
-		}
-		tr.Pixels = int64(width) * int64(height) * int64(depth)
-	}
-	ctx, cancel := h.labelCtx(r)
-	defer cancel()
-	res, err := h.engine.LabelVolume(ctx, vol, spec.opt)
+	spec, err := h.parseSpec(r)
 	if err != nil {
-		h.writeEngineError(w, err)
+		h.writeErr(w, err)
 		return
 	}
-	defer h.engine.PutVolumeResult(res)
+	accept, err := acceptFor(spec.kind, r.Header.Get("Accept"))
+	if err == nil && spec.kind == jobs.KindContours && accept != ctJSON {
+		err = &apiError{status: http.StatusNotAcceptable, code: codeNotAcceptable,
+			message: fmt.Sprintf("contours are %s only", ctJSON)}
+	}
+	if err != nil {
+		h.writeErr(w, err)
+		return
+	}
 
-	resp := volumeResponse{
-		Width: width, Height: height, Depth: depth,
-		NumComponents: res.NumComponents,
+	tr := traceFrom(r.Context())
+	decodeStart := time.Now()
+	d, err := h.decode(spec.kind, spec.params, http.MaxBytesReader(w, r.Body, h.maxBytes))
+	if err != nil {
+		h.writeErr(w, err)
+		return
 	}
-	if spec.components {
-		resp.ComponentSizes = paremsp.VolumeComponentSizes(res.Labels, res.NumComponents)
-	}
-	w.Header().Set("Content-Type", ctJSON)
-	json.NewEncoder(w).Encode(resp)
-}
-
-// statsResponseFrom builds the JSON body for a streaming-stats result; it
-// is shared by /v1/stats and the async job result endpoint.
-func statsResponseFrom(res *band.Result, bandRows int) statsResponse {
-	resp := statsResponse{
-		Width:         res.Width,
-		Height:        res.Height,
-		NumComponents: res.NumComponents,
-		BandRows:      bandRows,
-		Components:    make([]statsComponentJSON, len(res.Components)),
-	}
-	if resp.BandRows == 0 {
-		resp.BandRows = band.DefaultBandRows
-	}
-	if px := int64(res.Width) * int64(res.Height); px > 0 {
-		resp.Density = float64(res.ForegroundPixels) / float64(px)
-	}
-	for i, c := range res.Components {
-		resp.Components[i] = statsComponentJSON{
-			Label:    c.Label,
-			Area:     c.Area,
-			BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
-			Centroid: [2]float64{c.CentroidX, c.CentroidY},
-			Runs:     c.Runs,
+	if tr != nil {
+		// A stream parses only its header up front — band decoding is
+		// interleaved with labeling on the worker — so its DecodeNs is the
+		// header cost and the streamed pass lands in queue+total.
+		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
+		tr.Alg = cmp.Or(spec.params.Alg, string(paremsp.AlgPAREMSP))
+		if spec.kind == jobs.KindStats {
+			tr.Alg = "band"
 		}
+		tr.Pixels = int64(d.info.Width) * int64(d.info.Height) * int64(max(d.info.Depth, 1))
 	}
-	return resp
+	// The labeling runs under the request's context, deadline-bounded when
+	// RequestTimeout is configured.
+	ctx := r.Context()
+	if h.reqTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, h.reqTimeout)
+		defer cancel()
+	}
+	out := h.engine.do(ctx, d.task, options(spec.params))
+	// The trace is filled from the returned outcome only, so a worker that
+	// finishes after a cancellation never races the (pooled, recycled)
+	// record.
+	if tr != nil {
+		tr.QueueNs = out.wait.Nanoseconds()
+	}
+	res, err := h.finish(ctx, spec.kind, d.info, out, spec.components && accept == ctJSON)
+	if err != nil {
+		h.writeErr(w, err)
+		return
+	}
+	defer h.engine.labelMaps.put(res.Labels)
+
+	encodeStart := time.Now()
+	if tr != nil {
+		tr.setPhases(res.Phases.Scan, res.Phases.Merge, res.Phases.Flatten, res.Phases.Relabel)
+		// Server-Timing must precede the body; encode time therefore lives
+		// only in the /debug/requests trace record.
+		w.Header().Set("Server-Timing", string(appendServerTiming(nil, tr, encodeStart.Sub(tr.Start))))
+	}
+	writeResult(w, accept, res)
+	if tr != nil {
+		tr.EncodeNs = time.Since(encodeStart).Nanoseconds()
+	}
 }
 
-// decoded is one request image decoded into a pooled raster: exactly one
-// of img and bm is non-nil. The engine consumes the raster (it may return
-// it to the pool after a cancellation while a worker still reads it), so
-// the dimensions and density are captured here, before any engine call.
+// options is p as the engine's labeling options.
+func options(p jobs.Params) paremsp.Options {
+	return paremsp.Options{
+		Algorithm:    paremsp.Algorithm(p.Alg),
+		Connectivity: p.Conn,
+		Threads:      p.Threads,
+		Mode:         paremsp.Mode(p.Mode),
+		Delta:        p.Delta,
+	}
+}
+
+// decoded is one request body decoded into a pooled engine input: the task
+// that labels it, and the facts its response reports — captured here,
+// because the engine consumes the input (it may return it to its pool
+// after a cancellation while a worker still reads it).
 type decoded struct {
-	img           *paremsp.Image
-	bm            *paremsp.Bitmap
-	width, height int
-	density       float64
+	task task
+	info jobs.ResultInfo
 }
 
-// decodeRaster decodes an image body of the given kind ("pnm" or "png")
-// into a pooled raster. Raw PBM paired with a bit-packed algorithm takes
-// the packed ingest path — P4 rows are already 1 bit per pixel, so the
-// byte raster is never materialized; everything else decodes into a byte
-// Image. On error the borrowed raster is already back in its pool. Shared
-// by the synchronous label path and the async job submit path.
-func (h *Handler) decodeRaster(kind string, body *bufio.Reader, alg paremsp.Algorithm, level float64) (decoded, error) {
+// decode reads one body into a pooled input for kind and returns the task
+// that labels it; it is the one decode path behind the synchronous
+// endpoints, fresh async jobs and recovered ones. A stats body is read on
+// the worker (only its raw-PBM/PGM header is parsed here); a volume body
+// is concatenated P5 z-slices. The 2-D kinds resolve their codec from
+// p.ContentType, sniffing an absent or generic type. Raw PBM paired with a
+// bit-packed algorithm takes the packed ingest path — P4 rows are already
+// 1 bit per pixel, so the byte raster is never materialized; gray kinds
+// decode intensities, maxval-scaled onto the 0..255 domain the gray
+// labelers compare. On error the borrowed input is already back in its
+// pool.
+func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded, error) {
 	if faultinject.Fire(faultinject.DecodeError) {
 		return decoded{}, errors.New("faultinject: decode-error")
 	}
-	if kind == "pnm" && bitPackedAlg(alg) && sniffP4(body) {
-		bm := h.engine.GetBitmap()
-		if err := pnm.DecodePBMBitmapInto(body, bm); err != nil {
-			h.engine.PutBitmap(bm)
+	e := h.engine
+	switch kind {
+	case jobs.KindStats:
+		src, err := pnm.NewBandReader(body, p.Level)
+		if err != nil {
 			return decoded{}, err
 		}
-		return decoded{bm: bm, width: bm.Width, height: bm.Height, density: bm.Density()}, nil
+		return decoded{
+			task: streamTask{src: src, opt: band.Options{BandRows: p.BandRows}},
+			info: jobs.ResultInfo{Width: src.Width(), Height: src.Height(), BandRows: p.BandRows},
+		}, nil
+	case jobs.KindVolume:
+		vol := e.volumes.get()
+		if err := pnm.DecodeVolumeInto(body, p.Level, vol); err != nil {
+			e.volumes.put(vol)
+			return decoded{}, err
+		}
+		return decoded{task: volumeTask{vol}, info: jobs.ResultInfo{Width: vol.W, Height: vol.H, Depth: vol.D}}, nil
 	}
-	img := h.engine.GetImage()
-	var err error
-	switch kind {
-	case "pnm":
-		err = pnm.DecodeInto(body, level, img)
-	case "png":
-		err = pnm.DecodePNGInto(body, level, img)
-	}
+	br := bufio.NewReader(body)
+	codec, err := bodyKind(p.ContentType, br)
 	if err != nil {
-		h.engine.PutImage(img)
 		return decoded{}, err
 	}
-	return decoded{img: img, width: img.Width, height: img.Height, density: img.Density()}, nil
-}
-
-// decodeGray decodes a gray-mode body ("pnm" = PGM, or PNG) into a pooled
-// gray raster; maxval scaling maps every input onto the 0..255 intensity
-// domain the gray labelers compare. On error the raster is already back in
-// its pool. Shared by the synchronous label path and the async gray jobs.
-func (h *Handler) decodeGray(kind string, body *bufio.Reader) (*paremsp.GrayImage, error) {
-	if faultinject.Fire(faultinject.DecodeError) {
-		return nil, errors.New("faultinject: decode-error")
+	switch {
+	case kind == jobs.KindGray:
+		g := e.grays.get()
+		if codec == "png" {
+			err = pnm.DecodePNGGrayInto(br, g)
+		} else {
+			err = pnm.DecodeGrayInto(br, g)
+		}
+		if err != nil {
+			e.grays.put(g)
+			return decoded{}, err
+		}
+		// Gray labeling has no background: every pixel belongs to a
+		// component, so the foreground density is definitionally 1.
+		return decoded{task: e.grayTask(g), info: jobs.ResultInfo{Width: g.Width, Height: g.Height, Density: 1}}, nil
+	case codec == "pnm" && bitPackedAlg(paremsp.Algorithm(p.Alg)) && sniffP4(br):
+		bm := e.bitmaps.get()
+		if err := pnm.DecodePBMBitmapInto(br, bm); err != nil {
+			e.bitmaps.put(bm)
+			return decoded{}, err
+		}
+		return decoded{task: e.bitmapTask(bm), info: jobs.ResultInfo{Width: bm.Width, Height: bm.Height, Density: bm.Density()}}, nil
 	}
-	g := h.engine.GetGray()
-	var err error
-	switch kind {
-	case "pnm":
-		err = pnm.DecodeGrayInto(body, g)
-	case "png":
-		err = pnm.DecodePNGGrayInto(body, g)
+	img := e.images.get()
+	if codec == "png" {
+		err = pnm.DecodePNGInto(br, p.Level, img)
+	} else {
+		err = pnm.DecodeInto(br, p.Level, img)
 	}
 	if err != nil {
-		h.engine.PutGray(g)
-		return nil, err
+		e.images.put(img)
+		return decoded{}, err
 	}
-	return g, nil
+	return decoded{task: e.imageTask(img), info: jobs.ResultInfo{Width: img.Width, Height: img.Height, Density: img.Density()}}, nil
 }
 
-// decodeError writes the HTTP failure for a request-body decode error:
-// 413 when the body ran over the size cap, 400 otherwise.
-func (h *Handler) decodeError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
-			fmt.Sprintf("image exceeds %d bytes", tooBig.Limit))
+// finish turns a task's outcome into the jobs.Result every response is
+// rendered from; it is the one post-labeling step behind the synchronous
+// endpoints, fresh async jobs and recovered ones. comps asks for the
+// per-component summaries (component statistics, volume sizes). A volume
+// keeps only its summary, so its label volume goes straight back to the
+// pool; a label map rides the result — a synchronous request recycles it
+// after rendering, a job keeps it out of the pool until eviction or
+// deletion releases it to the GC. Contours are traced under ctx here, on
+// the caller's goroutine: tracing is output shaping, not labeling, so it
+// does not hold a worker.
+func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultInfo, out jobResult, comps bool) (*jobs.Result, error) {
+	if out.err != nil {
+		return nil, out.err
+	}
+	res := &jobs.Result{ResultInfo: info}
+	switch {
+	case out.bres != nil:
+		res.Stats, res.NumComponents = out.bres, out.bres.NumComponents
+	case out.vres != nil:
+		res.NumComponents = out.vres.NumComponents
+		if comps {
+			res.VolumeSizes = paremsp.VolumeComponentSizes(out.vres.Labels, out.vres.NumComponents)
+		}
+		h.engine.PutVolumeResult(out.vres)
+	default:
+		res.Labels, res.NumComponents, res.Phases = out.res.Labels, out.res.NumComponents, out.res.Phases
+		if comps {
+			res.Components = paremsp.ComponentsOf(res.Labels)
+		}
+		if kind == jobs.KindContours {
+			var err error
+			if res.Contours, err = paremsp.TraceContoursCtx(ctx, res.Labels, res.NumComponents); err != nil {
+				// The labeling succeeded but the trace was canceled; the
+				// label map is unneeded, back to the pool with it.
+				h.engine.PutResult(out.res)
+				return nil, err
+			}
+		}
+	}
+	return res, nil
+}
+
+// writeResult renders a finished result in the negotiated format; it is
+// the one renderer behind the synchronous endpoints and GET
+// /v1/jobs/{id}/result. Streaming statistics and volume summaries are JSON;
+// a labeling is JSON (with its components and contours when present), a
+// PGM or PNG label map, or a CCL1 label stream.
+func writeResult(w http.ResponseWriter, accept string, res *jobs.Result) {
+	if d := faultinject.Delay(faultinject.EncodeSlow); d > 0 {
+		time.Sleep(d)
+	}
+	var body any
+	switch {
+	case res.Stats != nil:
+		s := res.Stats
+		resp := statsResponse{
+			Width: s.Width, Height: s.Height, NumComponents: s.NumComponents,
+			BandRows:   cmp.Or(res.BandRows, band.DefaultBandRows),
+			Components: make([]statsComponentJSON, len(s.Components)),
+		}
+		if px := int64(s.Width) * int64(s.Height); px > 0 {
+			resp.Density = float64(s.ForegroundPixels) / float64(px)
+		}
+		for i, c := range s.Components {
+			resp.Components[i] = statsComponentJSON{
+				Label:    c.Label,
+				Area:     c.Area,
+				BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
+				Centroid: [2]float64{c.CentroidX, c.CentroidY},
+				Runs:     c.Runs,
+			}
+		}
+		body = resp
+	case res.Labels == nil:
+		body = volumeResponse{
+			Width: res.Width, Height: res.Height, Depth: res.Depth,
+			NumComponents:  res.NumComponents,
+			ComponentSizes: res.VolumeSizes,
+		}
+	case accept == ctJSON:
+		resp := labelResponse{
+			Width: res.Width, Height: res.Height, NumComponents: res.NumComponents,
+			Density: res.Density, Phases: phasesJSONFrom(res.Phases),
+		}
+		if res.Components != nil {
+			resp.Components = make([]componentJSON, len(res.Components))
+			for i, c := range res.Components {
+				resp.Components[i] = componentJSON{
+					Label:    c.Label,
+					Area:     c.Area,
+					BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
+					Centroid: [2]float64{c.CentroidX, c.CentroidY},
+				}
+			}
+		}
+		if res.Contours != nil {
+			resp.Contours = make([]contourJSON, len(res.Contours))
+			for i, c := range res.Contours {
+				pts := make([][2]int, len(c.Points))
+				for j, p := range c.Points {
+					pts[j] = [2]int{p.X, p.Y}
+				}
+				resp.Contours[i] = contourJSON{Label: int32(c.Label), Points: pts}
+			}
+		}
+		body = resp
+	default:
+		w.Header().Set("Content-Type", accept)
+		switch accept {
+		case ctPGM:
+			paremsp.EncodeLabelsPGM(w, res.Labels)
+		case ctPNG:
+			paremsp.EncodeLabelsPNG(w, res.Labels)
+		case ctCCL:
+			stream.WriteLabels(w, res.Labels, res.NumComponents)
+		}
 		return
 	}
-	writeError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
+	writeJSON(w, http.StatusOK, body)
 }
 
 // bitPackedAlg reports whether alg consumes a packed bitmap natively.
@@ -724,13 +645,16 @@ func sniffP4(body *bufio.Reader) bool {
 
 // bodyKind resolves the request body codec ("pnm" or "png") from the
 // Content-Type, falling back to magic-number sniffing for an absent or
-// generic type.
+// generic type; a body it cannot place is a 415.
 func bodyKind(contentType string, body *bufio.Reader) (string, error) {
 	ct := contentType
 	if ct != "" {
 		if parsed, _, err := mime.ParseMediaType(ct); err == nil {
 			ct = parsed
 		}
+	}
+	unsupported := func(format string, args ...any) error {
+		return &apiError{status: http.StatusUnsupportedMediaType, code: codeUnsupportedMedia, message: fmt.Sprintf(format, args...)}
 	}
 	switch ct {
 	case ctPBM, ctPGM, ctPNM:
@@ -742,7 +666,7 @@ func bodyKind(contentType string, body *bufio.Reader) (string, error) {
 		// data here, so sniff it like an untyped upload.
 		magic, err := body.Peek(2)
 		if err != nil {
-			return "", fmt.Errorf("cannot sniff image format: %v", err)
+			return "", unsupported("cannot sniff image format: %v", err)
 		}
 		if magic[0] == 0x89 {
 			return "png", nil
@@ -750,34 +674,50 @@ func bodyKind(contentType string, body *bufio.Reader) (string, error) {
 		if magic[0] == 'P' && magic[1] >= '1' && magic[1] <= '5' {
 			return "pnm", nil
 		}
-		return "", fmt.Errorf("unrecognized image format (magic %q)", magic)
+		return "", unsupported("unrecognized image format (magic %q)", magic)
 	default:
-		return "", fmt.Errorf("unsupported Content-Type %q (want %s, %s or %s)", contentType, ctPBM, ctPGM, ctPNG)
+		return "", unsupported("unsupported Content-Type %q (want %s, %s or %s)", contentType, ctPBM, ctPGM, ctPNG)
 	}
 }
 
-// negotiateAccept picks the response format from an Accept header: the first
-// supported media range wins, an empty header (or */*) selects JSON, and a
-// header offering nothing the service speaks reports !ok (406).
-func negotiateAccept(header string) (string, bool) {
+// negotiateAccept picks the response format from an Accept header: the
+// first supported media range wins, an empty header (or */*) selects JSON,
+// and "" means the header offers nothing the service speaks.
+func negotiateAccept(header string) string {
 	if strings.TrimSpace(header) == "" {
-		return ctJSON, true
+		return ctJSON
 	}
 	for _, part := range strings.Split(header, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		switch mt {
+		mt, _, _ := strings.Cut(part, ";")
+		switch strings.TrimSpace(mt) {
 		case ctJSON, "application/*", "*/*":
-			return ctJSON, true
+			return ctJSON
 		case ctPGM, ctPNM:
-			return ctPGM, true
+			return ctPGM
 		case ctPNG, "image/*":
-			return ctPNG, true
+			return ctPNG
 		case ctCCL:
-			return ctCCL, true
+			return ctCCL
 		}
 	}
-	return "", false
+	return ""
+}
+
+// acceptFor negotiates the format of a kind's result: labelings render as
+// JSON, PGM, PNG or CCL1; stats and volume results are JSON only. A header
+// offering nothing the result can be rendered as is a 406.
+func acceptFor(kind jobs.Kind, header string) (string, error) {
+	accept := negotiateAccept(header)
+	want := fmt.Sprintf("%s, %s, %s or %s", ctJSON, ctPGM, ctPNG, ctCCL)
+	if kind == jobs.KindStats || kind == jobs.KindVolume {
+		want = ctJSON
+		if accept != ctJSON {
+			accept = ""
+		}
+	}
+	if accept == "" {
+		return "", &apiError{status: http.StatusNotAcceptable, code: codeNotAcceptable,
+			message: fmt.Sprintf("unsupported Accept %q (%s results are %s)", header, kind, want)}
+	}
+	return accept, nil
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,14 +10,10 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
-	"slices"
-	"strconv"
 	"time"
 
 	paremsp "repro"
-	"repro/internal/band"
 	"repro/internal/jobs"
-	"repro/internal/pnm"
 )
 
 // The asynchronous job API. POST /v1/jobs accepts a single image body (the
@@ -111,14 +106,7 @@ func jobJSONFrom(j jobs.Job, dedup bool) jobJSON {
 		if out.Trace != nil {
 			out.Trace.DecodeNs = info.DecodeNs
 		}
-		if info.Phases.Total() > 0 {
-			out.Phases = &phasesJSON{
-				ScanNs:    info.Phases.Scan.Nanoseconds(),
-				MergeNs:   info.Phases.Merge.Nanoseconds(),
-				FlattenNs: info.Phases.Flatten.Nanoseconds(),
-				RelabelNs: info.Phases.Relabel.Nanoseconds(),
-			}
-		}
+		out.Phases = phasesJSONFrom(info.Phases)
 	}
 	return out
 }
@@ -130,7 +118,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // batchSizeError writes the failure for a multipart read error, wording
-// the over-cap case for the whole batch (decodeError's message is
+// the over-cap case for the whole batch (writeErr's message is
 // per-image).
 func (h *Handler) batchSizeError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
@@ -141,15 +129,6 @@ func (h *Handler) batchSizeError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
-}
-
-// parseBandRows parses a ?band= value (band height in rows, 0 = default).
-func parseBandRows(v string) (int, error) {
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid band %q (want rows >= 0)", v)
-	}
-	return n, nil
 }
 
 // jobsSubmit handles POST /v1/jobs. Query parameters: kind (labels —
@@ -167,14 +146,9 @@ func (h *Handler) jobsSubmit(w http.ResponseWriter, r *http.Request) {
 		h.rejectDraining(w)
 		return
 	}
-	spec, aerr := h.parseSpec(r)
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	kind, aerr := jobKindFor(r.URL.Query().Get("kind"), spec)
-	if aerr != nil {
-		writeAPIError(w, aerr)
+	spec, err := h.parseSpec(r)
+	if err != nil {
+		h.writeErr(w, err)
 		return
 	}
 
@@ -228,7 +202,7 @@ func (h *Handler) jobsSubmit(w http.ResponseWriter, r *http.Request) {
 	} else {
 		b, err := io.ReadAll(body)
 		if err != nil {
-			h.decodeError(w, err)
+			h.writeErr(w, err)
 			return
 		}
 		if len(b) == 0 {
@@ -241,7 +215,9 @@ func (h *Handler) jobsSubmit(w http.ResponseWriter, r *http.Request) {
 	resp := jobsSubmitResponse{Jobs: make([]jobJSON, len(payloads))}
 	full, closed := 0, 0
 	for i, b := range payloads {
-		entry, shedErr := h.submitJob(b.data, b.ct, kind, spec)
+		p := spec.params
+		p.ContentType = b.ct
+		entry, shedErr := h.submitJob(b.data, spec.kind, p)
 		resp.Jobs[i] = entry
 		switch {
 		case errors.Is(shedErr, ErrQueueFull):
@@ -254,122 +230,53 @@ func (h *Handler) jobsSubmit(w http.ResponseWriter, r *http.Request) {
 		// Every image was shed: answer like the synchronous endpoints —
 		// 503 on shutdown, 429 with a backoff hint on backpressure.
 		if closed > 0 {
-			writeError(w, http.StatusServiceUnavailable, codeUnavailable, ErrClosed.Error())
+			h.writeErr(w, ErrClosed)
 		} else {
-			h.rejectBusy(w, ErrQueueFull)
+			h.writeErr(w, ErrQueueFull)
 		}
 		return
 	}
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// jobKindFor resolves a submission's job kind from the explicit ?kind=
-// and the parsed spec, rejecting contradictory combinations (kind=stats
-// with mode=gray, contours=true on a volume job, ...). With kind absent
-// the spec decides: gray modes map to gray jobs, volume to volume jobs,
-// contours=true to contours jobs, else labels.
-func jobKindFor(kindParam string, spec requestSpec) (jobs.Kind, *apiError) {
-	kind := jobs.Kind(kindParam)
-	if kindParam == "" {
-		switch {
-		case spec.mode == paremsp.ModeGray || spec.mode == paremsp.ModeGrayDelta:
-			kind = jobs.KindGray
-		case spec.mode == paremsp.ModeVolume:
-			kind = jobs.KindVolume
-		case spec.contours:
-			kind = jobs.KindContours
-		default:
-			kind = jobs.KindLabels
-		}
-	}
-	// Modes each kind accepts; binary (the default when ?mode= is absent)
-	// is always accepted and means "the kind's natural mode".
-	var okModes []paremsp.Mode
-	switch kind {
-	case jobs.KindLabels, jobs.KindStats, jobs.KindContours:
-		okModes = []paremsp.Mode{paremsp.ModeBinary}
-	case jobs.KindGray:
-		okModes = []paremsp.Mode{paremsp.ModeBinary, paremsp.ModeGray, paremsp.ModeGrayDelta}
-	case jobs.KindVolume:
-		okModes = []paremsp.Mode{paremsp.ModeBinary, paremsp.ModeVolume}
-	default:
-		return "", badParam("invalid kind %q (want %s, %s, %s, %s or %s)", kindParam,
-			jobs.KindLabels, jobs.KindStats, jobs.KindContours, jobs.KindGray, jobs.KindVolume)
-	}
-	if !slices.Contains(okModes, spec.mode) {
-		return "", badParam("kind %s conflicts with mode %s", kind, spec.mode)
-	}
-	if spec.contours && kind != jobs.KindContours {
-		return "", badParam("contours=true requires kind %s", jobs.KindContours)
-	}
-	return kind, nil
-}
-
-// submitJob creates (or dedups to) the job for one payload — ct is its
-// declared Content-Type ("" sniffs, matching /v1/label's rules) — and
-// hands new work to the engine via admitJob. shedErr is non-nil
-// (ErrQueueFull or ErrClosed) when the engine rejected the payload; the
-// job is then marked failed — not removed, since a concurrent identical
-// submission may already have dedup'd to its ID — and failed jobs are
-// replaced on resubmission.
-func (h *Handler) submitJob(body []byte, ct string, kind jobs.Kind, spec requestSpec) (entry jobJSON, shedErr error) {
-	// A gray job submitted without ?mode= labels exact gray levels; a
-	// volume job's mode is implied by its kind. Pinning the mode here keeps
-	// the journaled Params and the job key identical however the request
-	// spelled it.
-	mode := spec.mode
-	switch {
-	case kind == jobs.KindGray && mode == paremsp.ModeBinary:
-		mode = paremsp.ModeGray
-	case kind == jobs.KindVolume:
-		mode = paremsp.ModeVolume
-	}
+// submitJob creates (or dedups to) the job for one payload and hands new
+// work to the engine via admitJob. shedErr is non-nil (ErrQueueFull or
+// ErrClosed) when the engine rejected the payload; the job is then marked
+// failed — not removed, since a concurrent identical submission may
+// already have dedup'd to its ID — and failed jobs are replaced on
+// resubmission.
+func (h *Handler) submitJob(body []byte, kind jobs.Kind, p jobs.Params) (entry jobJSON, shedErr error) {
 	// paremsp.JobKeyMode owns the key normalization (default algorithm,
 	// the mode's connectivity, the delta slot for gray-delta jobs, level
 	// zeroed where binarization cannot matter), so client-side precomputed
 	// IDs match the server's and equivalent submissions dedup.
-	id := paremsp.JobKeyMode(kind, mode, spec.opt.Algorithm, spec.opt.Connectivity, spec.level, spec.opt.Delta, body)
-	p := jobs.Params{
-		Alg:         string(spec.opt.Algorithm),
-		Conn:        spec.opt.Connectivity,
-		Level:       spec.level,
-		Threads:     spec.opt.Threads,
-		BandRows:    spec.bandRows,
-		ContentType: ct,
-		Delta:       spec.opt.Delta,
-	}
-	if mode != paremsp.ModeBinary {
-		p.Mode = string(mode)
-	}
-
+	id := paremsp.JobKeyMode(kind, paremsp.Mode(p.Mode), paremsp.Algorithm(p.Alg), p.Conn, p.Level, p.Delta, body)
 	j, existed := h.jobs.CreateOrGet(id, kind, p, body)
 	if existed {
 		return jobJSONFrom(j, true), nil
 	}
-	gen := j.Gen
-	if err := h.admitJob(id, gen, kind, body, p); err != nil {
+	if err := h.admitJob(id, j.Gen, kind, body, p); err != nil {
 		// Decode failure, queue backpressure or shutdown: fail the
 		// placeholder rather than removing it — a concurrent identical
 		// submission may already hold this ID, and a failed job is
 		// observable (then replaced on retry) where a vanished one would
 		// 404. Only engine rejections count as shed for the batch verdict.
-		h.jobs.Fail(id, gen, err)
-		j, _ := h.jobs.Get(id)
+		h.jobs.Fail(id, j.Gen, err)
 		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed) {
-			return jobJSONFrom(j, false), err
+			shedErr = err
 		}
-		return jobJSONFrom(j, false), nil
 	}
 	j, _ = h.jobs.Get(id)
-	return jobJSONFrom(j, false), nil
+	return jobJSONFrom(j, false), shedErr
 }
 
 // admitJob decodes one job's payload and admits it to the engine queue,
-// wiring the completion callback that lands the terminal state in the
-// store. It is the shared admission path for fresh submissions and for
-// recovery resubmission after a restart (RecoverJobs), which is why it
-// takes the store-journaled Params rather than parsed request state. It
-// does not transition the job on error — callers decide between Fail
+// with a completion goroutine that lands the terminal state in the store.
+// It is the shared admission path for fresh submissions and for recovery
+// resubmission after a restart (RecoverJobs), which is why it takes the
+// store-journaled Params rather than parsed request state — the same
+// decode and finish a synchronous request runs, with the store attached.
+// It does not transition the job on error — callers decide between Fail
 // (submission) and Cancel (recovery).
 //
 // The job's lifetime exceeds the HTTP request's, so it runs under the
@@ -382,92 +289,25 @@ func (h *Handler) submitJob(body []byte, ct string, kind jobs.Kind, spec request
 // and recreated under the same ID these callbacks cannot touch the
 // replacement.
 func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p jobs.Params) error {
-	opt := paremsp.Options{
-		Algorithm:    paremsp.Algorithm(p.Alg),
-		Connectivity: p.Conn,
-		Threads:      p.Threads,
-		Mode:         paremsp.Mode(p.Mode),
-		Delta:        p.Delta,
+	decodeStart := time.Now()
+	d, err := h.decode(kind, p, bytes.NewReader(body))
+	if err != nil {
+		return err
 	}
-	switch kind {
-	case jobs.KindGray:
-		if opt.Mode == "" {
-			opt.Mode = paremsp.ModeGray
-		}
-	case jobs.KindVolume:
-		opt.Mode = paremsp.ModeVolume
-	}
-	onStart := func() { h.jobs.Start(id, gen) }
+	d.info.DecodeNs = time.Since(decodeStart).Nanoseconds()
 	jctx, jcancel := context.WithCancel(h.baseCtx)
 	if h.jobTimeout > 0 {
 		jctx, jcancel = context.WithTimeout(h.baseCtx, h.jobTimeout)
 	}
-	var (
-		sub                  *Submitted
-		err                  error
-		width, height, depth int
-		density              float64
-	)
-	decodeStart := time.Now()
-	switch kind {
-	case jobs.KindStats:
-		src, derr := pnm.NewBandReaderBytes(body, p.Level)
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-		width, height = src.Width(), src.Height()
-		sub, err = h.engine.SubmitStats(jctx, src, band.Options{BandRows: p.BandRows, Ctx: jctx}, onStart)
-	case jobs.KindVolume:
-		vol := h.engine.GetVolume()
-		if derr := pnm.DecodeVolumeInto(bytes.NewReader(body), p.Level, vol); derr != nil {
-			h.engine.PutVolume(vol)
-			jcancel()
-			return derr
-		}
-		width, height, depth = vol.W, vol.H, vol.D
-		if len(vol.Vox) > 0 {
-			density = float64(vol.ForegroundCount()) / float64(len(vol.Vox))
-		}
-		sub, err = h.engine.SubmitVolume(jctx, vol, opt, onStart)
-	case jobs.KindGray:
-		br := bufio.NewReader(bytes.NewReader(body))
-		bkind, derr := bodyKind(p.ContentType, br)
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-		g, derr := h.decodeGray(bkind, br)
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-		width, height, density = g.Width, g.Height, 1
-		sub, err = h.engine.SubmitGray(jctx, g, opt, onStart)
-	default: // labels and contours share the binary raster path
-		br := bufio.NewReader(bytes.NewReader(body))
-		bkind, derr := bodyKind(p.ContentType, br)
-		if derr == nil {
-			var d decoded
-			if d, derr = h.decodeRaster(bkind, br, opt.Algorithm, p.Level); derr == nil {
-				width, height, density = d.width, d.height, d.density
-				if d.bm != nil {
-					sub, err = h.engine.SubmitBitmap(jctx, d.bm, opt, onStart)
-				} else {
-					sub, err = h.engine.SubmitLabel(jctx, d.img, opt, onStart)
-				}
-			}
-		}
-		if derr != nil {
-			jcancel()
-			return derr
-		}
-	}
+	// Counted before the job can run, so WaitJobs cannot miss a completion
+	// that is about to start.
+	h.pending.Add(1)
+	sub, err := h.engine.submit(jctx, d.task, options(p), func() { h.jobs.Start(id, gen) })
 	if err != nil {
+		h.pending.Done()
 		jcancel()
 		return err
 	}
-	decodeNs := time.Since(decodeStart).Nanoseconds()
 	// Registered after a successful submit: the store now owns firing
 	// jcancel on DELETE, and drops the registration on any terminal
 	// transition.
@@ -475,64 +315,28 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 	h.jobs.SetQueuePos(id, gen, sub.QueuePosition())
 
 	go func() {
-		res, bres, vres, werr := sub.Wait()
-		var contours []paremsp.Contour
-		if werr == nil && kind == jobs.KindContours {
-			// Trace under jctx — still live here, and fired by DELETE or the
-			// job timeout — so an abandoned contours job stops tracing too.
-			contours, werr = paremsp.TraceContoursCtx(jctx, res.Labels, res.NumComponents)
-			if werr != nil {
-				// The labeling succeeded but the trace was canceled; the
-				// label map is unneeded, back to the pool with it.
-				h.engine.PutResult(res)
-			}
-		}
+		defer h.pending.Done()
+		// Contours are traced under jctx — still live here, and fired by
+		// DELETE or the job timeout — so an abandoned contours job stops
+		// tracing too. Component statistics are computed once here, so
+		// result fetches serve them without rescanning the raster.
+		res, err := h.finish(jctx, kind, d.info, <-sub.done, true)
 		// Release the timeout timer only after the outcome is in: jctx must
 		// stay live while the job sits in the queue and runs.
 		jcancel()
-		if werr != nil {
+		switch {
+		case err == nil:
+			h.jobs.Complete(id, gen, res)
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			// A context error is a cancellation (client gave up via timeout,
 			// DELETE canceled the job, or the server drained), not a
 			// computation failure; land the job in the canceled terminal
 			// state so clients and metrics can tell the two apart.
 			// Resubmitting a canceled job re-runs it.
-			if errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded) {
-				h.jobs.Cancel(id, gen, werr)
-			} else {
-				h.jobs.Fail(id, gen, werr)
-			}
-			return
-		}
-		jr := &jobs.Result{ResultInfo: jobs.ResultInfo{
-			Width: width, Height: height, Depth: depth, Density: density, DecodeNs: decodeNs,
-		}}
-		switch {
-		case bres != nil:
-			jr.Stats = bres
-			jr.BandRows = p.BandRows
-			jr.Width, jr.Height, jr.NumComponents = bres.Width, bres.Height, bres.NumComponents
-			if px := int64(bres.Width) * int64(bres.Height); px > 0 {
-				jr.Density = float64(bres.ForegroundPixels) / float64(px)
-			}
-		case vres != nil:
-			// Only the component summary is retained — the labeled voxel
-			// grid would dwarf the input — so the label volume goes straight
-			// back to its pool.
-			jr.NumComponents = vres.NumComponents
-			jr.VolumeSizes = paremsp.VolumeComponentSizes(vres.Labels, vres.NumComponents)
-			h.engine.PutVolumeResult(vres)
+			h.jobs.Cancel(id, gen, err)
 		default:
-			// The label map is kept out of the engine pool for as long as
-			// the job lives; eviction or deletion releases it to the GC.
-			// Component statistics are computed once here, so result
-			// fetches serve them without rescanning the raster.
-			jr.Labels = res.Labels
-			jr.Components = paremsp.ComponentsOf(res.Labels)
-			jr.NumComponents = res.NumComponents
-			jr.Phases = res.Phases
-			jr.Contours = contours
+			h.jobs.Fail(id, gen, err)
 		}
-		h.jobs.Complete(id, gen, jr)
 	}()
 	return nil
 }
@@ -564,11 +368,12 @@ func (h *Handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 
 // jobResult handles GET /v1/jobs/{id}/result. Done labels, contours and
 // gray jobs render in the negotiated format (JSON statistics, PGM/PNG
-// label map, or a CCL1 stream; ?components=false omits per-component
-// statistics from JSON, and contours jobs carry their boundary polylines
-// in JSON); done stats and volume jobs are JSON only. Any other state
-// answers 409 with the status body, so pollers can distinguish "not yet"
-// from "never existed" (404).
+// label map, or a CCL1 stream; contours jobs carry their boundary
+// polylines in JSON); done stats and volume jobs are JSON only.
+// ?components=false omits the per-component statistics or volume sizes,
+// as on the synchronous endpoints. Any other state answers 409 with the
+// status body, so pollers can distinguish "not yet" from "never existed"
+// (404).
 func (h *Handler) jobResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := h.jobs.Get(r.PathValue("id"))
 	if !ok {
@@ -591,51 +396,23 @@ func (h *Handler) jobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, codeInternal, fmt.Sprintf("read result: %v", err))
 		return
 	}
-	if res.Stats != nil || res.Labels == nil {
-		// Stats and volume results have no raster to negotiate: JSON only.
-		if accept, ok := negotiateAccept(r.Header.Get("Accept")); !ok || accept != ctJSON {
-			writeError(w, http.StatusNotAcceptable, codeNotAcceptable,
-				fmt.Sprintf("unsupported Accept %q (this result is %s)",
-					r.Header.Get("Accept"), ctJSON))
-			return
-		}
-		w.Header().Set("Content-Type", ctJSON)
-		if res.Stats != nil {
-			json.NewEncoder(w).Encode(statsResponseFrom(res.Stats, res.BandRows))
-			return
-		}
-		json.NewEncoder(w).Encode(volumeResponse{
-			Width: res.Width, Height: res.Height, Depth: res.Depth,
-			NumComponents:  res.NumComponents,
-			ComponentSizes: res.VolumeSizes,
-		})
+	accept, err := acceptFor(j.Kind, r.Header.Get("Accept"))
+	if err != nil {
+		h.writeErr(w, err)
 		return
 	}
-	accept, ok := negotiateAccept(r.Header.Get("Accept"))
-	if !ok {
-		writeError(w, http.StatusNotAcceptable, codeNotAcceptable,
-			fmt.Sprintf("unsupported Accept %q (want %s, %s, %s or %s)",
-				r.Header.Get("Accept"), ctJSON, ctPGM, ctPNG, ctCCL))
+	comps, err := h.componentsParam(r.URL.Query())
+	if err != nil {
+		h.writeErr(w, err)
 		return
 	}
-	wantComps := true
-	v := r.URL.Query().Get("components")
-	if v == "" {
-		v = r.URL.Query().Get("stats") // deprecated alias, one release
+	if !comps {
+		// The stored result is shared; render a copy without the lists.
+		cp := *res
+		cp.Components, cp.VolumeSizes = nil, nil
+		res = &cp
 	}
-	if v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidArgument, fmt.Sprintf("invalid components %q", v))
-			return
-		}
-		wantComps = b
-	}
-	var comps []paremsp.Component
-	if wantComps {
-		comps = res.Components
-	}
-	writeLabeling(w, accept, res.Width, res.Height, res.Density, res.Labels, res.NumComponents, res.Phases, comps, res.Contours)
+	writeResult(w, accept, res)
 }
 
 // jobDelete handles DELETE /v1/jobs/{id}: the job and its retained result

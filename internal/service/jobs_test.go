@@ -45,10 +45,12 @@ func newJobsServer(t *testing.T, ecfg Config, jopt jobs.Options) (*Engine, *jobs
 	t.Helper()
 	store := newTestJobStore(t, jopt)
 	eng := NewEngine(ecfg)
-	srv := httptest.NewServer(NewHandler(eng, HandlerConfig{Jobs: store}))
+	h := NewHandler(eng, HandlerConfig{Jobs: store})
+	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()
+		h.WaitJobs()
 		store.Close()
 	})
 	return eng, store, srv
@@ -500,9 +502,9 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 		}
 		imgs[i] = pbmBody(t, im)
 	}
-	submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[0])
+	running := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[0]).Jobs[0]
 	<-started
-	submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[1]) // occupies the queue slot
+	queued := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[1]).Jobs[0] // occupies the queue slot
 	deadline := time.Now().Add(5 * time.Second)
 	for len(eng.queue) != 1 {
 		if time.Now().After(deadline) {
@@ -538,6 +540,10 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	}
 	close(block)
 	// With the pool drained, the retry replaces the failed placeholder.
+	// Wait for the drain itself: right after close(block) the worker may
+	// not have taken the queued job yet, and the retry would be shed again.
+	pollJob(t, srv.URL, running.ID, "done")
+	pollJob(t, srv.URL, queued.ID, "done")
 	retry := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, imgs[2]).Jobs[0]
 	if retry.Dedup || retry.ID != shedID {
 		t.Fatalf("retry = %+v, want a fresh (non-dedup) job under the same ID", retry)

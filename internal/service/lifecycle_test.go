@@ -277,7 +277,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		if r.v != "labeling exploded" {
 			t.Fatalf("OnPanic value = %v", r.v)
 		}
-		if !strings.Contains(r.stack, "computeRaster") {
+		if !strings.Contains(r.stack, "(*Engine).compute(") {
 			t.Fatalf("OnPanic stack does not show the compute frame:\n%s", r.stack)
 		}
 	case <-time.After(2 * time.Second):

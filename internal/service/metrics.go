@@ -21,23 +21,8 @@ const (
 // ccserve_phase_duration_ns.
 var phaseNames = [phaseCount]string{"scan", "merge", "flatten", "relabel"}
 
-// Pool indices for the per-pool hit/miss counters.
-const (
-	poolImage = iota
-	poolBitmap
-	poolLabelMap
-	poolScratch
-	poolGray
-	poolVolume
-	poolLabelVol
-	poolCount
-)
-
-// poolNames maps pool indices to the `pool` label values on
-// ccserve_pool_get_total / ccserve_pool_miss_total.
-var poolNames = [poolCount]string{
-	"image", "bitmap", "labelmap", "scratch", "gray", "volume", "labelvol",
-}
+// poolCount is the number of engine buffer pools (see Engine).
+const poolCount = 7
 
 // metrics is the engine's live counter set. Everything is atomic so the hot
 // path never takes a lock to account a request; the histograms are atomic
@@ -52,21 +37,16 @@ type metrics struct {
 	inFlight   atomic.Int64 // labelings running right now
 	pixels     atomic.Int64 // pixels labeled, cumulative
 	components atomic.Int64 // components found, cumulative
-	scanNs     atomic.Int64 // cumulative PhaseTimes.Scan
-	mergeNs    atomic.Int64 // cumulative PhaseTimes.Merge
-	flattenNs  atomic.Int64 // cumulative PhaseTimes.Flatten
-	relabelNs  atomic.Int64 // cumulative PhaseTimes.Relabel
 	jobNs      atomic.Int64 // cumulative wall time of completed raster jobs (RetryAfter's mean)
 	jobsTimed  atomic.Int64 // completions accounted in jobNs (stream jobs excluded)
 	busyNs     atomic.Int64 // cumulative wall time workers spent on jobs, every kind and outcome
 	panics     atomic.Int64 // worker panics contained by recoverPanic
 
-	poolGets   [poolCount]atomic.Int64 // sync.Pool Gets per pool
-	poolMisses [poolCount]atomic.Int64 // Gets that had to allocate (pool New calls)
+	phaseNs [phaseCount]atomic.Int64 // cumulative PhaseTimes, per phase
 
 	queueWaitHist hist             // enqueue → worker-dequeue wait, all jobs
-	jobHist       hist             // worker service time, raster jobs
-	phaseHist     [phaseCount]hist // per-phase durations, raster jobs
+	jobHist       hist             // worker service time, non-stream jobs
+	phaseHist     [phaseCount]hist // per-phase durations, kernels that time phases
 }
 
 // PoolSnapshot is the reuse census of one of the engine's rasters/scratch
@@ -109,14 +89,6 @@ type Snapshot struct {
 // Snapshot copies the current counters. QueueDepth is the number of requests
 // waiting in the queue at the instant of the call.
 func (e *Engine) Snapshot() Snapshot {
-	var pools [poolCount]PoolSnapshot
-	for i := range pools {
-		pools[i] = PoolSnapshot{
-			Name:   poolNames[i],
-			Gets:   e.metrics.poolGets[i].Load(),
-			Misses: e.metrics.poolMisses[i].Load(),
-		}
-	}
 	return Snapshot{
 		Requests:   e.metrics.requests.Load(),
 		Completed:  e.metrics.completed.Load(),
@@ -128,17 +100,24 @@ func (e *Engine) Snapshot() Snapshot {
 		Workers:    int64(e.workers),
 		Pixels:     e.metrics.pixels.Load(),
 		Components: e.metrics.components.Load(),
-		ScanNs:     e.metrics.scanNs.Load(),
-		MergeNs:    e.metrics.mergeNs.Load(),
-		FlattenNs:  e.metrics.flattenNs.Load(),
-		RelabelNs:  e.metrics.relabelNs.Load(),
+		ScanNs:     e.metrics.phaseNs[phaseScan].Load(),
+		MergeNs:    e.metrics.phaseNs[phaseMerge].Load(),
+		FlattenNs:  e.metrics.phaseNs[phaseFlatten].Load(),
+		RelabelNs:  e.metrics.phaseNs[phaseRelabel].Load(),
 		JobNs:      e.metrics.jobNs.Load(),
 		JobP50Ns:   e.metrics.jobHist.quantile(0.50),
 		JobP95Ns:   e.metrics.jobHist.quantile(0.95),
 		JobP99Ns:   e.metrics.jobHist.quantile(0.99),
 		Panics:     e.metrics.panics.Load(),
 		BusyNs:     e.metrics.busyNs.Load(),
-		Pools:      pools,
+		// The names are the `pool` label values on ccserve_pool_get_total
+		// and ccserve_pool_miss_total, in exposition order.
+		Pools: [poolCount]PoolSnapshot{
+			e.images.census("image"), e.bitmaps.census("bitmap"),
+			e.labelMaps.census("labelmap"), e.scratch.census("scratch"),
+			e.grays.census("gray"), e.volumes.census("volume"),
+			e.labelVols.census("labelvol"),
+		},
 	}
 }
 

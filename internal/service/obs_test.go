@@ -153,8 +153,9 @@ func labelKey(labels map[string]string) string {
 func TestPromExpositionValid(t *testing.T) {
 	store := newTestJobStore(t, jobs.Options{TTL: time.Minute})
 	eng := NewEngine(Config{Workers: 2})
-	srv := httptest.NewServer(NewHandler(eng, HandlerConfig{Jobs: store}))
-	defer func() { srv.Close(); eng.Close(); store.Close() }()
+	h := NewHandler(eng, HandlerConfig{Jobs: store})
+	srv := httptest.NewServer(h)
+	defer func() { srv.Close(); eng.Close(); h.WaitJobs(); store.Close() }()
 
 	body := pbmBody(t, testImage(t))
 	for i := 0; i < 3; i++ {
@@ -485,9 +486,10 @@ func TestObservabilityStress(t *testing.T) {
 	obs := NewObs(slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})), 64)
 	store := newTestJobStore(t, jobs.Options{TTL: time.Minute})
 	eng := NewEngine(Config{Workers: 4})
-	srv := httptest.NewServer(NewHandler(eng, HandlerConfig{Jobs: store, Obs: obs}))
+	h := NewHandler(eng, HandlerConfig{Jobs: store, Obs: obs})
+	srv := httptest.NewServer(h)
 	dbg := httptest.NewServer(NewDebugHandler(obs))
-	defer func() { srv.Close(); dbg.Close(); eng.Close(); store.Close() }()
+	defer func() { srv.Close(); dbg.Close(); eng.Close(); h.WaitJobs(); store.Close() }()
 
 	body := pbmBody(t, testImage(t))
 	const workers = 8

@@ -1,38 +1,55 @@
-// Package service is the operational layer around the labeling algorithms: a
-// long-lived Engine that runs paremsp.LabelInto on a bounded worker pool with
-// a request queue, backpressure, and sync.Pool-based reuse of image and
-// label-map rasters, plus an http.Handler exposing it as a labeling service.
+// Package service is the operational layer around the labeling algorithms:
+// a long-lived Engine that runs every labeling — binary, bit-packed, gray,
+// volume and the out-of-core band stream — on one bounded worker pool with
+// a request queue, backpressure and counting buffer pools, plus an
+// http.Handler exposing it as a labeling service.
+//
+// Each workload is the paper's single two-pass pipeline, so the service has
+// one path for all of them. A synchronous request is an async job without
+// the store: the query string parses into a job kind plus the journaled
+// jobs.Params; one decode reads the body into a pooled input and wraps it
+// in an engine task; the task runs through the one queue and worker loop,
+// which contain panics and keep the counters; one finish turns the outcome
+// into a jobs.Result; and one renderer writes it. POST /v1/label,
+// /v1/stats, /v1/volume, fresh and recovered async jobs and
+// GET /v1/jobs/{id}/result all share these stages.
 //
 // The engine admits at most Workers in-flight labelings plus QueueDepth
-// queued ones; beyond that, Label fails fast with ErrQueueFull so callers
-// (and the HTTP layer, which maps it to 429) shed load instead of queuing
-// unboundedly. Rasters and union-find scratch flow through pools, so
-// sustained traffic does not re-allocate per request: a request borrows an
-// image from the pool, decodes into it, labels into a pooled LabelMap via
-// the buffer-reusing *Into entry points, and returns both when the response
-// has been written.
+// queued ones; beyond that, admission fails fast with ErrQueueFull so
+// callers (and the HTTP layer, which maps it to 429) shed load instead of
+// queuing unboundedly. Inputs, label maps and union-find scratch flow
+// through pools, so sustained traffic does not re-allocate per request: a
+// request borrows an input from its pool, decodes into it, labels into a
+// pooled label map via the buffer-reusing *Into entry points, and returns
+// both when the response has been written. Library callers drive the same
+// path through Label, LabelGray, LabelVolume and Stats, or their Submit
+// forms, which return a Submitted handle to Wait on.
 //
 // The HTTP surface is:
 //
-//	POST /v1/label  body = PBM/PGM (Netpbm) or PNG, negotiated via
-//	                Content-Type (sniffed when absent); query parameters
-//	                alg, threads, conn, level select per-request options.
-//	                The response format follows Accept: JSON component
-//	                stats (default), a PGM or PNG label map, or a CCL1
-//	                label stream (application/x-ccl).
-//	POST /v1/stats  body = raw PBM (P4) or raw PGM (P5), streamed through
-//	                the out-of-core band labeler (internal/band) on the
-//	                same worker pool: arbitrarily tall images are labeled
-//	                in O(band) memory and only JSON component statistics
-//	                (area, bbox, centroid, run count) come back. Query
-//	                parameters: level, band (band height in rows).
-//	GET  /healthz   liveness probe.
-//	GET  /metrics   Prometheus-style text: requests, completions,
-//	                rejections, queue depth, cumulative per-phase
-//	                scan/merge/flatten/relabel nanoseconds, and log₂-bucket
-//	                latency histograms (per-endpoint request duration,
-//	                queue wait, job service time, per-phase durations)
-//	                with approximate p50/p95/p99 gauges.
+//	POST /v1/label   body = PBM/PGM (Netpbm) or PNG, negotiated via
+//	                 Content-Type (sniffed when absent); query parameters
+//	                 alg, threads, conn, level, mode, delta, contours,
+//	                 components select per-request options. The response
+//	                 format follows Accept: JSON component stats (default),
+//	                 a PGM or PNG label map, or a CCL1 label stream
+//	                 (application/x-ccl).
+//	POST /v1/stats   body = raw PBM (P4) or raw PGM (P5), streamed through
+//	                 the out-of-core band labeler (internal/band) on the
+//	                 same worker pool: arbitrarily tall images are labeled
+//	                 in O(band) memory and only JSON component statistics
+//	                 (area, bbox, centroid, run count) come back. Query
+//	                 parameters: level, band (band height in rows).
+//	POST /v1/volume  body = concatenated raw-PGM z-slices, labeled as one
+//	                 26-connected volume; JSON component summary.
+//	POST /v1/jobs    the same workloads as async jobs (see jobs_http.go).
+//	GET  /healthz    liveness probe.
+//	GET  /metrics    Prometheus-style text: requests, completions,
+//	                 rejections, queue depth, cumulative per-phase
+//	                 scan/merge/flatten/relabel nanoseconds, and log₂-bucket
+//	                 latency histograms (per-endpoint request duration,
+//	                 queue wait, job service time, per-phase durations)
+//	                 with approximate p50/p95/p99 gauges.
 //
 // # Observability
 //
@@ -40,7 +57,7 @@
 // honored when present (generated otherwise) and echoed on the response;
 // end-to-end latency lands in a lock-free per-endpoint histogram; and a
 // per-request Trace — queue wait, decode, scan, merge, flatten, relabel,
-// encode — is captured into a fixed-size ring buffer. /v1/label responses
+// encode — is captured into a fixed-size ring buffer. Synchronous responses
 // carry the trace live as a Server-Timing header; async job status bodies
 // embed a trace derived from the store's transition timestamps. The
 // instrumentation is allocation-free on the hot path (pooled request

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 
 	paremsp "repro"
+	"repro/internal/jobs"
 )
 
 // The service's one request-parsing path. Every /v1/* admission endpoint —
@@ -60,154 +62,181 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.message }
 
-func badParam(format string, args ...any) *apiError {
+func badParam(format string, args ...any) error {
 	return &apiError{status: http.StatusBadRequest, code: codeInvalidArgument, message: fmt.Sprintf(format, args...)}
 }
 
-// writeAPIError renders an apiError (or any error, defaulting to 400
-// invalid_argument) as the envelope.
-func writeAPIError(w http.ResponseWriter, err error) {
-	if ae, ok := err.(*apiError); ok {
-		writeError(w, ae.status, ae.code, ae.message)
-		return
-	}
-	writeError(w, http.StatusBadRequest, codeInvalidArgument, err.Error())
+// requestSpec is the parsed, validated form of a /v1/* admission request:
+// what it computes — the job kind — and how, as the Params an async job
+// journals, so a synchronous request is exactly a job without the store.
+type requestSpec struct {
+	kind   jobs.Kind
+	params jobs.Params
+	// components is ?components= (include per-component statistics in JSON
+	// responses; default true).
+	components bool
 }
 
-// requestSpec is the parsed, validated form of a /v1/* request's query
-// parameters: the workload mode, the labeling options, and the
-// endpoint-shared knobs. One parser, one validation path, one error
-// vocabulary — every admission endpoint builds exactly this.
-type requestSpec struct {
-	// mode is the workload: binary (default), gray, gray-delta, or volume.
-	mode paremsp.Mode
-	// opt carries Algorithm/Threads/Connectivity/Mode/Delta, ready to hand
-	// to the engine.
-	opt paremsp.Options
-	// level is the binarization threshold for grayscale input (binary and
-	// volume modes; gray modes label intensities directly and ignore it).
-	level float64
-	// bandRows is ?band= (stats jobs; 0 selects the default band height).
-	bandRows int
-	// components is ?components= (include per-component statistics in JSON
-	// responses; default true). The pre-rename ?stats= is accepted as a
-	// deprecated alias for one release and logged at warn.
-	components bool
-	// contours is ?contours= on /v1/label: also trace each component's
-	// outer boundary polyline into the JSON response.
-	contours bool
+// kindModes lists the modes each job kind labels. The first is the kind's
+// natural mode, which binary — the mode when ?mode= is absent — stands for.
+var kindModes = map[jobs.Kind][]paremsp.Mode{
+	jobs.KindLabels:   {paremsp.ModeBinary},
+	jobs.KindStats:    {paremsp.ModeBinary},
+	jobs.KindContours: {paremsp.ModeBinary},
+	jobs.KindGray:     {paremsp.ModeGray, paremsp.ModeGrayDelta},
+	jobs.KindVolume:   {paremsp.ModeVolume},
 }
 
 // parseSpec parses and validates the query parameters shared by the
-// admission endpoints. Connectivity is validated against the mode's
-// neighborhood (binary: 4/8, gray: 8, volume: 26); 0 always selects the
-// mode's default.
-func (h *Handler) parseSpec(r *http.Request) (requestSpec, *apiError) {
+// admission endpoints, then resolves the job kind: /v1/stats and
+// /v1/volume fix it, POST /v1/jobs takes ?kind=, and otherwise the spec
+// decides — gray modes label gray, volume labels volumes, contours=true
+// traces contours, anything else labels. Contradictory combinations
+// (kind=stats with mode=gray, contours=true on a volume, ...) are
+// rejected, and the mode is pinned to the kind's so the journaled Params
+// and the job key are identical however the request spelled it.
+// Connectivity is validated against the mode's neighborhood (binary: 4/8,
+// gray: 8, volume: 26) before that pinning, so a bad value fails the same
+// way on every endpoint; 0 always selects the mode's default.
+func (h *Handler) parseSpec(r *http.Request) (requestSpec, error) {
 	q := r.URL.Query()
-	spec := requestSpec{mode: paremsp.ModeBinary, level: h.level, components: true}
-	spec.opt.Algorithm = h.defaultAlg
-
+	p := jobs.Params{Alg: string(h.defaultAlg), Level: h.level, ContentType: r.Header.Get("Content-Type")}
+	mode := paremsp.ModeBinary
 	if v := q.Get("mode"); v != "" {
-		m := paremsp.Mode(v)
-		if !slices.Contains(paremsp.Modes(), m) {
-			return spec, badParam("unknown mode %q (want one of %v)", v, paremsp.Modes())
+		mode = paremsp.Mode(v)
+		if !slices.Contains(paremsp.Modes(), mode) {
+			return requestSpec{}, badParam("unknown mode %q (want one of %v)", v, paremsp.Modes())
 		}
-		spec.mode = m
 	}
-	spec.opt.Mode = spec.mode
-
 	if v := q.Get("alg"); v != "" {
-		a := paremsp.Algorithm(v)
-		if !slices.Contains(paremsp.Algorithms(), a) {
-			return spec, badParam("unknown algorithm %q", v)
+		if !slices.Contains(paremsp.Algorithms(), paremsp.Algorithm(v)) {
+			return requestSpec{}, badParam("unknown algorithm %q", v)
 		}
-		spec.opt.Algorithm = a
+		p.Alg = v
 	}
 	if v := q.Get("threads"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return spec, badParam("invalid threads %q", v)
+			return requestSpec{}, badParam("invalid threads %q", v)
 		}
-		spec.opt.Threads = n
+		p.Threads = n
 	}
 	if v := q.Get("conn"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || !connValidFor(spec.mode, n) {
-			return spec, badParam("invalid conn %q (mode %s wants %s)", v, spec.mode, connWant(spec.mode))
+		if ok, want := connFor(mode, n); err != nil || !ok {
+			return requestSpec{}, badParam("invalid conn %q (mode %s wants %s)", v, mode, want)
 		}
-		spec.opt.Connectivity = n
+		p.Conn = n
 	}
 	if v := q.Get("level"); v != "" {
 		lv, err := strconv.ParseFloat(v, 64)
 		if err != nil || lv < 0 || lv >= 1 {
-			return spec, badParam("invalid level %q (want [0, 1))", v)
+			return requestSpec{}, badParam("invalid level %q (want [0, 1))", v)
 		}
-		spec.level = lv
+		p.Level = lv
 	}
 	if v := q.Get("delta"); v != "" {
-		if spec.mode != paremsp.ModeGrayDelta {
-			return spec, badParam("delta requires mode=%s", paremsp.ModeGrayDelta)
+		if mode != paremsp.ModeGrayDelta {
+			return requestSpec{}, badParam("delta requires mode=%s", paremsp.ModeGrayDelta)
 		}
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 || n > 255 {
-			return spec, badParam("invalid delta %q (want 0..255)", v)
+			return requestSpec{}, badParam("invalid delta %q (want 0..255)", v)
 		}
-		spec.opt.Delta = uint8(n)
+		p.Delta = uint8(n)
 	}
 	if v := q.Get("band"); v != "" {
-		n, err := parseBandRows(v)
-		if err != nil {
-			return spec, badParam("%s", err.Error())
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return requestSpec{}, badParam("invalid band %q (want rows >= 0)", v)
 		}
-		spec.bandRows = n
+		p.BandRows = n
 	}
-	if v := q.Get("components"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return spec, badParam("invalid components %q", v)
+	components, err := h.componentsParam(q)
+	if err != nil {
+		return requestSpec{}, err
+	}
+	contours, err := boolParam(q, "contours", false)
+	if err != nil {
+		return requestSpec{}, err
+	}
+
+	var kind jobs.Kind
+	switch r.Pattern {
+	case "POST /v1/stats":
+		kind = jobs.KindStats
+	case "POST /v1/volume":
+		kind = jobs.KindVolume
+	case "POST /v1/jobs":
+		kind = jobs.Kind(q.Get("kind"))
+	}
+	if kind == "" {
+		switch {
+		case mode == paremsp.ModeGray || mode == paremsp.ModeGrayDelta:
+			kind = jobs.KindGray
+		case mode == paremsp.ModeVolume && r.Pattern == "POST /v1/label":
+			return requestSpec{}, badParam("mode volume is served by POST /v1/volume")
+		case mode == paremsp.ModeVolume:
+			kind = jobs.KindVolume
+		case contours:
+			kind = jobs.KindContours
+		default:
+			kind = jobs.KindLabels
 		}
-		spec.components = b
-	} else if v := q.Get("stats"); v != "" {
-		// Renamed to ?components= (the response field it controls); the old
-		// name is honored for one release.
+	}
+	modes, ok := kindModes[kind]
+	switch {
+	case !ok:
+		return requestSpec{}, badParam("invalid kind %q (want %s, %s, %s, %s or %s)", kind,
+			jobs.KindLabels, jobs.KindStats, jobs.KindContours, jobs.KindGray, jobs.KindVolume)
+	case mode == paremsp.ModeBinary:
+		mode = modes[0]
+	case !slices.Contains(modes, mode):
+		return requestSpec{}, badParam("mode %s cannot produce %s results", mode, kind)
+	}
+	if contours && kind != jobs.KindContours {
+		return requestSpec{}, badParam("contours=true cannot produce %s results", kind)
+	}
+	if mode != paremsp.ModeBinary {
+		p.Mode = string(mode)
+	}
+	return requestSpec{kind: kind, params: p, components: components}, nil
+}
+
+// componentsParam reads ?components= (default true). The pre-rename
+// ?stats= is honored for one release and logged at warn.
+func (h *Handler) componentsParam(q url.Values) (bool, error) {
+	if q.Get("components") == "" && q.Get("stats") != "" {
+		// Renamed to ?components= (the response field it controls).
 		h.obs.log.Warn("deprecated query parameter", "param", "stats", "use", "components")
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return spec, badParam("invalid stats %q", v)
-		}
-		spec.components = b
+		return boolParam(q, "stats", true)
 	}
-	if v := q.Get("contours"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return spec, badParam("invalid contours %q", v)
-		}
-		spec.contours = b
-	}
-	return spec, nil
+	return boolParam(q, "components", true)
 }
 
-// connValidFor reports whether conn is a valid ?conn= for the mode; 0
-// (unset) always is and selects the mode's default.
-func connValidFor(mode paremsp.Mode, conn int) bool {
-	switch mode {
-	case paremsp.ModeGray, paremsp.ModeGrayDelta:
-		return conn == 0 || conn == 8
-	case paremsp.ModeVolume:
-		return conn == 0 || conn == 26
-	default:
-		return conn == 4 || conn == 8
+// boolParam reads a boolean query parameter, def when absent.
+func boolParam(q url.Values, name string, def bool) (bool, error) {
+	v := q.Get(name)
+	if v == "" {
+		return def, nil
 	}
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, badParam("invalid %s %q", name, v)
+	}
+	return b, nil
 }
 
-// connWant words the valid ?conn= values per mode for error messages.
-func connWant(mode paremsp.Mode) string {
+// connFor reports whether conn is a valid ?conn= for the mode — 0 (unset)
+// selects the default of the fixed-neighborhood modes — and words the
+// valid values for error messages.
+func connFor(mode paremsp.Mode, conn int) (ok bool, want string) {
 	switch mode {
 	case paremsp.ModeGray, paremsp.ModeGrayDelta:
-		return "8"
+		return conn == 0 || conn == 8, "8"
 	case paremsp.ModeVolume:
-		return "26"
+		return conn == 0 || conn == 26, "26"
 	default:
-		return "4 or 8"
+		return conn == 4 || conn == 8, "4 or 8"
 	}
 }

@@ -14,7 +14,7 @@ import (
 // to find it again. Every request gets one; finished traces are copied into
 // a fixed-size ring buffer served by GET /debug/requests for tail-latency
 // forensics, and the labeling phases are surfaced live as the Server-Timing
-// header on /v1/label responses.
+// header on synchronous responses.
 //
 // A Trace is written only by the goroutine serving its request (the engine
 // reports queue wait through the job result, not by touching the Trace), so

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 
 	"repro/internal/band"
@@ -177,8 +176,10 @@ type Options struct {
 	// Mode is the labeling predicate; empty means the entry point's native
 	// mode (ModeBinary for Label/LabelInto/LabelIntoCtx).
 	Mode Mode
-	// Threads used by AlgPAREMSP (default: all CPUs). Ignored by the
-	// sequential algorithms.
+	// Threads used by AlgPAREMSP and AlgPBREMSP, and by the gray and
+	// volume modes under AlgPAREMSP (default 0: all CPUs). No labeling
+	// splits into more chunks than it has scan units (row pairs, rows or
+	// plane pairs). Ignored by the sequential algorithms.
 	Threads int
 	// Connectivity: 8 (default) or 4. Only AlgClassic, AlgMultiPass and
 	// AlgFloodFill support 4-connectivity; the paper's algorithms are
@@ -269,58 +270,27 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	}
 
 	var (
-		lm  *LabelMap
 		n   int
 		err error
 	)
 	res := &Result{}
+	lm := dst
+	if lm == nil {
+		lm = &LabelMap{}
+	}
+	copt := coreOptions(opt)
+	seq := core.Options{Threads: 1}
 	switch alg {
 	case AlgPAREMSP:
-		threads := opt.Threads
-		if threads <= 0 {
-			threads = runtime.GOMAXPROCS(0)
-		}
-		copt := core.Options{Threads: threads}
-		if opt.UseCASMerger {
-			copt.Merger = core.MergerCAS
-		}
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		var times core.PhaseTimes
-		n, times, err = core.PAREMSPTimedIntoCtx(ctx, img, dst, sc, copt)
-		lm = dst
-		res.Phases = times
+		n, res.Phases, err = core.PAREMSP(ctx, img, lm, sc, copt)
 	case AlgAREMSP:
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		n, err = core.AREMSPIntoCtx(ctx, img, dst, sc)
-		lm = dst
+		n, _, err = core.PAREMSP(ctx, img, lm, sc, seq)
 	case AlgCCLREMSP:
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		n, err = core.CCLREMSPIntoCtx(ctx, img, dst, sc)
-		lm = dst
+		n, _, err = core.CCLREMSP(ctx, img, lm, sc)
 	case AlgBREMSP:
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		n, err = core.BREMSPIntoCtx(ctx, img, dst, sc)
-		lm = dst
+		n, _, err = core.PBREMSP(ctx, img, lm, sc, seq)
 	case AlgPBREMSP:
-		copt := core.Options{Threads: opt.Threads}
-		if opt.UseCASMerger {
-			copt.Merger = core.MergerCAS
-		}
-		if dst == nil {
-			dst = &LabelMap{}
-		}
-		var times core.PhaseTimes
-		n, times, err = core.PBREMSPTimedIntoCtx(ctx, img, dst, sc, copt)
-		lm = dst
-		res.Phases = times
+		n, res.Phases, err = core.PBREMSP(ctx, img, lm, sc, copt)
 	case AlgCCLLRPC:
 		lm, n = baseline.CCLLRPC(img)
 	case AlgARUN:
@@ -362,6 +332,15 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	return res, nil
 }
 
+// coreOptions maps the parallel algorithms' options onto core's.
+func coreOptions(opt Options) core.Options {
+	copt := core.Options{Threads: opt.Threads}
+	if opt.UseCASMerger {
+		copt.Merger = core.MergerCAS
+	}
+	return copt
+}
+
 // LabelBitmap runs a bit-packed algorithm directly over a packed bitmap.
 func LabelBitmap(bm *Bitmap, opt Options) (*Result, error) {
 	return LabelBitmapInto(bm, nil, nil, opt)
@@ -399,15 +378,9 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 	var err error
 	switch alg {
 	case AlgBREMSP:
-		res.NumComponents, err = core.BREMSPBitmapIntoCtx(ctx, bm, dst, sc)
+		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: 1})
 	case AlgPBREMSP:
-		copt := core.Options{Threads: opt.Threads}
-		if opt.UseCASMerger {
-			copt.Merger = core.MergerCAS
-		}
-		var times core.PhaseTimes
-		res.NumComponents, times, err = core.PBREMSPBitmapTimedIntoCtx(ctx, bm, dst, sc, copt)
-		res.Phases = times
+		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, coreOptions(opt))
 	default:
 		return nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q or %q)",
 			alg, AlgBREMSP, AlgPBREMSP)
@@ -576,7 +549,7 @@ func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level 
 // CountComponents labels img with AREMSP and returns only the component
 // count.
 func CountComponents(img *Image) int {
-	_, n := core.AREMSP(img)
+	n, _, _ := core.PAREMSP(context.Background(), img, &LabelMap{}, nil, core.Options{Threads: 1})
 	return n
 }
 

@@ -46,6 +46,15 @@
 //	suzuki     table-accelerated multi-pass
 //	floodfill  explicit-stack reference labeler
 //
+// Every REMSP algorithm above — and the gray and volume modes below — is a
+// kernel of one two-pass skeleton, the composition of the paper's Alg. 7:
+// chunked scans over disjoint label ranges, seam merge, FLATTEN, relabel.
+// A kernel supplies only its scan, seam-merge and relabel loops; AREMSP,
+// CCLREMSP and BREMSP are the one-chunk case (AREMSP is PAREMSP on one
+// thread, BREMSP is PBREMSP on one thread). Label numbering therefore does
+// not depend on the thread count. Options.Threads = 0 means GOMAXPROCS
+// chunks, capped at one chunk per scan unit (row pair, row, or plane pair).
+//
 // The bit-packed pair (AlgBREMSP, AlgPBREMSP) operates on a Bitmap — 1 bit
 // per pixel, 64-bit words, rows padded to whole words — extracting foreground
 // runs with math/bits and calling the union-find once per run instead of per
@@ -207,6 +216,14 @@
 // ModeGray, ModeGrayDelta, ModeVolume) names the workload when calling the
 // unified entry points LabelGrayIntoCtx / LabelVolumeIntoCtx, which take
 // caller-provided buffers and poll ctx like the binary pipeline.
+//
+// The gray and volume labelers are kernels of the same skeleton as PAREMSP:
+// gray scans row pairs with a 2*width label budget per pair (every pixel
+// may open a component), the volume scans z-plane pairs, and both merge
+// seams with the paper's locked MERGER. AlgAREMSP selects their one-chunk
+// case. The tolerance scan of ModeGrayDelta is not transitive, so it runs
+// as a kernel that is never split. LabelGrayParallel and
+// LabelVolumeParallel read threads = 0 as GOMAXPROCS, like Options.Threads.
 //
 // ccserve serves all three behind one request model. Every /v1/* endpoint
 // parses ?alg, ?threads, ?conn, ?level, ?mode and ?delta through a single

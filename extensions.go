@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/contour"
+	"repro/internal/core"
 	"repro/internal/grayccl"
 	"repro/internal/pnm"
 	"repro/internal/vol3d"
@@ -49,36 +49,42 @@ type LabelVolumeMap = vol3d.LabelVolume
 // NewGrayImage returns a zeroed grayscale image.
 func NewGrayImage(width, height int) *GrayImage { return grayccl.New(width, height) }
 
-// extAlg resolves the algorithm selection for the gray and volume modes,
-// which run the paper's pair-scan machinery only: AlgPAREMSP (the default)
-// selects the chunk-parallel labeler, AlgAREMSP the sequential one. Every
-// other algorithm name is rejected — the baselines have no gray or 3D form.
-func extAlg(mode Mode, alg Algorithm) (parallel bool, err error) {
-	switch alg {
+// extOptions resolves the algorithm selection for the gray and volume
+// modes, which run the paper's pair-scan machinery only: AlgPAREMSP (the
+// default) selects the chunk-parallel labeler on opt.Threads, AlgAREMSP its
+// one-thread case. Every other algorithm name is rejected — the baselines
+// have no gray or 3D form. Both modes keep the paper's locked merger.
+func extOptions(mode Mode, opt Options) (core.Options, error) {
+	switch opt.Algorithm {
 	case "", AlgPAREMSP:
-		return true, nil
+		return core.Options{Threads: opt.Threads}, nil
 	case AlgAREMSP:
-		return false, nil
+		return core.Options{Threads: 1}, nil
 	default:
-		return false, fmt.Errorf("paremsp: algorithm %q does not support mode %q (want %q or %q)",
-			alg, mode, AlgPAREMSP, AlgAREMSP)
+		return core.Options{}, fmt.Errorf("paremsp: algorithm %q does not support mode %q (want %q or %q)",
+			opt.Algorithm, mode, AlgPAREMSP, AlgAREMSP)
 	}
 }
 
 // LabelGray computes gray-level connected components (adjacent pixels with
 // equal values, 8-connectivity) with the paper's pair-scan + REMSP
 // machinery. Every pixel is labeled; labels are consecutive 1..n.
-func LabelGray(img *GrayImage) (*LabelMap, int) { return grayccl.Label(img) }
+func LabelGray(img *GrayImage) (*LabelMap, int) { return LabelGrayParallel(img, 1) }
 
-// LabelGrayParallel is LabelGray with PAREMSP-style chunked parallelism.
+// LabelGrayParallel is LabelGray with PAREMSP-style chunked parallelism;
+// threads = 0 uses every CPU.
 func LabelGrayParallel(img *GrayImage, threads int) (*LabelMap, int) {
-	return grayccl.PLabel(img, threads)
+	lm := &LabelMap{}
+	n, _ := grayccl.LabelIntoCtx(context.Background(), img, lm, nil, core.Options{Threads: threads})
+	return lm, n
 }
 
 // LabelGrayDelta labels components under the tolerance predicate
 // |v(p)-v(q)| <= delta between adjacent pixels (transitive closure).
 func LabelGrayDelta(img *GrayImage, delta uint8) (*LabelMap, int) {
-	return grayccl.LabelDelta(img, delta)
+	lm := &LabelMap{}
+	n, _ := grayccl.LabelDeltaIntoCtx(context.Background(), img, lm, nil, delta)
+	return lm, n
 }
 
 // LabelGrayInto is LabelGrayIntoCtx without cancellation.
@@ -111,38 +117,25 @@ func LabelGrayIntoCtx(ctx context.Context, img *GrayImage, dst *LabelMap, sc *Sc
 	if opt.Connectivity != 0 && opt.Connectivity != 8 {
 		return nil, fmt.Errorf("paremsp: mode %q supports only 8-connectivity, got %d", mode, opt.Connectivity)
 	}
-	parallel, err := extAlg(mode, opt.Algorithm)
+	copt, err := extOptions(mode, opt)
 	if err != nil {
 		return nil, err
 	}
 	if dst == nil {
 		dst = &LabelMap{}
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	p := sc.Parents(grayccl.MaxLabels(img.Width, img.Height))
-	res := &Result{Labels: dst}
 	var n int
-	switch {
-	case mode == ModeGrayDelta:
+	if mode == ModeGrayDelta {
 		// The tolerance predicate is not transitive; only the exhaustive
 		// sequential scan exists.
-		n, err = grayccl.LabelDeltaIntoCtx(ctx, img, dst, p, opt.Delta)
-	case parallel:
-		threads := opt.Threads
-		if threads <= 0 {
-			threads = runtime.GOMAXPROCS(0)
-		}
-		n, err = grayccl.PLabelIntoCtx(ctx, img, dst, p, sc.LockTable(0), threads)
-	default:
-		n, err = grayccl.LabelIntoCtx(ctx, img, dst, p)
+		n, err = grayccl.LabelDeltaIntoCtx(ctx, img, dst, sc, opt.Delta)
+	} else {
+		n, err = grayccl.LabelIntoCtx(ctx, img, dst, sc, copt)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.NumComponents = n
-	return res, nil
+	return &Result{Labels: dst, NumComponents: n}, nil
 }
 
 // NewVolume returns a zeroed 3D binary volume.
@@ -159,12 +152,14 @@ type VolumeResult struct {
 
 // LabelVolume computes 26-connected components of a binary volume with the
 // sequential two-pass algorithm; labels are consecutive 1..n.
-func LabelVolume(vol *Volume) (*LabelVolumeMap, int) { return vol3d.Label(vol) }
+func LabelVolume(vol *Volume) (*LabelVolumeMap, int) { return LabelVolumeParallel(vol, 1) }
 
 // LabelVolumeParallel is LabelVolume with z-slab parallelism (the PAREMSP
-// construction applied along the z axis).
+// construction applied along the z axis); threads = 0 uses every CPU.
 func LabelVolumeParallel(vol *Volume, threads int) (*LabelVolumeMap, int) {
-	return vol3d.PLabel(vol, threads)
+	lv := &LabelVolumeMap{}
+	n, _ := vol3d.LabelIntoCtx(context.Background(), vol, lv, nil, core.Options{Threads: threads})
+	return lv, n
 }
 
 // LabelVolumeInto is LabelVolumeIntoCtx without cancellation.
@@ -194,33 +189,18 @@ func LabelVolumeIntoCtx(ctx context.Context, vol *Volume, dst *LabelVolumeMap, s
 	if opt.Connectivity != 0 && opt.Connectivity != 26 {
 		return nil, fmt.Errorf("paremsp: mode %q supports only 26-connectivity, got %d", mode, opt.Connectivity)
 	}
-	parallel, err := extAlg(mode, opt.Algorithm)
+	copt, err := extOptions(mode, opt)
 	if err != nil {
 		return nil, err
 	}
 	if dst == nil {
 		dst = &LabelVolumeMap{}
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	p := sc.Parents(vol3d.MaxLabels3D(vol.W, vol.H, vol.D))
-	res := &VolumeResult{Labels: dst}
-	var n int
-	if parallel {
-		threads := opt.Threads
-		if threads <= 0 {
-			threads = runtime.GOMAXPROCS(0)
-		}
-		n, err = vol3d.PLabelIntoCtx(ctx, vol, dst, p, sc.LockTable(0), threads)
-	} else {
-		n, err = vol3d.LabelIntoCtx(ctx, vol, dst, p)
-	}
+	n, err := vol3d.LabelIntoCtx(ctx, vol, dst, sc, copt)
 	if err != nil {
 		return nil, err
 	}
-	res.NumComponents = n
-	return res, nil
+	return &VolumeResult{Labels: dst, NumComponents: n}, nil
 }
 
 // VolumeComponentSizes returns the voxel count of each component of a label

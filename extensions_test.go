@@ -2,6 +2,8 @@ package paremsp_test
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	paremsp "repro"
@@ -91,5 +93,43 @@ func TestLabelVolumeFacade(t *testing.T) {
 	}
 	if lv.At(0, 0, 0) != lv.L[0] {
 		t.Fatal("LabelVolumeMap.At inconsistent")
+	}
+}
+
+// TestExtParallelThreadsZeroIsGOMAXPROCS: threads = 0 asks the gray and
+// volume labelers for all CPUs, as Options.Threads documents — not for one
+// goroutine per row pair (or plane pair). A tall image and a deep volume
+// would otherwise start thousands of goroutines; a sampler tracks the peak
+// while both run.
+func TestExtParallelThreadsZeroIsGOMAXPROCS(t *testing.T) {
+	img := randGray(512, 4000, 21)
+	vol := randVolume(32, 32, 2000, 22)
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			runtime.Gosched()
+		}
+	}()
+	paremsp.LabelGrayParallel(img, 0)
+	paremsp.LabelVolumeParallel(vol, 0)
+	close(stop)
+	<-sampled
+	// The sampler, one goroutine per chunk — counted up to three times,
+	// since a phase's goroutines may not have exited when the next phase
+	// starts its own — and some slack.
+	limit := int64(base + 1 + 3*runtime.GOMAXPROCS(0) + 8)
+	if p := peak.Load(); p > limit {
+		t.Fatalf("peak %d goroutines with threads = 0, want <= %d (GOMAXPROCS %d)", p, limit, runtime.GOMAXPROCS(0))
 	}
 }

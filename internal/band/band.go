@@ -299,7 +299,7 @@ func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run
 	// array needs no clearing because the sink initializes each label it
 	// creates and the flatten sweeps only labels 1..count.
 	sink := core.NewRemSinkShared(l.pl, 0)
-	scan.Runs(bm, sink, 0, rows, &l.rs)
+	scan.Runs(bm, sink, 0, rows, &l.rs, nil)
 
 	// 2. Resolve within-band equivalences: pl[lab] is now the compact local
 	// root id (1..nloc) of every provisional label.

@@ -11,7 +11,7 @@ import (
 func CCLLRPC(img *binimg.Image) (*binimg.LabelMap, int) {
 	lm := binimg.NewLabelMap(img.Width, img.Height)
 	sink := NewRankPCSink(scan.MaxProvisionalLabels(img.Width, img.Height))
-	scan.DecisionTree(img, lm, sink, 0, img.Height)
+	scan.DecisionTree(img, lm, sink, 0, img.Height, nil)
 	n := sink.Flatten()
 	relabel(lm, sink.Lookup)
 	return lm, int(n)
@@ -23,7 +23,7 @@ func CCLLRPC(img *binimg.Image) (*binimg.LabelMap, int) {
 func ARUN(img *binimg.Image) (*binimg.LabelMap, int) {
 	lm := binimg.NewLabelMap(img.Width, img.Height)
 	sink := NewHeSink(scan.MaxProvisionalLabels(img.Width, img.Height))
-	scan.PairRows(img, lm, sink, 0, img.Height)
+	scan.PairRows(img, lm, sink, 0, img.Height, nil)
 	n := sink.Flatten()
 	relabel(lm, sink.Lookup)
 	return lm, int(n)

@@ -15,11 +15,8 @@ import (
 	"context"
 
 	"repro/internal/binimg"
+	"repro/internal/poll"
 )
-
-// pollRows matches the labelers' poll amortization: 64 raster rows of seed
-// scanning between done-channel polls.
-const pollRows = 64
 
 // Point is a pixel coordinate.
 type Point struct {
@@ -45,24 +42,17 @@ func TraceAll(lm *binimg.LabelMap, n int) []Contour {
 }
 
 // TraceAllCtx is TraceAll with cooperative cancellation: the seed scan polls
-// ctx's done channel every pollRows rows and additionally after each traced
+// ctx's done channel every poll.Rows rows and additionally after each traced
 // component (one trace can walk the whole raster). On cancellation it
 // returns nil and ctx's error.
 func TraceAllCtx(ctx context.Context, lm *binimg.LabelMap, n int) ([]Contour, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := poll.Done(ctx)
 	out := make([]Contour, n)
 	seen := make([]bool, n)
 	found := 0
 	for y := 0; y < lm.Height && found < n; y++ {
-		if done != nil && y%pollRows == 0 {
-			select {
-			case <-done:
-				return nil, ctxErr(ctx)
-			default:
-			}
+		if y%poll.Rows == 0 && poll.Stopped(done) {
+			return nil, poll.Err(ctx)
 		}
 		for x := 0; x < lm.Width && found < n; x++ {
 			l := lm.L[y*lm.Width+x]
@@ -72,25 +62,12 @@ func TraceAllCtx(ctx context.Context, lm *binimg.LabelMap, n int) ([]Contour, er
 			seen[l-1] = true
 			found++
 			out[l-1] = Contour{Label: l, Points: trace(lm, l, x, y)}
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctxErr(ctx)
-				default:
-				}
+			if poll.Stopped(done) {
+				return nil, poll.Err(ctx)
 			}
 		}
 	}
 	return out, nil
-}
-
-// ctxErr returns ctx's error once its done channel closed, defaulting to
-// context.Canceled.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return context.Canceled
 }
 
 // Trace extracts the outer contour of the component with the given label,

@@ -1,115 +1,29 @@
-// Bit-packed variants of the paper's algorithms (beyond the paper): BREMSP is
-// AREMSP with the byte-per-pixel scan replaced by a word-parallel run scan
-// over a 1-bit-per-pixel raster, and PBREMSP parallelizes it with PAREMSP's
-// chunked disjoint-label-range / boundary-merge / flatten machinery. The scan
-// phase — which dominates PAREMSP's runtime (the paper's Fig. 5a plots its
-// speedup alone) — touches 64 pixels per word load and calls the union-find
-// sink per run instead of per pixel, and the labeling phase writes the final
-// raster run-by-run instead of pixel-by-pixel.
+// Bit-packed variants of the paper's algorithms (beyond the paper): PBREMSP
+// is PAREMSP with the byte-per-pixel scan replaced by a word-parallel run
+// scan over a 1-bit-per-pixel raster, and BREMSP is its one-thread case. The
+// scan phase — which dominates PAREMSP's runtime (the paper's Fig. 5a plots
+// its speedup alone) — touches 64 pixels per word load and calls the
+// union-find sink per run instead of per pixel, and the labeling phase
+// writes the final raster run-by-run instead of pixel-by-pixel.
 
 package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/binimg"
+	"repro/internal/poll"
 	"repro/internal/scan"
-	"repro/internal/unionfind"
 )
 
-// BREMSP is the bit-packed sequential algorithm: pack to 1 bpp, run-based
-// scan (sink per run), FLATTEN, run-by-run labeling. Returns the final label
-// map (consecutive labels 1..n, background 0) and n.
-func BREMSP(img *binimg.Image) (*binimg.LabelMap, int) {
-	lm := &binimg.LabelMap{}
-	n := BREMSPInto(img, lm, nil)
-	return lm, n
-}
-
-// BREMSPInto is BREMSP labeling into a caller-provided label map (reshaped
-// with Reset) and drawing the bitmap, run and equivalence buffers from sc
-// (nil allocates fresh ones). Returns the component count.
-func BREMSPInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) int {
-	n, _ := BREMSPIntoCtx(context.Background(), img, lm, sc)
-	return n
-}
-
-// BREMSPIntoCtx is BREMSPInto with cooperative cancellation (the packing pass
-// runs at memcpy speed and is not polled; the scan and relabel passes are).
-func BREMSPIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) (int, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	bm := sc.bitmap()
-	bm.FromImage(img)
-	return BREMSPBitmapIntoCtx(ctx, bm, lm, sc)
-}
-
-// BREMSPBitmapInto is BREMSP over an already-packed bitmap — the entry point
-// for callers that hold the packed raster natively (the service's PBM P4 fast
-// path decodes straight into one, skipping the byte raster entirely).
-func BREMSPBitmapInto(bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch) int {
-	n, _ := BREMSPBitmapIntoCtx(context.Background(), bm, lm, sc)
-	return n
-}
-
-// BREMSPBitmapIntoCtx is BREMSPBitmapInto with cooperative cancellation.
-func BREMSPBitmapIntoCtx(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch) (int, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	lm.Reset(bm.Width, bm.Height)
-	if bm.Width == 0 || bm.Height == 0 {
-		return 0, nil
-	}
-	done := ctxDone(ctx)
-	sink := &RemSink{p: sc.parents(scan.MaxRunLabels(bm.Width, bm.Height))}
-	rs := sc.runSets(1)[0]
-	if !scan.RunsUntil(bm, sink, 0, bm.Height, rs, done) {
-		return 0, cancelErr(ctx)
-	}
-	n := unionfind.Flatten(sink.p, sink.count)
-	if !relabelRunsUntil(lm, sink.p, rs, done) {
-		return 0, cancelErr(ctx)
-	}
-	return int(n), nil
-}
-
-// PBREMSP labels img with the parallel bit-packed algorithm and default
-// options. Returns the final label map (consecutive labels 1..n, background
-// 0) and n.
-func PBREMSP(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
-	lm := &binimg.LabelMap{}
-	n, _ := PBREMSPTimedInto(img, lm, nil, Options{Threads: threads})
-	return lm, n
-}
-
-// PBREMSPTimed is PBREMSP with explicit options and per-phase timings.
-func PBREMSPTimed(img *binimg.Image, opt Options) (*binimg.LabelMap, int, PhaseTimes) {
-	lm := &binimg.LabelMap{}
-	n, times := PBREMSPTimedInto(img, lm, nil, opt)
-	return lm, n, times
-}
-
-// PBREMSPTimedInto is PBREMSP labeling into a caller-provided label map and
-// drawing every reusable buffer from sc. Each chunk packs its own rows into
-// the shared bitmap (rows never share words, so the packing is race-free)
-// before scanning them, so the packing cost parallelizes with the scan and is
-// reported inside the Scan phase.
-func PBREMSPTimedInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes) {
-	n, times, _ := PBREMSPTimedIntoCtx(context.Background(), img, lm, sc, opt)
-	return n, times
-}
-
-// PBREMSPTimedIntoCtx is PBREMSPTimedInto with cooperative cancellation: the
-// chunked scans and relabels poll ctx per row block and the driver checks ctx
-// between phases. A canceled run returns ctx's error with the phase times
-// accumulated so far.
-func PBREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+// PBREMSP labels img with the parallel bit-packed algorithm into lm,
+// drawing every reusable buffer — parent array, packed bitmap, per-chunk
+// run buffers — from sc (nil allocates fresh ones). Each chunk packs its own
+// rows into the shared bitmap (rows never share words, so the packing is
+// race-free) before scanning them, so the packing cost parallelizes with the
+// scan and is reported inside the Scan phase; packing runs at memcpy speed
+// and is not polled. Options, results and cancellation are PAREMSP's.
+func PBREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -118,169 +32,60 @@ func PBREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.Labe
 	return pbremsp(ctx, bm, img, lm, sc, opt)
 }
 
-// PBREMSPBitmapTimedInto is PBREMSPTimedInto over an already-packed bitmap.
-func PBREMSPBitmapTimedInto(bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes) {
-	n, times, _ := PBREMSPBitmapTimedIntoCtx(context.Background(), bm, lm, sc, opt)
-	return n, times
-}
-
-// PBREMSPBitmapTimedIntoCtx is PBREMSPBitmapTimedInto with cooperative
-// cancellation.
-func PBREMSPBitmapTimedIntoCtx(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+// PBREMSPBitmap is PBREMSP over an already-packed bitmap — the entry point
+// for callers that hold the packed raster natively (the service's PBM P4
+// fast path decodes straight into one, skipping the byte raster entirely).
+func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	return pbremsp(ctx, bm, nil, lm, sc, opt)
 }
 
-// pbremsp is the shared parallel driver. When src is non-nil each chunk packs
-// its rows of src into bm (already Reset) before scanning.
+// pbremsp is the run-scan kernel. When src is non-nil each chunk packs its
+// rows of src into bm (already Reset) before scanning.
 //
-// Phase I divides the rows into Threads chunks and runs the run-based scan on
-// every chunk concurrently, each chunk recording its labeled runs into its
-// own RunSet. Chunk label ranges are disjoint (the chunk starting at row r
-// draws from r*RunLabelStride(w)), so the shared parent array needs no
-// synchronization during the scan. Phase II merges across chunk seams at run
-// granularity: the first-row runs of every chunk but the first are united
-// with the overlapping last-row runs of the chunk above using the concurrent
-// MERGER. Phase III runs the sparse FLATTEN; phase IV writes the final label
-// map run-by-run.
+// Phase I runs the run-based scan on every chunk concurrently, each chunk
+// recording its labeled runs into its own RunSet. Chunk label ranges are
+// disjoint (the chunk starting at row r draws from r*RunLabelStride(w)), so
+// the shared parent array needs no synchronization during the scan. Phase II
+// merges across chunk seams at run granularity: the first-row runs of every
+// chunk but the first are united with the overlapping last-row runs of the
+// chunk above using the concurrent MERGER. Phase III runs the sparse
+// FLATTEN; phase IV writes the final label map run-by-run.
 func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	w, h := bm.Width, bm.Height
-	lm.Reset(w, h)
-	if w == 0 || h == 0 {
-		return 0, PhaseTimes{}, nil
-	}
-	if threads > h {
-		threads = h
-	}
-	starts := rowChunkStarts(h, threads)
-
-	stride := Label(scan.RunLabelStride(w))
-	maxLabel := Label(h) * stride
-	p := sc.parents(int(maxLabel))
-	runSets := sc.runSets(threads)
-
-	done := ctxDone(ctx)
-	var times PhaseTimes
-	var stop atomic.Bool
-
-	// Phase I: concurrent chunk packs + run scans.
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < threads; c++ {
-		rowStart, rowEnd := starts[c], starts[c+1]
-		rs := runSets[c]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	lm.Reset(bm.Width, bm.Height)
+	runs := sc.runSets(chunkCount(opt.Threads, bm.Height))
+	k := Kernel{
+		// The run scan is single-row, so chunks need no row-pair alignment.
+		Rows: bm.Height, Unit: 1, Stride: scan.RunLabelStride(bm.Width),
+		Scan: func(c *Chunk) (Label, bool) {
 			if src != nil {
-				bm.FromImageRows(src, rowStart, rowEnd)
+				bm.FromImageRows(src, c.Lo, c.Hi)
 			}
-			sink := NewRemSinkShared(p, Label(rowStart)*stride)
-			if !scan.RunsUntil(bm, sink, rowStart, rowEnd, rs, done) {
-				stop.Store(true)
-			}
-		}()
+			sink := NewRemSinkShared(c.P, c.Offset)
+			ok := scan.Runs(bm, sink, c.Lo, c.Hi, runs[c.I], c.Done)
+			return sink.count, ok
+		},
+		Seam: func(c *Chunk, merge func(x, y Label)) {
+			scan.MergeRuns(runs[c.I].RowRuns(c.Lo), runs[c.I-1].RowRuns(c.Lo-1), merge)
+		},
+		Relabel: func(c *Chunk) bool { return relabelRuns(lm, c.P, runs[c.I], c.Done) },
 	}
-	wg.Wait()
-	times.Scan = time.Since(t0)
-	if stop.Load() {
-		return 0, times, cancelErr(ctx)
-	}
-
-	// Phase II: run-granular boundary merges.
-	t0 = time.Now()
-	merge := mergeFunc(opt, p, sc)
-	mergeChunk := func(c int) {
-		row := starts[c]
-		scan.MergeRuns(runSets[c].RowRuns(row), runSets[c-1].RowRuns(row-1), merge)
-	}
-	if opt.SequentialBoundary {
-		for c := 1; c < threads; c++ {
-			mergeChunk(c)
-		}
-	} else {
-		for c := 1; c < threads; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mergeChunk(c)
-			}()
-		}
-		wg.Wait()
-	}
-	times.Merge = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
-	}
-
-	// Phase III: FLATTEN over the sparse label space.
-	t0 = time.Now()
-	n := unionfind.FlattenSparse(p, maxLabel)
-	times.Flatten = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
-	}
-
-	// Phase IV: run-by-run relabel, one goroutine per chunk.
-	t0 = time.Now()
-	if opt.SequentialRelabel || threads == 1 {
-		for c := 0; c < threads; c++ {
-			if !relabelRunsUntil(lm, p, runSets[c], done) {
-				stop.Store(true)
-				break
-			}
-		}
-	} else {
-		for c := 0; c < threads; c++ {
-			rs := runSets[c]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if !relabelRunsUntil(lm, p, rs, done) {
-					stop.Store(true)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	times.Relabel = time.Since(t0)
-	if stop.Load() {
-		return 0, times, cancelErr(ctx)
-	}
-
-	return int(n), times, nil
-}
-
-// rowChunkStarts splits h rows over threads chunks as evenly as possible
-// (len = threads+1; no row-pair constraint — the run scan is single-row).
-func rowChunkStarts(h, threads int) []int {
-	starts := make([]int, threads+1)
-	base, rem := h/threads, h%threads
-	row := 0
-	for c := 0; c < threads; c++ {
-		starts[c] = row
-		row += base
-		if c < rem {
-			row++
-		}
-	}
-	starts[threads] = h
-	return starts
+	return k.Run(ctx, sc, opt)
 }
 
 // relabelRuns writes final labels into lm for every run of rs: one parent
 // lookup and one contiguous fill per run instead of a lookup per pixel
-// (labeling phase, run-granular).
-func relabelRuns(lm *binimg.LabelMap, p []Label, rs *scan.RunSet) {
+// (labeling phase, run-granular). It polls done every poll.Rows rows and
+// reports whether it ran to completion.
+func relabelRuns(lm *binimg.LabelMap, p []Label, rs *scan.RunSet, done <-chan struct{}) bool {
 	l := lm.L
 	w := lm.Width
 	for i, rows := 0, rs.Rows(); i < rows; i++ {
+		if i%poll.Rows == 0 && poll.Stopped(done) {
+			return false
+		}
 		y := rs.Row0 + i
 		base := y * w
 		for _, r := range rs.RowRuns(y) {
@@ -291,4 +96,5 @@ func relabelRuns(lm *binimg.LabelMap, p []Label, rs *scan.RunSet) {
 			}
 		}
 	}
+	return true
 }

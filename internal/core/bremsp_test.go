@@ -28,13 +28,13 @@ func TestBitScanDifferential(t *testing.T) {
 						img.Pix[i] = 1
 					}
 				}
-				ref, nRef := core.CCLREMSP(img)
+				ref, nRef := cclremsp(img)
 				checkLabeling(t, "BREMSP", img, ref, nRef, func() (*binimg.LabelMap, int) {
-					return core.BREMSP(img)
+					return bremsp(img)
 				})
 				for _, threads := range []int{1, 2, 3, 7} {
 					checkLabeling(t, "PBREMSP", img, ref, nRef, func() (*binimg.LabelMap, int) {
-						return core.PBREMSP(img, threads)
+						return pbremsp(img, threads)
 					})
 				}
 			}
@@ -90,10 +90,10 @@ func TestBitScanFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := binimg.MustParse(tc.art)
-			if _, n := core.BREMSP(img); n != tc.want {
+			if _, n := bremsp(img); n != tc.want {
 				t.Errorf("BREMSP: %d components, want %d", n, tc.want)
 			}
-			if _, n := core.PBREMSP(img, 3); n != tc.want {
+			if _, n := pbremsp(img, 3); n != tc.want {
 				t.Errorf("PBREMSP: %d components, want %d", n, tc.want)
 			}
 		})
@@ -114,17 +114,17 @@ func TestBREMSPScratchReuse(t *testing.T) {
 			}
 		}
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
-		if n := core.BREMSPInto(img, lm, sc); n != nRef {
-			t.Fatalf("BREMSPInto %dx%d: %d components, want %d", dim[0], dim[1], n, nRef)
+		if n := bremspInto(img, lm, sc); n != nRef {
+			t.Fatalf("BREMSP %dx%d: %d components, want %d", dim[0], dim[1], n, nRef)
 		}
 		if err := stats.Equivalent(lm, ref); err != nil {
-			t.Fatalf("BREMSPInto %dx%d: %v", dim[0], dim[1], err)
+			t.Fatalf("BREMSP %dx%d: %v", dim[0], dim[1], err)
 		}
-		if n, _ := core.PBREMSPTimedInto(img, lm, sc, core.Options{Threads: 4}); n != nRef {
-			t.Fatalf("PBREMSPTimedInto %dx%d: %d components, want %d", dim[0], dim[1], n, nRef)
+		if n := pbremspInto(4)(img, lm, sc); n != nRef {
+			t.Fatalf("PBREMSP %dx%d: %d components, want %d", dim[0], dim[1], n, nRef)
 		}
 		if err := stats.Equivalent(lm, ref); err != nil {
-			t.Fatalf("PBREMSPTimedInto %dx%d: %v", dim[0], dim[1], err)
+			t.Fatalf("PBREMSP %dx%d: %v", dim[0], dim[1], err)
 		}
 	}
 }
@@ -156,8 +156,8 @@ func FuzzBitScanAgainstFloodFill(f *testing.F) {
 		}
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		for name, run := range map[string]func(*binimg.Image) (*binimg.LabelMap, int){
-			"BREMSP":   core.BREMSP,
-			"PBREMSP3": func(im *binimg.Image) (*binimg.LabelMap, int) { return core.PBREMSP(im, 3) },
+			"BREMSP":   bremsp,
+			"PBREMSP3": func(im *binimg.Image) (*binimg.LabelMap, int) { return pbremsp(im, 3) },
 		} {
 			lm, n := run(img)
 			if n != nRef {

@@ -17,17 +17,22 @@ var ctxAlgs = []struct {
 	name string
 	run  func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error)
 }{
-	{"CCLREMSP", core.CCLREMSPIntoCtx},
-	{"AREMSP", core.AREMSPIntoCtx},
-	{"BREMSP", core.BREMSPIntoCtx},
-	{"PAREMSP", func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-		n, _, err := core.PAREMSPTimedIntoCtx(ctx, img, lm, sc, core.Options{Threads: 3})
+	{"CCLREMSP", func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+		n, _, err := core.CCLREMSP(ctx, img, lm, sc)
 		return n, err
 	}},
-	{"PBREMSP", func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-		n, _, err := core.PBREMSPTimedIntoCtx(ctx, img, lm, sc, core.Options{Threads: 3})
+	{"AREMSP", withOptions(core.PAREMSP, 1)},
+	{"BREMSP", withOptions(core.PBREMSP, 1)},
+	{"PAREMSP", withOptions(core.PAREMSP, 3)},
+	{"PBREMSP", withOptions(core.PBREMSP, 3)},
+}
+
+// withOptions binds a thread count to an Options-taking entry point.
+func withOptions(run func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error), threads int) func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch) (int, error) {
+	return func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+		n, _, err := run(ctx, img, lm, sc, core.Options{Threads: threads})
 		return n, err
-	}},
+	}
 }
 
 // TestCtxBackgroundMatchesPlain: with a never-canceled context every Ctx
@@ -102,30 +107,24 @@ func TestCtxDeadlinePropagates(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	lm, sc := &binimg.LabelMap{}, &core.Scratch{}
-	if _, err := core.CCLREMSPIntoCtx(ctx, img, lm, sc); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := core.CCLREMSP(ctx, img, lm, sc); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // BenchmarkCancelCheck measures the cost of the cancellation polling on the
-// sequential hot path: the Ctx variant under a never-canceled context versus
-// the plain entry point. The per-row nil-channel check must stay in the
-// noise (the perf gate compares the *Into numbers against the baseline
-// report with this code compiled in).
+// sequential hot path: a never-canceled context, whose done channel is nil,
+// versus a live cancelable one. The per-row check must stay in the noise
+// (the perf gate compares the labeling numbers against the baseline report
+// with this code compiled in).
 func BenchmarkCancelCheck(b *testing.B) {
 	img := dataset.UniformNoise(1024, 1024, 0.5, 12)
 	lm, sc := &binimg.LabelMap{}, &core.Scratch{}
-	b.Run("plain", func(b *testing.B) {
-		b.SetBytes(int64(img.Width * img.Height))
-		for i := 0; i < b.N; i++ {
-			core.CCLREMSPInto(img, lm, sc)
-		}
-	})
 	b.Run("ctx-background", func(b *testing.B) {
 		ctx := context.Background()
 		b.SetBytes(int64(img.Width * img.Height))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.CCLREMSPIntoCtx(ctx, img, lm, sc); err != nil {
+			if _, _, err := core.CCLREMSP(ctx, img, lm, sc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -135,7 +134,7 @@ func BenchmarkCancelCheck(b *testing.B) {
 		defer cancel()
 		b.SetBytes(int64(img.Width * img.Height))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.CCLREMSPIntoCtx(ctx, img, lm, sc); err != nil {
+			if _, _, err := core.CCLREMSP(ctx, img, lm, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -72,7 +73,7 @@ var fixtures = map[string]string{
 func TestCCLREMSPFixtures(t *testing.T) {
 	for name, art := range fixtures {
 		img := binimg.MustParse(art)
-		lm, n := core.CCLREMSP(img)
+		lm, n := cclremsp(img)
 		t.Run(name, func(t *testing.T) { checkAgainstReference(t, img, lm, n) })
 	}
 }
@@ -80,7 +81,7 @@ func TestCCLREMSPFixtures(t *testing.T) {
 func TestAREMSPFixtures(t *testing.T) {
 	for name, art := range fixtures {
 		img := binimg.MustParse(art)
-		lm, n := core.AREMSP(img)
+		lm, n := aremsp(img)
 		t.Run(name, func(t *testing.T) { checkAgainstReference(t, img, lm, n) })
 	}
 }
@@ -89,7 +90,7 @@ func TestPAREMSPFixtures(t *testing.T) {
 	for name, art := range fixtures {
 		img := binimg.MustParse(art)
 		for _, threads := range []int{1, 2, 3, 8} {
-			lm, n := core.PAREMSP(img, threads)
+			lm, n := paremsp(img, threads)
 			t.Run(name, func(t *testing.T) { checkAgainstReference(t, img, lm, n) })
 		}
 	}
@@ -111,7 +112,7 @@ func TestPropertyCCLREMSPMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomImage(rng, 40, 40)
-		lm, n := core.CCLREMSP(img)
+		lm, n := cclremsp(img)
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
@@ -124,7 +125,7 @@ func TestPropertyAREMSPMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomImage(rng, 40, 40)
-		lm, n := core.AREMSP(img)
+		lm, n := aremsp(img)
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
@@ -139,8 +140,8 @@ func TestAREMSPEqualsCCLREMSPPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomImage(rng, 50, 50)
-		a, na := core.AREMSP(img)
-		b, nb := core.CCLREMSP(img)
+		a, na := aremsp(img)
+		b, nb := cclremsp(img)
 		return na == nb && stats.Equivalent(a, b) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -154,9 +155,9 @@ func TestPropertyPAREMSPMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomImage(rng, 60, 60)
-		ref, nRef := core.AREMSP(img)
+		ref, nRef := aremsp(img)
 		threads := 1 + rng.Intn(16)
-		lm, n := core.PAREMSP(img, threads)
+		lm, n := paremsp(img, threads)
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -171,9 +172,9 @@ func TestPAREMSPAllThreadCountsOddAndEvenHeights(t *testing.T) {
 		for i := range img.Pix {
 			img.Pix[i] = uint8(rng.Intn(2))
 		}
-		ref, nRef := core.AREMSP(img)
+		ref, nRef := aremsp(img)
 		for threads := 1; threads <= 26; threads++ {
-			lm, n := core.PAREMSP(img, threads)
+			lm, n := paremsp(img, threads)
 			if n != nRef {
 				t.Fatalf("h=%d threads=%d: n=%d want %d", h, threads, n, nRef)
 			}
@@ -190,15 +191,14 @@ func TestPAREMSPMergerVariants(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = uint8(rng.Intn(2))
 	}
-	ref, nRef := core.AREMSP(img)
+	ref, nRef := aremsp(img)
 	for _, opt := range []core.Options{
 		{Threads: 8, Merger: core.MergerLocked},
 		{Threads: 8, Merger: core.MergerCAS},
-		{Threads: 8, Merger: core.MergerLocked, LockStripes: 8},
-		{Threads: 8, SequentialBoundary: true},
 		{Threads: 8, SequentialRelabel: true},
 	} {
-		lm, n, times := core.PAREMSPTimed(img, opt)
+		lm := &binimg.LabelMap{}
+		n, times, _ := core.PAREMSP(context.Background(), img, lm, nil, opt)
 		if n != nRef {
 			t.Fatalf("opt %+v: n=%d want %d", opt, n, nRef)
 		}
@@ -228,7 +228,7 @@ func TestPAREMSPDegenerate(t *testing.T) {
 		{"Nx1", binimg.MustParse("##..###")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lm, n := core.PAREMSP(tc.img, 4)
+			lm, n := paremsp(tc.img, 4)
 			if tc.img.Width == 0 || tc.img.Height == 0 {
 				if n != 0 {
 					t.Fatalf("n = %d, want 0", n)
@@ -243,7 +243,7 @@ func TestPAREMSPDegenerate(t *testing.T) {
 // TestPAREMSPThreadsExceedingRows: more threads than row pairs must clamp.
 func TestPAREMSPThreadsExceedingRows(t *testing.T) {
 	img := binimg.MustParse("###\n#.#\n###")
-	lm, n := core.PAREMSP(img, 64)
+	lm, n := paremsp(img, 64)
 	checkAgainstReference(t, img, lm, n)
 }
 
@@ -272,10 +272,10 @@ func TestGeneratedDatasets(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 			for algName, f := range map[string]func(*binimg.Image) (*binimg.LabelMap, int){
-				"CCLREMSP": core.CCLREMSP,
-				"AREMSP":   core.AREMSP,
-				"PAREMSP4": func(im *binimg.Image) (*binimg.LabelMap, int) { return core.PAREMSP(im, 4) },
-				"PAREMSP7": func(im *binimg.Image) (*binimg.LabelMap, int) { return core.PAREMSP(im, 7) },
+				"CCLREMSP": cclremsp,
+				"AREMSP":   aremsp,
+				"PAREMSP4": func(im *binimg.Image) (*binimg.LabelMap, int) { return paremsp(im, 4) },
+				"PAREMSP7": func(im *binimg.Image) (*binimg.LabelMap, int) { return paremsp(im, 7) },
 			} {
 				lm, n := f(img)
 				if n != nRef {
@@ -318,4 +318,50 @@ func TestMergerKindString(t *testing.T) {
 	if core.MergerKind(9).String() == "" {
 		t.Fatal("unknown MergerKind must still print")
 	}
+}
+
+// The helpers below run one algorithm into caller buffers (…Into) or fresh
+// ones under a never-canceled context. AREMSP and BREMSP are the one-thread
+// PAREMSP and PBREMSP.
+
+func cclremspInto(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
+	n, _, _ := core.CCLREMSP(context.Background(), img, lm, sc)
+	return n
+}
+
+func paremspInto(threads int) func(*binimg.Image, *binimg.LabelMap, *core.Scratch) int {
+	return func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
+		n, _, _ := core.PAREMSP(context.Background(), img, lm, sc, core.Options{Threads: threads})
+		return n
+	}
+}
+
+func pbremspInto(threads int) func(*binimg.Image, *binimg.LabelMap, *core.Scratch) int {
+	return func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
+		n, _, _ := core.PBREMSP(context.Background(), img, lm, sc, core.Options{Threads: threads})
+		return n
+	}
+}
+
+func fresh(run func(*binimg.Image, *binimg.LabelMap, *core.Scratch) int) func(*binimg.Image) (*binimg.LabelMap, int) {
+	return func(img *binimg.Image) (*binimg.LabelMap, int) {
+		lm := &binimg.LabelMap{}
+		return lm, run(img, lm, nil)
+	}
+}
+
+var (
+	aremspInto = paremspInto(1)
+	bremspInto = pbremspInto(1)
+	cclremsp   = fresh(cclremspInto)
+	aremsp     = fresh(aremspInto)
+	bremsp     = fresh(bremspInto)
+)
+
+func paremsp(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
+	return fresh(paremspInto(threads))(img)
+}
+
+func pbremsp(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
+	return fresh(pbremspInto(threads))(img)
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/binimg"
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -39,9 +38,9 @@ func FuzzLabelersAgainstFloodFill(f *testing.F) {
 		}
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		for name, run := range map[string]func(*binimg.Image) (*binimg.LabelMap, int){
-			"AREMSP":   core.AREMSP,
-			"CCLREMSP": core.CCLREMSP,
-			"PAREMSP3": func(im *binimg.Image) (*binimg.LabelMap, int) { return core.PAREMSP(im, 3) },
+			"AREMSP":   aremsp,
+			"CCLREMSP": cclremsp,
+			"PAREMSP3": func(im *binimg.Image) (*binimg.LabelMap, int) { return paremsp(im, 3) },
 		} {
 			lm, n := run(img)
 			if n != nRef {

@@ -2,99 +2,25 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/binimg"
 	"repro/internal/scan"
-	"repro/internal/unionfind"
 )
 
-// MergerKind selects the concurrent union used in PAREMSP's boundary phase.
-type MergerKind int
-
-// Boundary-merge implementations.
-const (
-	// MergerLocked is the paper's Algorithm 8: lock-based concurrent REM
-	// union (OpenMP lock array reproduced with striped sync.Mutex).
-	MergerLocked MergerKind = iota
-	// MergerCAS is the idiomatic lock-free variant built on
-	// atomic.CompareAndSwapInt32 (ablation alternative).
-	MergerCAS
-)
-
-// String names the merger for benchmark output.
-func (m MergerKind) String() string {
-	switch m {
-	case MergerLocked:
-		return "locked"
-	case MergerCAS:
-		return "cas"
-	default:
-		return fmt.Sprintf("MergerKind(%d)", int(m))
-	}
-}
-
-// Options configures PAREMSP.
-type Options struct {
-	// Threads is the number of worker goroutines (the paper's OpenMP thread
-	// count). 0 selects runtime.GOMAXPROCS(0).
-	Threads int
-	// Merger selects the concurrent boundary union (default MergerLocked,
-	// the paper's choice).
-	Merger MergerKind
-	// LockStripes sizes the striped lock table for MergerLocked; 0 selects
-	// unionfind.DefaultLockStripes. Must be a power of two.
-	LockStripes int
-	// SequentialBoundary forces the boundary merge loops onto one goroutine
-	// (ablation; the paper parallelizes them with "pragma omp for").
-	SequentialBoundary bool
-	// SequentialRelabel forces the final labeling pass onto one goroutine
-	// (ablation; the paper parallelizes it).
-	SequentialRelabel bool
-}
-
-// PhaseTimes records per-phase wall time of one PAREMSP run. The paper's
-// Fig. 5a plots speedup of Scan ("local") alone; Fig. 5b plots
-// Scan+Merge ("local + merge").
-type PhaseTimes struct {
-	Scan    time.Duration // phase I: chunked AREMSP scans
-	Merge   time.Duration // phase II: boundary-row merges
-	Flatten time.Duration // phase III: FLATTEN over the label space
-	Relabel time.Duration // phase IV: provisional -> final rewrite
-}
-
-// Total returns the sum of all phases.
-func (p PhaseTimes) Total() time.Duration {
-	return p.Scan + p.Merge + p.Flatten + p.Relabel
-}
-
-// Local returns the paper's "local" quantity (scan phase only, Fig. 5a).
-func (p PhaseTimes) Local() time.Duration { return p.Scan }
-
-// LocalMerge returns the paper's "local + merge" quantity (Fig. 5b).
-func (p PhaseTimes) LocalMerge() time.Duration { return p.Scan + p.Merge }
-
-// PAREMSP labels img with the paper's parallel algorithm (Algorithm 7) and
-// default options. Returns the final label map (consecutive labels 1..n,
-// background 0) and n.
-func PAREMSP(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
-	lm, n, _ := PAREMSPTimed(img, Options{Threads: threads})
-	return lm, n
-}
-
-// PAREMSPTimed is PAREMSP with explicit options and per-phase timings.
+// PAREMSP labels img with the paper's parallel algorithm (Algorithm 7) into
+// lm (reshaped with Reset; consecutive labels 1..n, background 0), drawing
+// the shared parent array from sc (nil allocates a fresh one). Reusing lm
+// and sc across calls makes sustained labeling allocation-free; this is the
+// entry point the service layer's buffer pools feed. With one thread it is
+// the paper's best sequential algorithm, AREMSP (Algorithm 5).
 //
-// Phase I divides the image row-wise into Threads chunks of whole row pairs
-// (the scan processes two rows at a time) and runs the AREMSP scan on every
-// chunk concurrently. Chunk label ranges are disjoint: the chunk starting at
-// row r draws provisional labels from (r/2)*stride+1 where stride is the
-// per-row-pair label budget, so no two pixels share a provisional label
-// across chunks and the shared parent array needs no synchronization during
-// the scan.
+// Phase I divides the image row-wise into opt.Threads chunks of whole row
+// pairs (the scan processes two rows at a time) and runs the AREMSP scan on
+// every chunk concurrently. Chunk label ranges are disjoint: the chunk
+// starting at row r draws provisional labels from (r/2)*stride+1 where
+// stride is the per-row-pair label budget, so no two pixels share a
+// provisional label across chunks and the shared parent array needs no
+// synchronization during the scan.
 //
 // Phase II merges across chunk seams: for every boundary row (the first row
 // of every chunk but the first) and every foreground pixel e there, its
@@ -103,156 +29,24 @@ func PAREMSP(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
 // are processed in parallel.
 //
 // Phase III runs FLATTEN (sparse form: untouched label slots are skipped so
-// final labels stay consecutive). Phase IV rewrites the label raster.
-func PAREMSPTimed(img *binimg.Image, opt Options) (*binimg.LabelMap, int, PhaseTimes) {
-	lm := &binimg.LabelMap{}
-	n, times := PAREMSPTimedInto(img, lm, nil, opt)
-	return lm, n, times
-}
-
-// PAREMSPTimedInto is PAREMSPTimed labeling into a caller-provided label map
-// (reshaped with Reset) and drawing the shared parent array from sc (nil
-// allocates a fresh one). Reusing lm and sc across calls makes sustained
-// labeling allocation-free; this is the entry point the service layer's
-// buffer pools feed.
-func PAREMSPTimedInto(img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes) {
-	n, times, _ := PAREMSPTimedIntoCtx(context.Background(), img, lm, sc, opt)
-	return n, times
-}
-
-// PAREMSPTimedIntoCtx is PAREMSPTimedInto with cooperative cancellation: the
-// chunked scans and relabels poll ctx per row block and the driver checks ctx
-// between phases. A canceled run returns ctx's error with the phase times
-// accumulated so far.
-func PAREMSPTimedIntoCtx(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
+// final labels stay consecutive). Phase IV rewrites the label raster. The
+// scans and relabels poll ctx every 64 rows and Run checks ctx between
+// phases; a canceled run returns ctx's error with the phase times
+// accumulated so far, and leaves lm and sc undefined but reusable.
+func PAREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+	w := img.Width
+	lm.Reset(w, img.Height)
+	k := Kernel{
+		Rows: img.Height, Unit: 2, Stride: scan.RowPairLabelStride(w),
+		Scan: func(c *Chunk) (Label, bool) {
+			sink := NewRemSinkShared(c.P, c.Offset)
+			ok := scan.PairRows(img, lm, sink, c.Lo, c.Hi, c.Done)
+			return sink.count, ok
+		},
+		Seam:    func(c *Chunk, merge func(x, y Label)) { mergeBoundaryRow(img, lm, merge, c.Lo) },
+		Relabel: func(c *Chunk) bool { return RelabelFlat(c, lm.L[c.Lo*w:c.Hi*w], w) },
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	w, h := img.Width, img.Height
-	lm.Reset(w, h)
-	if w == 0 || h == 0 {
-		return 0, PhaseTimes{}, nil
-	}
-
-	// Chunk geometry: numiter row pairs split across threads, each chunk an
-	// even number of rows (paper Alg. 7 lines 2-7). A short image caps the
-	// useful thread count.
-	numPairs := (h + 1) / 2
-	if threads > numPairs {
-		threads = numPairs
-	}
-	starts := chunkStarts(numPairs, threads, h)
-
-	stride := Label(scan.RowPairLabelStride(w))
-	maxLabel := Label(numPairs) * stride
-	p := sc.parents(int(maxLabel))
-
-	done := ctxDone(ctx)
-	var times PhaseTimes
-	var stop atomic.Bool
-
-	// Phase I: concurrent chunk scans.
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < len(starts)-1; c++ {
-		rowStart, rowEnd := starts[c], starts[c+1]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			offset := Label(rowStart/2) * stride
-			sink := NewRemSinkShared(p, offset)
-			if !scan.PairRowsUntil(img, lm, sink, rowStart, rowEnd, done) {
-				stop.Store(true)
-			}
-		}()
-	}
-	wg.Wait()
-	times.Scan = time.Since(t0)
-	if stop.Load() {
-		return 0, times, cancelErr(ctx)
-	}
-
-	// Phase II: boundary merges.
-	t0 = time.Now()
-	merge := mergeFunc(opt, p, sc)
-	boundaries := starts[1 : len(starts)-1]
-	if opt.SequentialBoundary {
-		for _, row := range boundaries {
-			mergeBoundaryRow(img, lm, merge, row)
-		}
-	} else {
-		for _, row := range boundaries {
-			row := row
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mergeBoundaryRow(img, lm, merge, row)
-			}()
-		}
-		wg.Wait()
-	}
-	times.Merge = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
-	}
-
-	// Phase III: FLATTEN over the sparse label space.
-	t0 = time.Now()
-	n := unionfind.FlattenSparse(p, maxLabel)
-	times.Flatten = time.Since(t0)
-	if stopped(done) {
-		return 0, times, cancelErr(ctx)
-	}
-
-	// Phase IV: relabel.
-	t0 = time.Now()
-	var relabeled bool
-	if opt.SequentialRelabel || threads == 1 {
-		relabeled = relabelSeqUntil(lm, p, done)
-	} else {
-		relabeled = relabelParUntil(lm, p, threads, done)
-	}
-	times.Relabel = time.Since(t0)
-	if !relabeled {
-		return 0, times, cancelErr(ctx)
-	}
-
-	return int(n), times, nil
-}
-
-// chunkStarts splits numPairs row pairs over threads chunks as evenly as
-// possible and returns the chunk start rows plus the terminal row h
-// (len = threads+1). Every chunk gets an even number of rows except possibly
-// the last when h is odd.
-func chunkStarts(numPairs, threads, h int) []int {
-	starts := make([]int, threads+1)
-	base, rem := numPairs/threads, numPairs%threads
-	pair := 0
-	for c := 0; c < threads; c++ {
-		starts[c] = pair * 2
-		pair += base
-		if c < rem {
-			pair++
-		}
-	}
-	starts[threads] = h
-	return starts
-}
-
-// mergeFunc returns the configured concurrent union bound to p, drawing the
-// lock table from sc so repeated labelings reuse it.
-func mergeFunc(opt Options, p []Label, sc *Scratch) func(x, y Label) {
-	switch opt.Merger {
-	case MergerCAS:
-		return func(x, y Label) { unionfind.MergeCAS(p, x, y) }
-	default:
-		lt := sc.lockTable(opt.LockStripes)
-		return func(x, y Label) { unionfind.MergeLocked(p, lt, x, y) }
-	}
+	return k.Run(ctx, sc, opt)
 }
 
 // mergeBoundaryRow unites every foreground pixel of the given chunk-start
@@ -280,31 +74,4 @@ func mergeBoundaryRow(img *binimg.Image, lm *binimg.LabelMap, merge func(x, y La
 			merge(le, lab[up+x+1])
 		}
 	}
-}
-
-// relabelParUntil rewrites provisional labels to final labels with threads
-// goroutines over row bands, each polling done per row block; reports whether
-// every band ran to completion.
-func relabelParUntil(lm *binimg.LabelMap, p []Label, threads int, done <-chan struct{}) bool {
-	l := lm.L
-	n := len(l)
-	chunk := (n + threads - 1) / threads
-	block := relabelBlock(lm.Width)
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(part []Label) {
-			defer wg.Done()
-			if !relabelSliceUntil(part, p, block, done) {
-				stop.Store(true)
-			}
-		}(l[lo:hi])
-	}
-	wg.Wait()
-	return !stop.Load()
 }

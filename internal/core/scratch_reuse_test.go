@@ -31,15 +31,15 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		name string
 		run  func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int
 	}{
-		{"AREMSP", core.AREMSPInto},
-		{"CCLREMSP", core.CCLREMSPInto},
-		{"BREMSP", core.BREMSPInto},
+		{"AREMSP", aremspInto},
+		{"CCLREMSP", cclremspInto},
+		{"BREMSP", bremspInto},
 		{"PAREMSP", func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
-			n, _ := core.PAREMSPTimedInto(img, lm, sc, core.Options{Threads: 3})
+			n := paremspInto(3)(img, lm, sc)
 			return n
 		}},
 		{"PBREMSP", func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
-			n, _ := core.PBREMSPTimedInto(img, lm, sc, core.Options{Threads: 3})
+			n := pbremspInto(3)(img, lm, sc)
 			return n
 		}},
 	}
@@ -77,18 +77,18 @@ func TestScratchReuseAcrossAlgorithms(t *testing.T) {
 		img  *binimg.Image
 		run  func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int
 	}{
-		{"BREMSP/big", big, core.BREMSPInto},
-		{"AREMSP/small", small, core.AREMSPInto},
+		{"BREMSP/big", big, bremspInto},
+		{"AREMSP/small", small, aremspInto},
 		{"PBREMSP/big", big, func(img *binimg.Image, l *binimg.LabelMap, s *core.Scratch) int {
-			n, _ := core.PBREMSPTimedInto(img, l, s, core.Options{Threads: 4})
+			n := pbremspInto(4)(img, l, s)
 			return n
 		}},
-		{"BREMSP/small", small, core.BREMSPInto},
+		{"BREMSP/small", small, bremspInto},
 		{"PAREMSP/big", big, func(img *binimg.Image, l *binimg.LabelMap, s *core.Scratch) int {
-			n, _ := core.PAREMSPTimedInto(img, l, s, core.Options{Threads: 2})
+			n := paremspInto(2)(img, l, s)
 			return n
 		}},
-		{"BREMSP/big", big, core.BREMSPInto},
+		{"BREMSP/big", big, bremspInto},
 	}
 	for _, st := range steps {
 		n := st.run(st.img, lm, sc)

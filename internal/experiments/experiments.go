@@ -4,8 +4,8 @@
 // package, and the repository-root benchmarks reuse the same image specs so
 // `go test -bench` and the CLI measure identical workloads.
 //
-// Dataset substitution (DESIGN.md §4): the USC-SIPI classes and the NLCD
-// rasters are regenerated synthetically at the same binarized-image regimes.
+// Dataset substitution: the USC-SIPI classes and the NLCD rasters are
+// regenerated synthetically at the same binarized-image regimes.
 // Every spec is deterministic. The `scale` parameter shrinks pixel *counts*
 // linearly (the paper's 465.2 MB image at scale 0.1 becomes 46.5 MB) so the
 // full sweep stays runnable on small machines; the experiment *shape*
@@ -13,11 +13,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
+	paremsp "repro"
 	"repro/internal/baseline"
 	"repro/internal/binimg"
 	"repro/internal/core"
@@ -104,15 +106,45 @@ func AllClasses(scale float64) map[string][]ImageSpec {
 	return classes
 }
 
+// label adapts a library algorithm to the (image, threads) -> (labels, n)
+// shape the runners time; the sequential algorithms ignore threads.
+func label(alg paremsp.Algorithm) func(*binimg.Image, int) (*binimg.LabelMap, int) {
+	return func(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
+		res, err := paremsp.Label(img, paremsp.Options{Algorithm: alg, Threads: threads})
+		if err != nil {
+			panic(err) // every algorithm labels every binary image at 8-connectivity
+		}
+		return res.Labels, res.NumComponents
+	}
+}
+
+// sequential is label for the one-thread signature of Table II.
+func sequential(alg paremsp.Algorithm) func(*binimg.Image) (*binimg.LabelMap, int) {
+	run := label(alg)
+	return func(img *binimg.Image) (*binimg.LabelMap, int) { return run(img, 1) }
+}
+
+var (
+	runAREMSP   = sequential(paremsp.AlgAREMSP)
+	runCCLREMSP = sequential(paremsp.AlgCCLREMSP)
+	runPAREMSP  = label(paremsp.AlgPAREMSP)
+)
+
+// phases runs PAREMSP with opt and returns its phase times.
+func phases(img *binimg.Image, opt core.Options) core.PhaseTimes {
+	_, times, _ := core.PAREMSP(context.Background(), img, &binimg.LabelMap{}, nil, opt)
+	return times
+}
+
 // SequentialAlgs is the column order of Table II.
 var SequentialAlgs = []struct {
 	Name string
 	Run  func(*binimg.Image) (*binimg.LabelMap, int)
 }{
 	{"CCLLRPC", baseline.CCLLRPC},
-	{"CCLRemSP", core.CCLREMSP},
+	{"CCLRemSP", runCCLREMSP},
 	{"ARun", baseline.ARUN},
-	{"ARemSP", core.AREMSP},
+	{"ARemSP", runAREMSP},
 }
 
 // Config bundles the sweep parameters shared by the runners.
@@ -199,7 +231,7 @@ func Table4(w io.Writer, cfg Config) {
 			for _, spec := range classes[class] {
 				img := spec.Build()
 				samples = append(samples, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					core.PAREMSP(img, th)
+					runPAREMSP(img, th)
 				}))
 			}
 			stats[ti] = harness.Aggregate(samples)
@@ -250,7 +282,7 @@ func Fig4(w io.Writer, cfg Config) {
 		for i, spec := range specs {
 			imgs[i] = spec.Build()
 			seq = append(seq, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-				core.AREMSP(imgs[i])
+				runAREMSP(imgs[i])
 			}))
 		}
 		seqAvg := harness.Aggregate(seq).Avg
@@ -259,7 +291,7 @@ func Fig4(w io.Writer, cfg Config) {
 			for _, img := range imgs {
 				img := img
 				par = append(par, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					core.PAREMSP(img, th)
+					runPAREMSP(img, th)
 				}))
 			}
 			parAvg := harness.Aggregate(par).Avg
@@ -302,7 +334,7 @@ func Fig5(w io.Writer, cfg Config) {
 		for ti, th := range Fig5Threads {
 			var bestLocal, bestLM time.Duration
 			for r := 0; r < cfg.Repeats; r++ {
-				_, _, times := core.PAREMSPTimed(img, core.Options{Threads: th})
+				times := phases(img, core.Options{Threads: th})
 				if r == 0 || times.Local() < bestLocal {
 					bestLocal = times.Local()
 				}
@@ -351,7 +383,7 @@ func WeakScaling(w io.Writer, cfg Config) {
 		img := dataset.LandCover(wpx, hpx, maxInt(32, wpx/64), 0.5, int64(500+th))
 		var best core.PhaseTimes
 		for r := 0; r < cfg.Repeats; r++ {
-			_, _, times := core.PAREMSPTimed(img, core.Options{Threads: th})
+			times := phases(img, core.Options{Threads: th})
 			if r == 0 || times.Total() < best.Total() {
 				best = times
 			}
@@ -372,9 +404,9 @@ func WeakScaling(w io.Writer, cfg Config) {
 	tbl.Render(w)
 }
 
-// Ablations runs the design-choice comparisons of DESIGN.md §6 on the
-// largest NLCD surrogate and prints one table per question (the text mirror
-// of the BenchmarkAblation* families, for readers who do not drive
+// Ablations runs the design-choice comparisons on the largest NLCD
+// surrogate and prints one table per question (the text mirror of the
+// BenchmarkAblation* families, for readers who do not drive
 // `go test -bench`).
 func Ablations(w io.Writer, cfg Config) {
 	specs := NLCDImages(cfg.Scale)
@@ -389,39 +421,32 @@ func Ablations(w io.Writer, cfg Config) {
 	tbl := harness.NewTable("Question", "Variant", "Best ms")
 	// 1. Union-find under a fixed pair-row scan.
 	tbl.AddRow("union-find (pair scan fixed)", "REMSP (paper)",
-		harness.Msec(measure(func() { core.AREMSP(img) })))
+		harness.Msec(measure(func() { runAREMSP(img) })))
 	tbl.AddRow("", "He rtable (ARUN)",
 		harness.Msec(measure(func() { baseline.ARUN(img) })))
 	// 2. Scan strategy under fixed REMSP.
 	tbl.AddRow("scan (REMSP fixed)", "pair-row (paper)",
-		harness.Msec(measure(func() { core.AREMSP(img) })))
+		harness.Msec(measure(func() { runAREMSP(img) })))
 	tbl.AddRow("", "decision tree",
-		harness.Msec(measure(func() { core.CCLREMSP(img) })))
+		harness.Msec(measure(func() { runCCLREMSP(img) })))
 	// 3. Boundary merger.
 	tbl.AddRow("boundary merger (24 threads)", "locked (paper)",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24, Merger: core.MergerLocked})
+			phases(img, core.Options{Threads: 24, Merger: core.MergerLocked})
 		})))
 	tbl.AddRow("", "lock-free CAS",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24, Merger: core.MergerCAS})
+			phases(img, core.Options{Threads: 24, Merger: core.MergerCAS})
 		})))
 	// 4. Relabel pass.
 	tbl.AddRow("final relabel (24 threads)", "parallel (paper)",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24})
+			phases(img, core.Options{Threads: 24})
 		})))
 	tbl.AddRow("", "sequential",
 		harness.Msec(measure(func() {
-			core.PAREMSPTimed(img, core.Options{Threads: 24, SequentialRelabel: true})
+			phases(img, core.Options{Threads: 24, SequentialRelabel: true})
 		})))
-	// 5. Decomposition.
-	tbl.AddRow("decomposition (24 workers)", "row chunks (paper)",
-		harness.Msec(measure(func() { core.PAREMSP(img, 24) })))
-	tbl.AddRow("", "tiles 6x4",
-		harness.Msec(measure(func() { core.PAREMSP2D(img, 6, 4, 24) })))
-	tbl.AddRow("", "tiles 4x6",
-		harness.Msec(measure(func() { core.PAREMSP2D(img, 4, 6, 24) })))
 	tbl.Render(w)
 }
 
@@ -454,7 +479,7 @@ func Fig3(w io.Writer, cfg Config) {
 		fmt.Fprintf(w, "fig3: %v\n", err)
 		return
 	}
-	_, n := core.AREMSP(img)
+	_, n := runAREMSP(img)
 	fmt.Fprintf(w, "Figure 3: im2bw(0.5) conversion demo\n")
 	tbl := harness.NewTable("Stage", "Pixels", "Foreground", "Density", "Components")
 	tbl.AddRow("grayscale", fmt.Sprintf("%dx%d", width, height), "-", "-", "-")

@@ -146,7 +146,7 @@ func TestAblationsRenders(t *testing.T) {
 	var sb strings.Builder
 	experiments.Ablations(&sb, tinyConfig)
 	out := sb.String()
-	for _, want := range []string{"Ablations", "REMSP (paper)", "lock-free CAS", "row chunks"} {
+	for _, want := range []string{"Ablations", "REMSP (paper)", "lock-free CAS"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablations output missing %q:\n%s", want, out)
 		}

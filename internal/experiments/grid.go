@@ -8,9 +8,9 @@ import (
 	"sort"
 	"time"
 
+	paremsp "repro"
 	"repro/internal/baseline"
 	"repro/internal/binimg"
-	"repro/internal/core"
 )
 
 // GridAlg is one algorithm the grid runner can sweep. Sequential algorithms
@@ -28,12 +28,12 @@ type GridAlg struct {
 // algorithms, the bit-packed pair, and the two parallel algorithms).
 var GridAlgs = []GridAlg{
 	{"CCLLRPC", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.CCLLRPC(im) }},
-	{"CCLRemSP", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return core.CCLREMSP(im) }},
+	{"CCLRemSP", false, label(paremsp.AlgCCLREMSP)},
 	{"ARun", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.ARUN(im) }},
-	{"ARemSP", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return core.AREMSP(im) }},
-	{"BREMSP", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return core.BREMSP(im) }},
-	{"PAREMSP", true, core.PAREMSP},
-	{"PBREMSP", true, core.PBREMSP},
+	{"ARemSP", false, label(paremsp.AlgAREMSP)},
+	{"BREMSP", false, label(paremsp.AlgBREMSP)},
+	{"PAREMSP", true, label(paremsp.AlgPAREMSP)},
+	{"PBREMSP", true, label(paremsp.AlgPBREMSP)},
 }
 
 // gridAlgByName resolves a registry entry; ok is false for unknown names.

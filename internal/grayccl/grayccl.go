@@ -6,11 +6,16 @@
 //
 // The implementation is the paper's machinery with the foreground test
 // generalized to value equality: the two-rows-at-a-time scan (Alg. 6) plus
-// REM's union-find with splicing, and the chunked parallel version with
-// concurrent boundary merging (Alg. 7/8). Equality is transitive, which is
-// what lets the pair-scan's case analysis skip neighbors the way the binary
-// algorithm does; the tolerance-based variant (LabelDelta) loses
-// transitivity and therefore uses the exhaustive-neighbor scan.
+// REM's union-find with splicing, run as a core.Kernel — chunked scans over
+// disjoint label ranges, concurrent seam merges (Alg. 7/8), flatten,
+// relabel — with one chunk as the sequential case. Equality is
+// transitive, which is what lets the pair-scan's case analysis skip
+// neighbors the way the binary algorithm does; the tolerance-based variant
+// (LabelDeltaIntoCtx) loses transitivity and therefore uses the
+// exhaustive-neighbor scan, as a kernel that is never split.
+//
+// A canceled labeling leaves its label map and Scratch in an undefined but
+// reusable state; callers must discard the result.
 package grayccl
 
 import (
@@ -18,6 +23,8 @@ import (
 	"fmt"
 
 	"repro/internal/binimg"
+	"repro/internal/core"
+	"repro/internal/poll"
 	"repro/internal/unionfind"
 )
 
@@ -52,29 +59,48 @@ func (im *Image) Set(x, y int, v uint8) {
 	im.Pix[y*im.Width+x] = v
 }
 
-// Label computes the gray-level connected components of img sequentially
-// (pair-row scan + REMSP). Labels are consecutive 1..n; returns the label
-// map and n.
-func Label(img *Image) (*binimg.LabelMap, int) {
-	lm := binimg.NewLabelMap(img.Width, img.Height)
-	p := make([]binimg.Label, MaxLabels(img.Width, img.Height)+1)
-	n, _ := LabelIntoCtx(context.Background(), img, lm, p)
-	return lm, n
+// Reset reshapes im to width×height, reusing the pixel buffer when large
+// enough (the binimg.Image contract); contents are zeroed.
+func (im *Image) Reset(width, height int) {
+	if width < 0 || height < 0 {
+		panic(fmt.Sprintf("grayccl: negative dimensions %dx%d", width, height))
+	}
+	n := width * height
+	if cap(im.Pix) < n {
+		im.Pix = make([]uint8, n)
+	} else {
+		im.Pix = im.Pix[:n]
+		clear(im.Pix)
+	}
+	im.Width, im.Height = width, height
 }
 
-// PLabel is the parallel version of Label: row-pair chunks scanned
-// concurrently with disjoint label ranges, boundary rows merged with the
-// concurrent lock-based REM union, sparse flatten, relabel.
-func PLabel(img *Image, threads int) (*binimg.LabelMap, int) {
-	lm := binimg.NewLabelMap(img.Width, img.Height)
-	p := make([]binimg.Label, MaxLabels(img.Width, img.Height)+1)
-	n, _ := PLabelIntoCtx(context.Background(), img, lm, p, nil, threads)
-	return lm, n
+// LabelIntoCtx computes the gray-level connected components of img into lm
+// (reshaped with Reset; every pixel labeled, labels consecutive 1..n) and
+// returns n. Row-pair chunks are scanned concurrently with disjoint label
+// ranges — gray labels have no independent-set bound, since every pixel may
+// open a component, so each row pair budgets 2*w labels — and seam rows are
+// merged with opt.Merger. One thread is the sequential labeler. The
+// equivalence buffers come from sc (nil allocates fresh ones); the scan and
+// relabel poll ctx every 64 rows.
+func LabelIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, error) {
+	w := img.Width
+	lm.Reset(w, img.Height)
+	k := core.Kernel{
+		Rows: img.Height, Unit: 2, Stride: 2 * w,
+		Scan: func(c *core.Chunk) (binimg.Label, bool) {
+			return grayPairRows(img, lm, c.P, c.Offset, c.Lo, c.Hi, c.Done)
+		},
+		Seam:    func(c *core.Chunk, merge func(x, y binimg.Label)) { mergeGrayBoundary(img, lm, merge, c.Lo) },
+		Relabel: func(c *core.Chunk) bool { return core.RelabelFlat(c, lm.L[c.Lo*w:c.Hi*w], w) },
+	}
+	n, _, err := k.Run(ctx, sc, opt)
+	return n, err
 }
 
 // grayPairRows is the pair-row scan of Alg. 6 with the foreground predicate
 // generalized to gray-value equality. It labels rows [rowStart, rowEnd),
-// drawing labels from offset+1 upward, polling done every pollRows row
+// drawing labels from offset+1 upward, polling done every poll.Rows row
 // pairs. Returns the last label used and whether it ran to completion.
 func grayPairRows(img *Image, lm *binimg.LabelMap, p []binimg.Label, offset binimg.Label, rowStart, rowEnd int, done <-chan struct{}) (binimg.Label, bool) {
 	w := img.Width
@@ -87,7 +113,7 @@ func grayPairRows(img *Image, lm *binimg.LabelMap, p []binimg.Label, offset bini
 		return count
 	}
 	for r := rowStart; r < rowEnd; r += 2 {
-		if (r-rowStart)%(2*pollRows) == 0 && stopped(done) {
+		if (r-rowStart)%(2*poll.Rows) == 0 && poll.Stopped(done) {
 			return count, false
 		}
 		row := r * w
@@ -179,7 +205,7 @@ func grayPairRows(img *Image, lm *binimg.LabelMap, p []binimg.Label, offset bini
 
 // mergeGrayBoundary unites each pixel of a chunk-start row with its
 // equal-valued neighbors in the row above.
-func mergeGrayBoundary(img *Image, lm *binimg.LabelMap, p []binimg.Label, lt *unionfind.LockTable, row int) {
+func mergeGrayBoundary(img *Image, lm *binimg.LabelMap, merge func(x, y binimg.Label), row int) {
 	w := img.Width
 	pix := img.Pix
 	lab := lm.L
@@ -188,32 +214,39 @@ func mergeGrayBoundary(img *Image, lm *binimg.LabelMap, p []binimg.Label, lt *un
 	for x := 0; x < w; x++ {
 		e := pix[base+x]
 		if pix[up+x] == e {
-			unionfind.MergeLocked(p, lt, lab[base+x], lab[up+x])
+			merge(lab[base+x], lab[up+x])
 			continue
 		}
 		if x > 0 && pix[up+x-1] == e {
-			unionfind.MergeLocked(p, lt, lab[base+x], lab[up+x-1])
+			merge(lab[base+x], lab[up+x-1])
 		}
 		if x+1 < w && pix[up+x+1] == e {
-			unionfind.MergeLocked(p, lt, lab[base+x], lab[up+x+1])
+			merge(lab[base+x], lab[up+x+1])
 		}
 	}
 }
 
-// LabelDelta labels components under the tolerance predicate
+// LabelDeltaIntoCtx labels components under the tolerance predicate
 // |v(p) - v(q)| <= delta for adjacent pixels (8-connectivity), taking the
 // transitive closure: a gradual ramp is one component even though its ends
 // differ by more than delta. Tolerance is not transitive, so the exhaustive
-// Rosenfeld scan is used (every visited neighbor examined and merged).
-func LabelDelta(img *Image, delta uint8) (*binimg.LabelMap, int) {
-	lm := binimg.NewLabelMap(img.Width, img.Height)
-	p := make([]binimg.Label, MaxLabels(img.Width, img.Height)+1)
-	n, _ := LabelDeltaIntoCtx(context.Background(), img, lm, p, delta)
-	return lm, n
+// Rosenfeld scan is used (every visited neighbor examined and merged), as a
+// kernel that is never split. Buffers and cancellation follow LabelIntoCtx.
+func LabelDeltaIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, delta uint8) (int, error) {
+	w, h := img.Width, img.Height
+	lm.Reset(w, h)
+	k := core.Kernel{
+		Rows: h, Unit: h, Stride: w * h,
+		Scan:    func(c *core.Chunk) (binimg.Label, bool) { return deltaScan(img, lm, c.P, delta, c.Done) },
+		Relabel: func(c *core.Chunk) bool { return core.RelabelFlat(c, lm.L, w) },
+	}
+	n, _, err := k.Run(ctx, sc, core.Options{})
+	return n, err
 }
 
-// deltaScan is LabelDelta's exhaustive Rosenfeld scan, polling done every
-// pollRows rows. Returns the last label used and whether it completed.
+// deltaScan is LabelDeltaIntoCtx's exhaustive Rosenfeld scan, polling done
+// every poll.Rows rows. Returns the last label used and whether it
+// completed.
 func deltaScan(img *Image, lm *binimg.LabelMap, p []binimg.Label, delta uint8, done <-chan struct{}) (binimg.Label, bool) {
 	w, h := img.Width, img.Height
 	pix := img.Pix
@@ -226,7 +259,7 @@ func deltaScan(img *Image, lm *binimg.LabelMap, p []binimg.Label, delta uint8, d
 		return b-a <= delta
 	}
 	for y := 0; y < h; y++ {
-		if y%pollRows == 0 && stopped(done) {
+		if y%poll.Rows == 0 && poll.Stopped(done) {
 			return count, false
 		}
 		row := y * w
@@ -268,7 +301,7 @@ func deltaScan(img *Image, lm *binimg.LabelMap, p []binimg.Label, delta uint8, d
 }
 
 // FloodFill is the gray-level reference labeler (exact equality,
-// 8-connectivity), used to verify Label and PLabel.
+// 8-connectivity), used to verify LabelIntoCtx.
 func FloodFill(img *Image) (*binimg.LabelMap, int) {
 	w, h := img.Width, img.Height
 	lm := binimg.NewLabelMap(w, h)

@@ -1,15 +1,33 @@
 package grayccl_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/baseline"
 	"repro/internal/binimg"
+	"repro/internal/core"
 	"repro/internal/grayccl"
 	"repro/internal/stats"
 )
+
+// plabel labels img at the given thread count into a fresh map; one thread
+// is the sequential labeler.
+func plabel(img *grayccl.Image, threads int) (*binimg.LabelMap, int) {
+	lm := &binimg.LabelMap{}
+	n, _ := grayccl.LabelIntoCtx(context.Background(), img, lm, nil, core.Options{Threads: threads})
+	return lm, n
+}
+
+func label(img *grayccl.Image) (*binimg.LabelMap, int) { return plabel(img, 1) }
+
+func labelDelta(img *grayccl.Image, delta uint8) (*binimg.LabelMap, int) {
+	lm := &binimg.LabelMap{}
+	n, _ := grayccl.LabelDeltaIntoCtx(context.Background(), img, lm, nil, delta)
+	return lm, n
+}
 
 func randomGray(rng *rand.Rand, maxW, maxH, levels int) *grayccl.Image {
 	w, h := 1+rng.Intn(maxW), 1+rng.Intn(maxH)
@@ -25,7 +43,7 @@ func TestLabelUniformImage(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = 200
 	}
-	lm, n := grayccl.Label(img)
+	lm, n := label(img)
 	if n != 1 {
 		t.Fatalf("uniform image: n = %d, want 1", n)
 	}
@@ -50,7 +68,7 @@ func TestLabelEveryPixelDistinct(t *testing.T) {
 			img.Pix[y*6+x] = uint8(2*(y%2) + x%2)
 		}
 	}
-	lm, n := grayccl.Label(img)
+	lm, n := label(img)
 	ref, nRef := grayccl.FloodFill(img)
 	if n != nRef {
 		t.Fatalf("n = %d, reference %d", n, nRef)
@@ -64,7 +82,7 @@ func TestPropertyLabelMatchesFloodFill(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomGray(rng, 30, 30, 2+rng.Intn(5))
-		lm, n := grayccl.Label(img)
+		lm, n := label(img)
 		ref, nRef := grayccl.FloodFill(img)
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
@@ -77,8 +95,8 @@ func TestPropertyPLabelMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomGray(rng, 40, 40, 2+rng.Intn(6))
-		ref, nRef := grayccl.Label(img)
-		lm, n := grayccl.PLabel(img, 1+rng.Intn(12))
+		ref, nRef := label(img)
+		lm, n := plabel(img, 1+rng.Intn(12))
 		return n == nRef && stats.Equivalent(lm, ref) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -95,7 +113,7 @@ func TestPLabelThreadSweep(t *testing.T) {
 		}
 		ref, nRef := grayccl.FloodFill(img)
 		for threads := 1; threads <= 12; threads++ {
-			lm, n := grayccl.PLabel(img, threads)
+			lm, n := plabel(img, threads)
 			if n != nRef {
 				t.Fatalf("h=%d threads=%d: n=%d want %d", h, threads, n, nRef)
 			}
@@ -120,7 +138,7 @@ func TestBinaryConsistency(t *testing.T) {
 			bin.Pix[i] = v
 			gray.Pix[i] = v * 255
 		}
-		_, nGray := grayccl.Label(gray)
+		_, nGray := label(gray)
 		_, nFg := baseline.FloodFill(bin, baseline.Conn8)
 		inv := bin.Clone()
 		inv.Invert()
@@ -136,8 +154,8 @@ func TestLabelDeltaZeroEqualsExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		img := randomGray(rng, 25, 25, 4)
-		a, na := grayccl.LabelDelta(img, 0)
-		b, nb := grayccl.Label(img)
+		a, na := labelDelta(img, 0)
+		b, nb := label(img)
 		return na == nb && stats.Equivalent(a, b) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -151,7 +169,7 @@ func TestLabelDeltaMonotone(t *testing.T) {
 		img := randomGray(rng, 25, 25, 256)
 		prev := -1
 		for _, delta := range []uint8{0, 8, 32, 128, 255} {
-			_, n := grayccl.LabelDelta(img, delta)
+			_, n := labelDelta(img, delta)
 			if prev != -1 && n > prev {
 				return false // widening tolerance can only merge components
 			}
@@ -171,27 +189,27 @@ func TestLabelDeltaRampTransitiveClosure(t *testing.T) {
 	for x := 0; x < 10; x++ {
 		img.Pix[x] = uint8(10 * x)
 	}
-	if _, n := grayccl.LabelDelta(img, 10); n != 1 {
+	if _, n := labelDelta(img, 10); n != 1 {
 		t.Fatalf("ramp with delta 10: n = %d, want 1", n)
 	}
-	if _, n := grayccl.LabelDelta(img, 9); n != 10 {
+	if _, n := labelDelta(img, 9); n != 10 {
 		t.Fatalf("ramp with delta 9: n = %d, want 10", n)
 	}
 }
 
 func TestDegenerateImages(t *testing.T) {
 	empty := grayccl.New(0, 0)
-	if _, n := grayccl.Label(empty); n != 0 {
+	if _, n := label(empty); n != 0 {
 		t.Fatal("0x0 image must have 0 components")
 	}
-	if _, n := grayccl.PLabel(empty, 4); n != 0 {
+	if _, n := plabel(empty, 4); n != 0 {
 		t.Fatal("0x0 parallel must have 0 components")
 	}
-	if _, n := grayccl.LabelDelta(empty, 5); n != 0 {
+	if _, n := labelDelta(empty, 5); n != 0 {
 		t.Fatal("0x0 delta must have 0 components")
 	}
 	one := grayccl.New(1, 1)
-	if _, n := grayccl.Label(one); n != 1 {
+	if _, n := label(one); n != 1 {
 		t.Fatal("1x1 image must have 1 component")
 	}
 }
@@ -224,9 +242,9 @@ func TestLabelsAreConsecutive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	img := randomGray(rng, 40, 40, 5)
 	for name, run := range map[string]func() (*binimg.LabelMap, int){
-		"Label":      func() (*binimg.LabelMap, int) { return grayccl.Label(img) },
-		"PLabel":     func() (*binimg.LabelMap, int) { return grayccl.PLabel(img, 7) },
-		"LabelDelta": func() (*binimg.LabelMap, int) { return grayccl.LabelDelta(img, 1) },
+		"Label":      func() (*binimg.LabelMap, int) { return label(img) },
+		"PLabel":     func() (*binimg.LabelMap, int) { return plabel(img, 7) },
+		"LabelDelta": func() (*binimg.LabelMap, int) { return labelDelta(img, 1) },
 	} {
 		lm, n := run()
 		seen := make(map[binimg.Label]bool)

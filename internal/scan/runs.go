@@ -1,6 +1,9 @@
 package scan
 
-import "repro/internal/binimg"
+import (
+	"repro/internal/binimg"
+	"repro/internal/poll"
+)
 
 // Run aliases the repository-wide run record (a [Start, End) span of
 // foreground pixels in one row plus its provisional label).
@@ -47,19 +50,14 @@ func (rs *RunSet) RowRuns(y int) []Run {
 // the previous row overlapping [s-1, e+1) (8-connectivity). Runs of adjacent
 // rows are both sorted, so one two-pointer sweep finds all overlaps; sink
 // calls happen only per run and per overlap, never per pixel.
-func Runs(bm *binimg.Bitmap, sink Sink, rowStart, rowEnd int, rs *RunSet) {
-	RunsUntil(bm, sink, rowStart, rowEnd, rs, nil)
-}
-
-// RunsUntil is Runs with cooperative cancellation: every pollRows rows it
-// polls done and, if the channel is closed, abandons the scan and reports
-// false. A nil done never cancels. On a stop rs holds only the rows scanned
-// so far — callers must discard the labeling.
-func RunsUntil(bm *binimg.Bitmap, sink Sink, rowStart, rowEnd int, rs *RunSet, done <-chan struct{}) bool {
+//
+// Cancellation follows DecisionTree; on a stop rs holds only the rows
+// scanned so far.
+func Runs(bm *binimg.Bitmap, sink Sink, rowStart, rowEnd int, rs *RunSet, done <-chan struct{}) bool {
 	rs.Reset(rowStart)
 	prevLo, prevHi := 0, 0
 	for y := rowStart; y < rowEnd; y++ {
-		if done != nil && (y-rowStart)%pollRows == 0 && stopRequested(done) {
+		if done != nil && (y-rowStart)%poll.Rows == 0 && poll.Stopped(done) {
 			return false
 		}
 		lo := len(rs.Runs)

@@ -34,7 +34,7 @@ func runsComponents(t *testing.T, art string) int {
 	bm.FromImage(im)
 	sink := newRunSink(scan.MaxRunLabels(im.Width, im.Height))
 	rs := &scan.RunSet{}
-	scan.Runs(bm, sink, 0, im.Height, rs)
+	scan.Runs(bm, sink, 0, im.Height, rs, nil)
 	return int(unionfind.Flatten(sink.p, sink.count))
 }
 
@@ -101,12 +101,12 @@ func TestRunsMatchesDecisionTree(t *testing.T) {
 
 				rsink := newRunSink(scan.MaxRunLabels(w, h))
 				rs := &scan.RunSet{}
-				scan.Runs(bm, rsink, 0, h, rs)
+				scan.Runs(bm, rsink, 0, h, rs, nil)
 				nRuns := int(unionfind.Flatten(rsink.p, rsink.count))
 
 				dsink := newRunSink(scan.MaxProvisionalLabels(w, h))
 				lm := binimg.NewLabelMap(w, h)
-				scan.DecisionTree(im, lm, dsink, 0, h)
+				scan.DecisionTree(im, lm, dsink, 0, h, nil)
 				nTree := int(unionfind.Flatten(dsink.p, dsink.count))
 
 				if nRuns != nTree {
@@ -142,7 +142,7 @@ func TestRunSetRowRuns(t *testing.T) {
 	bm.FromImage(im)
 	sink := newRunSink(scan.MaxRunLabels(im.Width, im.Height))
 	rs := &scan.RunSet{}
-	scan.Runs(bm, sink, 1, 3, rs) // chunked: skip row 0
+	scan.Runs(bm, sink, 1, 3, rs, nil) // chunked: skip row 0
 	if rs.Row0 != 1 || rs.Rows() != 2 {
 		t.Fatalf("Row0=%d Rows=%d, want 1, 2", rs.Row0, rs.Rows())
 	}

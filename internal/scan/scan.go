@@ -16,7 +16,10 @@
 // scan-vs-scan comparisons.
 package scan
 
-import "repro/internal/binimg"
+import (
+	"repro/internal/binimg"
+	"repro/internal/poll"
+)
 
 // Label aliases the repository-wide label type.
 type Label = binimg.Label
@@ -30,26 +33,6 @@ type Sink interface {
 	Merge(x, y Label) Label
 }
 
-// pollRows is how many rows a cancelable scan processes between polls of its
-// done channel. 64 rows amortizes the poll to well under the cost of scanning
-// one row, so an armed channel is ~free and a nil channel costs one predicted
-// branch per row.
-const pollRows = 64
-
-// stopRequested reports whether done is closed without blocking. A nil done
-// never stops, so the non-cancelable entry points stay zero-cost.
-func stopRequested(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
 // DecisionTree runs the Wu-Otoo-Suzuki decision-tree scan over rows
 // [rowStart, rowEnd) of img, writing provisional labels into lm. Rows above
 // rowStart are never read (rowStart behaves like the top of the image), which
@@ -60,21 +43,17 @@ func stopRequested(done <-chan struct{}) bool {
 // else a; else d; else new label. Two-argument copies are the only merge
 // sites — the tree guarantees all other configurations are already
 // equivalent.
-func DecisionTree(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowStart, rowEnd int) {
-	DecisionTreeUntil(img, lm, sink, rowStart, rowEnd, nil)
-}
-
-// DecisionTreeUntil is DecisionTree with cooperative cancellation: every
-// pollRows rows it polls done and, if the channel is closed, abandons the
-// scan and reports false. A nil done never cancels. Labels written before the
-// stop remain in lm but the scan is incomplete — callers must discard the
-// labeling.
-func DecisionTreeUntil(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowStart, rowEnd int, done <-chan struct{}) bool {
+//
+// Every poll.Rows rows the scan polls done and, if the channel is closed,
+// abandons the scan and reports false. A nil done never cancels. Labels
+// written before the stop remain in lm but the scan is incomplete — callers
+// must discard the labeling.
+func DecisionTree(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowStart, rowEnd int, done <-chan struct{}) bool {
 	w := img.Width
 	pix := img.Pix
 	lab := lm.L
 	for y := rowStart; y < rowEnd; y++ {
-		if done != nil && (y-rowStart)%pollRows == 0 && stopRequested(done) {
+		if done != nil && (y-rowStart)%poll.Rows == 0 && poll.Stopped(done) {
 			return false
 		}
 		row := y * w
@@ -131,23 +110,18 @@ func DecisionTreeUntil(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowSta
 // For each column x the scan labels e = (x, r) and g = (x, r+1) together.
 // Mask: a, b, c = row r-1 at x-1, x, x+1; d = (x-1, r); f = (x-1, r+1).
 //
-// Two pseudo-code typos in the paper's Alg. 6 are corrected here (see
-// DESIGN.md §3): line 14 merges label(e) with label(a), and the new-label
-// assignment in the e==0 branch goes to g. The trailing "if image(g):
-// label(g) = label(e)" applies to every e==1 case.
-func PairRows(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowStart, rowEnd int) {
-	PairRowsUntil(img, lm, sink, rowStart, rowEnd, nil)
-}
-
-// PairRowsUntil is PairRows with cooperative cancellation: every pollRows
-// row pairs it polls done and, if the channel is closed, abandons the scan
-// and reports false. A nil done never cancels.
-func PairRowsUntil(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowStart, rowEnd int, done <-chan struct{}) bool {
+// Two pseudo-code typos in the paper's Alg. 6 are corrected here: line 14
+// merges label(e) with label(a), and the new-label assignment in the e==0
+// branch goes to g. The trailing "if image(g): label(g) = label(e)" applies
+// to every e==1 case.
+//
+// Cancellation follows DecisionTree, polling done every poll.Rows row pairs.
+func PairRows(img *binimg.Image, lm *binimg.LabelMap, sink Sink, rowStart, rowEnd int, done <-chan struct{}) bool {
 	w := img.Width
 	pix := img.Pix
 	lab := lm.L
 	for r := rowStart; r < rowEnd; r += 2 {
-		if done != nil && (r-rowStart)%(2*pollRows) == 0 && stopRequested(done) {
+		if done != nil && (r-rowStart)%(2*poll.Rows) == 0 && poll.Stopped(done) {
 			return false
 		}
 		row := r * w

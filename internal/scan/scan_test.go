@@ -12,6 +12,14 @@ import (
 	"repro/internal/unionfind"
 )
 
+// plain drops the done channel of a cancelable scan, giving it the shape of
+// the uncancelable ones.
+func plain(f func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int, <-chan struct{}) bool) func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int) {
+	return func(img *binimg.Image, lm *binimg.LabelMap, sink scan.Sink, lo, hi int) {
+		f(img, lm, sink, lo, hi, nil)
+	}
+}
+
 // runScan executes one scan strategy with a REM sink and returns the final
 // consecutive labeling.
 func runScan(t *testing.T, img *binimg.Image,
@@ -45,7 +53,7 @@ func enumerate(w, h int, mask uint32) *binimg.Image {
 func TestDecisionTreeExhaustiveMask(t *testing.T) {
 	for mask := uint32(0); mask < 1<<6; mask++ {
 		img := enumerate(3, 2, mask)
-		lm, n := runScan(t, img, scan.DecisionTree, scan.MaxProvisionalLabels(3, 2))
+		lm, n := runScan(t, img, plain(scan.DecisionTree), scan.MaxProvisionalLabels(3, 2))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %06b: n = %d, want %d\nimage:\n%s\ngot:\n%s\nwant:\n%s",
@@ -62,7 +70,7 @@ func TestDecisionTreeExhaustiveMask(t *testing.T) {
 func TestDecisionTreeExhaustive4x3(t *testing.T) {
 	for mask := uint32(0); mask < 1<<12; mask++ {
 		img := enumerate(4, 3, mask)
-		lm, n := runScan(t, img, scan.DecisionTree, scan.MaxProvisionalLabels(4, 3))
+		lm, n := runScan(t, img, plain(scan.DecisionTree), scan.MaxProvisionalLabels(4, 3))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %012b: n = %d, want %d\nimage:\n%s", mask, n, nRef, img)
@@ -80,7 +88,7 @@ func TestDecisionTreeExhaustive4x3(t *testing.T) {
 func TestPairRowsExhaustiveMask(t *testing.T) {
 	for mask := uint32(0); mask < 1<<9; mask++ {
 		img := enumerate(3, 3, mask)
-		lm, n := runScan(t, img, scan.PairRows, scan.MaxProvisionalLabels(3, 3))
+		lm, n := runScan(t, img, plain(scan.PairRows), scan.MaxProvisionalLabels(3, 3))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %09b: n = %d, want %d\nimage:\n%s\ngot:\n%s\nwant:\n%s",
@@ -100,7 +108,7 @@ func TestPairRowsExhaustive4x4(t *testing.T) {
 	}
 	for mask := uint32(0); mask < 1<<16; mask++ {
 		img := enumerate(4, 4, mask)
-		lm, n := runScan(t, img, scan.PairRows, scan.MaxProvisionalLabels(4, 4))
+		lm, n := runScan(t, img, plain(scan.PairRows), scan.MaxProvisionalLabels(4, 4))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("mask %016b: n = %d, want %d\nimage:\n%s", mask, n, nRef, img)
@@ -120,7 +128,7 @@ func TestPairRowsOddHeight(t *testing.T) {
 		for i := range img.Pix {
 			img.Pix[i] = uint8(rng.Intn(2))
 		}
-		lm, n := runScan(t, img, scan.PairRows, scan.MaxProvisionalLabels(3, 5))
+		lm, n := runScan(t, img, plain(scan.PairRows), scan.MaxProvisionalLabels(3, 5))
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Fatalf("trial %d: n = %d, want %d\nimage:\n%s", trial, n, nRef, img)
@@ -174,8 +182,8 @@ func TestScanRangeIgnoresRowsAbove(t *testing.T) {
 		name string
 		f    func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int)
 	}{
-		{"DecisionTree", scan.DecisionTree},
-		{"PairRows", scan.PairRows},
+		{"DecisionTree", plain(scan.DecisionTree)},
+		{"PairRows", plain(scan.PairRows)},
 		{"AllNeighbors8", scan.AllNeighbors8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,7 +225,7 @@ func TestMaxProvisionalLabelsBound(t *testing.T) {
 		t.Fatalf("MaxProvisionalLabels(21,17) = %d, want %d", got, want)
 	}
 	for _, f := range []func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int){
-		scan.DecisionTree, scan.PairRows, scan.AllNeighbors8,
+		plain(scan.DecisionTree), plain(scan.PairRows), scan.AllNeighbors8,
 	} {
 		lm := binimg.NewLabelMap(21, 17)
 		sink := core.NewRemSink(want)
@@ -258,8 +266,8 @@ func TestScansOnEmptyAndFull(t *testing.T) {
 		name string
 		f    func(*binimg.Image, *binimg.LabelMap, scan.Sink, int, int)
 	}{
-		{"DecisionTree", scan.DecisionTree},
-		{"PairRows", scan.PairRows},
+		{"DecisionTree", plain(scan.DecisionTree)},
+		{"PairRows", plain(scan.PairRows)},
 		{"AllNeighbors8", scan.AllNeighbors8},
 		{"AllNeighbors4", scan.AllNeighbors4},
 	} {

@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -50,7 +51,8 @@ func TestComponentsAreaSumsToForeground(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = uint8(rng.Intn(2))
 	}
-	lm, _ := core.AREMSP(img)
+	lm := &binimg.LabelMap{}
+	core.PAREMSP(context.Background(), img, lm, nil, core.Options{Threads: 1}) // AREMSP
 	total := 0
 	for _, c := range stats.Components(lm) {
 		total += c.Area

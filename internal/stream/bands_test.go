@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/pnm"
 	"repro/internal/stats"
@@ -81,7 +80,7 @@ func TestLabelBandsMatchesInMemory(t *testing.T) {
 			if err := stats.Validate(img, lm, n, true); err != nil {
 				t.Fatalf("%s/band%d: invalid labeling: %v", tc.name, bandRows, err)
 			}
-			want, wn := core.BREMSP(img)
+			want, wn := aremsp(img)
 			if wn != n {
 				t.Fatalf("%s/band%d: %d components, in-memory found %d", tc.name, bandRows, n, wn)
 			}

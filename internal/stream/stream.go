@@ -3,30 +3,9 @@
 // binary raster) on machines without the paper's 32 GB node — and owns the
 // CCL1 label-stream format those labelings are exchanged in.
 //
-// Two out-of-core labelers write CCL1:
-//
-//   - LabelBands (the cmd/ccstream path) drives the fixed-memory band
-//     labeler of internal/band: resident memory is O(one band), independent
-//     of the image height, and per-component statistics come back for free.
-//   - LabelPBM is the original row-streaming decision-tree labeler below;
-//     its parent array still grows with the full image (one slot per
-//     possible provisional label, up to ceil(w/2)*ceil(h/2)), so LabelBands
-//     supersedes it for very tall rasters.
-//
-// LabelPBM makes the classic two-pass structure out-of-core:
-//
-//	pass 1: the PBM (P4) stream is decoded row by row; the decision-tree
-//	        scan runs with only two rows of pixels and two rows of labels
-//	        resident, recording equivalences in a REM parent array and
-//	        spilling each row's provisional labels to scratch storage;
-//	pass 2: FLATTEN resolves the parent array, the spill is re-read
-//	        sequentially, and final labels stream to the output.
-//
-// Resident memory is O(width) for the rows plus the parent array, whose
-// length is bounded by the provisional-label count (at most
-// ceil(w/2)*ceil(h/2) — see scan.MaxProvisionalLabels), not by the pixel
-// count. The spill holds one int32 per pixel and is written and read
-// strictly sequentially, so a file on disk serves.
+// LabelBands (the cmd/ccstream path) drives the fixed-memory band labeler
+// of internal/band: resident memory is O(one band), independent of the
+// image height, and per-component statistics come back for free.
 //
 // The output format ("CCL1") is a little-endian header {magic, width,
 // height, components} followed by width*height int32 labels in raster
@@ -42,8 +21,7 @@ import (
 
 	"repro/internal/band"
 	"repro/internal/binimg"
-	"repro/internal/scan"
-	"repro/internal/unionfind"
+	"repro/internal/poll"
 )
 
 // Magic identifies the CCL1 label-stream format.
@@ -55,139 +33,14 @@ const maxDimension = 1 << 20
 // Label aliases the repository-wide label type.
 type Label = binimg.Label
 
-// LabelPBM labels the binary image arriving as a raw PBM (P4) stream on r,
-// using spill as scratch storage, and writes the CCL1 label stream to out.
-// Returns the component count.
-//
-// spill is written once front to back during pass 1, rewound, and read once
-// during pass 2; an *os.File on a scratch directory is the intended
-// implementation.
-func LabelPBM(r io.Reader, spill io.ReadWriteSeeker, out io.Writer) (int, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	w, h, err := readP4Header(br)
-	if err != nil {
-		return 0, err
-	}
-
-	p := make([]Label, scan.MaxProvisionalLabels(w, h)+1)
-	var count Label
-
-	stride := (w + 7) / 8
-	packed := make([]byte, stride)
-	prevPix := make([]uint8, w)
-	curPix := make([]uint8, w)
-	prevLab := make([]Label, w)
-	curLab := make([]Label, w)
-
-	sw := bufio.NewWriterSize(spill, 1<<16)
-	rowBytes := make([]byte, 4*w)
-
-	for y := 0; y < h; y++ {
-		if _, err := io.ReadFull(br, packed); err != nil {
-			return 0, fmt.Errorf("stream: P4 row %d: %w", y, err)
-		}
-		for x := 0; x < w; x++ {
-			if packed[x/8]&(0x80>>(x%8)) != 0 {
-				curPix[x] = 1
-			} else {
-				curPix[x] = 0
-			}
-			curLab[x] = 0
-		}
-
-		// Decision-tree scan over the two resident rows (paper Fig. 2).
-		for x := 0; x < w; x++ {
-			if curPix[x] == 0 {
-				continue
-			}
-			var a, b, c, d uint8
-			if y > 0 {
-				b = prevPix[x]
-				if x > 0 {
-					a = prevPix[x-1]
-				}
-				if x+1 < w {
-					c = prevPix[x+1]
-				}
-			}
-			if x > 0 {
-				d = curPix[x-1]
-			}
-			var le Label
-			switch {
-			case b != 0:
-				le = prevLab[x]
-			case c != 0:
-				switch {
-				case a != 0:
-					le = unionfind.MergeRemSP(p, prevLab[x+1], prevLab[x-1])
-				case d != 0:
-					le = unionfind.MergeRemSP(p, prevLab[x+1], curLab[x-1])
-				default:
-					le = prevLab[x+1]
-				}
-			case a != 0:
-				le = prevLab[x-1]
-			case d != 0:
-				le = curLab[x-1]
-			default:
-				count++
-				p[count] = count
-				le = count
-			}
-			curLab[x] = le
-		}
-
-		for x := 0; x < w; x++ {
-			binary.LittleEndian.PutUint32(rowBytes[4*x:], uint32(curLab[x]))
-		}
-		if _, err := sw.Write(rowBytes); err != nil {
-			return 0, fmt.Errorf("stream: spilling row %d: %w", y, err)
-		}
-		prevPix, curPix = curPix, prevPix
-		prevLab, curLab = curLab, prevLab
-	}
-	if err := sw.Flush(); err != nil {
-		return 0, fmt.Errorf("stream: flushing spill: %w", err)
-	}
-
-	n := unionfind.Flatten(p, count)
-
-	if _, err := spill.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("stream: rewinding spill: %w", err)
-	}
-	sr := bufio.NewReaderSize(spill, 1<<16)
-	bw := bufio.NewWriterSize(out, 1<<16)
-	if err := writeHeader(bw, w, h, int(n)); err != nil {
-		return 0, err
-	}
-	for y := 0; y < h; y++ {
-		if _, err := io.ReadFull(sr, rowBytes); err != nil {
-			return 0, fmt.Errorf("stream: reading spill row %d: %w", y, err)
-		}
-		for x := 0; x < w; x++ {
-			prov := Label(binary.LittleEndian.Uint32(rowBytes[4*x:]))
-			binary.LittleEndian.PutUint32(rowBytes[4*x:], uint32(p[prov]))
-		}
-		if _, err := bw.Write(rowBytes); err != nil {
-			return 0, fmt.Errorf("stream: writing row %d: %w", y, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	return int(n), nil
-}
-
 // LabelBands labels the image delivered by src with the fixed-memory band
 // labeler (internal/band) and writes a CCL1 label stream to out. During the
 // single streaming pass each row's provisional global component ids spill to
 // spill (written front to back, one int32 per pixel); once the stream
 // completes — and the final component numbering is known — the spill is
-// re-read sequentially and rewritten as final labels. Unlike LabelPBM, whose
-// parent array grows with the full image (O(w*h/4) labels), resident memory
-// here is O(one band + component table): the equivalence state resets every
-// band and only the seam runs cross band boundaries.
+// re-read sequentially and rewritten as final labels. Resident memory is
+// O(one band + component table): the equivalence state resets every band
+// and only the seam runs cross band boundaries.
 //
 // bandRows selects the band height (0 = band.DefaultBandRows). Returns the
 // band labeler's result: component count plus per-component statistics.
@@ -196,10 +49,7 @@ func LabelPBM(r io.Reader, spill io.ReadWriteSeeker, out io.Writer) (int, error)
 // bands and the rewrite pass every 64 rows. Pass context.Background() (or
 // nil) to never cancel.
 func LabelBands(ctx context.Context, src band.Source, spill io.ReadWriteSeeker, out io.Writer, bandRows int) (*band.Result, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := poll.Done(ctx)
 	w, h := src.Width(), src.Height()
 	sw := bufio.NewWriterSize(spill, 1<<16)
 	rowBytes := make([]byte, 4*w)
@@ -232,12 +82,8 @@ func LabelBands(ctx context.Context, src band.Source, spill io.ReadWriteSeeker, 
 		return nil, err
 	}
 	for y := 0; y < h; y++ {
-		if done != nil && y%64 == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
+		if y%poll.Rows == 0 && poll.Stopped(done) {
+			return nil, poll.Err(ctx)
 		}
 		if _, err := io.ReadFull(sr, rowBytes); err != nil {
 			return nil, fmt.Errorf("stream: reading spill row %d: %w", y, err)
@@ -256,56 +102,6 @@ func LabelBands(ctx context.Context, src band.Source, spill io.ReadWriteSeeker, 
 	return res, nil
 }
 
-func readP4Header(br *bufio.Reader) (int, int, error) {
-	tok := func() (string, error) {
-		var t []byte
-		for {
-			b, err := br.ReadByte()
-			if err != nil {
-				return "", err
-			}
-			switch {
-			case b == '#' && len(t) == 0:
-				if _, err := br.ReadString('\n'); err != nil {
-					return "", err
-				}
-			case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-				if len(t) > 0 {
-					return string(t), nil
-				}
-			default:
-				t = append(t, b)
-			}
-		}
-	}
-	magic, err := tok()
-	if err != nil {
-		return 0, 0, fmt.Errorf("stream: reading magic: %w", err)
-	}
-	if magic != "P4" {
-		return 0, 0, fmt.Errorf("stream: want raw PBM (P4), got %q", magic)
-	}
-	var w, h int
-	for _, dst := range []*int{&w, &h} {
-		t, err := tok()
-		if err != nil {
-			return 0, 0, fmt.Errorf("stream: reading dimensions: %w", err)
-		}
-		v := 0
-		for _, ch := range t {
-			if ch < '0' || ch > '9' {
-				return 0, 0, fmt.Errorf("stream: invalid dimension %q", t)
-			}
-			v = v*10 + int(ch-'0')
-			if v > maxDimension {
-				return 0, 0, fmt.Errorf("stream: dimension %q too large", t)
-			}
-		}
-		*dst = v
-	}
-	return w, h, nil
-}
-
 func writeHeader(w io.Writer, width, height, components int) error {
 	if _, err := io.WriteString(w, Magic); err != nil {
 		return err
@@ -319,7 +115,7 @@ func writeHeader(w io.Writer, width, height, components int) error {
 }
 
 // WriteLabels encodes an in-memory label map as a CCL1 label stream with
-// component count n in the header — the same format LabelPBM produces, so
+// component count n in the header — the same format LabelBands produces, so
 // services can hand in-memory labelings to consumers of the streaming
 // labeler's output.
 func WriteLabels(out io.Writer, lm *binimg.LabelMap, n int) error {

@@ -3,18 +3,21 @@
 // introduction and related work cite): a forward raster scan over voxels
 // that examines the 13 already-visited neighbors of the 26-neighborhood,
 // records equivalences in REM's union-find with splicing, flattens, and
-// relabels — plus a parallel version that slabs the volume along z exactly
-// the way PAREMSP chunks rows, merging slab-boundary planes with the
-// concurrent lock-based REM union.
+// relabels. It is a core.Kernel: the volume is slabbed along z exactly the
+// way PAREMSP chunks rows, slab-boundary planes are merged with the
+// concurrent REM union, and one slab is the sequential labeler.
+//
+// A canceled labeling leaves its label volume and Scratch in an undefined
+// but reusable state; callers must discard the result.
 package vol3d
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/binimg"
+	"repro/internal/core"
+	"repro/internal/poll"
 	"repro/internal/unionfind"
 )
 
@@ -100,7 +103,7 @@ var visited13 = [13][3]int{
 
 // scanRange labels the z-slab [zStart, zEnd) of vol into lv, drawing labels
 // from offset+1 in the shared parent array p; planes below zStart are never
-// read. Polls done every pollRows raster rows. Returns the last label used
+// read. Polls done every poll.Rows raster rows. Returns the last label used
 // and whether it ran to completion.
 func scanRange(vol *Volume, lv *LabelVolume, p []binimg.Label, offset binimg.Label, zStart, zEnd int, done <-chan struct{}) (binimg.Label, bool) {
 	w, h := vol.W, vol.H
@@ -110,7 +113,7 @@ func scanRange(vol *Volume, lv *LabelVolume, p []binimg.Label, offset binimg.Lab
 	rows := 0
 	for z := zStart; z < zEnd; z++ {
 		for y := 0; y < h; y++ {
-			if rows%pollRows == 0 && stopped(done) {
+			if rows%poll.Rows == 0 && poll.Stopped(done) {
 				return count, false
 			}
 			rows++
@@ -147,30 +150,67 @@ func scanRange(vol *Volume, lv *LabelVolume, p []binimg.Label, offset binimg.Lab
 	return count, true
 }
 
-// Label computes the 26-connected components of vol with the sequential
-// two-pass algorithm. Labels are consecutive 1..n; returns the label volume
-// and n.
-func Label(vol *Volume) (*LabelVolume, int) {
-	lv := NewLabelVolume(vol.W, vol.H, vol.D)
-	p := make([]binimg.Label, MaxLabels3D(vol.W, vol.H, vol.D)+1)
-	n, _ := LabelIntoCtx(context.Background(), vol, lv, p)
-	return lv, n
+// Reset reshapes v to w×h×d, reusing the voxel buffer when large enough;
+// contents are zeroed. Long-lived servers decode request bodies into pooled
+// volumes this way.
+func (v *Volume) Reset(w, h, d int) {
+	if w < 0 || h < 0 || d < 0 {
+		panic(fmt.Sprintf("vol3d: negative dimensions %dx%dx%d", w, h, d))
+	}
+	n := w * h * d
+	if cap(v.Vox) < n {
+		v.Vox = make([]uint8, n)
+	} else {
+		v.Vox = v.Vox[:n]
+		clear(v.Vox)
+	}
+	v.W, v.H, v.D = w, h, d
 }
 
-// PLabel is the PAREMSP construction applied along z: the volume is slabbed
+// Reset reshapes lv to w×h×d, reusing the label buffer when large enough;
+// contents are zeroed.
+func (lv *LabelVolume) Reset(w, h, d int) {
+	if w < 0 || h < 0 || d < 0 {
+		panic(fmt.Sprintf("vol3d: negative dimensions %dx%dx%d", w, h, d))
+	}
+	n := w * h * d
+	if cap(lv.L) < n {
+		lv.L = make([]binimg.Label, n)
+	} else {
+		lv.L = lv.L[:n]
+		clear(lv.L)
+	}
+	lv.W, lv.H, lv.D = w, h, d
+}
+
+// LabelIntoCtx computes the 26-connected components of vol into lv
+// (reshaped with Reset; consecutive labels 1..n, background 0) and returns
+// n. It is the PAREMSP construction applied along z: the volume is slabbed
 // into even-thickness z-ranges scanned concurrently with disjoint label
-// ranges; each slab-boundary plane is merged against the plane below it with
-// the concurrent lock-based REM union; sparse flatten; parallel relabel.
-func PLabel(vol *Volume, threads int) (*LabelVolume, int) {
-	lv := NewLabelVolume(vol.W, vol.H, vol.D)
-	p := make([]binimg.Label, MaxLabels3D(vol.W, vol.H, vol.D)+1)
-	n, _ := PLabelIntoCtx(context.Background(), vol, lv, p, nil, threads)
-	return lv, n
+// ranges (a plane pair budgets MaxLabels3D(w, h, 2) labels), and each
+// slab-boundary plane is merged against the plane below it with
+// opt.Merger. One thread is the sequential two-pass labeler. The
+// equivalence buffers come from sc (nil allocates fresh ones); the scan and
+// relabel poll ctx every 64 raster rows.
+func LabelIntoCtx(ctx context.Context, vol *Volume, lv *LabelVolume, sc *core.Scratch, opt core.Options) (int, error) {
+	w, h := vol.W, vol.H
+	lv.Reset(w, h, vol.D)
+	plane := w * h
+	k := core.Kernel{
+		Rows: vol.D, Unit: 2, Stride: MaxLabels3D(w, h, 2),
+		Scan: func(c *core.Chunk) (binimg.Label, bool) {
+			return scanRange(vol, lv, c.P, c.Offset, c.Lo, c.Hi, c.Done)
+		},
+		Seam:    func(c *core.Chunk, merge func(x, y binimg.Label)) { mergeBoundaryPlane(vol, lv, merge, c.Lo) },
+		Relabel: func(c *core.Chunk) bool { return core.RelabelFlat(c, lv.L[c.Lo*plane:c.Hi*plane], w) },
+	}
+	n, _, err := k.Run(ctx, sc, opt)
+	return n, err
 }
 
 // mergeBoundaryPlane unites every foreground voxel of plane z with its
 // foreground neighbors in plane z-1 (the 3x3 window below).
-func mergeBoundaryPlane(vol *Volume, lv *LabelVolume, p []binimg.Label, lt *unionfind.LockTable, z int) {
+func mergeBoundaryPlane(vol *Volume, lv *LabelVolume, merge func(x, y binimg.Label), z int) {
 	w, h := vol.W, vol.H
 	vox := vol.Vox
 	lab := lv.L
@@ -193,38 +233,12 @@ func mergeBoundaryPlane(vol *Volume, lv *LabelVolume, p []binimg.Label, lt *unio
 						continue
 					}
 					if vox[below+nx] != 0 {
-						unionfind.MergeLocked(p, lt, le, lab[below+nx])
+						merge(le, lab[below+nx])
 					}
 				}
 			}
 		}
 	}
-}
-
-// relabelParUntil rewrites provisional labels to final labels in parallel,
-// each goroutine polling done every pollRows raster rows; reports whether
-// every chunk ran to completion.
-func relabelParUntil(lv *LabelVolume, p []binimg.Label, threads int, done <-chan struct{}) bool {
-	l := lv.L
-	n := len(l)
-	chunk := (n + threads - 1) / threads
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(part []binimg.Label) {
-			defer wg.Done()
-			if !relabelVolUntil(part, p, lv.W, done) {
-				canceled.Store(true)
-			}
-		}(l[lo:hi])
-	}
-	wg.Wait()
-	return !canceled.Load()
 }
 
 // FloodFill is the 3D reference labeler. conn26 selects 26-connectivity;

@@ -1,12 +1,24 @@
 package vol3d_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/vol3d"
 )
+
+// plabel labels vol at the given thread count into a fresh volume; one
+// thread is the sequential labeler.
+func plabel(vol *vol3d.Volume, threads int) (*vol3d.LabelVolume, int) {
+	lv := &vol3d.LabelVolume{}
+	n, _ := vol3d.LabelIntoCtx(context.Background(), vol, lv, nil, core.Options{Threads: threads})
+	return lv, n
+}
+
+func label(vol *vol3d.Volume) (*vol3d.LabelVolume, int) { return plabel(vol, 1) }
 
 func randomVolume(rng *rand.Rand, maxSide int) *vol3d.Volume {
 	w, h, d := 1+rng.Intn(maxSide), 1+rng.Intn(maxSide), 1+rng.Intn(maxSide)
@@ -53,14 +65,14 @@ func TestLabelKnownVolumes(t *testing.T) {
 	vol := vol3d.NewVolume(3, 3, 3)
 	vol.Set(0, 0, 0, 1)
 	vol.Set(2, 2, 2, 1)
-	if _, n := vol3d.Label(vol); n != 2 {
+	if _, n := label(vol); n != 2 {
 		t.Fatalf("corners: n = %d, want 2", n)
 	}
 	// Diagonal touch: (0,0,0) and (1,1,1) are 26-adjacent but not 6-adjacent.
 	diag := vol3d.NewVolume(2, 2, 2)
 	diag.Set(0, 0, 0, 1)
 	diag.Set(1, 1, 1, 1)
-	if _, n := vol3d.Label(diag); n != 1 {
+	if _, n := label(diag); n != 1 {
 		t.Fatalf("26-diag: n = %d, want 1", n)
 	}
 	if _, n := vol3d.FloodFill(diag, false); n != 2 {
@@ -73,7 +85,7 @@ func TestLabelFullAndEmpty(t *testing.T) {
 	for i := range full.Vox {
 		full.Vox[i] = 1
 	}
-	lv, n := vol3d.Label(full)
+	lv, n := label(full)
 	if n != 1 {
 		t.Fatalf("full volume: n = %d, want 1", n)
 	}
@@ -83,10 +95,10 @@ func TestLabelFullAndEmpty(t *testing.T) {
 		}
 	}
 	empty := vol3d.NewVolume(4, 5, 6)
-	if _, n := vol3d.Label(empty); n != 0 {
+	if _, n := label(empty); n != 0 {
 		t.Fatalf("empty volume: n = %d, want 0", n)
 	}
-	if _, n := vol3d.Label(vol3d.NewVolume(0, 0, 0)); n != 0 {
+	if _, n := label(vol3d.NewVolume(0, 0, 0)); n != 0 {
 		t.Fatal("0x0x0 volume must have 0 components")
 	}
 }
@@ -95,7 +107,7 @@ func TestPropertyLabelMatchesFloodFill(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vol := randomVolume(rng, 12)
-		lv, n := vol3d.Label(vol)
+		lv, n := label(vol)
 		ref, nRef := vol3d.FloodFill(vol, true)
 		return n == nRef && equivalent(lv, ref)
 	}
@@ -108,8 +120,8 @@ func TestPropertyPLabelMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vol := randomVolume(rng, 14)
-		ref, nRef := vol3d.Label(vol)
-		lv, n := vol3d.PLabel(vol, 1+rng.Intn(8))
+		ref, nRef := label(vol)
+		lv, n := plabel(vol, 1+rng.Intn(8))
 		return n == nRef && equivalent(lv, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -126,7 +138,7 @@ func TestPLabelThreadSweepOddDepths(t *testing.T) {
 		}
 		ref, nRef := vol3d.FloodFill(vol, true)
 		for threads := 1; threads <= 10; threads++ {
-			lv, n := vol3d.PLabel(vol, threads)
+			lv, n := plabel(vol, threads)
 			if n != nRef {
 				t.Fatalf("d=%d threads=%d: n=%d want %d", d, threads, n, nRef)
 			}
@@ -155,7 +167,7 @@ func TestComponentSizes(t *testing.T) {
 	vol.Set(0, 0, 0, 1)
 	vol.Set(2, 0, 0, 1)
 	vol.Set(3, 0, 0, 1)
-	lv, n := vol3d.Label(vol)
+	lv, n := label(vol)
 	sizes := vol3d.ComponentSizes(lv, n)
 	if n != 2 || sizes[0] != 1 || sizes[1] != 2 {
 		t.Fatalf("n = %d, sizes = %v", n, sizes)
@@ -178,7 +190,7 @@ func TestSpansZ(t *testing.T) {
 	vol.Set(0, 0, 0, 1) // 26-adjacent to the column? (0,0,0)-(1,1,0): yes!
 	// Move it away so it stays separate.
 	vol.Set(0, 0, 0, 0)
-	lv, n := vol3d.Label(vol)
+	lv, n := label(vol)
 	if n != 1 {
 		t.Fatalf("n = %d, want 1", n)
 	}
@@ -187,7 +199,7 @@ func TestSpansZ(t *testing.T) {
 	}
 	flat := vol3d.NewVolume(3, 3, 4)
 	flat.Set(1, 1, 0, 1)
-	lvf, _ := vol3d.Label(flat)
+	lvf, _ := label(flat)
 	if vol3d.SpansZ(lvf, 1) {
 		t.Fatal("single voxel cannot span z")
 	}
@@ -202,7 +214,7 @@ func TestVolumeAccessors(t *testing.T) {
 	if vol.ForegroundCount() != 1 {
 		t.Fatalf("count = %d, want 1", vol.ForegroundCount())
 	}
-	lv, _ := vol3d.Label(vol)
+	lv, _ := label(vol)
 	if lv.At(2, 3, 4) != 1 {
 		t.Fatal("LabelVolume.At wrong")
 	}
@@ -238,7 +250,7 @@ func TestMaxLabels3DBound(t *testing.T) {
 	if want := vol3d.MaxLabels3D(5, 5, 5); want != 27 || count != want {
 		t.Fatalf("MaxLabels3D = %d, isolated count = %d, want 27", want, count)
 	}
-	_, n := vol3d.Label(vol) // must not overflow the parent array
+	_, n := label(vol) // must not overflow the parent array
 	if n != 27 {
 		t.Fatalf("n = %d, want 27", n)
 	}

@@ -465,62 +465,52 @@ const (
 
 // JobStoreOptions configures the service's asynchronous job store: the
 // backend (Backend "memory" — the default — keeps everything in sharded
-// in-process maps; "sqlite" journals job metadata and persists result
+// in-process maps; "disk" also journals job metadata and writes result
 // blobs under Dir so finished jobs survive a restart and interrupted ones
-// are recovered), the number of mutex-sharded job maps, how long finished
-// results are retained before the background sweeper evicts them, and the
-// sweep period. The zero value selects the memory backend, 16 shards, a
-// 15-minute TTL and a TTL/4 sweep.
+// are recovered), how long finished results are retained before the
+// background sweeper evicts them, and the sweep period. The zero value
+// selects the memory backend, a 15-minute TTL and a TTL/4 sweep.
 type JobStoreOptions = jobs.Options
 
 // Job store backends for JobStoreOptions.Backend.
 const (
 	JobStoreMemory = jobs.BackendMemory
-	JobStoreSQLite = jobs.BackendSQLite
+	JobStoreDisk   = jobs.BackendDisk
+	// Deprecated: use JobStoreDisk, the same store under its former name.
+	JobStoreSQLite = "sqlite"
 )
 
 // JobKey derives the job API's deduplication key (which doubles as the job
 // ID) for a request tuple: the SHA-256 of the output kind, algorithm,
 // connectivity, binarization level and raw input bytes, truncated to its
-// first 128 bits (32 hex characters). It applies exactly
-// the normalization the service applies before hashing — an empty algorithm
-// means the default (AlgPAREMSP), connectivity 0 means 8, stats jobs always
-// key as the band labeler (their algorithm and connectivity inputs are
-// ignored), and the level is zeroed for raw PBM (P4) bodies, which no level
-// can affect — so the returned ID matches what POST /v1/jobs assigns to the
-// same submission.
+// first 128 bits (32 hex characters). It is JobKeyMode in the kind's native
+// mode (ModeGray for JobGray), so it applies exactly the normalization the
+// service applies before hashing and the returned ID matches what
+// POST /v1/jobs assigns to the same submission.
 func JobKey(kind JobKind, alg Algorithm, connectivity int, level float64, body []byte) string {
-	if len(body) >= 2 && body[0] == 'P' && body[1] == '4' {
-		level = 0
-	}
-	if kind == JobStats {
-		return jobs.Key(kind, "stream", 8, level, body)
-	}
-	if alg == "" {
-		alg = AlgPAREMSP
-	}
-	if connectivity == 0 {
-		connectivity = 8
-	}
-	return jobs.Key(kind, string(alg), connectivity, level, body)
+	return JobKeyMode(kind, "", alg, connectivity, level, 0, body)
 }
 
-// JobKeyMode is JobKey for the mode-polymorphic job kinds, applying the
-// per-mode normalization the service applies before hashing. The kind is
+// JobKeyMode derives the job ID of a submission in any mode, applying the
+// per-kind normalization the service applies before hashing. The kind is
 // part of the hash, so the same body submitted under different modes always
-// yields distinct job IDs. Normalization per kind:
+// yields distinct job IDs. An empty algorithm means the default
+// (AlgPAREMSP). Normalization per kind:
 //
-//   - JobGray (ModeGray): algorithm defaults to AlgPAREMSP; connectivity is
-//     pinned to 8 and the level to 0 (gray labeling never binarizes).
+//   - JobGray (ModeGray): connectivity is pinned to 8 and the level to 0
+//     (gray labeling never binarizes).
 //   - JobGray (ModeGrayDelta): the algorithm slot holds "delta=<delta>" —
 //     the tolerance scan has a single implementation, so only the tolerance
 //     differentiates submissions.
-//   - JobVolume: algorithm defaults to AlgPAREMSP; connectivity is pinned
-//     to 26; the level participates (volume slices are binarized).
-//   - JobContours: binary-labeling normalization exactly as JobKey (the
-//     traced labeling is a binary labeling).
+//   - JobVolume: connectivity is pinned to 26; the level participates
+//     (volume slices are binarized).
+//   - JobStats: keys as the band labeler — the algorithm and connectivity
+//     inputs are ignored.
+//   - JobLabels and JobContours (the traced labeling is a binary labeling):
+//     connectivity 0 means 8.
 //
-// Kinds without mode-specific normalization fall through to JobKey.
+// For every kind but gray and volume the level is zeroed for raw PBM (P4)
+// bodies, which no level can affect. The mode only tells gray-delta apart.
 func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level float64, delta uint8, body []byte) string {
 	if alg == "" {
 		alg = AlgPAREMSP
@@ -533,16 +523,17 @@ func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level 
 		return jobs.Key(kind, string(alg), 8, 0, body)
 	case JobVolume:
 		return jobs.Key(kind, string(alg), 26, level, body)
-	case JobContours:
-		if connectivity == 0 {
-			connectivity = 8
-		}
+	default:
 		if len(body) >= 2 && body[0] == 'P' && body[1] == '4' {
 			level = 0
 		}
+		if kind == JobStats {
+			return jobs.Key(kind, "stream", 8, level, body)
+		}
+		if connectivity == 0 {
+			connectivity = 8
+		}
 		return jobs.Key(kind, string(alg), connectivity, level, body)
-	default:
-		return JobKey(kind, alg, connectivity, level, body)
 	}
 }
 

@@ -4,7 +4,8 @@
 //
 //	ccserve [-addr :8377] [-workers 0] [-queue 0] [-threads 0]
 //	        [-max-bytes 67108864] [-level 0.5] [-alg paremsp]
-//	        [-jobs] [-job-ttl 15m] [-job-shards 0] [-job-max-bytes 0]
+//	        [-jobs] [-job-ttl 15m] [-job-max-bytes 0]
+//	        [-job-store memory|disk] [-job-dir ""]
 //	        [-log-level info] [-log-format text] [-debug-addr ""]
 //
 // The server labels images POSTed to /v1/label (PBM/PGM/PNG body; the
@@ -26,10 +27,13 @@
 // selects the workload (labels, stats, contours, gray, volume). Identical
 // submissions (same bytes, kind, mode, algorithm, connectivity, level and
 // delta) deduplicate to the same job, and finished results are retained
-// for -job-ttl before a background sweeper evicts them from the
-// -job-shards sharded store; total retained result memory is capped at
-// -job-max-bytes (default 512 MiB), evicting oldest results first beyond
-// it.
+// for -job-ttl before a background sweeper evicts them; total retained
+// result memory is capped at -job-max-bytes (default 512 MiB), evicting
+// oldest results first beyond it. -job-store=disk with -job-dir makes the
+// store durable: finished results survive a restart byte-identical and
+// interrupted jobs are re-run, and overflow spills results to disk
+// instead of evicting them. -job-store=sqlite is the disk store's
+// deprecated former name.
 //
 // /healthz is a liveness probe and /metrics exposes request counters,
 // latency and per-phase histograms, approximate latency percentiles and

@@ -2,7 +2,10 @@ package paremsp_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -253,5 +256,62 @@ func TestJobKeyModeDistinct(t *testing.T) {
 	// IDs stay valid.
 	if paremsp.JobKey(paremsp.JobLabels, "", 0, 0.5, body) != keys["labels"] {
 		t.Fatal("JobKeyMode(labels) diverged from JobKey")
+	}
+}
+
+// TestJobKeyModeDigests pins JobKeyMode, and with it every job ID the
+// server assigns (including IDs already stored on disk), over kind × mode ×
+// algorithm × connectivity × level × delta × a P4 or P5 body. Each row
+// hashes the keys of one kind/mode pair over the rest of the grid.
+func TestJobKeyModeDigests(t *testing.T) {
+	bodies := [][]byte{[]byte("P4\n4 2\n\xd0\x50"), []byte("P5\n4 2\n255\n\x00\x00\x80\x80\x00\xff\xff\x80")}
+	kinds := []paremsp.JobKind{paremsp.JobLabels, paremsp.JobStats, paremsp.JobContours, paremsp.JobGray, paremsp.JobVolume}
+	modes := []paremsp.Mode{"", paremsp.ModeBinary, paremsp.ModeGray, paremsp.ModeGrayDelta, paremsp.ModeVolume}
+	want := map[string]string{ // golden: a changed digest changes stored job IDs
+		"labels/":             "8f1b11b2d0a909ee",
+		"labels/binary":       "8f1b11b2d0a909ee",
+		"labels/gray":         "8f1b11b2d0a909ee",
+		"labels/gray-delta":   "8f1b11b2d0a909ee",
+		"labels/volume":       "8f1b11b2d0a909ee",
+		"stats/":              "d75f84dc9bf149c9",
+		"stats/binary":        "d75f84dc9bf149c9",
+		"stats/gray":          "d75f84dc9bf149c9",
+		"stats/gray-delta":    "d75f84dc9bf149c9",
+		"stats/volume":        "d75f84dc9bf149c9",
+		"contours/":           "40408f5a527ee4dd",
+		"contours/binary":     "40408f5a527ee4dd",
+		"contours/gray":       "40408f5a527ee4dd",
+		"contours/gray-delta": "40408f5a527ee4dd",
+		"contours/volume":     "40408f5a527ee4dd",
+		"gray/":               "b99e03798fd6bbf5",
+		"gray/binary":         "b99e03798fd6bbf5",
+		"gray/gray":           "b99e03798fd6bbf5",
+		"gray/gray-delta":     "1a401d61e889b4ee",
+		"gray/volume":         "b99e03798fd6bbf5",
+		"volume/":             "4ad20fc9cdcdfe30",
+		"volume/binary":       "4ad20fc9cdcdfe30",
+		"volume/gray":         "4ad20fc9cdcdfe30",
+		"volume/gray-delta":   "4ad20fc9cdcdfe30",
+		"volume/volume":       "4ad20fc9cdcdfe30",
+	}
+	for _, kind := range kinds {
+		for _, mode := range modes {
+			h := sha256.New()
+			for _, alg := range []paremsp.Algorithm{"", paremsp.AlgPAREMSP, paremsp.AlgBREMSP} {
+				for _, conn := range []int{0, 4, 8, 26} {
+					for _, level := range []float64{0, 0.5} {
+						for _, delta := range []uint8{0, 12} {
+							for _, body := range bodies {
+								fmt.Fprintln(h, paremsp.JobKeyMode(kind, mode, alg, conn, level, delta, body))
+							}
+						}
+					}
+				}
+			}
+			row := string(kind) + "/" + string(mode)
+			if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want[row] {
+				t.Errorf("JobKeyMode digest for %s = %s, want %s", row, got, want[row])
+			}
+		}
 	}
 }

@@ -137,12 +137,12 @@
 // A job's ID is the truncated (128-bit) SHA-256 of its request tuple —
 // input bytes, output kind, mode (with delta for gray-delta), algorithm,
 // connectivity and binarization level (JobKeyMode computes it,
-// normalization included; JobKey is the binary-only form it extends) —
+// normalization included; JobKey is JobKeyMode in the kind's native mode) —
 // so identical submissions deduplicate to the same job and its cached
 // result instead of recomputing; failed and expired jobs are replaced on
 // resubmission. Finished jobs are retained in a mutex-sharded store
-// (JobStoreOptions: ccserve -job-shards, -job-ttl) until a background
-// sweeper evicts them TTL after completion; retained result memory is
+// (JobStoreOptions: ccserve -job-ttl) until a background sweeper evicts
+// them TTL after completion; retained result memory is
 // additionally capped (-job-max-bytes, default 512 MiB) with oldest-first
 // overflow eviction. Deleting a queued or running job cancels its
 // computation, releasing the pool worker. The JobState and JobKind types
@@ -150,18 +150,19 @@
 //
 // # Job durability
 //
-// The job store has two backends behind one interface pair (job metadata
-// and result blobs). The default, ccserve -job-store=memory, keeps both in
-// process memory: fastest, nothing survives a restart, and -job-max-bytes
-// overflow evicts the oldest finished jobs. -job-store=sqlite (with
-// -job-dir) is the durable pair: job metadata is journaled to a
-// write-ahead log (a fsynced, crash-truncating JSONL journal — no SQLite
-// driver is linked; the name selects the durability semantics) and result
-// blobs plus pending inputs live as content-addressed files under
+// The job store has one design: sharded job metadata and a result-blob
+// map. The default, ccserve -job-store=memory, is that store in process
+// memory: fastest, nothing survives a restart, and -job-max-bytes overflow
+// evicts the oldest finished jobs. -job-store=disk (with -job-dir) adds a
+// journal and a directory: job metadata is journaled to a write-ahead log
+// (a fsynced, crash-truncating JSONL journal) and result blobs plus
+// pending inputs are written through to content-addressed files under
 // -job-dir, so -job-max-bytes overflow spills result payloads to disk
-// instead of evicting them. The store directory is flock-ed exclusively
-// while open: a second process on the same -job-dir fails fast rather than
-// interleaving journal appends with the first.
+// instead of evicting them. -job-store=sqlite is accepted as the disk
+// store's deprecated former name, and -job-dir on a memory store is
+// refused. The store directory is flock-ed exclusively while open: a
+// second process on the same -job-dir fails fast rather than interleaving
+// journal appends with the first.
 //
 // On startup with the durable backend, ccserve recovers before accepting
 // traffic: finished jobs come back with their results fetchable

@@ -361,10 +361,9 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	alg := fs.String("alg", "", "default algorithm for requests without ?alg= (default paremsp): "+algList())
 	jobsOn := fs.Bool("jobs", true, "enable the asynchronous job API (/v1/jobs)")
 	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "retain finished job results this long before eviction")
-	jobShards := fs.Int("job-shards", 0, "job store shard count (0 = 16)")
 	jobMaxBytes := fs.Int64("job-max-bytes", 0, "cap on retained job-result bytes; oldest results evicted beyond it (0 = 512 MiB)")
-	jobStore := fs.String("job-store", jobs.BackendMemory, "job store backend: memory (jobs lost on restart) or sqlite (durable journal + result blobs under -job-dir; results spill to disk instead of evicting)")
-	jobDir := fs.String("job-dir", "", "directory for the durable job store (required with -job-store=sqlite)")
+	jobStore := fs.String("job-store", jobs.BackendMemory, "job store backend: memory (jobs lost on restart) or disk (durable journal + result blobs under -job-dir; results spill to disk instead of evicting)")
+	jobDir := fs.String("job-dir", "", "directory for the durable job store (required with -job-store=disk)")
 	reqTimeout := fs.Duration("request-timeout", 0, "cancel a synchronous labeling and answer 504 after this long (0 = no server-side timeout)")
 	jobTimeoutFlag := fs.Duration("job-timeout", 0, "cancel an async job that has not reached a terminal state after this long (0 = no timeout)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "on SIGTERM/SIGINT, wait this long for running jobs before force-canceling them")
@@ -395,17 +394,25 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ccserve: -job-ttl must be positive")
 		return 2
 	}
-	if *jobShards < 0 {
-		fmt.Fprintln(stderr, "ccserve: -job-shards must be >= 0")
-		return 2
-	}
 	if *jobMaxBytes < 0 {
 		fmt.Fprintln(stderr, "ccserve: -job-max-bytes must be >= 0")
 		return 2
 	}
+	// sqlite is the disk store's former name, still accepted (with a
+	// warning once the logger is up).
+	sqliteAlias := *jobStore == "sqlite"
+	if sqliteAlias {
+		*jobStore = jobs.BackendDisk
+	}
 	durableStore := *jobStore != "" && *jobStore != jobs.BackendMemory
 	if *jobsOn && durableStore && *jobDir == "" {
 		fmt.Fprintf(stderr, "ccserve: -job-store=%s requires -job-dir\n", *jobStore)
+		return 2
+	}
+	// A directory on a memory store would be silently ignored, and the
+	// operator who expected durability would lose every job on restart.
+	if *jobsOn && !durableStore && *jobDir != "" {
+		fmt.Fprintln(stderr, "ccserve: -job-dir requires -job-store=disk")
 		return 2
 	}
 	if *reqTimeout < 0 || *jobTimeoutFlag < 0 {
@@ -428,13 +435,15 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 		}
 		logger.Warn("fault injection armed (chaos mode; not for production)", "faults", env)
 	}
+	if sqliteAlias {
+		logger.Warn("-job-store=sqlite is deprecated; use -job-store=disk (the same store)")
+	}
 
 	var store *jobs.Store
 	if *jobsOn {
 		store, err = jobs.Open(jobs.Options{
 			Backend:        *jobStore,
 			Dir:            *jobDir,
-			Shards:         *jobShards,
 			TTL:            *jobTTL,
 			MaxResultBytes: *jobMaxBytes,
 			OnEvent:        jobEventLogger(logger),
@@ -540,7 +549,6 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 		startAttrs = append(startAttrs,
 			slog.String("job_store", *jobStore),
 			slog.Duration("job_ttl", store.TTL()),
-			slog.Int("job_shards", *jobShards),
 			slog.Int64("job_max_bytes", *jobMaxBytes))
 		if durableStore {
 			startAttrs = append(startAttrs, slog.String("job_dir", *jobDir))

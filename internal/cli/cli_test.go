@@ -232,9 +232,9 @@ func TestCCServeBadFlags(t *testing.T) {
 		{"-level", "1.5"},
 		{"-job-ttl", "-1s"},
 		{"-job-ttl", "0s"},
-		{"-job-shards", "-3"},
 		{"-job-max-bytes", "-1"},
 		{"-job-store", "sqlite"}, // durable backend without -job-dir
+		{"-job-dir", "/tmp"},     // a directory the memory store would ignore
 		{"-job-store", "nonsense", "-job-dir", "/tmp"},
 		{"-log-level", "loud"},
 		{"-log-format", "xml"},

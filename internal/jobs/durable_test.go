@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -187,7 +189,7 @@ func TestDurableSpillServesFromDisk(t *testing.T) {
 	const capBytes = 5*entryOverheadBytes + 2*400
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Now()}
-	s := openDurable(t, dir, clk, Options{Shards: 2, MaxResultBytes: capBytes})
+	s := openDurable(t, dir, clk, Options{MaxResultBytes: capBytes})
 	defer s.Close()
 
 	for i := 0; i < 5; i++ {
@@ -421,7 +423,7 @@ func TestDurableJournalAppendErrorSurfaced(t *testing.T) {
 	s := openDurable(t, dir, clk, Options{})
 	defer s.Close()
 
-	dm := s.meta.(*durMeta)
+	dm := s.meta.wal
 	ro, err := os.Open(filepath.Join(dir, "meta.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -464,4 +466,80 @@ func TestDurableDirExclusiveLock(t *testing.T) {
 
 	s2 := openDurable(t, dir, clk, Options{})
 	s2.Close()
+}
+
+// TestDiskBackendNames: BackendDisk and its former name BackendSQLite open
+// the same store.
+func TestDiskBackendNames(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{t: time.Now()}
+	s, err := open(Options{Backend: BackendDisk, Dir: dir}, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.CreateOrGet("named", KindLabels, Params{}, nil)
+	s.Complete("named", j.Gen, labelsResult(10, 4))
+	s.Close()
+
+	s2, err := open(Options{Backend: BackendSQLite, Dir: dir}, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !s2.Durable() {
+		t.Fatal("sqlite-named store is not durable")
+	}
+	if r, err := s2.Result("named"); err != nil || r.NumComponents != 4 {
+		t.Fatalf("result written as disk, read as sqlite: %+v, %v", r, err)
+	}
+}
+
+// FuzzJournalReplay opens a store over arbitrary meta.wal bytes, twice,
+// with a fixed clock. Opening must not panic, may only truncate the
+// journal (never rewrite it into something else), and must be stable: the
+// second open, of whatever the first left behind, holds the same jobs.
+func FuzzJournalReplay(f *testing.F) {
+	wal, err := os.ReadFile(filepath.Join(storeFixture, "meta.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wal)
+	for _, n := range []int{0, 1, len(wal) / 3, len(wal) / 2, len(wal) - 1} {
+		f.Add(wal[:n])
+	}
+	for _, i := range []int{0, 2, len(wal) / 3, len(wal) / 2, len(wal) - 2} {
+		flipped := bytes.Clone(wal)
+		flipped[i] ^= 0x04
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "meta.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		clk := &fakeClock{t: fixtureEpoch}
+		first := replayedJobs(t, dir, clk)
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("open rewrote the journal: %q is not a prefix of the input", kept)
+		}
+		if second := replayedJobs(t, dir, clk); !reflect.DeepEqual(first, second) {
+			t.Fatalf("reopen changed the jobs:\nfirst  %+v\nsecond %+v", first, second)
+		}
+	})
+}
+
+// replayedJobs opens the store in dir and returns every job it holds,
+// sorted by ID.
+func replayedJobs(t *testing.T, dir string, clk *fakeClock) []Job {
+	t.Helper()
+	s := openDurable(t, dir, clk, Options{})
+	defer s.Close()
+	jobs := s.meta.snapshot(func(*Job) bool { return true })
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
+	return jobs
 }

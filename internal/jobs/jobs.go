@@ -1,9 +1,9 @@
 // Package jobs implements the asynchronous batch-job subsystem of the
 // labeling service: a store of submitted labelings with content-hash
-// deduplication, TTL eviction of finished results, and pluggable backends
-// behind two narrow interfaces — MetaStore for generation-aware job
-// metadata and BlobStore for result payloads (and, on durable backends, the
-// persisted request inputs that make restart recovery possible).
+// deduplication and TTL eviction of finished results. The store keeps
+// generation-aware job metadata in sharded maps and result payloads in a
+// blob map; the disk backend adds a journal to the first and a directory to
+// the second.
 //
 // A job's ID is the SHA-256 of its request tuple — input bytes, algorithm,
 // connectivity, binarization level and output kind (see Key) — so the ID
@@ -15,13 +15,14 @@
 // expiry is observable without waiting for the next sweep tick. Queued and
 // running jobs are never evicted.
 //
-// Two backends exist. BackendMemory (the default) keeps everything in
-// sharded in-process maps: fastest, lost on restart, and MaxResultBytes
-// overflow must evict finished jobs. BackendSQLite keeps metadata in a
-// WAL-journaled file and result payloads in a content-addressed blob
-// directory: a SIGKILL'd process reopens the store, serves every finished
-// result byte-identical, and resubmits interrupted jobs (see Recover);
-// MaxResultBytes overflow spills RAM copies to disk instead of evicting.
+// BackendMemory (the default) is that store with no journal and no
+// directory: fastest, lost on restart, and MaxResultBytes overflow must
+// evict finished jobs. BackendDisk journals metadata to a fsynced JSONL
+// write-ahead log and writes result payloads through to a content-addressed
+// blob directory: a SIGKILL'd process reopens the store, serves every
+// finished result byte-identical, and resubmits interrupted jobs (see
+// Recover); MaxResultBytes overflow spills RAM copies to disk instead of
+// evicting.
 package jobs
 
 import (
@@ -238,30 +239,26 @@ const (
 const (
 	// BackendMemory keeps everything in process memory (the default).
 	BackendMemory = "memory"
-	// BackendSQLite selects the durable backend: job metadata in a
-	// WAL-journaled single-file store under Options.Dir, result payloads
-	// and pending inputs in a content-addressed blob directory beside it.
-	// The module builds with zero third-party dependencies, so no SQLite
-	// driver is linked — the embedded journal provides the same durability
-	// contract (fsynced ordered writes, crash recovery by replay), and the
-	// name matches the ccserve -job-store=sqlite flag.
-	BackendSQLite = "sqlite"
-	// BackendDisk is an alias for BackendSQLite.
+	// BackendDisk selects the durable backend: job metadata in a fsynced
+	// JSONL write-ahead journal under Options.Dir, result payloads and
+	// pending inputs in a content-addressed blob directory beside it.
 	BackendDisk = "disk"
+	// BackendSQLite is the backend's former name, accepted as an alias.
+	//
+	// Deprecated: use BackendDisk. No SQLite is involved.
+	BackendSQLite = "sqlite"
 )
 
 // Options sizes a Store.
 type Options struct {
 	// Backend selects the storage backend: BackendMemory ("" or "memory")
-	// or BackendSQLite ("sqlite"/"disk", durable; requires Dir).
+	// or BackendDisk ("disk", durable; requires Dir).
 	Backend string
 	// Dir is the durable backend's directory: a meta.wal journal, a blobs/
 	// subdirectory and a LOCK file flock-ed exclusively while the store is
 	// open — a second process opening the same Dir fails fast instead of
 	// corrupting the journal. Ignored by the memory backend.
 	Dir string
-	// Shards is the number of mutex-sharded job maps. 0 selects 16.
-	Shards int
 	// TTL is how long finished jobs (and their results) are retained.
 	// 0 selects 15 minutes.
 	TTL time.Duration
@@ -332,20 +329,15 @@ type Counts struct {
 	JournalErrors int64
 }
 
-// journalHealth is implemented by MetaStores that journal transitions and
-// can report append failures; the façade polls it for Counts.
-type journalHealth interface{ JournalErrors() int64 }
-
 // Store is the job store façade: it owns the clock, TTL policy, sweeper
 // goroutine, event emission, byte-cap policy and the cancel registry, and
-// delegates record keeping to a MetaStore and payload keeping to a
-// BlobStore. All methods are safe for concurrent use; Open/NewStore start
-// the TTL sweeper and Close stops it (the store itself remains usable after
-// Close, only eviction becomes lazy).
+// delegates record keeping to its metadata store and payload keeping to its
+// blob store. All methods are safe for concurrent use; Open starts the TTL
+// sweeper and Close stops it (the store itself remains usable after Close,
+// only eviction becomes lazy).
 type Store struct {
-	meta    MetaStore
-	blobs   BlobStore
-	durable bool
+	meta  *metaStore
+	blobs *blobStore
 
 	ttl      time.Duration
 	maxBytes int64
@@ -353,7 +345,7 @@ type Store struct {
 
 	submitted        atomic.Int64
 	dedupHits        atomic.Int64
-	evicted          atomic.Int64
+	evictions        atomic.Int64
 	recovered        atomic.Int64
 	recoveryCanceled atomic.Int64
 
@@ -386,21 +378,6 @@ type cancelReg struct {
 	cancel context.CancelFunc
 }
 
-// NewStore builds a memory-backed store per opt and starts its sweeper
-// goroutine. It panics if opt selects a non-memory backend — those can fail
-// to open, so use Open for backend-selected construction.
-func NewStore(opt Options) *Store {
-	if opt.Backend != "" && opt.Backend != BackendMemory {
-		panic("jobs: NewStore is memory-only; use Open for durable backends")
-	}
-	s, err := open(opt, time.Now)
-	if err != nil {
-		// Unreachable: the memory backend has no failure modes.
-		panic(err)
-	}
-	return s
-}
-
 // Open builds a store per opt — memory or durable according to opt.Backend
 // — and starts its sweeper goroutine. Opening the durable backend replays
 // the journal: finished jobs come back finished with their results
@@ -414,10 +391,6 @@ func Open(opt Options) (*Store, error) {
 // sweeper goroutine starts, so tests use this instead of overwriting the
 // field afterwards.
 func open(opt Options, now func() time.Time) (*Store, error) {
-	n := opt.Shards
-	if n <= 0 {
-		n = 16
-	}
 	ttl := opt.TTL
 	if ttl <= 0 {
 		ttl = 15 * time.Minute
@@ -437,7 +410,8 @@ func open(opt Options, now func() time.Time) (*Store, error) {
 		maxBytes = 512 << 20
 	}
 	s := &Store{
-		durable:  false,
+		meta:     newMetaStore(),
+		blobs:    newBlobStore(),
 		ttl:      ttl,
 		maxBytes: maxBytes,
 		onEvent:  opt.OnEvent,
@@ -447,58 +421,57 @@ func open(opt Options, now func() time.Time) (*Store, error) {
 	}
 	switch opt.Backend {
 	case "", BackendMemory:
-		s.meta = newMemMeta(n)
-		s.blobs = newMemBlobs()
-	case BackendSQLite, BackendDisk:
+	case BackendDisk, BackendSQLite:
 		if opt.Dir == "" {
 			return nil, fmt.Errorf("jobs: backend %q requires Options.Dir", opt.Backend)
 		}
-		if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("jobs: create store dir: %w", err)
-		}
-		lock, err := lockDir(opt.Dir)
-		if err != nil {
+		if err := s.openDir(opt.Dir); err != nil {
 			return nil, err
 		}
-		dm, err := openDurMeta(filepath.Join(opt.Dir, "meta.wal"), n, now())
-		if err != nil {
-			unlockDir(lock)
-			return nil, err
-		}
-		fb, err := openFSBlobs(filepath.Join(opt.Dir, "blobs"))
-		if err != nil {
-			dm.Close()
-			unlockDir(lock)
-			return nil, err
-		}
-		// Adopt exactly the blobs the replayed metadata still references
-		// (results of done jobs, inputs of interrupted ones); everything
-		// else on disk is an orphan from a crash window.
-		keepRes := make(map[string]uint64)
-		keepIn := make(map[string]uint64)
-		for _, j := range dm.mem.snapshot(func(*Job) bool { return true }) {
-			switch j.State {
-			case StateDone:
-				keepRes[j.ID] = j.Gen
-			case StateQueued:
-				keepIn[j.ID] = j.Gen
-			}
-		}
-		if err := fb.reconcile(keepRes, keepIn); err != nil {
-			dm.Close()
-			unlockDir(lock)
-			return nil, err
-		}
-		s.meta = dm
-		s.blobs = fb
-		s.lock = lock
-		s.durable = true
 	default:
 		return nil, fmt.Errorf("jobs: unknown backend %q", opt.Backend)
 	}
 	s.swept.Add(1)
 	go s.sweeper(sweep)
 	return s, nil
+}
+
+// openDir attaches the disk backend under dir: it takes the directory
+// lock, replays the journal into the metadata store and adopts exactly the
+// blobs the replayed metadata still references (results of done jobs,
+// inputs of interrupted ones); everything else on disk is an orphan from a
+// crash window.
+func (s *Store) openDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("jobs: create store dir: %w", err)
+	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return err
+	}
+	wal, err := openJournal(filepath.Join(dir, "meta.wal"), s.meta, s.now())
+	if err != nil {
+		unlockDir(lock)
+		return err
+	}
+	keepRes := make(map[string]uint64)
+	keepIn := make(map[string]uint64)
+	for _, j := range s.meta.snapshot(func(*Job) bool { return true }) {
+		switch j.State {
+		case StateDone:
+			keepRes[j.ID] = j.Gen
+		case StateQueued:
+			keepIn[j.ID] = j.Gen
+		}
+	}
+	if err := s.blobs.openDir(filepath.Join(dir, "blobs"), keepRes, keepIn); err != nil {
+		wal.close()
+		unlockDir(lock)
+		return err
+	}
+	s.meta.wal = wal
+	s.lock = lock
+	return nil
 }
 
 // Close stops the background sweeper and releases backend resources. It
@@ -512,8 +485,7 @@ func (s *Store) Close() {
 	s.closed.Store(true)
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.swept.Wait()
-	s.meta.Close()
-	s.blobs.Close()
+	s.meta.wal.close()
 	unlockDir(s.lock)
 }
 
@@ -522,7 +494,7 @@ func (s *Store) TTL() time.Duration { return s.ttl }
 
 // Durable reports whether the store survives a process restart (and so
 // whether Recover has anything to do).
-func (s *Store) Durable() bool { return s.durable }
+func (s *Store) Durable() bool { return s.meta.wal != nil }
 
 // emit delivers ev to the OnEvent hook. Every call site fires after the
 // backend's locks are released, so a hook that re-enters the store cannot
@@ -533,15 +505,18 @@ func (s *Store) emit(ev Event) {
 	}
 }
 
-// evictedEvent builds the eviction event for a dropped job snapshot.
-func evictedEvent(j *Job) Event {
-	return Event{Type: EventEvicted, ID: j.ID, Kind: j.Kind, Err: j.Err}
-}
-
 // dropBlobs releases a dropped job's payloads (result and pending input).
 func (s *Store) dropBlobs(j *Job) {
 	s.blobs.Delete(j.ID, j.Gen)
 	s.blobs.DeleteInput(j.ID, j.Gen)
+}
+
+// evicted accounts a job the store dropped on its own — TTL expiry or byte
+// pressure: its payloads are released, the eviction counted and reported.
+func (s *Store) evicted(j *Job) {
+	s.dropBlobs(j)
+	s.evictions.Add(1)
+	s.emit(Event{Type: EventEvicted, ID: j.ID, Kind: j.Kind, Err: j.Err})
 }
 
 // resultBytes estimates how much memory a retained result pins: the label
@@ -569,7 +544,8 @@ func resultBytes(r *Result) int64 {
 // memBytes is the resident-byte census the cap polices: per-entry overhead
 // plus RAM result payloads.
 func (s *Store) memBytes() int64 {
-	return int64(s.meta.Len())*entryOverheadBytes + s.blobs.Stats().MemBytes
+	mem, _, _ := s.blobs.census()
+	return int64(s.meta.Len())*entryOverheadBytes + mem
 }
 
 // CreateOrGet is the dedup gate: if a live job with this ID exists, it
@@ -588,10 +564,10 @@ func (s *Store) CreateOrGet(id string, kind Kind, p Params, input []byte) (Job, 
 		return j, true
 	}
 	if replaced != nil {
-		s.dropBlobs(replaced)
 		if !replaced.ExpiresAt.IsZero() && now.After(replaced.ExpiresAt) {
-			s.evicted.Add(1)
-			s.emit(evictedEvent(replaced))
+			s.evicted(replaced)
+		} else {
+			s.dropBlobs(replaced)
 		}
 	}
 	if len(input) > 0 {
@@ -640,47 +616,17 @@ func (s *Store) Complete(id string, gen uint64, r *Result) {
 		return
 	}
 	info := r.ResultInfo
-	now := s.now()
-	j, ok := s.meta.Complete(id, gen, &info, now, now.Add(s.ttl))
-	if !ok {
+	if !s.finish(id, gen, StateDone, "", &info) {
 		// Deleted or superseded while running: drop the orphan payload.
 		s.blobs.Delete(id, gen)
-		return
 	}
-	s.blobs.DeleteInput(id, gen)
-	s.unregisterCancel(id, gen)
-	ev := Event{Type: EventDone, ID: id, Kind: j.Kind}
-	if !j.Started.IsZero() {
-		ev.Wait = j.Started.Sub(j.Created)
-		ev.Run = j.Finished.Sub(j.Started)
-	}
-	s.emit(ev)
-	s.checkOverflow()
 }
 
 // Fail moves a job to failed with err as the reason and arms TTL eviction;
 // a no-op if the job was deleted while running or superseded by a newer
 // generation (see Complete).
 func (s *Store) Fail(id string, gen uint64, err error) {
-	if s.closed.Load() {
-		return
-	}
-	now := s.now()
-	j, ok := s.meta.Fail(id, gen, err.Error(), now, now.Add(s.ttl))
-	if !ok {
-		return
-	}
-	s.blobs.DeleteInput(id, gen)
-	s.unregisterCancel(id, gen)
-	ev := Event{Type: EventFailed, ID: j.ID, Kind: j.Kind, Err: j.Err}
-	if !j.Started.IsZero() {
-		ev.Wait = j.Started.Sub(j.Created)
-		ev.Run = j.Finished.Sub(j.Started)
-	}
-	s.emit(ev)
-	// Failed entries carry no result but still occupy their overhead
-	// charge; a flood of them must trigger eviction like results do.
-	s.checkOverflow()
+	s.finish(id, gen, StateFailed, err.Error(), nil)
 }
 
 // Cancel moves a job to canceled with err (the context error that stopped
@@ -688,23 +634,34 @@ func (s *Store) Fail(id string, gen uint64, err error) {
 // deleted or superseded jobs; queued jobs canceled by a drain move straight
 // from queued to canceled.
 func (s *Store) Cancel(id string, gen uint64, err error) {
+	s.finish(id, gen, StateCanceled, err.Error(), nil)
+}
+
+// finish is the one terminal transition behind Complete, Fail and Cancel:
+// it moves the job (that exact generation) to the terminal state to,
+// releases its pending input and cancel registration, emits the event
+// named after the state, and — since failed entries carry no result but
+// still occupy their overhead charge — enforces the byte cap. It reports
+// whether the transition applied.
+func (s *Store) finish(id string, gen uint64, to State, msg string, info *ResultInfo) bool {
 	if s.closed.Load() {
-		return
+		return false
 	}
 	now := s.now()
-	j, ok := s.meta.Cancel(id, gen, err.Error(), now, now.Add(s.ttl))
+	j, ok := s.meta.finish(id, gen, to, msg, info, now, now.Add(s.ttl))
 	if !ok {
-		return
+		return false
 	}
 	s.blobs.DeleteInput(id, gen)
 	s.unregisterCancel(id, gen)
-	ev := Event{Type: EventCanceled, ID: j.ID, Kind: j.Kind, Err: j.Err}
+	ev := Event{Type: string(to), ID: id, Kind: j.Kind, Err: j.Err}
 	if !j.Started.IsZero() {
 		ev.Wait = j.Started.Sub(j.Created)
 		ev.Run = j.Finished.Sub(j.Started)
 	}
 	s.emit(ev)
 	s.checkOverflow()
+	return true
 }
 
 // checkOverflow enforces MaxResultBytes: spill first (durable backends
@@ -740,7 +697,7 @@ func (s *Store) checkOverflow() {
 // content-hash ID, new generation) and even re-completed since the snapshot
 // is not evicted on the stale ranking.
 func (s *Store) evictOverflow(lowWater int64) {
-	cands := s.meta.Finished()
+	cands := s.meta.snapshot(func(j *Job) bool { return j.State.Finished() })
 	if len(cands) == 0 {
 		return
 	}
@@ -754,9 +711,7 @@ func (s *Store) evictOverflow(lowWater int64) {
 			s.evictRaceHook(c.ID)
 		}
 		if j, ok := s.meta.Evict(c.ID, c.Gen); ok {
-			s.dropBlobs(&j)
-			s.evicted.Add(1)
-			s.emit(evictedEvent(&j))
+			s.evicted(&j)
 		}
 	}
 }
@@ -776,9 +731,7 @@ func (s *Store) Get(id string) (Job, bool) {
 	if !j.ExpiresAt.IsZero() && s.now().After(j.ExpiresAt) {
 		if !s.closed.Load() {
 			if dropped, ok := s.meta.Evict(id, j.Gen); ok {
-				s.dropBlobs(&dropped)
-				s.evicted.Add(1)
-				s.emit(evictedEvent(&dropped))
+				s.evicted(&dropped)
 			}
 		}
 		return Job{}, false
@@ -866,7 +819,7 @@ func (s *Store) fireCancel(id string, gen uint64) {
 // state clients observe after a restart that could not re-run their job.
 // On the memory backend Recover is a no-op (a fresh store holds nothing).
 func (s *Store) Recover(resubmit func(j Job, input []byte) error) (requeued, canceled int) {
-	for _, j := range s.meta.Queued() {
+	for _, j := range s.meta.snapshot(func(j *Job) bool { return j.State == StateQueued }) {
 		input, err := s.blobs.Input(j.ID, j.Gen)
 		if err != nil {
 			s.Cancel(j.ID, j.Gen, fmt.Errorf("recovery: input lost"))
@@ -891,28 +844,27 @@ func (s *Store) Len() int { return s.meta.Len() }
 // Counts reads the per-state gauges and cumulative counters. Near-O(1):
 // the gauges are maintained at every transition, never by scanning.
 func (s *Store) Counts() Counts {
-	queued, running, done, failed, canceled := s.meta.StateCounts()
-	bs := s.blobs.Stats()
-	var journalErrs int64
-	if jh, ok := s.meta.(journalHealth); ok {
-		journalErrs = jh.JournalErrors()
-	}
-	return Counts{
-		Queued:           queued,
-		Running:          running,
-		Done:             done,
-		Failed:           failed,
-		Canceled:         canceled,
+	m := s.meta
+	memBytes, diskBytes, spilled := s.blobs.census()
+	c := Counts{
+		Queued:           m.queued.Load(),
+		Running:          m.running.Load(),
+		Done:             m.done.Load(),
+		Failed:           m.failed.Load(),
+		Canceled:         m.canceled.Load(),
 		Submitted:        s.submitted.Load(),
 		DedupHits:        s.dedupHits.Load(),
-		Evicted:          s.evicted.Load(),
-		ResultBytes:      int64(s.meta.Len())*entryOverheadBytes + bs.MemBytes,
-		DiskBytes:        bs.DiskBytes,
-		Spilled:          bs.Spilled,
+		Evicted:          s.evictions.Load(),
+		ResultBytes:      int64(m.Len())*entryOverheadBytes + memBytes,
+		DiskBytes:        diskBytes,
+		Spilled:          spilled,
 		Recovered:        s.recovered.Load(),
 		RecoveryCanceled: s.recoveryCanceled.Load(),
-		JournalErrors:    journalErrs,
 	}
+	if m.wal != nil {
+		c.JournalErrors = m.wal.errs.Load()
+	}
+	return c
 }
 
 func (s *Store) sweeper(every time.Duration) {
@@ -933,9 +885,6 @@ func (s *Store) sweeper(every time.Duration) {
 func (s *Store) sweep() {
 	dropped := s.meta.Sweep(s.now())
 	for i := range dropped {
-		j := &dropped[i]
-		s.dropBlobs(j)
-		s.evicted.Add(1)
-		s.emit(evictedEvent(j))
+		s.evicted(&dropped[i])
 	}
 }

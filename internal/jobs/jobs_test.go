@@ -12,7 +12,7 @@ import (
 )
 
 // testBackend returns the backend the suite runs against; CI sets
-// CCSERVE_TEST_JOB_STORE=sqlite to exercise the durable backend with the
+// CCSERVE_TEST_JOB_STORE=disk to exercise the durable backend with the
 // same lifecycle tests.
 func testBackend() string {
 	if b := os.Getenv("CCSERVE_TEST_JOB_STORE"); b != "" {
@@ -84,7 +84,7 @@ func TestKeyTupleSensitivity(t *testing.T) {
 }
 
 func TestCreateOrGetDedup(t *testing.T) {
-	s, _ := newTestStore(t, Options{Shards: 4, TTL: time.Hour})
+	s, _ := newTestStore(t, Options{TTL: time.Hour})
 	id := Key(KindLabels, "paremsp", 8, 0, []byte("img"))
 
 	j, existed := s.CreateOrGet(id, KindLabels, Params{}, nil)
@@ -264,7 +264,10 @@ func TestExpiredJobIsReplacedOnResubmit(t *testing.T) {
 
 func TestSweeperEvicts(t *testing.T) {
 	// Real clock here: the sweeper tick and the TTL race wall time.
-	s := NewStore(Options{TTL: 30 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	s, err := Open(Options{TTL: 30 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	ja, _ := s.CreateOrGet("a", KindLabels, Params{}, nil)
 	s.Complete("a", ja.Gen, &Result{})
@@ -289,7 +292,7 @@ func TestSweeperEvicts(t *testing.T) {
 }
 
 func TestCountsCensus(t *testing.T) {
-	s, _ := newTestStore(t, Options{Shards: 3})
+	s, _ := newTestStore(t, Options{})
 	gens := map[string]uint64{}
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("q%d", i)
@@ -323,7 +326,7 @@ func TestResultByteCap(t *testing.T) {
 		// what busts the cap and spilling resolves it.
 		capBytes = 4*entryOverheadBytes + 400
 	}
-	s, clk := newTestStore(t, Options{Shards: 2, TTL: time.Hour, MaxResultBytes: capBytes})
+	s, clk := newTestStore(t, Options{TTL: time.Hour, MaxResultBytes: capBytes})
 	mkRes := func() *Result {
 		return &Result{Labels: &binimg.LabelMap{L: make([]binimg.Label, 100)}}
 	}
@@ -397,7 +400,7 @@ func TestFailedEntryFloodBounded(t *testing.T) {
 // TestStoreConcurrent hammers one store from many goroutines; run under
 // go test -race this is the shard-locking correctness check.
 func TestStoreConcurrent(t *testing.T) {
-	opt := Options{Shards: 4, TTL: 50 * time.Millisecond, SweepEvery: 5 * time.Millisecond,
+	opt := Options{TTL: 50 * time.Millisecond, SweepEvery: 5 * time.Millisecond,
 		Backend: testBackend()}
 	if durableTest() {
 		opt.Dir = t.TempDir()
@@ -534,10 +537,10 @@ func TestEventHookEviction(t *testing.T) {
 	}
 }
 
-// TestEvictStaleGenerationNoOp pins the satellite-1 bugfix at the MetaStore
-// level: Evict carries the candidate's generation and must refuse to drop
-// an entry that was replaced (same ID, new generation) after the candidate
-// snapshot was taken.
+// TestEvictStaleGenerationNoOp pins the stale-candidate eviction fix at the
+// metadata-store level: Evict carries the candidate's generation and must
+// refuse to drop an entry that was replaced (same ID, new generation) after
+// the candidate snapshot was taken.
 func TestEvictStaleGenerationNoOp(t *testing.T) {
 	s, _ := newTestStore(t, Options{TTL: time.Hour})
 	old, _ := s.CreateOrGet("x", KindLabels, Params{}, nil)
@@ -573,7 +576,7 @@ func TestEvictOverflowRaceSparesFreshResult(t *testing.T) {
 	const perEntry = entryOverheadBytes + 400
 	// Three finished jobs fit under the cap; the fourth pushes over, so the
 	// overflow pass runs exactly once, after the race hook is armed.
-	s, clk := newTestStore(t, Options{Shards: 2, TTL: time.Hour, MaxResultBytes: 3*perEntry + 100})
+	s, clk := newTestStore(t, Options{TTL: time.Hour, MaxResultBytes: 3*perEntry + 100})
 	mkRes := func(nc int) *Result {
 		return &Result{
 			ResultInfo: ResultInfo{NumComponents: nc},
@@ -603,7 +606,7 @@ func TestEvictOverflowRaceSparesFreshResult(t *testing.T) {
 		s.blobs.Put("victim", j.Gen, mkRes(99))
 		info := &ResultInfo{NumComponents: 99}
 		now := s.now()
-		s.meta.Complete("victim", j.Gen, info, now, now.Add(s.ttl))
+		s.meta.finish("victim", j.Gen, StateDone, "", info, now, now.Add(s.ttl))
 	}
 
 	// Push past the cap: the overflow pass ranks [victim, mid, newest, ...]

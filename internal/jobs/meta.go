@@ -6,65 +6,31 @@ import (
 	"time"
 )
 
-// MetaStore is the job metadata store: generation-aware lifecycle records
-// keyed by content-hash job ID. Implementations must be safe for concurrent
-// use. The in-memory sharded map (memMeta) is the default backend; the
-// durable backend (durMeta) decorates it with a write-ahead journal so the
-// same lifecycle logic runs once and the journal only records what applied.
-//
-// Transition methods return the post-transition snapshot and whether the
-// transition applied; a transition targeting a missing ID or a stale
-// generation is a no-op (applied=false). Timestamps are passed in by the
-// caller (the Store façade owns the clock), which keeps implementations
-// clock-free and makes journal replay exact.
-type MetaStore interface {
-	// CreateOrGet is the dedup gate: a live entry under id is returned with
-	// existed=true; a failed, canceled or expired one is replaced by a fresh
-	// queued job (returned via replaced so the caller can release its blobs
-	// and account the eviction).
-	CreateOrGet(id string, kind Kind, p Params, now time.Time) (j Job, existed bool, replaced *Job)
-	// SetQueuePos records the engine queue position observed at admission.
-	SetQueuePos(id string, gen uint64, pos int)
-	// Start moves a queued job to running.
-	Start(id string, gen uint64, now time.Time) (Job, bool)
-	// Complete moves an unfinished job to done with its result summary.
-	Complete(id string, gen uint64, info *ResultInfo, now, expires time.Time) (Job, bool)
-	// Fail moves an unfinished job to failed.
-	Fail(id string, gen uint64, msg string, now, expires time.Time) (Job, bool)
-	// Cancel moves an unfinished job to canceled.
-	Cancel(id string, gen uint64, msg string, now, expires time.Time) (Job, bool)
-	// Get returns a snapshot; it applies no expiry logic (the façade does).
-	Get(id string) (Job, bool)
-	// Remove deletes the job regardless of state.
-	Remove(id string) (Job, bool)
-	// Evict deletes the job only if that exact generation is still present
-	// and finished — the recheck that makes byte-cap eviction safe against
-	// a job being resubmitted and re-completed behind a stale candidate
-	// ranking.
-	Evict(id string, gen uint64) (Job, bool)
-	// Sweep drops every finished job whose expiry precedes now and returns
-	// the dropped snapshots.
-	Sweep(now time.Time) []Job
-	// Finished and Queued snapshot the jobs in those states (Finished spans
-	// done, failed and canceled); used for eviction ranking and recovery.
-	Finished() []Job
-	Queued() []Job
-	// Len is the number of stored jobs.
-	Len() int
-	// StateCounts reads the per-state gauges (O(1), never a scan).
-	StateCounts() (queued, running, done, failed, canceled int64)
-	// Close releases backend resources (files, handles). The in-memory
-	// implementation is a no-op.
-	Close() error
-}
+// shardCount is the number of mutex-sharded job maps.
+const shardCount = 16
 
-// memMeta is the default MetaStore: N mutex-sharded maps with per-state
-// gauges maintained at every transition so a census never scans the shards.
-type memMeta struct {
-	shards []metaShard
-	// gen issues Job.Gen values; the durable backend seeds it past the
-	// largest replayed generation.
+// metaStore is the job metadata store: generation-aware lifecycle records
+// keyed by content-hash job ID in mutex-sharded maps, with per-state gauges
+// maintained at every transition so a census never scans the shards.
+//
+// A transition targeting a missing ID or a stale generation is a no-op
+// (applied=false). Timestamps are passed in by the caller (the Store owns
+// the clock), which keeps the store clock-free and makes journal replay
+// exact.
+//
+// On the disk backend a journal is attached and the transitions that must
+// survive a crash — create, finish, remove, evict and sweep — hold its lock
+// across the shard-locked change and the record that journals it, so
+// records land in the order the changes applied. The shard lock is released
+// before the append, so reads never wait for an fsync. Without a journal
+// (the memory backend) transitions take only shard locks.
+type metaStore struct {
+	shards [shardCount]metaShard
+	// gen issues Job.Gen values; journal replay seeds it past the largest
+	// journaled generation.
 	gen atomic.Uint64
+	// wal is the disk backend's journal; nil on the memory backend.
+	wal *journal
 
 	queued, running, done, failed, canceled atomic.Int64
 }
@@ -74,15 +40,15 @@ type metaShard struct {
 	jobs map[string]*Job
 }
 
-func newMemMeta(shards int) *memMeta {
-	m := &memMeta{shards: make([]metaShard, shards)}
+func newMetaStore() *metaStore {
+	m := &metaStore{}
 	for i := range m.shards {
 		m.shards[i].jobs = make(map[string]*Job)
 	}
 	return m
 }
 
-func (m *memMeta) shardFor(id string) *metaShard {
+func (m *metaStore) shardFor(id string) *metaShard {
 	// Inline FNV-1a: shardFor runs on every store operation and the
 	// hash.Hash32 from fnv.New32a would heap-allocate each time.
 	h := uint32(2166136261)
@@ -90,10 +56,10 @@ func (m *memMeta) shardFor(id string) *metaShard {
 		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return &m.shards[h%uint32(len(m.shards))]
+	return &m.shards[h%shardCount]
 }
 
-func (m *memMeta) stateGauge(st State) *atomic.Int64 {
+func (m *metaStore) stateGauge(st State) *atomic.Int64 {
 	switch st {
 	case StateQueued:
 		return &m.queued
@@ -109,7 +75,7 @@ func (m *memMeta) stateGauge(st State) *atomic.Int64 {
 }
 
 // shift accounts one job moving between states; "" means created/removed.
-func (m *memMeta) shift(from, to State) {
+func (m *metaStore) shift(from, to State) {
 	if from != "" {
 		m.stateGauge(from).Add(-1)
 	}
@@ -118,76 +84,60 @@ func (m *memMeta) shift(from, to State) {
 	}
 }
 
-func (m *memMeta) CreateOrGet(id string, kind Kind, p Params, now time.Time) (Job, bool, *Job) {
+// CreateOrGet is the dedup gate: a live entry under id is returned with
+// existed=true; a failed, canceled or expired one is replaced by a fresh
+// queued job (returned via replaced so the caller can release its blobs
+// and account the eviction).
+func (m *metaStore) CreateOrGet(id string, kind Kind, p Params, now time.Time) (j Job, existed bool, replaced *Job) {
+	m.wal.lock()
+	defer m.wal.unlock()
 	sh := m.shardFor(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if j, ok := sh.jobs[id]; ok {
-		expired := !j.ExpiresAt.IsZero() && now.After(j.ExpiresAt)
-		retryable := j.State == StateFailed || j.State == StateCanceled
+	if old, ok := sh.jobs[id]; ok {
+		expired := !old.ExpiresAt.IsZero() && now.After(old.ExpiresAt)
+		retryable := old.State == StateFailed || old.State == StateCanceled
 		if !retryable && !expired {
-			return *j, true, nil
+			j = *old
+			sh.mu.Unlock()
+			return j, true, nil
 		}
-		// Failed, canceled or expired: replace with a fresh job and hand the
-		// old snapshot back so the caller can release its blobs.
-		repl := *j
-		delete(sh.jobs, id)
-		m.shift(repl.State, "")
-		fresh := m.createLocked(sh, id, kind, p, now)
-		return fresh, false, &repl
-	}
-	return m.createLocked(sh, id, kind, p, now), false, nil
-}
-
-func (m *memMeta) createLocked(sh *metaShard, id string, kind Kind, p Params, now time.Time) Job {
-	j := &Job{ID: id, Gen: m.gen.Add(1), Kind: kind, State: StateQueued, Created: now, Params: p}
-	sh.jobs[id] = j
-	m.shift("", StateQueued)
-	return *j
-}
-
-// install places a replayed job snapshot directly, gauges included; the
-// durable backend uses it during journal replay (no events, no journaling).
-func (m *memMeta) install(j Job) {
-	sh := m.shardFor(j.ID)
-	sh.mu.Lock()
-	if old, ok := sh.jobs[j.ID]; ok {
+		repl := *old
+		replaced = &repl
 		m.shift(old.State, "")
 	}
-	cp := j
-	sh.jobs[j.ID] = &cp
-	m.shift("", j.State)
+	fresh := &Job{ID: id, Gen: m.gen.Add(1), Kind: kind, State: StateQueued, Created: now, Params: p}
+	sh.jobs[id] = fresh
+	m.shift("", StateQueued)
+	j = *fresh
 	sh.mu.Unlock()
-	// Keep the generation counter ahead of every installed entry.
-	for {
-		cur := m.gen.Load()
-		if j.Gen <= cur || m.gen.CompareAndSwap(cur, j.Gen) {
-			return
-		}
-	}
+	// One create record both registers the fresh job and supersedes the
+	// replaced one on replay (same ID, later record wins).
+	m.wal.append(walRec{Op: "create", ID: id, Gen: j.Gen, Kind: kind, T: now.UnixNano(), P: &p})
+	return j, false, replaced
 }
 
 // mutate runs f on the entry if id exists at exactly gen, returning the
 // post-mutation snapshot and whether f reported the transition applied.
-func (m *memMeta) mutate(id string, gen uint64, f func(*Job) bool) (Job, bool) {
+func (m *metaStore) mutate(id string, gen uint64, f func(*Job) bool) (Job, bool) {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	j, ok := sh.jobs[id]
-	if !ok || j.Gen != gen {
-		return Job{}, false
-	}
-	if !f(j) {
+	if !ok || j.Gen != gen || !f(j) {
 		return Job{}, false
 	}
 	return *j, true
 }
 
-func (m *memMeta) SetQueuePos(id string, gen uint64, pos int) {
+// SetQueuePos records the engine queue position observed at admission;
+// ephemeral, so not journaled.
+func (m *metaStore) SetQueuePos(id string, gen uint64, pos int) {
 	m.mutate(id, gen, func(j *Job) bool { j.QueuePos = pos; return true })
 }
 
-func (m *memMeta) Start(id string, gen uint64, now time.Time) (Job, bool) {
+// Start moves a queued job to running. Not journaled by design (see
+// walRec): a job running at a crash replays as queued and is re-run.
+func (m *metaStore) Start(id string, gen uint64, now time.Time) (Job, bool) {
 	return m.mutate(id, gen, func(j *Job) bool {
 		if j.State != StateQueued {
 			return false
@@ -199,8 +149,12 @@ func (m *memMeta) Start(id string, gen uint64, now time.Time) (Job, bool) {
 	})
 }
 
-func (m *memMeta) finish(id string, gen uint64, to State, msg string, info *ResultInfo, now, expires time.Time) (Job, bool) {
-	return m.mutate(id, gen, func(j *Job) bool {
+// finish moves an unfinished job to the terminal state to: done with its
+// result summary, or failed/canceled with msg as the reason.
+func (m *metaStore) finish(id string, gen uint64, to State, msg string, info *ResultInfo, now, expires time.Time) (Job, bool) {
+	m.wal.lock()
+	defer m.wal.unlock()
+	j, ok := m.mutate(id, gen, func(j *Job) bool {
 		if j.State.Finished() {
 			return false
 		}
@@ -212,21 +166,17 @@ func (m *memMeta) finish(id string, gen uint64, to State, msg string, info *Resu
 		j.ExpiresAt = expires
 		return true
 	})
+	if ok {
+		m.wal.append(walRec{
+			Op: "finish", ID: id, Gen: gen, State: to, Err: msg, Info: info,
+			T: now.UnixNano(), Exp: expires.UnixNano(),
+		})
+	}
+	return j, ok
 }
 
-func (m *memMeta) Complete(id string, gen uint64, info *ResultInfo, now, expires time.Time) (Job, bool) {
-	return m.finish(id, gen, StateDone, "", info, now, expires)
-}
-
-func (m *memMeta) Fail(id string, gen uint64, msg string, now, expires time.Time) (Job, bool) {
-	return m.finish(id, gen, StateFailed, msg, nil, now, expires)
-}
-
-func (m *memMeta) Cancel(id string, gen uint64, msg string, now, expires time.Time) (Job, bool) {
-	return m.finish(id, gen, StateCanceled, msg, nil, now, expires)
-}
-
-func (m *memMeta) Get(id string) (Job, bool) {
+// Get returns a snapshot; it applies no expiry logic (the Store does).
+func (m *metaStore) Get(id string) (Job, bool) {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -236,38 +186,46 @@ func (m *memMeta) Get(id string) (Job, bool) {
 	return Job{}, false
 }
 
-func (m *memMeta) Remove(id string) (Job, bool) {
+// drop deletes the entry under id if match accepts it and journals the
+// removal.
+func (m *metaStore) drop(id string, match func(*Job) bool) (Job, bool) {
+	m.wal.lock()
+	defer m.wal.unlock()
 	sh := m.shardFor(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	j, ok := sh.jobs[id]
-	if !ok {
+	if !ok || !match(j) {
+		sh.mu.Unlock()
 		return Job{}, false
 	}
 	delete(sh.jobs, id)
 	m.shift(j.State, "")
-	return *j, true
+	gone := *j
+	sh.mu.Unlock()
+	m.wal.append(walRec{Op: "remove", ID: id, Gen: gone.Gen})
+	return gone, true
 }
 
-func (m *memMeta) Evict(id string, gen uint64) (Job, bool) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j, ok := sh.jobs[id]
-	// The generation and state recheck under the shard lock: a candidate
-	// ranked from a released-lock snapshot may have been deleted and
-	// resubmitted (same content-hash ID, new generation) and even completed
-	// again — its fresh result must not be dropped on the stale "oldest"
-	// ranking.
-	if !ok || j.Gen != gen || !j.State.Finished() {
-		return Job{}, false
-	}
-	delete(sh.jobs, id)
-	m.shift(j.State, "")
-	return *j, true
+// Remove deletes the job regardless of state.
+func (m *metaStore) Remove(id string) (Job, bool) {
+	return m.drop(id, func(*Job) bool { return true })
 }
 
-func (m *memMeta) Sweep(now time.Time) []Job {
+// Evict deletes the job only if that exact generation is still present and
+// finished. The recheck under the shard lock makes byte-cap eviction safe:
+// a candidate ranked from a released-lock snapshot may have been deleted
+// and resubmitted (same content-hash ID, new generation) and even completed
+// again — its fresh result must not be dropped on the stale "oldest"
+// ranking.
+func (m *metaStore) Evict(id string, gen uint64) (Job, bool) {
+	return m.drop(id, func(j *Job) bool { return j.Gen == gen && j.State.Finished() })
+}
+
+// Sweep drops every finished job whose expiry precedes now and returns the
+// dropped snapshots.
+func (m *metaStore) Sweep(now time.Time) []Job {
+	m.wal.lock()
+	defer m.wal.unlock()
 	var dropped []Job
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -281,10 +239,18 @@ func (m *memMeta) Sweep(now time.Time) []Job {
 		}
 		sh.mu.Unlock()
 	}
+	for i := range dropped {
+		m.wal.append(walRec{Op: "remove", ID: dropped[i].ID, Gen: dropped[i].Gen})
+	}
+	if m.wal != nil && m.wal.dominated(m.Len()) {
+		m.wal.compact(m.snapshot(func(*Job) bool { return true }))
+	}
 	return dropped
 }
 
-func (m *memMeta) snapshot(keep func(*Job) bool) []Job {
+// snapshot copies the jobs keep accepts; used for eviction ranking,
+// recovery and journal compaction.
+func (m *metaStore) snapshot(keep func(*Job) bool) []Job {
 	var out []Job
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -299,15 +265,8 @@ func (m *memMeta) snapshot(keep func(*Job) bool) []Job {
 	return out
 }
 
-func (m *memMeta) Finished() []Job {
-	return m.snapshot(func(j *Job) bool { return j.State.Finished() })
-}
-
-func (m *memMeta) Queued() []Job {
-	return m.snapshot(func(j *Job) bool { return j.State == StateQueued })
-}
-
-func (m *memMeta) Len() int {
+// Len is the number of stored jobs.
+func (m *metaStore) Len() int {
 	n := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -317,10 +276,3 @@ func (m *memMeta) Len() int {
 	}
 	return n
 }
-
-func (m *memMeta) StateCounts() (queued, running, done, failed, canceled int64) {
-	return m.queued.Load(), m.running.Load(), m.done.Load(),
-		m.failed.Load(), m.canceled.Load()
-}
-
-func (m *memMeta) Close() error { return nil }

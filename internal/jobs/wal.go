@@ -32,38 +32,35 @@ type walRec struct {
 	P   *Params `json:"p,omitempty"`
 }
 
-// durMeta is the durable MetaStore: it embeds the in-memory implementation
-// for all reads and state logic and appends a fsynced journal record for
-// every applied create/finish/remove, so replaying the journal rebuilds the
-// exact metadata. mu serializes the memory transition with its journal
-// append — without it two racing transitions could journal in the opposite
-// order they applied, and a replay would resurrect the loser.
-type durMeta struct {
-	mem *memMeta
-
+// journal is the disk backend's metadata write-ahead log: a fsynced JSONL
+// record of every applied create/finish/remove, so replaying it rebuilds the
+// exact metadata. mu orders each transition with its append — without it
+// two racing transitions could journal in the opposite order they applied,
+// and a replay would resurrect the loser. A nil *journal (the memory
+// backend) locks and records nothing.
+type journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
 	appends int // records since open/compaction, drives compaction
 
-	// journalErrs counts append write/fsync failures (ENOSPC, yanked disk):
-	// the in-memory state keeps serving, but the journal has diverged, so a
+	// errs counts append write/fsync failures (ENOSPC, yanked disk): the
+	// in-memory state keeps serving, but the journal has diverged, so a
 	// later restart may lose or resurrect jobs. Exported through Counts as
 	// the ccserve_jobs_journal_errors_total metric; logOnce keeps a full
 	// disk from turning into a log storm.
-	journalErrs atomic.Int64
-	logOnce     sync.Once
+	errs    atomic.Int64
+	logOnce sync.Once
 }
 
-// openDurMeta opens (or creates) the journal at path and replays it.
+// openJournal opens (or creates) the journal at path and replays it into m.
 // Finished jobs whose TTL already lapsed are not installed (their blobs are
 // swept as orphans by the caller); everything else comes back exactly as
 // journaled, with running-at-crash jobs as queued. A torn trailing record —
 // the one crash artifact an append-only journal can have — is truncated; a
 // torn or foreign record mid-file stops the replay there and truncates the
 // rest, favouring serving the prefix over refusing to start.
-func openDurMeta(path string, shards int, now time.Time) (*durMeta, error) {
-	d := &durMeta{mem: newMemMeta(shards), path: path}
+func openJournal(path string, m *metaStore, now time.Time) (*journal, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("jobs: read journal: %w", err)
@@ -79,32 +76,26 @@ func openDurMeta(path string, shards int, now time.Time) (*durMeta, error) {
 		if !j.ExpiresAt.IsZero() && now.After(j.ExpiresAt) {
 			continue
 		}
-		d.mem.install(*j)
+		m.shardFor(j.ID).jobs[j.ID] = j
+		m.shift("", j.State)
 		live++
 	}
 	// Seed the generation counter past every journaled generation — also
 	// the removed and expired ones, so a fresh entry never reuses a
 	// generation that stale on-disk artifacts might still carry.
-	for {
-		cur := d.mem.gen.Load()
-		if maxGen <= cur || d.mem.gen.CompareAndSwap(cur, maxGen) {
-			break
-		}
-	}
+	m.gen.Store(maxGen)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	d.f = f
+	w := &journal{f: f, path: path}
 	// Replay counts toward the compaction budget: a journal full of dead
 	// records compacts on the first sweep instead of growing forever.
-	d.appends = bytes.Count(data[:goodLen], []byte{'\n'})
-	if live == 0 && d.appends > 0 {
-		d.mu.Lock()
-		d.compactLocked()
-		d.mu.Unlock()
+	w.appends = bytes.Count(data[:goodLen], []byte{'\n'})
+	if live == 0 && w.appends > 0 {
+		w.compact(nil)
 	}
-	return d, nil
+	return w, nil
 }
 
 // replay decodes the journal into the surviving job set. It returns the
@@ -160,69 +151,81 @@ func replay(data []byte) (jobs map[string]*Job, maxGen uint64, goodLen int) {
 	return jobs, maxGen, off
 }
 
-// appendLocked journals one record with write+fsync; callers hold d.mu so
+func (w *journal) lock() {
+	if w != nil {
+		w.mu.Lock()
+	}
+}
+
+func (w *journal) unlock() {
+	if w != nil {
+		w.mu.Unlock()
+	}
+}
+
+// append journals one record with write+fsync; callers hold w.mu so
 // journal order matches apply order. The in-memory state remains
 // authoritative when the append fails, but the failure is surfaced — logged
 // once and counted — so operators notice the journal diverging before they
 // rely on restart recovery.
-func (d *durMeta) appendLocked(rec walRec) {
-	if d.f == nil {
-		return // closed: stragglers are documented no-ops, not journal errors
+func (w *journal) append(rec walRec) {
+	if w == nil || w.f == nil {
+		return // memory backend, or closed: stragglers are documented no-ops
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return // walRec contains only marshalable fields; unreachable
 	}
 	line = append(line, '\n')
-	if _, err := d.f.Write(line); err != nil {
-		d.noteJournalError("write", err)
+	if _, err := w.f.Write(line); err != nil {
+		w.noteError("write", err)
 		return
 	}
-	if err := d.f.Sync(); err != nil {
+	if err := w.f.Sync(); err != nil {
 		// The record reached the OS but maybe not the platter; the replayed
 		// state after a crash may be missing it.
-		d.noteJournalError("fsync", err)
+		w.noteError("fsync", err)
 		return
 	}
-	d.appends++
+	w.appends++
 }
 
-func (d *durMeta) noteJournalError(op string, err error) {
-	d.journalErrs.Add(1)
-	d.logOnce.Do(func() {
+func (w *journal) noteError(op string, err error) {
+	w.errs.Add(1)
+	w.logOnce.Do(func() {
 		slog.Error("jobs: journal append failed; in-memory state keeps serving but restart recovery may lose or resurrect jobs",
-			"op", op, "path", d.path, "err", err)
+			"op", op, "path", w.path, "err", err)
 	})
 }
 
-// JournalErrors reports how many journal appends have failed since open
-// (the journalHealth hook the Store façade polls for Counts).
-func (d *durMeta) JournalErrors() int64 { return d.journalErrs.Load() }
+// compactMinAppends is the smallest journal that compaction rewrites.
+const compactMinAppends = 1024
 
-// compactLocked rewrites the journal as a minimal snapshot of the live job
-// set (one create record per job, plus a finish record for finished ones),
-// atomically via temp file + rename, and resets the append budget.
-func (d *durMeta) compactLocked() {
+// dominated reports whether dead records dominate the journal: it holds at
+// least compactMinAppends records and at least 4x the snapshot of live jobs
+// (two records each at most). Callers hold w.mu.
+func (w *journal) dominated(live int) bool {
+	return w.appends >= compactMinAppends && w.appends >= 4*(2*live)
+}
+
+// compact rewrites the journal as a minimal snapshot of the live job set
+// (one create record per job, plus a finish record for finished ones),
+// atomically via temp file + rename, and resets the append budget. Callers
+// hold w.mu.
+func (w *journal) compact(live []Job) {
 	var buf bytes.Buffer
 	n := 0
-	for _, j := range d.mem.snapshot(func(*Job) bool { return true }) {
+	for _, j := range live {
 		p := j.Params
-		line, err := json.Marshal(walRec{
-			Op: "create", ID: j.ID, Gen: j.Gen, Kind: j.Kind,
-			T: j.Created.UnixNano(), P: &p,
-		})
-		if err != nil {
-			continue
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-		n++
+		recs := []walRec{{Op: "create", ID: j.ID, Gen: j.Gen, Kind: j.Kind, T: j.Created.UnixNano(), P: &p}}
 		if j.State.Finished() {
-			line, err = json.Marshal(walRec{
-				Op: "finish", ID: j.ID, Gen: j.Gen, State: j.State,
-				Err: j.Err, Info: j.Info,
+			recs = append(recs, walRec{
+				Op: "finish", ID: j.ID, Gen: j.Gen, State: j.State, Err: j.Err, Info: j.Info,
 				T: j.Finished.UnixNano(), Exp: j.ExpiresAt.UnixNano(),
 			})
+		}
+		for _, rec := range recs {
+			line, err := json.Marshal(rec)
 			if err != nil {
 				continue
 			}
@@ -231,153 +234,37 @@ func (d *durMeta) compactLocked() {
 			n++
 		}
 	}
-	tmp := d.path + ".tmp"
+	tmp := w.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
+	if err := writeSync(f, buf.Bytes()); err != nil || os.Rename(tmp, w.path) != nil {
 		os.Remove(tmp)
 		return
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	f.Close()
-	if err := os.Rename(tmp, d.path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	nf, err := os.OpenFile(d.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		// The snapshot replaced the journal but reopening failed; keep the
 		// old handle (it appends to the unlinked file — durability degrades
 		// to the snapshot until the next successful compaction).
 		return
 	}
-	d.f.Close()
-	d.f = nf
-	d.appends = n
+	w.f.Close()
+	w.f = nf
+	w.appends = n
 }
 
-// maybeCompactLocked compacts once dead records dominate: the journal holds
-// at least compactMinAppends records and at least 4x the live snapshot.
-const compactMinAppends = 1024
-
-func (d *durMeta) maybeCompactLocked() {
-	if d.appends >= compactMinAppends && d.appends >= 4*(2*d.mem.Len()) {
-		d.compactLocked()
+// close flushes and closes the journal; later appends are no-ops.
+func (w *journal) close() {
+	if w == nil {
+		return
 	}
-}
-
-func (d *durMeta) CreateOrGet(id string, kind Kind, p Params, now time.Time) (Job, bool, *Job) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, existed, replaced := d.mem.CreateOrGet(id, kind, p, now)
-	if !existed {
-		// One create record both registers the fresh job and supersedes the
-		// replaced one on replay (same ID, later record wins).
-		pc := p
-		d.appendLocked(walRec{
-			Op: "create", ID: id, Gen: j.Gen, Kind: kind,
-			T: now.UnixNano(), P: &pc,
-		})
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f != nil {
+		w.f.Sync()
+		w.f.Close()
+		w.f = nil
 	}
-	return j, existed, replaced
-}
-
-func (d *durMeta) SetQueuePos(id string, gen uint64, pos int) {
-	d.mem.SetQueuePos(id, gen, pos) // ephemeral; not journaled
-}
-
-func (d *durMeta) Start(id string, gen uint64, now time.Time) (Job, bool) {
-	return d.mem.Start(id, gen, now) // not journaled by design; see walRec
-}
-
-func (d *durMeta) finish(op State, id string, gen uint64, msg string, info *ResultInfo, now, expires time.Time,
-	apply func() (Job, bool)) (Job, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, ok := apply()
-	if ok {
-		d.appendLocked(walRec{
-			Op: "finish", ID: id, Gen: gen, State: op, Err: msg, Info: info,
-			T: now.UnixNano(), Exp: expires.UnixNano(),
-		})
-	}
-	return j, ok
-}
-
-func (d *durMeta) Complete(id string, gen uint64, info *ResultInfo, now, expires time.Time) (Job, bool) {
-	return d.finish(StateDone, id, gen, "", info, now, expires, func() (Job, bool) {
-		return d.mem.Complete(id, gen, info, now, expires)
-	})
-}
-
-func (d *durMeta) Fail(id string, gen uint64, msg string, now, expires time.Time) (Job, bool) {
-	return d.finish(StateFailed, id, gen, msg, nil, now, expires, func() (Job, bool) {
-		return d.mem.Fail(id, gen, msg, now, expires)
-	})
-}
-
-func (d *durMeta) Cancel(id string, gen uint64, msg string, now, expires time.Time) (Job, bool) {
-	return d.finish(StateCanceled, id, gen, msg, nil, now, expires, func() (Job, bool) {
-		return d.mem.Cancel(id, gen, msg, now, expires)
-	})
-}
-
-func (d *durMeta) Get(id string) (Job, bool) { return d.mem.Get(id) }
-
-func (d *durMeta) Remove(id string) (Job, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, ok := d.mem.Remove(id)
-	if ok {
-		d.appendLocked(walRec{Op: "remove", ID: id, Gen: j.Gen})
-	}
-	return j, ok
-}
-
-func (d *durMeta) Evict(id string, gen uint64) (Job, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, ok := d.mem.Evict(id, gen)
-	if ok {
-		d.appendLocked(walRec{Op: "remove", ID: id, Gen: gen})
-	}
-	return j, ok
-}
-
-func (d *durMeta) Sweep(now time.Time) []Job {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dropped := d.mem.Sweep(now)
-	for i := range dropped {
-		d.appendLocked(walRec{Op: "remove", ID: dropped[i].ID, Gen: dropped[i].Gen})
-	}
-	d.maybeCompactLocked()
-	return dropped
-}
-
-func (d *durMeta) Finished() []Job { return d.mem.Finished() }
-func (d *durMeta) Queued() []Job   { return d.mem.Queued() }
-func (d *durMeta) Len() int        { return d.mem.Len() }
-
-func (d *durMeta) StateCounts() (queued, running, done, failed, canceled int64) {
-	return d.mem.StateCounts()
-}
-
-func (d *durMeta) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.f == nil {
-		return nil
-	}
-	d.f.Sync()
-	err := d.f.Close()
-	d.f = nil
-	return err
 }

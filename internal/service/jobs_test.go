@@ -22,7 +22,7 @@ import (
 )
 
 // newTestJobStore builds a job store for a test, honoring
-// CCSERVE_TEST_JOB_STORE=sqlite so CI can run the whole service suite
+// CCSERVE_TEST_JOB_STORE=disk so CI can run the whole service suite
 // against the durable backend; unset or "memory" keeps the in-memory
 // default.
 func newTestJobStore(t *testing.T, jopt jobs.Options) *jobs.Store {
@@ -663,7 +663,7 @@ func TestJobMetricsExposition(t *testing.T) {
 // polling, fetching results and deleting, all against one engine and store.
 func TestJobConcurrentStress(t *testing.T) {
 	_, _, srv := newJobsServer(t, Config{Workers: 2, QueueDepth: 256, Threads: 1},
-		jobs.Options{Shards: 4, TTL: 40 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+		jobs.Options{TTL: 40 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
 
 	bodies := make([][]byte, 3)
 	for i := range bodies {
@@ -754,5 +754,91 @@ func TestJobConcurrentStress(t *testing.T) {
 	wg.Wait()
 	if failures.Load() != 0 {
 		t.Fatalf("%d stress operations failed", failures.Load())
+	}
+}
+
+// TestJobKindsSurviveRestartAndSpill submits one job of every kind to a
+// disk store, fetches each default-format result, reopens the store and
+// asserts every result comes back byte-identical. The capped run holds all
+// six entries' overhead but not their payloads, so results are spilled
+// before the first fetch and every fetch after the reopen reads from disk.
+func TestJobKindsSurviveRestartAndSpill(t *testing.T) {
+	pbm := pbmBody(t, testImage(t))
+	gray, _ := grayBody(t, 29, 31, 61)
+	vol, _ := volumeBody(t, 13, 9, 6, 62)
+	subs := []struct {
+		query, ct string
+		body      []byte
+	}{
+		{"?kind=labels", ctPBM, pbm},
+		{"?kind=stats", ctPBM, pbm},
+		{"?kind=contours", ctPBM, pbm},
+		{"?kind=gray", ctPGM, gray},
+		{"?mode=gray-delta&delta=40", ctPGM, gray},
+		{"?kind=volume", ctPGM, vol},
+	}
+	for _, maxBytes := range []int64{0, 4096} {
+		t.Run(fmt.Sprintf("cap=%d", maxBytes), func(t *testing.T) {
+			jopt := jobs.Options{TTL: time.Hour, Backend: jobs.BackendDisk, Dir: t.TempDir(), MaxResultBytes: maxBytes}
+			serve := func() (*jobs.Store, *httptest.Server, func()) {
+				store, err := jobs.Open(jopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := NewEngine(Config{Workers: 2})
+				h := NewHandler(eng, HandlerConfig{Jobs: store})
+				srv := httptest.NewServer(h)
+				return store, srv, func() {
+					srv.Close()
+					eng.Close()
+					h.WaitJobs()
+					store.Close()
+				}
+			}
+
+			store1, srv1, stop1 := serve()
+			ids := make([]string, len(subs))
+			for i, s := range subs {
+				ids[i] = submitJobs(t, srv1.URL+"/v1/jobs"+s.query, s.ct, s.body).Jobs[0].ID
+				pollJob(t, srv1.URL, ids[i], string(jobs.StateDone))
+			}
+			if c := store1.Counts(); maxBytes > 0 && (c.Spilled == 0 || c.Evicted != 0) {
+				t.Fatalf("capped store spilled %d and evicted %d, want spills only", c.Spilled, c.Evicted)
+			}
+			want := make([][]byte, len(subs))
+			for i, id := range ids {
+				want[i] = fetchResultBytes(t, srv1.URL, id)
+			}
+			stop1()
+
+			_, srv2, stop2 := serve()
+			defer stop2()
+			for i, id := range ids {
+				if got := fetchResultBytes(t, srv2.URL, id); !bytes.Equal(got, want[i]) {
+					t.Errorf("%s result after reopen differs:\n got %s\nwant %s", subs[i].query, got, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestJobKeyMatchesServerForEveryKind: the exported JobKey promises the ID
+// POST /v1/jobs assigns, so it must apply each kind's normalization.
+func TestJobKeyMatchesServerForEveryKind(t *testing.T) {
+	_, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 16}, jobs.Options{TTL: time.Hour})
+	gray, _ := grayBody(t, 9, 7, 5)
+	for _, kind := range []paremsp.JobKind{paremsp.JobLabels, paremsp.JobStats, paremsp.JobContours, paremsp.JobGray, paremsp.JobVolume} {
+		for _, body := range []struct {
+			ct   string
+			data []byte
+		}{{ctPBM, pbmBody(t, testImage(t))}, {ctPGM, gray}} {
+			if kind == paremsp.JobVolume && body.ct == ctPBM {
+				continue // volumes are P5 stacks only
+			}
+			got := submitJobs(t, srv.URL+"/v1/jobs?kind="+string(kind)+"&level=0.5", body.ct, body.data).Jobs[0].ID
+			if want := paremsp.JobKey(kind, "", 0, 0.5, body.data); got != want {
+				t.Errorf("kind %s (%s): server ID %s, JobKey computes %s", kind, body.ct, got, want)
+			}
+		}
 	}
 }

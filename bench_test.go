@@ -23,9 +23,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/grayccl"
 	"repro/internal/pnm"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
+	"repro/internal/vol3d"
 )
 
 const benchScale = 0.02
@@ -482,32 +484,47 @@ func BenchmarkBitScanPhases(b *testing.B) {
 	}
 }
 
-// BenchmarkP4Ingest compares the two raw-PBM decode paths feeding the
-// service: unpack-to-bytes (pnm.DecodeInto) vs packed-to-packed
-// (pnm.DecodePBMBitmapInto).
-func BenchmarkP4Ingest(b *testing.B) {
+// BenchmarkPNMIngest times every table-driven raw decode path feeding the
+// service, each on 1 Mpx into a reused destination: raw PBM unpacked to a
+// byte raster (p4-bytes, pnm.DecodeInto) and copied packed-to-packed
+// (p4-bitmap, pnm.DecodePBMBitmapInto); random 8-bit P5 binarized at
+// level 0.35 (p5-binary) and kept gray (p5-gray); and 64 such 128x128
+// frames as a volume.
+func BenchmarkPNMIngest(b *testing.B) {
 	img := dataset.LandCover(1024, 1024, 32, 0.5, 1)
 	var buf bytes.Buffer
 	if err := pnm.EncodePBM(&buf, img, true); err != nil {
 		b.Fatal(err)
 	}
-	raw := buf.Bytes()
-	b.Run("bytes", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		dst := &binimg.Image{}
-		for i := 0; i < b.N; i++ {
-			if err := pnm.DecodeInto(bytes.NewReader(raw), 0.5, dst); err != nil {
-				b.Fatal(err)
+	p4 := buf.Bytes()
+	rng := rand.New(rand.NewSource(1))
+	p5 := randomP5(rng, 1024, 1024)
+	var vol []byte
+	for z := 0; z < 64; z++ {
+		vol = append(vol, randomP5(rng, 128, 128)...)
+	}
+	run := func(name string, body []byte, decode func(r *bytes.Reader) error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if err := decode(bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("bitmap", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		dst := &binimg.Bitmap{}
-		for i := 0; i < b.N; i++ {
-			if err := pnm.DecodePBMBitmapInto(bytes.NewReader(raw), dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
+	im, bm, gray, v := &binimg.Image{}, &binimg.Bitmap{}, &grayccl.Image{}, &vol3d.Volume{}
+	run("p4-bytes", p4, func(r *bytes.Reader) error { return pnm.DecodeInto(r, 0.5, im) })
+	run("p4-bitmap", p4, func(r *bytes.Reader) error { return pnm.DecodePBMBitmapInto(r, bm) })
+	run("p5-binary", p5, func(r *bytes.Reader) error { return pnm.DecodeInto(r, 0.35, im) })
+	run("p5-gray", p5, func(r *bytes.Reader) error { return pnm.DecodeGrayInto(r, gray) })
+	run("volume", vol, func(r *bytes.Reader) error { return pnm.DecodeVolumeInto(r, 0.5, v) })
+}
+
+// randomP5 is a raw 8-bit PGM of uniformly random samples.
+func randomP5(rng *rand.Rand, w, h int) []byte {
+	body := []byte(fmt.Sprintf("P5\n%d %d\n255\n", w, h))
+	pix := make([]byte, w*h)
+	rng.Read(pix)
+	return append(body, pix...)
 }

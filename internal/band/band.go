@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/binimg"
 	"repro/internal/core"
+	"repro/internal/poll"
 	"repro/internal/scan"
 	"repro/internal/unionfind"
 )
@@ -144,19 +145,12 @@ func Stream(src Source, opt Options) (*Result, error) {
 		bandRows = h
 	}
 	l := newLabeler(w, bandRows)
-	var done <-chan struct{}
-	if opt.Ctx != nil {
-		done = opt.Ctx.Done()
-	}
+	done := poll.Done(opt.Ctx)
 	var bm binimg.Bitmap
 	y := 0
 	for y < h {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, opt.Ctx.Err()
-			default:
-			}
+		if poll.Stopped(done) {
+			return nil, poll.Err(opt.Ctx)
 		}
 		n, err := src.ReadBand(&bm, bandRows)
 		if n > 0 {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/binimg"
 )
@@ -16,17 +15,17 @@ import (
 // pixels is ever resident, so the image height does not bound memory.
 //
 // P4 rows are already bit-packed and are reordered packed-to-packed; P5 rows
-// are binarized with the im2bw threshold the whole-image decoders use
-// (luminance fraction strictly greater than level becomes foreground).
+// are binarized by the im2bw table the whole-image decoders use (luminance
+// fraction strictly greater than level becomes foreground), then packed.
 type BandReader struct {
 	br     *bufio.Reader
 	width  int
 	height int
-	raw4   bool // true = P4, false = P5
-	maxVal int  // P5 only
-	level  float64
-	y      int // rows already delivered
+	raw4   bool      // true = P4, false = P5
+	thresh threshold // P5 only
+	y      int       // rows already delivered
 	rowBuf []byte
+	pix    []uint8 // P5 only: one binarized row before packing
 }
 
 // NewBandReader reads the PNM header from r and prepares incremental row
@@ -38,7 +37,7 @@ func NewBandReader(r io.Reader, level float64) (*BandReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pnm: reading magic: %w", err)
 	}
-	b := &BandReader{br: br, level: level}
+	b := &BandReader{br: br}
 	switch magic {
 	case "P4":
 		b.raw4 = true
@@ -54,19 +53,13 @@ func NewBandReader(r io.Reader, level float64) (*BandReader, error) {
 		b.rowBuf = make([]byte, (b.width+7)/8)
 		return b, nil
 	}
-	maxTok, err := readToken(br)
+	maxVal, err := readMaxVal(br)
 	if err != nil {
-		return nil, fmt.Errorf("pnm: reading maxval: %w", err)
+		return nil, err
 	}
-	b.maxVal, err = strconv.Atoi(maxTok)
-	if err != nil || b.maxVal < 1 || b.maxVal > 65535 {
-		return nil, fmt.Errorf("pnm: invalid maxval %q", maxTok)
-	}
-	bytesPer := 1
-	if b.maxVal > 255 {
-		bytesPer = 2
-	}
-	b.rowBuf = make([]byte, b.width*bytesPer)
+	b.thresh = newThreshold(level, maxVal)
+	b.rowBuf = make([]byte, p5RowBytes(b.width, maxVal))
+	b.pix = make([]uint8, b.width)
 	return b, nil
 }
 
@@ -76,9 +69,10 @@ func (b *BandReader) Width() int { return b.width }
 // Height returns the image height from the header.
 func (b *BandReader) Height() int { return b.height }
 
-// ReadBand decodes the next band of up to maxRows rows into dst (reshaped
-// with Reset, so one bitmap can be reused for every band) and returns the
-// number of rows delivered. After the final row it returns (0, io.EOF).
+// ReadBand decodes the next band of up to maxRows rows into dst and returns
+// the number of rows delivered. One bitmap can be reused for every band:
+// every word is written, so dst is not cleared first, and its buffer grows
+// with the rows read. After the final row it returns (0, io.EOF).
 func (b *BandReader) ReadBand(dst *binimg.Bitmap, maxRows int) (int, error) {
 	if maxRows <= 0 {
 		return 0, fmt.Errorf("pnm: ReadBand maxRows %d, want >= 1", maxRows)
@@ -90,31 +84,22 @@ func (b *BandReader) ReadBand(dst *binimg.Bitmap, maxRows int) (int, error) {
 	if rows > maxRows {
 		rows = maxRows
 	}
-	dst.Reset(b.width, rows)
-	tail := dst.TailMask()
-	thresh := b.level * float64(b.maxVal)
+	bm := binimg.Bitmap{Width: b.width, Height: rows, WordsPerRow: (b.width + 63) / 64, Words: dst.Words[:0]}
+	wpr, tail := bm.WordsPerRow, bm.TailMask()
 	for i := 0; i < rows; i++ {
 		if _, err := io.ReadFull(b.br, b.rowBuf); err != nil {
 			return 0, fmt.Errorf("pnm: %s row %d: %w", b.format(), b.y+i, err)
 		}
-		words := dst.Row(i)
+		bm.Words = growRows(bm.Words, (i+1)*wpr, rows*wpr)
+		words := bm.Words[i*wpr : (i+1)*wpr]
 		if b.raw4 {
 			packP4Row(words, b.rowBuf, tail)
-			continue
-		}
-		bytesPer := len(b.rowBuf) / max(b.width, 1)
-		for x := 0; x < b.width; x++ {
-			var v int
-			if bytesPer == 2 {
-				v = int(b.rowBuf[2*x])<<8 | int(b.rowBuf[2*x+1])
-			} else {
-				v = int(b.rowBuf[x])
-			}
-			if float64(v) > thresh {
-				words[x>>6] |= 1 << (uint(x) & 63)
-			}
+		} else {
+			b.thresh.row(b.pix, b.rowBuf)
+			packBits(words, b.pix)
 		}
 	}
+	*dst = bm
 	b.y += rows
 	return rows, nil
 }

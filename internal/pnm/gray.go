@@ -11,6 +11,7 @@ import (
 	"image/color"
 	"image/png"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/grayccl"
@@ -18,9 +19,13 @@ import (
 )
 
 // DecodeGrayInto reads a PGM (P2 plain / P5 raw) stream into a caller-
-// provided gray image (reshaped with Reset), preserving gray values instead
-// of binarizing. Samples are scaled to the full 8-bit range: v*255/maxval,
-// so 16-bit graymaps lose precision but keep their relative ordering.
+// provided gray image whose pixel buffer is reused when large enough,
+// preserving gray values instead of binarizing. Samples are scaled to the
+// full 8-bit range, v*255/maxval (through a 256-entry table for one-byte
+// samples), so 16-bit graymaps lose precision but keep their relative
+// ordering. Every pixel is written, so dst is not cleared first, and its
+// buffer grows with the rows read. On error the contents of dst are
+// unspecified.
 func DecodeGrayInto(r io.Reader, dst *grayccl.Image) error {
 	br := bufio.NewReader(r)
 	magic, err := readToken(br)
@@ -38,41 +43,63 @@ func DecodeGrayInto(r io.Reader, dst *grayccl.Image) error {
 	if err != nil {
 		return err
 	}
-	dst.Reset(w, h)
+	pix := dst.Pix[:0]
 	if magic == "P5" {
-		bytesPer := 1
-		if maxVal > 255 {
-			bytesPer = 2
-		}
-		buf := make([]byte, w*bytesPer)
+		s := newGrayScale(maxVal)
+		rowBuf := make([]byte, p5RowBytes(w, maxVal))
 		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
+			if _, err := io.ReadFull(br, rowBuf); err != nil {
 				return fmt.Errorf("pnm: P5 row %d: %w", y, err)
 			}
-			for x := 0; x < w; x++ {
-				var v int
-				if bytesPer == 2 {
-					v = int(buf[2*x])<<8 | int(buf[2*x+1])
-				} else {
-					v = int(buf[x])
+			pix = growRows(pix, (y+1)*w, w*h)
+			s.row(pix[y*w:], rowBuf)
+		}
+	} else {
+		for y := 0; y < h; y++ {
+			pix = growRows(pix, (y+1)*w, w*h)
+			row := pix[y*w:]
+			for x := range row {
+				v, err := readSample(br, maxVal, y*w+x)
+				if err != nil {
+					return err
 				}
-				dst.Pix[y*w+x] = uint8(v * 255 / maxVal)
+				row[x] = uint8(v * 255 / maxVal)
 			}
 		}
-		return nil
 	}
-	for i := 0; i < w*h; i++ {
-		tok, err := readToken(br)
-		if err != nil {
-			return fmt.Errorf("pnm: P2 pixel %d: %w", i, err)
-		}
-		v, err := strconv.Atoi(tok)
-		if err != nil || v < 0 || v > maxVal {
-			return fmt.Errorf("pnm: P2 pixel %d: invalid value %q", i, tok)
-		}
-		dst.Pix[i] = uint8(v * 255 / maxVal)
-	}
+	dst.Width, dst.Height, dst.Pix = w, h, pix
 	return nil
+}
+
+// grayScale maps raw P5 samples onto the 0..255 gray domain, v*255/maxVal.
+type grayScale struct {
+	maxVal int
+	val    [256]uint8 // one-byte samples: val[v] is v's gray value
+}
+
+func newGrayScale(maxVal int) grayScale {
+	s := grayScale{maxVal: maxVal}
+	if maxVal <= 255 {
+		for v := range s.val {
+			s.val[v] = uint8(v * 255 / maxVal)
+		}
+	}
+	return s
+}
+
+// row scales one raw P5 row, src, into dst. Two-byte samples keep the
+// per-sample formula: a 65,536-entry table would cost more to build than a
+// small image takes to decode.
+func (s *grayScale) row(dst []uint8, src []byte) {
+	if s.maxVal <= 255 {
+		for x, v := range src[:len(dst)] {
+			dst[x] = s.val[v]
+		}
+		return
+	}
+	for x := range dst {
+		dst[x] = uint8((int(src[2*x])<<8 | int(src[2*x+1])) * 255 / s.maxVal)
+	}
 }
 
 // DecodePNGGrayInto reads a PNG stream into a caller-provided gray image
@@ -96,10 +123,11 @@ func DecodePNGGrayInto(r io.Reader, dst *grayccl.Image) error {
 
 // DecodeVolumeInto reads a multi-frame raw-PGM stream — concatenated P5
 // graymaps, one per z-slice, all with identical dimensions — into a caller-
-// provided volume (buffer reused when large enough). Each frame is binarized
-// with the same im2bw semantics as DecodeInto: luminance fraction strictly
-// greater than level becomes an object voxel. The frame count becomes the
-// volume's depth; at least one frame is required.
+// provided volume (buffer reused when large enough, grown with the rows
+// read). Each frame is binarized by the same im2bw table as DecodeInto:
+// luminance fraction strictly greater than level becomes an object voxel.
+// The frame count becomes the volume's depth; at least one frame is
+// required.
 func DecodeVolumeInto(r io.Reader, level float64, dst *vol3d.Volume) error {
 	br := bufio.NewReader(r)
 	w, h, d := 0, 0, 0
@@ -129,32 +157,19 @@ func DecodeVolumeInto(r io.Reader, level float64, dst *vol3d.Volume) error {
 		} else if fw != w || fh != h {
 			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fw, fh, w, h)
 		}
-		bytesPer := 1
-		if maxVal > 255 {
-			bytesPer = 2
+		t := newThreshold(level, maxVal)
+		if n := p5RowBytes(w, maxVal); cap(buf) < n {
+			buf = make([]byte, n)
+		} else {
+			buf = buf[:n]
 		}
-		if cap(buf) < w*bytesPer {
-			buf = make([]byte, w*bytesPer)
-		}
-		buf = buf[:w*bytesPer]
-		thresh := level * float64(maxVal)
 		for y := 0; y < h; y++ {
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return fmt.Errorf("pnm: frame %d row %d: %w", d, y, err)
 			}
-			for x := 0; x < w; x++ {
-				var v int
-				if bytesPer == 2 {
-					v = int(buf[2*x])<<8 | int(buf[2*x+1])
-				} else {
-					v = int(buf[x])
-				}
-				if float64(v) > thresh {
-					vox = append(vox, 1)
-				} else {
-					vox = append(vox, 0)
-				}
-			}
+			n := len(vox)
+			vox = growRows(vox, n+w, math.MaxInt)
+			t.row(vox[n:], buf)
 		}
 		d++
 	}
@@ -176,6 +191,15 @@ func readMaxVal(br *bufio.Reader) (int, error) {
 		return 0, fmt.Errorf("pnm: invalid maxval %q", maxTok)
 	}
 	return maxVal, nil
+}
+
+// p5RowBytes is the size of one raw P5 row: one byte per sample up to
+// maxVal 255, two (big-endian) above.
+func p5RowBytes(w, maxVal int) int {
+	if maxVal > 255 {
+		return 2 * w
+	}
+	return w
 }
 
 // EncodeGrayPGM writes a gray image as a raw P5 graymap — the inverse of

@@ -6,13 +6,16 @@ import (
 	"image/color"
 	"image/png"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/binimg"
 	"repro/internal/dataset"
+	"repro/internal/grayccl"
 	"repro/internal/pnm"
+	"repro/internal/vol3d"
 )
 
 func TestDecodeP1(t *testing.T) {
@@ -269,5 +272,58 @@ func TestDecodePBMBitmapIntoRejectsNonP4(t *testing.T) {
 func TestDecodePBMBitmapIntoTruncated(t *testing.T) {
 	if err := pnm.DecodePBMBitmapInto(strings.NewReader("P4\n16 4\n\x01\x02"), &binimg.Bitmap{}); err == nil {
 		t.Fatal("truncated P4 accepted")
+	}
+}
+
+// TestHeaderOnlyBodyAllocatesByRows sends every decoder a header that names
+// a 200000x200000 raster (40 GB as bytes) and no pixel bytes. Each must
+// fail, and since the decoders grow their rasters with the rows delivered,
+// none may allocate more than a row's working buffers.
+func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
+	const dims = "200000 200000\n"
+	intoImage := func(body string) error { return pnm.DecodeInto(strings.NewReader(body), 0.5, &binimg.Image{}) }
+	intoGray := func(body string) error { return pnm.DecodeGrayInto(strings.NewReader(body), &grayccl.Image{}) }
+	bands := func(body string) error {
+		src, err := pnm.NewBandReader(strings.NewReader(body), 0.5)
+		if err != nil {
+			return err
+		}
+		_, err = src.ReadBand(&binimg.Bitmap{}, 256)
+		return err
+	}
+	cases := []struct {
+		name   string
+		body   string
+		decode func(string) error
+	}{
+		{"DecodeInto/P1", "P1\n" + dims, intoImage},
+		{"DecodeInto/P2", "P2\n" + dims + "255\n", intoImage},
+		{"DecodeInto/P4", "P4\n" + dims, intoImage},
+		{"DecodeInto/P5", "P5\n" + dims + "255\n", intoImage},
+		{"DecodeInto/P5-16bit", "P5\n" + dims + "65535\n", intoImage},
+		{"DecodePBMBitmapInto", "P4\n" + dims, func(body string) error {
+			return pnm.DecodePBMBitmapInto(strings.NewReader(body), &binimg.Bitmap{})
+		}},
+		{"DecodeGrayInto/P2", "P2\n" + dims + "255\n", intoGray},
+		{"DecodeGrayInto/P5", "P5\n" + dims + "255\n", intoGray},
+		{"DecodeGrayInto/P5-16bit", "P5\n" + dims + "65535\n", intoGray},
+		{"DecodeVolumeInto", "P5\n" + dims + "255\n", func(body string) error {
+			return pnm.DecodeVolumeInto(strings.NewReader(body), 0.5, &vol3d.Volume{})
+		}},
+		{"BandReader/P4", "P4\n" + dims, bands},
+		{"BandReader/P5", "P5\n" + dims + "255\n", bands},
+	}
+	for _, c := range cases {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := c.decode(c.body)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("%s: a header-only body decoded without error", c.name)
+		}
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte body, want < 1 MiB", c.name, alloc, len(c.body))
+		}
 	}
 }

@@ -445,8 +445,9 @@ type decoded struct {
 // bit-packed algorithm takes the packed ingest path — P4 rows are already
 // 1 bit per pixel, so the byte raster is never materialized; gray kinds
 // decode intensities, maxval-scaled onto the 0..255 domain the gray
-// labelers compare. On error the borrowed input is already back in its
-// pool.
+// labelers compare. A binary raster's density comes from the foreground
+// count its decoder returns, so the raster is not read a second time. On
+// error the borrowed input is already back in its pool.
 func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded, error) {
 	if faultinject.Fire(faultinject.DecodeError) {
 		return decoded{}, errors.New("faultinject: decode-error")
@@ -499,16 +500,21 @@ func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded
 		return decoded{task: e.bitmapTask(bm), info: jobs.ResultInfo{Width: bm.Width, Height: bm.Height, Density: bm.Density()}}, nil
 	}
 	img := e.images.get()
+	var fg int
 	if codec == "png" {
-		err = pnm.DecodePNGInto(br, p.Level, img)
+		fg, err = pnm.DecodePNGInto(br, p.Level, img)
 	} else {
-		err = pnm.DecodeInto(br, p.Level, img)
+		fg, err = pnm.DecodeIntoCount(br, p.Level, img)
 	}
 	if err != nil {
 		e.images.put(img)
 		return decoded{}, err
 	}
-	return decoded{task: e.imageTask(img), info: jobs.ResultInfo{Width: img.Width, Height: img.Height, Density: img.Density()}}, nil
+	info := jobs.ResultInfo{Width: img.Width, Height: img.Height}
+	if px := img.Width * img.Height; px > 0 {
+		info.Density = float64(fg) / float64(px)
+	}
+	return decoded{task: e.imageTask(img), info: info}, nil
 }
 
 // finish turns a task's outcome into the jobs.Result every response is

@@ -9,6 +9,7 @@ import (
 	"image"
 	"image/png"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -590,5 +591,88 @@ func TestLabelBitPackedTruncatedP4(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestLabelDensityMatchesDecodedRaster pins the JSON density, which the
+// handler takes from the decoder's foreground count, to Image.Density() of
+// the same raster, exactly, for every binary codec.
+func TestLabelDensityMatchesDecodedRaster(t *testing.T) {
+	_, srv := newTestServer(t, Config{}, HandlerConfig{})
+	rng := rand.New(rand.NewSource(5))
+	img := paremsp.NewImage(37, 23) // rows end mid-byte in P4
+	for i := range img.Pix {
+		img.Pix[i] = uint8(rng.Intn(2))
+	}
+	var plain, p5 bytes.Buffer
+	if err := pnm.EncodePBM(&plain, img, false); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&p5, "P5\n%d %d\n255\n", img.Width, img.Height)
+	for range img.Pix {
+		p5.WriteByte(byte(rng.Intn(256)))
+	}
+	for _, c := range []struct {
+		name, ct string
+		level    float64
+		body     []byte
+	}{
+		{"raw-pbm", ctPBM, 0.5, pbmBody(t, img)},
+		{"plain-pbm", ctPBM, 0.5, plain.Bytes()},
+		{"raw-pgm", ctPGM, 0.35, p5.Bytes()},
+		{"png", ctPNG, 0.5, pngBody(t, img)},
+	} {
+		decode := pnm.Decode
+		if c.ct == ctPNG {
+			decode = pnm.DecodePNG
+		}
+		raster, err := decode(bytes.NewReader(c.body), c.level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := post(t, fmt.Sprintf("%s/v1/label?components=false&level=%v", srv.URL, c.level), c.ct, ctJSON, c.body)
+		var got labelResponse
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := raster.Density(); got.Density != want {
+			t.Fatalf("%s: density %v, Image.Density() of the decoded raster %v", c.name, got.Density, want)
+		}
+	}
+}
+
+// TestLabelHeaderOnlyBodyIsRefused sends bodies whose headers name a
+// 200000x200000 raster (40 GB as bytes) but carry no pixels. Each gets
+// 400 invalid_argument and the server stays up: the decoders grow rasters
+// with the rows delivered instead of reserving the header's size.
+func TestLabelHeaderOnlyBodyIsRefused(t *testing.T) {
+	_, srv := newTestServer(t, Config{}, HandlerConfig{})
+	for _, c := range []struct{ query, ct, body string }{
+		{"", ctPBM, "P4\n200000 200000\n"},
+		{"?level=0.5", ctPGM, "P5\n200000 200000\n255\n"},
+		{"?mode=gray", ctPGM, "P5\n200000 200000\n255\n"},
+	} {
+		resp := post(t, srv.URL+"/v1/label"+c.query, c.ct, ctJSON, []byte(c.body))
+		var e struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_argument" {
+			t.Fatalf("%q%s: status %d, code %q, want 400 invalid_argument", c.body, c.query, resp.StatusCode, e.Error.Code)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusals: status %d", resp.StatusCode)
 	}
 }

@@ -233,7 +233,7 @@ func BenchmarkAblationScan(b *testing.B) {
 			lm := binimg.NewLabelMap(img.Width, img.Height)
 			sink := core.NewRemSink(scan.MaxProvisionalLabels(img.Width, img.Height))
 			scan.AllNeighbors8(img, lm, sink, 0, img.Height)
-			unionfind.Flatten(sink.Parents(), sink.Count())
+			unionfind.Flatten(sink.Parents(), 1, sink.Count(), 0)
 			p := sink.Parents()
 			for j, v := range lm.L {
 				if v != 0 {
@@ -273,35 +273,6 @@ func BenchmarkAblationRelabel(b *testing.B) {
 			b.SetBytes(int64(len(img.Pix)))
 			for i := 0; i < b.N; i++ {
 				coreRun(core.PAREMSP, img, core.Options{Threads: 24, SequentialRelabel: seq})
-			}
-		})
-	}
-}
-
-// BenchmarkUnionFindVariants micro-benchmarks the DSU family on a fixed
-// random union/find workload (the Patwary-Blair-Manne comparison underlying
-// the paper's REMSP choice).
-func BenchmarkUnionFindVariants(b *testing.B) {
-	const n = 1 << 16
-	rng := rand.New(rand.NewSource(1))
-	type op struct{ x, y unionfind.Label }
-	ops := make([]op, 3*n)
-	for i := range ops {
-		ops[i] = op{unionfind.Label(rng.Intn(n)), unionfind.Label(rng.Intn(n))}
-	}
-	for _, variant := range unionfind.AllVariants() {
-		if variant == unionfind.VariantQuickFind {
-			continue // O(n) unions: not comparable
-		}
-		b.Run(variant, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := unionfind.MustNew(variant, n)
-				for j := 0; j < n; j++ {
-					d.MakeSet()
-				}
-				for _, o := range ops {
-					d.Union(o.x, o.y)
-				}
 			}
 		})
 	}

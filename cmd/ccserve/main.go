@@ -20,6 +20,15 @@
 // stack of concatenated raw-PGM frames as one 26-connected 3-D volume.
 // Every /v1/* error is a JSON envelope {"error":{"code","message"}}.
 //
+// A labeling that does not pin ?threads= runs on every CPU idle when a
+// worker dequeues it, and on at least one: the engine keeps a budget of
+// GOMAXPROCS CPU tokens, lends a labeling every free one and takes them
+// back when it finishes. A lone request thus splits across all cores, the
+// paper's strong scaling, while a fully busy pool gives each labeling
+// about one. -threads N pins every unpinned labeling at N threads instead;
+// a pinned count runs as asked. The count a labeling ran with is logged as
+// threads and shown in its /debug/requests trace and job status trace.
+//
 // POST /v1/jobs is the asynchronous job API (disable with -jobs=false):
 // a single payload or a multipart/form-data batch is accepted with 202
 // and labeled in the background; poll GET /v1/jobs/{id}, fetch

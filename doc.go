@@ -108,7 +108,12 @@
 // job recovery and the job result endpoint share one decode, one engine
 // queue, one finish and one renderer. When the queue is full the service
 // answers 429 with a Retry-After derived from the observed mean job latency
-// and the current backlog.
+// and the current backlog. Threads are work-conserving: the Engine keeps a
+// budget of GOMAXPROCS CPU tokens, and a labeling that pins no thread count
+// is lent every token free when a worker dequeues it, at least one, until
+// it finishes. A lone request therefore splits across every core, the
+// paper's strong scaling, and a fully busy pool gives each labeling about
+// one; a pinned count runs as asked.
 //
 // The service is fully instrumented: every request carries an X-Request-ID
 // (inbound honored, otherwise generated, always echoed), synchronous

@@ -297,7 +297,7 @@ func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run
 
 	// 2. Resolve within-band equivalences: pl[lab] is now the compact local
 	// root id (1..nloc) of every provisional label.
-	nloc := unionfind.Flatten(l.pl, sink.Count())
+	nloc := unionfind.Flatten(l.pl, 1, sink.Count(), 0)
 
 	// 3. Seam merge: attach local roots to global components.
 	glob := l.glob[:nloc+1]

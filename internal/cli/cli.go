@@ -355,7 +355,7 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", ":8377", "listen address")
 	workers := fs.Int("workers", 0, "labeling workers (0 = all CPUs)")
 	queue := fs.Int("queue", 0, "queued requests beyond in-flight before 429 (0 = 2x workers)")
-	threads := fs.Int("threads", 0, "default paremsp threads per request (0 = CPUs/workers)")
+	threads := fs.Int("threads", 0, "threads for every labeling that does not pin ?threads= (0 = every idle CPU at dispatch, at least one)")
 	maxBytes := fs.Int64("max-bytes", 64<<20, "largest accepted image body in bytes")
 	level := fs.Float64("level", 0.5, "default binarization threshold for grayscale input, in (0, 1); per-request ?level= accepts [0, 1)")
 	alg := fs.String("alg", "", "default algorithm for requests without ?alg= (default paremsp): "+algList())

@@ -51,8 +51,8 @@ func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, 
 // the shared parent array needs no synchronization during the scan. Phase II
 // merges across chunk seams at run granularity: the first-row runs of every
 // chunk but the first are united with the overlapping last-row runs of the
-// chunk above using the concurrent MERGER. Phase III runs the sparse
-// FLATTEN; phase IV writes the final label map run-by-run.
+// chunk above using the concurrent MERGER. Phase III runs FLATTEN over each
+// chunk's created labels; phase IV writes the final label map run-by-run.
 func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	lm.Reset(bm.Width, bm.Height)
 	runs := sc.runSets(chunkCount(opt.Threads, bm.Height))

@@ -91,17 +91,16 @@ type Scratch struct {
 	runs []*scan.RunSet
 }
 
-// parents returns a zeroed parent array with n+1 slots (slot 0 is the
-// background), growing the retained buffer only when needed. Zeroing is
-// required by FlattenSparse, which treats p[i] == 0 as "label never created".
+// parents returns a parent array with n+1 slots (slot 0 is the
+// background), growing the retained buffer only when needed. The slots keep
+// whatever the previous labeling left in them: a scan initializes every
+// label it creates, and no later phase reads a slot no scan created, so
+// nothing needs clearing.
 func (s *Scratch) parents(n int) []Label {
 	if cap(s.p) < n+1 {
 		s.p = make([]Label, n+1)
-	} else {
-		s.p = s.p[:n+1]
-		clear(s.p)
 	}
-	return s.p
+	return s.p[:n+1]
 }
 
 // lockTable returns the retained stripe-lock table. A table whose run has
@@ -229,7 +228,7 @@ type Chunk struct {
 //
 //	I    scan every chunk concurrently, each from its own label range;
 //	II   merge the seam above every chunk but the first with opt.Merger;
-//	III  FLATTEN the parent array up to the highest label created;
+//	III  FLATTEN each chunk's created labels, chunk by chunk;
 //	IV   relabel every chunk concurrently.
 //
 // The raster splits into chunks of whole units, as many as opt.Threads
@@ -279,12 +278,14 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 		return 0, times, poll.Err(ctx)
 	}
 
+	// Chunk ranges ascend with the chunk index and REM keeps p[i] <= i, so
+	// flattening them in order numbers components exactly as one sweep over
+	// the whole label space would, without walking the gaps between ranges.
 	t0 = time.Now()
-	var highest Label
+	var n Label
 	for i := range chunks {
-		highest = max(highest, chunks[i].last)
+		n = unionfind.Flatten(p, chunks[i].Offset+1, chunks[i].last, n)
 	}
-	n := unionfind.FlattenSparse(p, highest)
 	times.Flatten = time.Since(t0)
 	if poll.Stopped(done) {
 		return 0, times, poll.Err(ctx)

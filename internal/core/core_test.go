@@ -307,7 +307,7 @@ func TestRemSinkSharedOffsets(t *testing.T) {
 		t.Fatal("NewLabel must initialize p[count] = count")
 	}
 	if p[3] != 0 || p[10] != 0 {
-		t.Fatal("untouched slots must stay 0 for FlattenSparse")
+		t.Fatal("a sink must write only the slots it creates")
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 // chunk; each adjacency is united with the concurrent MERGER. Boundary rows
 // are processed in parallel.
 //
-// Phase III runs FLATTEN (sparse form: untouched label slots are skipped so
-// final labels stay consecutive). Phase IV rewrites the label raster. The
+// Phase III runs FLATTEN over each chunk's created labels, so final labels
+// stay consecutive. Phase IV rewrites the label raster. The
 // scans and relabels poll ctx every 64 rows and Run checks ctx between
 // phases; a canceled run returns ctx's error with the phase times
 // accumulated so far, and leaves lm and sc undefined but reusable.

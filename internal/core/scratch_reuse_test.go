@@ -1,12 +1,17 @@
 package core_test
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/grayccl"
 	"repro/internal/stats"
+	"repro/internal/vol3d"
 )
 
 // TestScratchReuseAcrossSizes drives one Scratch (and one LabelMap) through
@@ -95,5 +100,81 @@ func TestScratchReuseAcrossAlgorithms(t *testing.T) {
 		if err := stats.Validate(st.img, lm, n, true); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
+	}
+}
+
+// TestScratchParentsNeedNoClearing: a Scratch whose retained parent array
+// holds 0xFFFFFFFF in every slot must give the label map a fresh Scratch
+// gives. Run reuses the array without clearing it, so every kernel must read
+// only the slots its own scan created — in the scan, the seam merge, FLATTEN
+// over the created ranges, and the relabel.
+func TestScratchParentsNeedNoClearing(t *testing.T) {
+	ctx := context.Background()
+	img := dataset.UniformNoise(97, 61, 0.55, 41)
+	bm := &binimg.Bitmap{}
+	bm.FromImage(img)
+	rng := rand.New(rand.NewSource(42))
+	gray := grayccl.New(53, 37)
+	for i := range gray.Pix {
+		gray.Pix[i] = uint8(rng.Intn(3) * 100)
+	}
+	vol := vol3d.NewVolume(13, 11, 9)
+	for i := range vol.Vox {
+		vol.Vox[i] = uint8(rng.Intn(2))
+	}
+	binary := func(label func(lm *binimg.LabelMap, sc *core.Scratch) (int, error)) func(*core.Scratch) ([]binimg.Label, error) {
+		return func(sc *core.Scratch) ([]binimg.Label, error) {
+			lm := &binimg.LabelMap{}
+			_, err := label(lm, sc)
+			return lm.L, err
+		}
+	}
+	image := func(alg func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error), threads int) func(*core.Scratch) ([]binimg.Label, error) {
+		return binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+			n, _, err := alg(ctx, img, lm, sc, core.Options{Threads: threads})
+			return n, err
+		})
+	}
+	cases := []struct {
+		name  string
+		label func(sc *core.Scratch) ([]binimg.Label, error)
+	}{
+		{"PAREMSP/t1", image(core.PAREMSP, 1)},
+		{"PAREMSP/t2", image(core.PAREMSP, 2)},
+		{"PAREMSP/t3", image(core.PAREMSP, 3)},
+		{"PBREMSP/image", image(core.PBREMSP, 3)},
+		{"PBREMSP/bitmap", binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+			n, _, err := core.PBREMSPBitmap(ctx, bm, lm, sc, core.Options{Threads: 3})
+			return n, err
+		})},
+		{"CCLREMSP", binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+			n, _, err := core.CCLREMSP(ctx, img, lm, sc)
+			return n, err
+		})},
+		{"gray", binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
+			return grayccl.LabelIntoCtx(ctx, gray, lm, sc, core.Options{Threads: 3})
+		})},
+		{"volume", func(sc *core.Scratch) ([]binimg.Label, error) {
+			lv := &vol3d.LabelVolume{}
+			_, err := vol3d.LabelIntoCtx(ctx, vol, lv, sc, core.Options{Threads: 3})
+			return lv.L, err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc := &core.Scratch{}
+			want, err := c.label(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.PoisonParents(sc, ^core.Label(0))
+			got, err := c.label(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatal("label map over a poisoned parent array differs from a fresh Scratch's")
+			}
+		})
 	}
 }

@@ -189,7 +189,7 @@ func TestFlattenMatchesUnionFindFlatten(t *testing.T) {
 			unionfind.MergeRemSP(p, x, y)
 		}
 		nt := tb.Flatten()
-		np := unionfind.Flatten(p, Label(n))
+		np := unionfind.Flatten(p, 1, Label(n), 0)
 		if nt != np {
 			return false
 		}

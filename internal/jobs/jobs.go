@@ -105,6 +105,9 @@ type ResultInfo struct {
 	// the job was admitted; surfaced in the status trace, outside the
 	// dedup key like BandRows.
 	DecodeNs int64 `json:"decode_ns,omitempty"`
+	// Threads is the thread count the labeling ran with; execution detail
+	// for the status trace, outside the dedup key like BandRows.
+	Threads int `json:"threads,omitempty"`
 	// Phases holds per-phase times when the parallel algorithms produced
 	// the labeling; zero otherwise.
 	Phases core.PhaseTimes `json:"phases,omitempty"`

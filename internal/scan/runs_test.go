@@ -35,7 +35,7 @@ func runsComponents(t *testing.T, art string) int {
 	sink := newRunSink(scan.MaxRunLabels(im.Width, im.Height))
 	rs := &scan.RunSet{}
 	scan.Runs(bm, sink, 0, im.Height, rs, nil)
-	return int(unionfind.Flatten(sink.p, sink.count))
+	return int(unionfind.Flatten(sink.p, 1, sink.count, 0))
 }
 
 func TestRunsComponents(t *testing.T) {
@@ -102,12 +102,12 @@ func TestRunsMatchesDecisionTree(t *testing.T) {
 				rsink := newRunSink(scan.MaxRunLabels(w, h))
 				rs := &scan.RunSet{}
 				scan.Runs(bm, rsink, 0, h, rs, nil)
-				nRuns := int(unionfind.Flatten(rsink.p, rsink.count))
+				nRuns := int(unionfind.Flatten(rsink.p, 1, rsink.count, 0))
 
 				dsink := newRunSink(scan.MaxProvisionalLabels(w, h))
 				lm := binimg.NewLabelMap(w, h)
 				scan.DecisionTree(im, lm, dsink, 0, h, nil)
-				nTree := int(unionfind.Flatten(dsink.p, dsink.count))
+				nTree := int(unionfind.Flatten(dsink.p, 1, dsink.count, 0))
 
 				if nRuns != nTree {
 					t.Fatalf("%dx%d seed %d: run scan %d components, decision tree %d\n%s",

@@ -28,7 +28,7 @@ func runScan(t *testing.T, img *binimg.Image,
 	lm := binimg.NewLabelMap(img.Width, img.Height)
 	sink := core.NewRemSink(cap)
 	f(img, lm, sink, 0, img.Height)
-	n := unionfind.Flatten(sink.Parents(), sink.Count())
+	n := unionfind.Flatten(sink.Parents(), 1, sink.Count(), 0)
 	for i, v := range lm.L {
 		if v != 0 {
 			lm.L[i] = sink.Parents()[v]

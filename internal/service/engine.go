@@ -38,9 +38,13 @@ type Config struct {
 	// QueueDepth is how many requests may wait beyond the in-flight ones
 	// before Label rejects with ErrQueueFull. 0 selects 2*Workers.
 	QueueDepth int
-	// Threads is the default PAREMSP thread count per request when the
-	// request does not pin its own. 0 selects GOMAXPROCS/Workers (at least
-	// 1), so a fully busy pool does not oversubscribe the CPUs.
+	// Threads pins the thread count of every labeling that does not pin
+	// its own. 0 lends each such labeling, when a worker dequeues it, every
+	// CPU token then free — at least one — from a budget of GOMAXPROCS
+	// tokens, and takes them back when it finishes: a lone request labels
+	// on every core, and a fully busy pool gives each labeling about one.
+	// A pinned count, from the request or from here, runs as asked and
+	// debits as many tokens.
 	Threads int
 	// OnPanic, when non-nil, observes every worker panic with the recovered
 	// value and the panicking goroutine's stack (the HTTP layer logs them).
@@ -53,7 +57,7 @@ type Config struct {
 type Engine struct {
 	workers    int
 	queueDepth int
-	threads    int
+	threads    int // Config.Threads; 0 lends free CPU tokens
 	queue      chan *job
 	wg         sync.WaitGroup
 	metrics    metrics
@@ -67,6 +71,11 @@ type Engine struct {
 
 	// onPanic is Config.OnPanic (may be nil).
 	onPanic func(v any, stack []byte)
+
+	// cpus is the CPU-token budget: GOMAXPROCS less the threads the
+	// running labelings hold. It goes below zero when a labeling that
+	// found no free token takes its one anyway, or pinned counts exceed it.
+	cpus atomic.Int64
 
 	// The buffer pools: the inputs callers decode into, and the label maps
 	// and union-find scratch the workers label into.
@@ -233,10 +242,12 @@ type jobResult struct {
 	vres *paremsp.VolumeResult
 	err  error
 	// wait is the time the job sat in the queue before a worker picked it
-	// up. It rides the result channel back so the HTTP layer can fill the
-	// request trace from its own goroutine — the worker never touches a
-	// Trace, which keeps pooled trace records race-free under cancellation.
-	wait time.Duration
+	// up, and threads the thread count it labeled with. They ride the
+	// result channel back so the HTTP layer can fill the request trace from
+	// its own goroutine — the worker never touches a Trace, which keeps
+	// pooled trace records race-free under cancellation.
+	wait    time.Duration
+	threads int
 	// pixels (voxels for a volume), components and phases feed the
 	// engine's counters. paced marks a stream, whose duration is dominated
 	// by how fast the client's source delivers bands, not by compute.
@@ -256,17 +267,10 @@ func NewEngine(cfg Config) *Engine {
 	if depth <= 0 {
 		depth = 2 * workers
 	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0) / workers
-		if threads < 1 {
-			threads = 1
-		}
-	}
 	e := &Engine{
 		workers:    workers,
 		queueDepth: depth,
-		threads:    threads,
+		threads:    max(cfg.Threads, 0),
 		queue:      make(chan *job, depth),
 		onPanic:    cfg.OnPanic,
 		run:        paremsp.LabelIntoCtx,
@@ -274,6 +278,7 @@ func NewEngine(cfg Config) *Engine {
 		runGray:    paremsp.LabelGrayIntoCtx,
 		runVol:     paremsp.LabelVolumeIntoCtx,
 	}
+	e.cpus.Store(int64(runtime.GOMAXPROCS(0)))
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -375,7 +380,7 @@ func (e *Engine) LabelVolume(ctx context.Context, vol *paremsp.Volume, opt parem
 // bands, so slow uploads hold labeling capacity — deployments should bound
 // request read time (server timeouts) alongside MaxImageBytes.
 func (e *Engine) Stats(ctx context.Context, src band.Source, opt band.Options) (*band.Result, error) {
-	r := e.do(ctx, streamTask{src: src, opt: opt}, paremsp.Options{})
+	r := e.do(ctx, streamTask{src: src, opt: opt}, streamOptions)
 	return r.bres, r.err
 }
 
@@ -425,8 +430,12 @@ func (e *Engine) SubmitVolume(ctx context.Context, vol *paremsp.Volume, opt pare
 // must stay readable until Wait returns — async callers hand it an
 // in-memory buffer, not a request body.
 func (e *Engine) SubmitStats(ctx context.Context, src band.Source, opt band.Options, onStart func()) (*Submitted, error) {
-	return e.submit(ctx, streamTask{src: src, opt: opt}, paremsp.Options{}, onStart)
+	return e.submit(ctx, streamTask{src: src, opt: opt}, streamOptions, onStart)
 }
+
+// streamOptions pins a stream at one thread, the band labeler's only one,
+// so it holds one CPU token.
+var streamOptions = paremsp.Options{Threads: 1}
 
 // RetryAfter estimates how long a client shed with ErrQueueFull should wait
 // before retrying: the expected time for the current backlog (queued plus
@@ -637,10 +646,31 @@ func (e *Engine) worker() {
 		start := time.Now()
 		wait := start.Sub(j.enqueued)
 		e.metrics.queueWaitHist.observe(wait.Nanoseconds())
+		// compute contains panics, so the tokens come back on every path.
+		threads := e.takeThreads(j.opt.Threads)
+		j.opt.Threads = threads
 		r := e.compute(j)
-		r.wait = wait
+		e.cpus.Add(int64(threads))
+		r.wait, r.threads = wait, threads
 		e.account(r, time.Since(start).Nanoseconds())
 		j.done <- r
+	}
+}
+
+// takeThreads debits the CPU tokens a dequeued labeling runs with and
+// returns their count: a pinned count as asked, otherwise every free token
+// and at least one.
+func (e *Engine) takeThreads(pinned int) int {
+	if pinned > 0 {
+		e.cpus.Add(-int64(pinned))
+		return pinned
+	}
+	for {
+		free := e.cpus.Load()
+		n := max(free, 1)
+		if e.cpus.CompareAndSwap(free, free-n) {
+			return int(n)
+		}
 	}
 }
 

@@ -394,7 +394,7 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 	// finishes after a cancellation never races the (pooled, recycled)
 	// record.
 	if tr != nil {
-		tr.QueueNs = out.wait.Nanoseconds()
+		tr.QueueNs, tr.Threads = out.wait.Nanoseconds(), out.threads
 	}
 	res, err := h.finish(ctx, spec.kind, d.info, out, spec.components && accept == ctJSON)
 	if err != nil {
@@ -532,6 +532,7 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 		return nil, out.err
 	}
 	res := &jobs.Result{ResultInfo: info}
+	res.Threads = out.threads
 	switch {
 	case out.bres != nil:
 		res.Stats, res.NumComponents = out.bres, out.bres.NumComponents

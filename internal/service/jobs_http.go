@@ -52,13 +52,15 @@ type jobJSON struct {
 // jobTraceJSON is the span-like timing breakdown embedded in a started
 // job's status: where the job's wall time went, from submission through
 // queue wait, decode, the labeling run (with per-phase splits via the
-// sibling phases object) to completion. It is derived from the store's
-// transition timestamps, so it needs no extra bookkeeping on the hot path.
+// sibling phases object) to completion, and the thread count the labeling
+// ran with. It is derived from the store's transition timestamps and the
+// result summary, so it needs no extra bookkeeping on the hot path.
 type jobTraceJSON struct {
 	QueueWaitNs int64 `json:"queue_wait_ns"`
 	DecodeNs    int64 `json:"decode_ns,omitempty"`
 	RunNs       int64 `json:"run_ns,omitempty"`
 	TotalNs     int64 `json:"total_ns,omitempty"`
+	Threads     int   `json:"threads,omitempty"`
 }
 
 type jobsSubmitResponse struct {
@@ -104,7 +106,7 @@ func jobJSONFrom(j jobs.Job, dedup bool) jobJSON {
 		out.Width, out.Height, out.NumComponents = info.Width, info.Height, info.NumComponents
 		out.Depth = info.Depth
 		if out.Trace != nil {
-			out.Trace.DecodeNs = info.DecodeNs
+			out.Trace.DecodeNs, out.Trace.Threads = info.DecodeNs, info.Threads
 		}
 		out.Phases = phasesJSONFrom(info.Phases)
 	}

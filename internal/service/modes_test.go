@@ -308,6 +308,48 @@ func TestVolumeHTTPDifferential(t *testing.T) {
 	})
 }
 
+// TestUnpinnedThreadsByteIdentical: a response labeled on every free CPU
+// token must equal, byte for byte, the one pinned to ?threads=1 — label
+// numbering may not depend on how many threads a labeling was lent. The
+// inputs span several row (or plane) pairs, so whether they split depends
+// on GOMAXPROCS alone.
+func TestUnpinnedThreadsByteIdentical(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
+	img := chaosImage(7)
+	gray, _ := grayBody(t, 41, 29, 8)
+	vol, _ := volumeBody(t, 9, 7, 13, 9)
+	cases := []struct {
+		name, path, ct, accept string
+		body                   []byte
+	}{
+		{"binary-ccl1", "/v1/label?", ctPBM, ctCCL, pbmBody(t, img)},
+		{"gray-ccl1", "/v1/label?mode=gray&", ctPGM, ctCCL, gray},
+		{"volume-json", "/v1/volume?", ctPGM, ctJSON, vol},
+	}
+	fetch := func(t *testing.T, url, ct, accept string, body []byte) []byte {
+		t.Helper()
+		resp := post(t, url, ct, accept, body)
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", url, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			unpinned := fetch(t, srv.URL+c.path, c.ct, c.accept, c.body)
+			pinned := fetch(t, srv.URL+c.path+"threads=1", c.ct, c.accept, c.body)
+			if !bytes.Equal(unpinned, pinned) {
+				t.Fatalf("unpinned response (%d bytes) differs from ?threads=1 (%d bytes)", len(unpinned), len(pinned))
+			}
+		})
+	}
+}
+
 // TestContoursHTTPDifferential: ?contours=true must return exactly the
 // polylines the library traces on the same labeling.
 func TestContoursHTTPDifferential(t *testing.T) {

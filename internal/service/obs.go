@@ -209,6 +209,9 @@ func (o *Obs) middleware(next http.Handler) http.Handler {
 			if st.tr.Pixels > 0 {
 				attrs = append(attrs, slog.Int64("pixels", st.tr.Pixels))
 			}
+			if st.tr.Threads > 0 {
+				attrs = append(attrs, slog.Int("threads", st.tr.Threads))
+			}
 			o.log.LogAttrs(r.Context(), level, "request", attrs...)
 		}
 		st.rw.ResponseWriter = nil

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -370,6 +371,10 @@ func TestDebugRequestsAndPprof(t *testing.T) {
 	if tr.ScanNs < 0 || tr.QueueNs < 0 || tr.DecodeNs < 0 {
 		t.Fatalf("negative phase duration: %+v", tr)
 	}
+	// A lone labeling is lent every CPU token.
+	if tr.Threads != runtime.GOMAXPROCS(0) {
+		t.Fatalf("trace threads = %d, want GOMAXPROCS = %d", tr.Threads, runtime.GOMAXPROCS(0))
+	}
 
 	if dresp, err = http.Get(dbg.URL + "/debug/requests?n=bogus"); err != nil {
 		t.Fatal(err)
@@ -448,8 +453,8 @@ func TestAccessLogFields(t *testing.T) {
 	if entry["method"] != "POST" || entry["status"] != float64(http.StatusOK) {
 		t.Fatalf("access entry = %v", entry)
 	}
-	if entry["alg"] != "paremsp" || entry["pixels"] != float64(20) {
-		t.Fatalf("access entry missing alg/pixels: %v", entry)
+	if entry["alg"] != "paremsp" || entry["pixels"] != float64(20) || entry["threads"] != float64(runtime.GOMAXPROCS(0)) {
+		t.Fatalf("access entry missing alg/pixels/threads: %v", entry)
 	}
 	if id, _ := entry["id"].(string); len(id) != 16 {
 		t.Fatalf("access entry id = %v, want generated 16-char ID", entry["id"])
@@ -473,6 +478,9 @@ func TestJobStatusTrace(t *testing.T) {
 	}
 	if j.Trace.DecodeNs <= 0 {
 		t.Fatalf("job trace missing decode time: %+v", j.Trace)
+	}
+	if j.Trace.Threads != runtime.GOMAXPROCS(0) {
+		t.Fatalf("job trace threads = %d, want GOMAXPROCS = %d", j.Trace.Threads, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 
 // Trace is the span-like timing record of one HTTP request: where its wall
 // time went, phase by phase (queue wait, decode, the labeling phases,
-// encode), plus enough request identity (ID, endpoint, algorithm, status)
-// to find it again. Every request gets one; finished traces are copied into
-// a fixed-size ring buffer served by GET /debug/requests for tail-latency
-// forensics, and the labeling phases are surfaced live as the Server-Timing
-// header on synchronous responses.
+// encode), the thread count the labeling ran with, plus enough request
+// identity (ID, endpoint, algorithm, status) to find it again. Every
+// request gets one; finished traces are copied into a fixed-size ring
+// buffer served by GET /debug/requests for tail-latency forensics, and the
+// labeling phases are surfaced live as the Server-Timing header on
+// synchronous responses.
 //
 // A Trace is written only by the goroutine serving its request (the engine
 // reports queue wait through the job result, not by touching the Trace), so
@@ -30,6 +31,7 @@ type Trace struct {
 	Status    int       `json:"status"`
 	Bytes     int64     `json:"bytes"`
 	Pixels    int64     `json:"pixels,omitempty"`
+	Threads   int       `json:"threads,omitempty"`
 	Start     time.Time `json:"start"`
 	QueueNs   int64     `json:"queue_wait_ns"`
 	DecodeNs  int64     `json:"decode_ns"`

@@ -1,45 +1,29 @@
 package unionfind
 
-// Flatten resolves the equivalence array p in place and assigns consecutive
-// final labels 1..n to the set representatives. This is Algorithm 3 of the
-// paper ("FLATTEN"): a single forward sweep that works because REM unions
+// Flatten resolves labels lo..hi of the equivalence array p in place and
+// numbers their set representatives consecutively after k, returning the
+// last final label assigned (k if none). This is Algorithm 3 of the paper
+// ("FLATTEN"): a single forward sweep that works because REM unions
 // preserve p[i] <= i, so when the sweep reaches i, p[p[i]] already holds the
 // final label of i's representative.
 //
-// p[0] is the background slot and must stay 0; the sweep covers labels
-// 1..count inclusive. It returns the number of distinct final labels n.
-func Flatten(p []Label, count Label) Label {
-	var k Label = 1
-	for i := Label(1); i <= count; i++ {
+// A dense label space is one call, Flatten(p, 1, count, 0), whose result is
+// the component count. The parallel algorithm's label space is sparse —
+// every chunk draws from its own range, and most slots between ranges were
+// never created — so it calls Flatten once per created range in increasing
+// order, passing each call's result on as the next k. Slots outside the
+// ranges are neither read nor written, so they may hold anything, and
+// every parent a created label points at is itself created and lower, so
+// its final label is already set. p[0] is the background slot and is never
+// touched.
+func Flatten(p []Label, lo, hi, k Label) Label {
+	for i := lo; i <= hi; i++ {
 		if p[i] < i {
 			p[i] = p[p[i]]
 		} else {
-			p[i] = k
 			k++
+			p[i] = k
 		}
 	}
-	return k - 1
-}
-
-// FlattenSparse is Flatten for the parallel algorithm's sparse label space:
-// provisional labels are drawn from disjoint per-chunk ranges, so most slots
-// of p were never created. Slots never created hold 0 (and slot i==0 itself
-// is background); they are skipped so that final labels remain consecutive.
-//
-// A created slot always satisfies 1 <= p[i] <= i, so p[i] == 0 is an
-// unambiguous "never created" marker.
-func FlattenSparse(p []Label, count Label) Label {
-	var k Label = 1
-	for i := Label(1); i <= count; i++ {
-		switch {
-		case p[i] == 0:
-			// label i was never assigned by any chunk's scan
-		case p[i] < i:
-			p[i] = p[p[i]]
-		default:
-			p[i] = k
-			k++
-		}
-	}
-	return k - 1
+	return k
 }

@@ -9,7 +9,7 @@ import (
 func TestFlattenSingletons(t *testing.T) {
 	// Labels 1..4, no merges: flatten must number them 1..4.
 	p := []Label{0, 1, 2, 3, 4}
-	n := Flatten(p, 4)
+	n := Flatten(p, 1, 4, 0)
 	if n != 4 {
 		t.Fatalf("n = %d, want 4", n)
 	}
@@ -23,7 +23,7 @@ func TestFlattenSingletons(t *testing.T) {
 func TestFlattenMergedPair(t *testing.T) {
 	p := []Label{0, 1, 2, 3}
 	MergeRemSP(p, 2, 3) // {2,3} with root 2
-	n := Flatten(p, 3)
+	n := Flatten(p, 1, 3, 0)
 	if n != 2 {
 		t.Fatalf("n = %d, want 2", n)
 	}
@@ -37,7 +37,7 @@ func TestFlattenRenumbersConsecutively(t *testing.T) {
 	p := []Label{0, 1, 2, 3, 4, 5}
 	MergeRemSP(p, 1, 3)
 	MergeRemSP(p, 4, 5)
-	n := Flatten(p, 5)
+	n := Flatten(p, 1, 5, 0)
 	if n != 3 {
 		t.Fatalf("n = %d, want 3", n)
 	}
@@ -51,7 +51,7 @@ func TestFlattenRenumbersConsecutively(t *testing.T) {
 
 func TestFlattenZeroCount(t *testing.T) {
 	p := []Label{0}
-	if n := Flatten(p, 0); n != 0 {
+	if n := Flatten(p, 1, 0, 0); n != 0 {
 		t.Fatalf("n = %d, want 0", n)
 	}
 }
@@ -67,17 +67,14 @@ func TestPropertyFlattenPartitionFaithful(t *testing.T) {
 		for i := range p {
 			p[i] = Label(i)
 		}
-		oracle := MustNew(VariantQuickFind, count+1)
-		for i := 0; i <= count; i++ {
-			oracle.MakeSet()
-		}
+		oracle := newQuickFind(count + 1)
 		for k := 0; k < count; k++ {
 			x := Label(1 + rng.Intn(count))
 			y := Label(1 + rng.Intn(count))
 			MergeRemSP(p, x, y)
 			oracle.Union(x, y)
 		}
-		n := Flatten(p, Label(count))
+		n := Flatten(p, 1, Label(count), 0)
 		// Surjectivity onto 1..n and consistency with the oracle partition.
 		seen := make(map[Label]bool)
 		for i := 1; i <= count; i++ {
@@ -99,32 +96,51 @@ func TestPropertyFlattenPartitionFaithful(t *testing.T) {
 	}
 }
 
+// uncreated is what a recycled parent array may hold in slots no scan of
+// this labeling created; Flatten must neither read nor rewrite them.
+const uncreated Label = -1
+
+// gapped returns a parent array of n slots, all uncreated, with the given
+// labels created as singletons — the label space of a labeling whose chunks
+// draw from disjoint ranges.
+func gapped(n int, created ...Label) []Label {
+	p := make([]Label, n)
+	for i := range p {
+		p[i] = uncreated
+	}
+	for _, l := range created {
+		p[l] = l
+	}
+	return p
+}
+
 func TestFlattenSparseSkipsUncreated(t *testing.T) {
-	// Labels 2 and 5 created (simulating two chunks with offsets), merged.
-	p := make([]Label, 8)
-	p[2] = 2
-	p[5] = 5
+	// Labels 2 and 5 created (two chunks with offsets 1 and 4), merged.
+	p := gapped(8, 2, 5)
 	MergeRemSP(p, 2, 5)
-	n := FlattenSparse(p, 7)
+	n := Flatten(p, 2, 2, 0)
+	n = Flatten(p, 5, 5, n)
 	if n != 1 {
 		t.Fatalf("n = %d, want 1", n)
 	}
 	if p[2] != 1 || p[5] != 1 {
 		t.Fatalf("p = %v, want p[2]=p[5]=1", p)
 	}
-	if p[1] != 0 || p[3] != 0 || p[4] != 0 || p[6] != 0 || p[7] != 0 {
-		t.Fatalf("uncreated slots disturbed: %v", p)
+	for _, i := range []int{0, 1, 3, 4, 6, 7} {
+		if p[i] != uncreated {
+			t.Fatalf("uncreated slot %d disturbed: %v", i, p)
+		}
 	}
 }
 
 func TestFlattenSparseConsecutive(t *testing.T) {
 	// Created labels 1, 4, 6; {4,6} merged. Final labels must be 1 and 2.
-	p := make([]Label, 7)
-	p[1] = 1
-	p[4] = 4
-	p[6] = 6
+	p := gapped(7, 1, 4, 6)
 	MergeRemSP(p, 4, 6)
-	n := FlattenSparse(p, 6)
+	var n Label
+	for _, l := range []Label{1, 4, 6} {
+		n = Flatten(p, l, l, n)
+	}
 	if n != 2 {
 		t.Fatalf("n = %d, want 2", n)
 	}
@@ -133,6 +149,9 @@ func TestFlattenSparseConsecutive(t *testing.T) {
 	}
 }
 
+// TestFlattenSparseEqualsFlattenOnDense: flattening a dense label space one
+// range at a time, ranges cut at random, gives what one call over the whole
+// space gives.
 func TestFlattenSparseEqualsFlattenOnDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -145,8 +164,13 @@ func TestFlattenSparseEqualsFlattenOnDense(t *testing.T) {
 			MergeRemSP(a, Label(1+rng.Intn(count)), Label(1+rng.Intn(count)))
 		}
 		b := append([]Label(nil), a...)
-		na := Flatten(a, Label(count))
-		nb := FlattenSparse(b, Label(count))
+		na := Flatten(a, 1, Label(count), 0)
+		var nb Label
+		for lo := 1; lo <= count; {
+			hi := min(lo+rng.Intn(8), count)
+			nb = Flatten(b, Label(lo), Label(hi), nb)
+			lo = hi + 1
+		}
 		if na != nb {
 			return false
 		}

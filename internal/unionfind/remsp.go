@@ -2,13 +2,12 @@
 // paper builds on: REM's algorithm with splicing ("REMSP", Patwary-Blair-
 // Manne, SEA 2010; Dijkstra 1976), the concurrent lock-based variant
 // ("MERGER", Patwary-Refsnes-Manne, IPDPS 2012) used by PAREMSP's boundary
-// phase, an idiomatic lock-free CAS variant, and a family of classical
-// variants (link-by-rank/size with path compression/splitting/halving) used
-// by the CCLLRPC baseline and by the union-find ablation benchmarks.
+// phase, an idiomatic lock-free CAS variant, and the classical finds (path
+// compression, splitting, halving); the CCLLRPC baseline links by rank over
+// FindCompress.
 //
-// All hot-path operations are free functions over a raw parent slice
-// ([]int32) rather than interface methods, so the CCL scan loops inline them;
-// the DSU wrapper types in dsu.go provide the general-purpose object API.
+// All operations are free functions over a raw parent slice ([]int32)
+// rather than interface methods, so the CCL scan loops inline them.
 //
 // REM invariant: for every node x, p[x] <= x. Unions always point the larger
 // index at the smaller, so parent chains strictly decrease, which is what

@@ -15,6 +15,23 @@ func identity(n int) []Label {
 	return p
 }
 
+// quickFind is the test oracle: every node stores its set's id directly, and
+// a union relabels every member of one set. O(n) per union, obviously right.
+type quickFind []Label
+
+func newQuickFind(n int) quickFind { return quickFind(identity(n)) }
+
+func (q quickFind) Find(x Label) Label { return q[x] }
+
+func (q quickFind) Union(x, y Label) {
+	from, to := q[y], q[x]
+	for i, id := range q {
+		if id == from {
+			q[i] = to
+		}
+	}
+}
+
 func TestMergeRemSPBasic(t *testing.T) {
 	p := identity(6)
 	root := MergeRemSP(p, 2, 4)
@@ -93,10 +110,7 @@ func TestMergeRemSPMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(150)
 		p := identity(n)
-		oracle := MustNew(VariantQuickFind, n)
-		for i := 0; i < n; i++ {
-			oracle.MakeSet()
-		}
+		oracle := newQuickFind(n)
 		for k := 0; k < 2*n; k++ {
 			x, y := Label(rng.Intn(n)), Label(rng.Intn(n))
 			MergeRemSP(p, x, y)

@@ -192,12 +192,19 @@ type Options struct {
 	// UseCASMerger switches PAREMSP's boundary phase to the lock-free CAS
 	// union instead of the paper's lock-based MERGER.
 	UseCASMerger bool
+	// CountOnly asks LabelIntoCtx and LabelBitmapIntoCtx for the component
+	// count alone. The REMSP algorithms stop after FLATTEN (paper Alg. 3),
+	// which already yields it, and skip the relabel pass, so
+	// Phases.Relabel reads 0; the baselines label in full. The Result then
+	// carries no Labels, and dst is left undefined but reusable. The gray
+	// and volume entry points ignore it.
+	CountOnly bool
 }
 
 // Result is a labeling outcome.
 type Result struct {
 	// Labels is the final label map: consecutive labels 1..NumComponents,
-	// background 0.
+	// background 0; nil for an Options.CountOnly labeling.
 	Labels *LabelMap
 	// NumComponents is the number of connected components found.
 	NumComponents int
@@ -279,14 +286,14 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 		lm = &LabelMap{}
 	}
 	copt := coreOptions(opt)
-	seq := core.Options{Threads: 1}
+	seq := core.Options{Threads: 1, CountOnly: opt.CountOnly}
 	switch alg {
 	case AlgPAREMSP:
 		n, res.Phases, err = core.PAREMSP(ctx, img, lm, sc, copt)
 	case AlgAREMSP:
 		n, _, err = core.PAREMSP(ctx, img, lm, sc, seq)
 	case AlgCCLREMSP:
-		n, _, err = core.CCLREMSP(ctx, img, lm, sc)
+		n, _, err = core.CCLREMSP(ctx, img, lm, sc, seq)
 	case AlgBREMSP:
 		n, _, err = core.PBREMSP(ctx, img, lm, sc, seq)
 	case AlgPBREMSP:
@@ -315,26 +322,24 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	if err != nil {
 		return nil, err
 	}
+	res.NumComponents = n
+	if opt.CountOnly {
+		return res, nil
+	}
 	if dst != nil && lm != dst {
 		// A baseline labeled into its own fresh map; honor the dst contract.
-		// Reshape without Reset's clear — the copy overwrites every label.
-		if cap(dst.L) < len(lm.L) {
-			dst.L = make([]LabelID, len(lm.L))
-		} else {
-			dst.L = dst.L[:len(lm.L)]
-		}
-		dst.Width, dst.Height = lm.Width, lm.Height
+		// The copy overwrites every label, so nothing needs clearing.
+		dst.Reshape(lm.Width, lm.Height)
 		copy(dst.L, lm.L)
 		lm = dst
 	}
 	res.Labels = lm
-	res.NumComponents = n
 	return res, nil
 }
 
 // coreOptions maps the parallel algorithms' options onto core's.
 func coreOptions(opt Options) core.Options {
-	copt := core.Options{Threads: opt.Threads}
+	copt := core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly}
 	if opt.UseCASMerger {
 		copt.Merger = core.MergerCAS
 	}
@@ -374,11 +379,14 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 	if dst == nil {
 		dst = &LabelMap{}
 	}
-	res := &Result{Labels: dst}
+	res := &Result{}
+	if !opt.CountOnly {
+		res.Labels = dst
+	}
 	var err error
 	switch alg {
 	case AlgBREMSP:
-		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: 1})
+		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: 1, CountOnly: opt.CountOnly})
 	case AlgPBREMSP:
 		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, coreOptions(opt))
 	default:
@@ -537,10 +545,10 @@ func JobKeyMode(kind JobKind, mode Mode, alg Algorithm, connectivity int, level 
 	}
 }
 
-// CountComponents labels img with AREMSP and returns only the component
-// count.
+// CountComponents runs AREMSP over img through FLATTEN and returns only
+// the component count; no final label map is written.
 func CountComponents(img *Image) int {
-	n, _, _ := core.PAREMSP(context.Background(), img, &LabelMap{}, nil, core.Options{Threads: 1})
+	n, _, _ := core.PAREMSP(context.Background(), img, &LabelMap{}, nil, core.Options{Threads: 1, CountOnly: true})
 	return n
 }
 

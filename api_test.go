@@ -300,6 +300,41 @@ func TestLabelBitmap(t *testing.T) {
 	}
 }
 
+// TestLabelCountOnly: with Options.CountOnly every algorithm, on an image
+// or a packed bitmap, returns the full labeling's count and no label map,
+// and the phased ones report no relabel time.
+func TestLabelCountOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	img := paremsp.NewImage(45, 37)
+	for i := range img.Pix {
+		img.Pix[i] = uint8(rng.Intn(2))
+	}
+	ref, err := paremsp.Label(img, paremsp.Options{Algorithm: paremsp.AlgFloodFill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := paremsp.NewBitmap(img.Width, img.Height)
+	bm.FromImage(img)
+	check := func(name string, res *paremsp.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.NumComponents != ref.NumComponents || res.Labels != nil || res.Phases.Relabel != 0 {
+			t.Fatalf("%s: count-only result %d components, labels %v, relabel %v; want %d, nil, 0",
+				name, res.NumComponents, res.Labels, res.Phases.Relabel, ref.NumComponents)
+		}
+	}
+	for _, alg := range paremsp.Algorithms() {
+		res, err := paremsp.LabelInto(img, &paremsp.LabelMap{}, nil, paremsp.Options{Algorithm: alg, Threads: 3, CountOnly: true})
+		check(string(alg), res, err)
+	}
+	for _, alg := range []paremsp.Algorithm{paremsp.AlgBREMSP, paremsp.AlgPBREMSP} {
+		res, err := paremsp.LabelBitmapInto(bm, &paremsp.LabelMap{}, nil, paremsp.Options{Algorithm: alg, Threads: 3, CountOnly: true})
+		check("bitmap/"+string(alg), res, err)
+	}
+}
+
 func TestLabelBitmapErrors(t *testing.T) {
 	bm := paremsp.NewBitmap(4, 4)
 	if _, err := paremsp.LabelBitmap(nil, paremsp.Options{}); err == nil {

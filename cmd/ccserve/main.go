@@ -26,8 +26,10 @@
 // back when it finishes. A lone request thus splits across all cores, the
 // paper's strong scaling, while a fully busy pool gives each labeling
 // about one. -threads N pins every unpinned labeling at N threads instead;
-// a pinned count runs as asked. The count a labeling ran with is logged as
-// threads and shown in its /debug/requests trace and job status trace.
+// a pinned count runs as asked. A labeler that never splits its raster
+// (aremsp, cclremsp, bremsp, the baselines, gray-delta) holds one token
+// either way. The count a labeling ran with is logged as threads and shown
+// in its /debug/requests trace and job status trace.
 //
 // POST /v1/jobs is the asynchronous job API (disable with -jobs=false):
 // a single payload or a multipart/form-data batch is accepted with 202

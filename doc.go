@@ -113,7 +113,14 @@
 // is lent every token free when a worker dequeues it, at least one, until
 // it finishes. A lone request therefore splits across every core, the
 // paper's strong scaling, and a fully busy pool gives each labeling about
-// one; a pinned count runs as asked.
+// one; a pinned count runs as asked, and a labeler that never splits holds
+// exactly one token. A synchronous binary JSON request with
+// ?components=false reads only the component count, which FLATTEN already
+// yields, so it labels with Options.CountOnly: the labeling stops after
+// FLATTEN, the relabel phase reads 0 in the JSON phases, Server-Timing and
+// GET /debug/requests, and the label map it scanned into is not cleared
+// first and goes back to its pool at once. Every other format, and every
+// async job, runs the full pipeline.
 //
 // The service is fully instrumented: every request carries an X-Request-ID
 // (inbound honored, otherwise generated, always echoed), synchronous

@@ -32,6 +32,18 @@ func NewLabelMap(width, height int) *LabelMap {
 // points call this, so pooled label maps are reusable across differently
 // sized requests. It panics if either dimension is negative.
 func (lm *LabelMap) Reset(width, height int) {
+	reused := cap(lm.L) >= width*height
+	lm.Reshape(width, height)
+	if reused {
+		clear(lm.L)
+	}
+}
+
+// Reshape is Reset without the zeroing: a reused buffer keeps whatever
+// labels it held, so every label is undefined until written. It suits a
+// caller that writes every label before reading any, or reads only the
+// labels it wrote. It panics if either dimension is negative.
+func (lm *LabelMap) Reshape(width, height int) {
 	if width < 0 || height < 0 {
 		panic(fmt.Sprintf("binimg: negative dimensions %dx%d", width, height))
 	}
@@ -40,7 +52,6 @@ func (lm *LabelMap) Reset(width, height int) {
 		lm.L = make([]Label, n)
 	} else {
 		lm.L = lm.L[:n]
-		clear(lm.L)
 	}
 	lm.Width, lm.Height = width, height
 }

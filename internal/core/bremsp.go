@@ -22,7 +22,9 @@ import (
 // rows into the shared bitmap (rows never share words, so the packing is
 // race-free) before scanning them, so the packing cost parallelizes with the
 // scan and is reported inside the Scan phase; packing runs at memcpy speed
-// and is not polled. Options, results and cancellation are PAREMSP's.
+// and is not polled. Options, results and cancellation are PAREMSP's,
+// except that opt.CountOnly leaves lm untouched: the runs carry the
+// provisional labels, so nothing is written to lm until phase IV.
 func PBREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
@@ -54,7 +56,9 @@ func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, 
 // chunk above using the concurrent MERGER. Phase III runs FLATTEN over each
 // chunk's created labels; phase IV writes the final label map run-by-run.
 func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
-	lm.Reset(bm.Width, bm.Height)
+	if !opt.CountOnly {
+		lm.Reset(bm.Width, bm.Height)
+	}
 	runs := sc.runSets(chunkCount(opt.Threads, bm.Height))
 	k := Kernel{
 		// The run scan is single-row, so chunks need no row-pair alignment.

@@ -166,6 +166,12 @@ type Options struct {
 	// SequentialRelabel forces the final labeling pass onto one goroutine
 	// (ablation; the paper parallelizes it).
 	SequentialRelabel bool
+	// CountOnly stops the labeling after FLATTEN (phase III), which already
+	// yields the component count: phase IV never runs, its time reads 0,
+	// and the label map is left undefined. A kernel that scans into the
+	// map uses it as scratch without clearing it first; one that keeps its
+	// provisional labels elsewhere does not touch it.
+	CountOnly bool
 }
 
 // PhaseTimes records per-phase wall time of one run. The paper's Fig. 5a
@@ -229,7 +235,7 @@ type Chunk struct {
 //	I    scan every chunk concurrently, each from its own label range;
 //	II   merge the seam above every chunk but the first with opt.Merger;
 //	III  FLATTEN each chunk's created labels, chunk by chunk;
-//	IV   relabel every chunk concurrently.
+//	IV   relabel every chunk concurrently, unless opt.CountOnly.
 //
 // The raster splits into chunks of whole units, as many as opt.Threads
 // allows (see Options.Threads); the parent array comes from sc (nil
@@ -289,6 +295,9 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 	times.Flatten = time.Since(t0)
 	if poll.Stopped(done) {
 		return 0, times, poll.Err(ctx)
+	}
+	if opt.CountOnly {
+		return int(n), times, nil
 	}
 
 	t0 = time.Now()
@@ -396,10 +405,15 @@ func RelabelFlat(c *Chunk, l []Label, w int) bool {
 // img into lm (reshaped with Reset; consecutive labels 1..n, background 0)
 // drawing equivalence buffers from sc (nil allocates fresh ones), polls ctx
 // every 64 rows, and returns n with the phase times. A canceled labeling
-// leaves lm and sc undefined but reusable.
-func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch) (int, PhaseTimes, error) {
+// leaves lm and sc undefined but reusable. Of the optional opt only
+// CountOnly applies, since the kernel never splits.
+func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt ...Options) (int, PhaseTimes, error) {
+	var o Options
+	if len(opt) > 0 {
+		o = opt[0]
+	}
 	w, h := img.Width, img.Height
-	lm.Reset(w, h)
+	reshape(lm, w, h, o)
 	k := Kernel{
 		Rows: h, Unit: h, Stride: scan.MaxProvisionalLabels(w, h),
 		Scan: func(c *Chunk) (Label, bool) {
@@ -409,5 +423,18 @@ func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *S
 		},
 		Relabel: func(c *Chunk) bool { return RelabelFlat(c, lm.L[c.Lo*w:c.Hi*w], w) },
 	}
-	return k.Run(ctx, sc, Options{})
+	return k.Run(ctx, sc, o)
+}
+
+// reshape readies the label map a kernel scans into. A scan writes a label
+// only at a foreground pixel and reads one only at a foreground pixel it
+// has already labeled, so the stale labels a count-only labeling leaves at
+// background pixels are never read; the relabel pass reads every pixel, so
+// a full labeling starts from zeros.
+func reshape(lm *binimg.LabelMap, w, h int, opt Options) {
+	if opt.CountOnly {
+		lm.Reshape(w, h)
+	} else {
+		lm.Reset(w, h)
+	}
 }

@@ -29,13 +29,14 @@ import (
 // are processed in parallel.
 //
 // Phase III runs FLATTEN over each chunk's created labels, so final labels
-// stay consecutive. Phase IV rewrites the label raster. The
+// stay consecutive. Phase IV rewrites the label raster; opt.CountOnly skips
+// it, leaving lm undefined. The
 // scans and relabels poll ctx every 64 rows and Run checks ctx between
 // phases; a canceled run returns ctx's error with the phase times
 // accumulated so far, and leaves lm and sc undefined but reusable.
 func PAREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	w := img.Width
-	lm.Reset(w, img.Height)
+	reshape(lm, w, img.Height, opt)
 	k := Kernel{
 		Rows: img.Height, Unit: 2, Stride: scan.RowPairLabelStride(w),
 		Scan: func(c *Chunk) (Label, bool) {

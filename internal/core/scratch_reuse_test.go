@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/binimg"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -174,6 +175,81 @@ func TestScratchParentsNeedNoClearing(t *testing.T) {
 			}
 			if !slices.Equal(got, want) {
 				t.Fatal("label map over a poisoned parent array differs from a fresh Scratch's")
+			}
+		})
+	}
+}
+
+// TestCountOnlyNeedsNoClearedMap: a count-only labeling (Options.CountOnly)
+// scans into a label map it never clears, so a map whose every label is
+// 0x7FFFFFFF — an index far past any parent array — must still give the
+// flood-fill count: the scan and seam merge read a label only at a
+// foreground pixel they labeled first, and nothing runs the relabel. The
+// run kernels must leave the map untouched. A full labeling into the same
+// map afterwards must clear it and match flood fill.
+func TestCountOnlyNeedsNoClearedMap(t *testing.T) {
+	ctx := context.Background()
+	imgs := []*binimg.Image{
+		dataset.UniformNoise(97, 61, 0.55, 43),
+		dataset.UniformNoise(64, 33, 0.25, 44),
+		dataset.LandCover(120, 75, 9, 0.5, 45),
+	}
+	image := func(alg func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error), threads int) func(*binimg.Image, *binimg.LabelMap, *core.Scratch, bool) (int, core.PhaseTimes, error) {
+		return func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, countOnly bool) (int, core.PhaseTimes, error) {
+			return alg(ctx, img, lm, sc, core.Options{Threads: threads, CountOnly: countOnly})
+		}
+	}
+	cases := []struct {
+		name     string
+		keepsMap bool // never writes the map when counting
+		label    func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, countOnly bool) (int, core.PhaseTimes, error)
+	}{
+		{"PAREMSP/t1", false, image(core.PAREMSP, 1)},
+		{"PAREMSP/t2", false, image(core.PAREMSP, 2)},
+		{"PAREMSP/t3", false, image(core.PAREMSP, 3)},
+		{"CCLREMSP", false, func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, countOnly bool) (int, core.PhaseTimes, error) {
+			return core.CCLREMSP(ctx, img, lm, sc, core.Options{CountOnly: countOnly})
+		}},
+		{"PBREMSP/image", true, image(core.PBREMSP, 3)},
+		{"PBREMSP/bitmap", true, func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, countOnly bool) (int, core.PhaseTimes, error) {
+			bm := &binimg.Bitmap{}
+			bm.FromImage(img)
+			return core.PBREMSPBitmap(ctx, bm, lm, sc, core.Options{Threads: 3, CountOnly: countOnly})
+		}},
+	}
+	const stale = binimg.Label(0x7FFFFFFF)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc := &core.Scratch{}
+			for i, img := range imgs {
+				want, wantN := baseline.FloodFill(img, baseline.Conn8)
+				lm := &binimg.LabelMap{}
+				lm.Reshape(img.Width, img.Height)
+				for j := range lm.L {
+					lm.L[j] = stale
+				}
+				n, times, err := c.label(img, lm, sc, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantN {
+					t.Fatalf("image %d: count-only gave %d components, flood fill %d", i, n, wantN)
+				}
+				if times.Relabel != 0 {
+					t.Fatalf("image %d: count-only relabel took %v, want 0", i, times.Relabel)
+				}
+				if c.keepsMap && slices.ContainsFunc(lm.L, func(v binimg.Label) bool { return v != stale }) {
+					t.Fatalf("image %d: count-only run kernel wrote the label map", i)
+				}
+				if n, _, err = c.label(img, lm, sc, false); err != nil {
+					t.Fatal(err)
+				}
+				if n != wantN {
+					t.Fatalf("image %d: full labeling after count-only gave %d components, flood fill %d", i, n, wantN)
+				}
+				if err := stats.Equivalent(lm, want); err != nil {
+					t.Fatalf("image %d: full labeling after count-only: %v", i, err)
+				}
 			}
 		})
 	}

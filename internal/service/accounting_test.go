@@ -154,30 +154,38 @@ func TestEngineAccounting(t *testing.T) {
 
 // TestPhaseHistogramsSkipUnphasedKernels: only the parallel kernels
 // (PAREMSP, PBREMSP) time their phases, so a sequential or gray labeling
-// must not land a 0 ns sample in the phase histograms.
+// must not land a 0 ns sample in the phase histograms, and a count-only
+// labeling, which stops after FLATTEN, none in the relabel histogram.
 func TestPhaseHistogramsSkipUnphasedKernels(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
-	const series = `ccserve_phase_duration_ns_count{phase="scan"}`
+	const (
+		scan    = `ccserve_phase_duration_ns_count{phase="scan"}`
+		relabel = `ccserve_phase_duration_ns_count{phase="relabel"}`
+	)
 	grayB, _ := grayBody(t, 9, 7, 5)
 	for _, tc := range []struct {
-		path string
-		ct   string
-		body []byte
-		want int64
+		path          string
+		ct            string
+		body          []byte
+		want, relabel int64
 	}{
-		{"/v1/label?alg=aremsp", ctPBM, pbmBody(t, testImage(t)), 0},
-		{"/v1/label?mode=gray", ctPGM, grayB, 0},
-		{"/v1/label?alg=paremsp", ctPBM, pbmBody(t, testImage(t)), 1},
+		{"/v1/label?alg=aremsp", ctPBM, pbmBody(t, testImage(t)), 0, 0},
+		{"/v1/label?mode=gray", ctPGM, grayB, 0, 0},
+		{"/v1/label?alg=paremsp", ctPBM, pbmBody(t, testImage(t)), 1, 1},
+		{"/v1/label?alg=paremsp&components=false", ctPBM, pbmBody(t, testImage(t)), 1, 0},
 	} {
-		before := metricValue(t, srv.URL, series)
+		before, beforeRelabel := metricValue(t, srv.URL, scan), metricValue(t, srv.URL, relabel)
 		resp := post(t, srv.URL+tc.path, tc.ct, ctJSON, tc.body)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", tc.path, resp.StatusCode)
 		}
-		if got := metricValue(t, srv.URL, series) - before; got != tc.want {
+		if got := metricValue(t, srv.URL, scan) - before; got != tc.want {
 			t.Errorf("%s: scan-phase samples delta = %d, want %d", tc.path, got, tc.want)
+		}
+		if got := metricValue(t, srv.URL, relabel) - beforeRelabel; got != tc.relabel {
+			t.Errorf("%s: relabel-phase samples delta = %d, want %d", tc.path, got, tc.relabel)
 		}
 	}
 }

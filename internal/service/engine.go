@@ -44,7 +44,8 @@ type Config struct {
 	// tokens, and takes them back when it finishes: a lone request labels
 	// on every core, and a fully busy pool gives each labeling about one.
 	// A pinned count, from the request or from here, runs as asked and
-	// debits as many tokens.
+	// debits as many tokens. A labeler that never splits its raster takes
+	// one token whatever the count.
 	Threads int
 	// OnPanic, when non-nil, observes every worker panic with the recovered
 	// value and the panicking goroutine's stack (the HTTP layer logs them).
@@ -144,11 +145,13 @@ type task interface {
 	release(e *Engine)
 }
 
-// rasterTask labels a 2-D raster — binary, bit-packed or gray — into a
-// pooled label map with the kernel seam in force when the task was made.
+// rasterTask labels a 2-D raster — binary, bit-packed or gray — of pixels
+// pixels into a pooled label map with the kernel seam in force when the
+// task was made.
 type rasterTask[T any] struct {
 	in     *T
 	from   *pool[T]
+	pixels int64
 	kernel func(context.Context, *T, *paremsp.LabelMap, *paremsp.Scratch, paremsp.Options) (*paremsp.Result, error)
 }
 
@@ -157,27 +160,32 @@ func (t rasterTask[T]) run(ctx context.Context, e *Engine, opt paremsp.Options) 
 	res, err := t.kernel(ctx, t.in, lm, sc, opt)
 	e.scratch.put(sc)
 	t.release(e)
-	if err != nil {
+	if err != nil || res.Labels == nil {
+		// A count-only result carries no map: the one it scanned into is
+		// free again as soon as the labeling is.
 		e.labelMaps.put(lm)
+	}
+	if err != nil {
 		return jobResult{err: err}
 	}
-	return jobResult{res: res, pixels: int64(res.Labels.Width) * int64(res.Labels.Height),
-		components: int64(res.NumComponents), phases: res.Phases}
+	return jobResult{res: res, pixels: t.pixels, components: int64(res.NumComponents), phases: res.Phases}
 }
 
 func (t rasterTask[T]) release(*Engine) { t.from.put(t.in) }
 
 func (e *Engine) imageTask(img *paremsp.Image) task {
-	return rasterTask[paremsp.Image]{in: img, from: &e.images, kernel: e.run}
+	return rasterTask[paremsp.Image]{in: img, from: &e.images, pixels: area(img.Width, img.Height), kernel: e.run}
 }
 
 func (e *Engine) bitmapTask(bm *paremsp.Bitmap) task {
-	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, kernel: e.runBM}
+	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, pixels: area(bm.Width, bm.Height), kernel: e.runBM}
 }
 
 func (e *Engine) grayTask(img *paremsp.GrayImage) task {
-	return rasterTask[paremsp.GrayImage]{in: img, from: &e.grays, kernel: e.runGray}
+	return rasterTask[paremsp.GrayImage]{in: img, from: &e.grays, pixels: area(img.Width, img.Height), kernel: e.runGray}
 }
+
+func area(w, h int) int64 { return int64(w) * int64(h) }
 
 // volumeTask labels a voxel volume into a pooled label volume.
 type volumeTask struct{ vol *paremsp.Volume }
@@ -647,7 +655,7 @@ func (e *Engine) worker() {
 		wait := start.Sub(j.enqueued)
 		e.metrics.queueWaitHist.observe(wait.Nanoseconds())
 		// compute contains panics, so the tokens come back on every path.
-		threads := e.takeThreads(j.opt.Threads)
+		threads := e.takeThreads(j.opt)
 		j.opt.Threads = threads
 		r := e.compute(j)
 		e.cpus.Add(int64(threads))
@@ -658,9 +666,13 @@ func (e *Engine) worker() {
 }
 
 // takeThreads debits the CPU tokens a dequeued labeling runs with and
-// returns their count: a pinned count as asked, otherwise every free token
-// and at least one.
-func (e *Engine) takeThreads(pinned int) int {
+// returns their count: one for a labeler that never splits its raster, a
+// pinned count as asked, otherwise every free token and at least one.
+func (e *Engine) takeThreads(opt paremsp.Options) int {
+	pinned := opt.Threads
+	if !splits(opt) {
+		pinned = 1
+	}
 	if pinned > 0 {
 		e.cpus.Add(-int64(pinned))
 		return pinned
@@ -674,14 +686,27 @@ func (e *Engine) takeThreads(pinned int) int {
 	}
 }
 
+// splits reports whether opt selects a labeler that divides its raster
+// among threads: PAREMSP or PBREMSP (the default is one or the other), in
+// any mode but gray-delta. AREMSP, CCLREMSP, BREMSP, the baselines and the
+// gray-delta scan run on one goroutine.
+func splits(opt paremsp.Options) bool {
+	switch opt.Algorithm {
+	case "", paremsp.AlgPAREMSP, paremsp.AlgPBREMSP:
+		return opt.Mode != paremsp.ModeGrayDelta
+	}
+	return false
+}
+
 // account lands one run in the counters. Busy time covers every run,
 // whatever its outcome: the worker is occupied either way. A stream stays out of the service-time statistics
 // — the jobNs mean RetryAfter is derived from and the service-time
 // histogram — because its duration follows the client's upload pace.
 // Phases are observed only when the kernel timed them (PAREMSP, PBREMSP),
-// so the phase histograms never record zeros for the kernels that do not.
-// Histogram observes are two uncontended atomic adds each, with nothing
-// allocated.
+// so the phase histograms never record zeros for the kernels that do not,
+// and relabel only when it ran: a count-only result, which carries no label
+// map, stopped after FLATTEN. Histogram observes are two uncontended atomic
+// adds each, with nothing allocated.
 func (e *Engine) account(r jobResult, elapsed int64) {
 	m := &e.metrics
 	m.busyNs.Add(elapsed)
@@ -701,7 +726,11 @@ func (e *Engine) account(r jobResult, elapsed int64) {
 	m.jobHist.observe(elapsed)
 	if r.phases.Total() > 0 {
 		ph := [phaseCount]time.Duration{r.phases.Scan, r.phases.Merge, r.phases.Flatten, r.phases.Relabel}
-		for i, d := range ph {
+		n := phaseCount
+		if r.res.Labels == nil {
+			n = phaseRelabel
+		}
+		for i, d := range ph[:n] {
 			m.phaseNs[i].Add(d.Nanoseconds())
 			m.phaseHist[i].observe(d.Nanoseconds())
 		}

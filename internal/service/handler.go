@@ -389,7 +389,11 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, h.reqTimeout)
 		defer cancel()
 	}
-	out := h.engine.do(ctx, d.task, options(spec.params))
+	// A JSON labeling without components reads nothing of the label map
+	// but its count, which FLATTEN yields, so it stops there.
+	opt := options(spec.params)
+	opt.CountOnly = spec.kind == jobs.KindLabels && !spec.components && accept == ctJSON
+	out := h.engine.do(ctx, d.task, opt)
 	// The trace is filled from the returned outcome only, so a worker that
 	// finishes after a cancellation never races the (pooled, recycled)
 	// record.
@@ -410,7 +414,7 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 		// only in the /debug/requests trace record.
 		w.Header().Set("Server-Timing", string(appendServerTiming(nil, tr, encodeStart.Sub(tr.Start))))
 	}
-	writeResult(w, accept, res)
+	writeResult(w, spec.kind, accept, res)
 	if tr != nil {
 		tr.EncodeNs = time.Since(encodeStart).Nanoseconds()
 	}
@@ -560,12 +564,13 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 	return res, nil
 }
 
-// writeResult renders a finished result in the negotiated format; it is
-// the one renderer behind the synchronous endpoints and GET
-// /v1/jobs/{id}/result. Streaming statistics and volume summaries are JSON;
-// a labeling is JSON (with its components and contours when present), a
-// PGM or PNG label map, or a CCL1 label stream.
-func writeResult(w http.ResponseWriter, accept string, res *jobs.Result) {
+// writeResult renders a finished result of the given kind in the
+// negotiated format; it is the one renderer behind the synchronous
+// endpoints and GET /v1/jobs/{id}/result. Streaming statistics and volume
+// summaries are JSON; a labeling is JSON (with its components and contours
+// when present), a PGM or PNG label map, or a CCL1 label stream. Only a
+// JSON labeling may lack its label map.
+func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs.Result) {
 	if d := faultinject.Delay(faultinject.EncodeSlow); d > 0 {
 		time.Sleep(d)
 	}
@@ -591,7 +596,7 @@ func writeResult(w http.ResponseWriter, accept string, res *jobs.Result) {
 			}
 		}
 		body = resp
-	case res.Labels == nil:
+	case kind == jobs.KindVolume:
 		body = volumeResponse{
 			Width: res.Width, Height: res.Height, Depth: res.Depth,
 			NumComponents:  res.NumComponents,

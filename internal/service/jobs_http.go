@@ -414,7 +414,7 @@ func (h *Handler) jobResult(w http.ResponseWriter, r *http.Request) {
 		cp.Components, cp.VolumeSizes = nil, nil
 		res = &cp
 	}
-	writeResult(w, accept, res)
+	writeResult(w, j.Kind, accept, res)
 }
 
 // jobDelete handles DELETE /v1/jobs/{id}: the job and its retained result

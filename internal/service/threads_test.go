@@ -52,7 +52,8 @@ func wantTokens(t *testing.T, eng *Engine) {
 
 // TestEngineThreadTokens pins the thread policy: an unpinned labeling
 // takes every free CPU token, at least one, from a budget of GOMAXPROCS,
-// and hands them back on every exit path; a pinned count runs as asked.
+// and hands them back on every exit path; a pinned count runs as asked;
+// a labeler that never splits its raster holds exactly one.
 func TestEngineThreadTokens(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 
@@ -118,6 +119,73 @@ func TestEngineThreadTokens(t *testing.T) {
 		go label()
 		if got := <-seen; got != 1 {
 			t.Fatalf("second labeling ran on %d threads, want 1", got)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		unblock()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		wantTokens(t, eng)
+	})
+
+	t.Run("never-split", func(t *testing.T) {
+		// A labeler that runs on one goroutine holds one token, pinned or
+		// not, and leaves the rest to a concurrent unpinned labeling.
+		eng := NewEngine(Config{Workers: 2})
+		defer eng.Close()
+		seen := make(chan int, 2)
+		ctx := context.Background()
+		threadProbe(eng, seen, proceed)
+		for _, opt := range []paremsp.Options{
+			{Algorithm: paremsp.AlgAREMSP},
+			{Algorithm: paremsp.AlgCCLREMSP, Threads: 3},
+			{Algorithm: paremsp.AlgBREMSP},
+			{Algorithm: paremsp.AlgSuzuki},
+		} {
+			res, err := eng.Label(ctx, testImage(t), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.PutResult(res)
+			if got := <-seen; got != 1 {
+				t.Fatalf("%+v ran on %d threads, want 1", opt, got)
+			}
+		}
+		res, err := eng.LabelGray(ctx, paremsp.NewGrayImage(5, 4), paremsp.Options{Mode: paremsp.ModeGrayDelta, Delta: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.PutResult(res)
+		if got := <-seen; got != 1 {
+			t.Fatalf("gray-delta labeling ran on %d threads, want 1", got)
+		}
+		wantTokens(t, eng)
+
+		release := make(chan struct{})
+		unblock := sync.OnceFunc(func() { close(release) })
+		defer unblock() // before Close, even when the test fails early
+		var calls atomic.Int32
+		threadProbe(eng, seen, func(context.Context) error {
+			if calls.Add(1) == 1 {
+				<-release
+			}
+			return nil
+		})
+		done := make(chan error, 2)
+		label := func(opt paremsp.Options) {
+			res, err := eng.Label(ctx, testImage(t), opt)
+			eng.PutResult(res)
+			done <- err
+		}
+		go label(paremsp.Options{Algorithm: paremsp.AlgAREMSP})
+		if got := <-seen; got != 1 {
+			t.Fatalf("aremsp labeling ran on %d threads, want 1", got)
+		}
+		go label(paremsp.Options{})
+		if got, want := <-seen, max(procs-1, 1); got != want {
+			t.Fatalf("paremsp labeling beside a running aremsp one ran on %d threads, want %d", got, want)
 		}
 		if err := <-done; err != nil {
 			t.Fatal(err)

@@ -74,25 +74,6 @@ func FindCompress(p []Label, x Label) Label {
 	return root
 }
 
-// FindHalve follows parent pointers to the root using path halving: every
-// other node on the path is pointed at its grandparent. Single pass.
-func FindHalve(p []Label, x Label) Label {
-	for p[x] != x {
-		p[x] = p[p[x]]
-		x = p[x]
-	}
-	return x
-}
-
-// FindSplit follows parent pointers to the root using path splitting: every
-// node on the path is pointed at its grandparent. Single pass.
-func FindSplit(p []Label, x Label) Label {
-	for p[x] != x {
-		x, p[x] = p[x], p[p[x]]
-	}
-	return x
-}
-
 // Same reports whether x and y are currently in the same set, without
 // modifying the structure.
 func Same(p []Label, x, y Label) bool {

@@ -148,11 +148,7 @@ func TestFindVariantsAgree(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want := FindRoot(p, Label(i))
 			pc := append([]Label(nil), p...)
-			ph := append([]Label(nil), p...)
-			ps := append([]Label(nil), p...)
-			if FindCompress(pc, Label(i)) != want ||
-				FindHalve(ph, Label(i)) != want ||
-				FindSplit(ps, Label(i)) != want {
+			if FindCompress(pc, Label(i)) != want {
 				return false
 			}
 		}
@@ -175,23 +171,5 @@ func TestFindCompressFlattensPath(t *testing.T) {
 		if p[i] != 0 {
 			t.Fatalf("after compression p[%d] = %d, want 0", i, p[i])
 		}
-	}
-}
-
-func TestFindHalveShortensPath(t *testing.T) {
-	p := []Label{0, 0, 1, 2, 3, 4}
-	FindHalve(p, 5)
-	// Path halving points every other node at its grandparent.
-	if p[5] != 3 || p[3] != 1 {
-		t.Fatalf("halving result %v, want p[5]=3 p[3]=1", p)
-	}
-}
-
-func TestFindSplitShortensPath(t *testing.T) {
-	p := []Label{0, 0, 1, 2, 3, 4}
-	FindSplit(p, 5)
-	// Path splitting points *every* node at its grandparent.
-	if p[5] != 3 || p[4] != 2 || p[3] != 1 || p[2] != 0 {
-		t.Fatalf("splitting result %v", p)
 	}
 }

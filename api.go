@@ -189,9 +189,6 @@ type Options struct {
 	// Delta is ModeGrayDelta's adjacency tolerance; ignored by every other
 	// mode.
 	Delta uint8
-	// UseCASMerger switches PAREMSP's boundary phase to the lock-free CAS
-	// union instead of the paper's lock-based MERGER.
-	UseCASMerger bool
 	// CountOnly asks LabelIntoCtx and LabelBitmapIntoCtx for the component
 	// count alone. The REMSP algorithms stop after FLATTEN (paper Alg. 3),
 	// which already yields it, and skip the relabel pass, so
@@ -285,7 +282,7 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	if lm == nil {
 		lm = &LabelMap{}
 	}
-	copt := coreOptions(opt)
+	copt := core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly}
 	seq := core.Options{Threads: 1, CountOnly: opt.CountOnly}
 	switch alg {
 	case AlgPAREMSP:
@@ -337,15 +334,6 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	return res, nil
 }
 
-// coreOptions maps the parallel algorithms' options onto core's.
-func coreOptions(opt Options) core.Options {
-	copt := core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly}
-	if opt.UseCASMerger {
-		copt.Merger = core.MergerCAS
-	}
-	return copt
-}
-
 // LabelBitmap runs a bit-packed algorithm directly over a packed bitmap.
 func LabelBitmap(bm *Bitmap, opt Options) (*Result, error) {
 	return LabelBitmapInto(bm, nil, nil, opt)
@@ -388,7 +376,7 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 	case AlgBREMSP:
 		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: 1, CountOnly: opt.CountOnly})
 	case AlgPBREMSP:
-		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, coreOptions(opt))
+		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly})
 	default:
 		return nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q or %q)",
 			alg, AlgBREMSP, AlgPBREMSP)

@@ -74,21 +74,6 @@ func TestLabelPAREMSPPhases(t *testing.T) {
 	}
 }
 
-func TestLabelCASMerger(t *testing.T) {
-	img := testImage(t)
-	a, err := paremsp.Label(img, paremsp.Options{Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := paremsp.Label(img, paremsp.Options{Threads: 3, UseCASMerger: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := paremsp.Equivalent(a.Labels, b.Labels); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLabel4Connectivity(t *testing.T) {
 	img, _ := paremsp.ParseImage("#.\n.#")
 	res, err := paremsp.Label(img, paremsp.Options{Algorithm: paremsp.AlgFloodFill, Connectivity: 4})

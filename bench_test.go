@@ -60,11 +60,6 @@ func coreRun(run func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Sc
 	return times
 }
 
-// cclremsp gives core.CCLREMSP, which is never split, coreRun's shape.
-func cclremsp(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, _ core.Options) (int, core.PhaseTimes, error) {
-	return core.CCLREMSP(ctx, img, lm, sc)
-}
-
 // oneThread makes PAREMSP the sequential AREMSP and PBREMSP BREMSP.
 var oneThread = core.Options{Threads: 1}
 
@@ -224,7 +219,7 @@ func BenchmarkAblationScan(b *testing.B) {
 	b.Run("decisiontree", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {
-			coreRun(cclremsp, img, oneThread)
+			coreRun(core.CCLREMSP, img, oneThread)
 		}
 	})
 	b.Run("allneighbors", func(b *testing.B) {
@@ -241,84 +236,6 @@ func BenchmarkAblationScan(b *testing.B) {
 				}
 			}
 		}
-	})
-}
-
-// BenchmarkAblationMerger compares the paper's lock-based boundary MERGER
-// with the lock-free CAS variant inside full PAREMSP runs.
-func BenchmarkAblationMerger(b *testing.B) {
-	_, nlcd := benchImages()
-	img := nlcd[len(nlcd)-1]
-	for _, kind := range []core.MergerKind{core.MergerLocked, core.MergerCAS} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(img.Pix)))
-			for i := 0; i < b.N; i++ {
-				coreRun(core.PAREMSP, img, core.Options{Threads: 24, Merger: kind})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationRelabel compares parallel vs sequential final labeling
-// passes.
-func BenchmarkAblationRelabel(b *testing.B) {
-	_, nlcd := benchImages()
-	img := nlcd[len(nlcd)-1]
-	for _, seq := range []bool{false, true} {
-		name := "parallel"
-		if seq {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(img.Pix)))
-			for i := 0; i < b.N; i++ {
-				coreRun(core.PAREMSP, img, core.Options{Threads: 24, SequentialRelabel: seq})
-			}
-		})
-	}
-}
-
-// BenchmarkConcurrentMergers micro-benchmarks the two concurrent unions on
-// the boundary-merge access pattern (pre-merged chunks, cross-seam edges).
-func BenchmarkConcurrentMergers(b *testing.B) {
-	const n = 1 << 16
-	build := func() []unionfind.Label {
-		p := make([]unionfind.Label, n)
-		for i := range p {
-			p[i] = unionfind.Label(i)
-		}
-		// Pre-merge 64-element chunks (the per-chunk scan result).
-		for c := 0; c < n/64; c++ {
-			for i := 1; i < 64; i++ {
-				unionfind.MergeRemSP(p, unionfind.Label(c*64), unionfind.Label(c*64+i))
-			}
-		}
-		return p
-	}
-	b.Run("locked", func(b *testing.B) {
-		lt := unionfind.NewLockTable(0)
-		p := build()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := rand.New(rand.NewSource(7))
-			for pb.Next() {
-				x := unionfind.Label(rng.Intn(n))
-				y := unionfind.Label(rng.Intn(n))
-				unionfind.MergeLocked(p, lt, x, y)
-			}
-		})
-	})
-	b.Run("cas", func(b *testing.B) {
-		p := build()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := rand.New(rand.NewSource(7))
-			for pb.Next() {
-				x := unionfind.Label(rng.Intn(n))
-				y := unionfind.Label(rng.Intn(n))
-				unionfind.MergeCAS(p, x, y)
-			}
-		})
 	})
 }
 
@@ -388,7 +305,7 @@ func BenchmarkBitScan(b *testing.B) {
 		name string
 		run  func(*binimg.Image) core.PhaseTimes
 	}{
-		{"cclremsp", func(img *binimg.Image) core.PhaseTimes { return coreRun(cclremsp, img, oneThread) }},
+		{"cclremsp", func(img *binimg.Image) core.PhaseTimes { return coreRun(core.CCLREMSP, img, oneThread) }},
 		{"aremsp", func(img *binimg.Image) core.PhaseTimes { return coreRun(core.PAREMSP, img, oneThread) }},
 		{"bremsp", func(img *binimg.Image) core.PhaseTimes { return coreRun(core.PBREMSP, img, oneThread) }},
 	}

@@ -1,12 +1,12 @@
 // Command paperbench regenerates the tables and figures of the paper's
-// evaluation section (Tables II-IV, Figures 3-5) plus a weak-scaling
-// experiment, on synthetic surrogates of the paper's datasets, and is the
-// engine behind the repository's performance trajectory: a declarative
-// experiment grid, a scaling-curve analyzer, and a gating regression diff.
+// evaluation section (Tables II-IV, Figures 3-5) on synthetic surrogates of
+// the paper's datasets, and is the engine behind the repository's
+// performance trajectory: a declarative experiment grid, a scaling-curve
+// analyzer, and a gating regression diff.
 //
 // Usage:
 //
-//	paperbench [-exp all|table2|table3|table4|fig3|fig4|fig5|weak]
+//	paperbench [-exp all|table2|table3|table4|fig3|fig4|fig5]
 //	           [-scale 0.02] [-repeats 3] [-warmup 1]
 //	paperbench -json report.json [-scale 0.05]
 //	paperbench -grid experiments.json [-tag pr7] [-json BENCH_pr7.json]
@@ -15,21 +15,23 @@
 //	paperbench -analyze BENCH_pr7.json [-baseline BENCH_seed.json] [-out dir]
 //
 // -json skips the tables and instead writes a machine-readable benchmark
-// report (per-algorithm ns/op, allocs/op, bytes/op per dataset class, raw
-// per-repeat samples, and environment metadata: go version, GOMAXPROCS,
-// CPU count, git revision). BENCH_seed.json at the repository root is such
-// a report at -scale 0.05; BENCH_pr7.json is the current grid baseline.
+// report (per-algorithm ns/op as the median repeat, allocs/op, bytes/op per
+// dataset class, raw per-repeat samples, and environment metadata: go
+// version, GOMAXPROCS, CPU count, git revision). Without -grid it runs the
+// grid's library-default thread point: every algorithm over every dataset
+// class, the configurations of BENCH_seed.json, which is such a report at
+// -scale 0.05. BENCH_pr7.json is the current grid baseline.
 //
 // -grid runs the experiment grid declared in a config file (see
 // experiments.json: algorithms x dataset classes x GOMAXPROCS values x
 // repeats). Sequential algorithms collapse the thread axis; parallel
 // algorithms get one row per pinned GOMAXPROCS value plus an unpinned
-// (library-default) row comparable with flat reports. Explicit -scale,
+// (library-default) row comparable with BENCH_seed.json. Explicit -scale,
 // -repeats and -warmup flags override the config, so CI can shrink the
 // checked-in grid to a smoke run without a second config file.
 //
-// -diff runs the benchmark (flat or -grid) and compares ns/op per
-// configuration against a baseline report, exiting 3 on regressions
+// -diff runs the benchmark (-grid or the default point) and compares ns/op
+// per configuration against a baseline report, exiting 3 on regressions
 // beyond tolerance. -regress sets the default tolerance; -regress-policy
 // points at a JSON policy with per-benchmark overrides and an allowlist
 // for accepted regressions. Configurations present on only one side are

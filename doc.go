@@ -260,14 +260,15 @@
 // # Reproducing the paper
 //
 // cmd/paperbench regenerates the evaluation section on synthetic
-// surrogates of the paper's datasets: Tables II-IV, Figures 3-5 and a
-// weak-scaling experiment directly (-exp), or the declarative experiment
-// grid in experiments.json (-grid: algorithms x dataset classes x
-// GOMAXPROCS values x repeats), which emits a self-describing JSON report
-// with raw per-repeat samples and environment metadata. paperbench
-// -analyze digests such a report into per-configuration medians with 95%
-// confidence intervals, speedup-vs-threads curves against the best
-// sequential baseline, and parallel-efficiency tables — the repo's
+// surrogates of the paper's datasets: Tables II-IV and Figures 3-5
+// directly (-exp), or the declarative experiment grid in experiments.json
+// (-grid: algorithms x dataset classes x GOMAXPROCS values x repeats),
+// which emits a self-describing JSON report with raw per-repeat samples
+// and environment metadata; -json without -grid runs every algorithm and
+// class at the library-default thread point, BENCH_seed.json's rows.
+// paperbench -analyze digests such a report into per-configuration medians
+// with 95% confidence intervals, speedup-vs-threads curves against the
+// best sequential baseline, and parallel-efficiency tables — the repo's
 // analogue of the paper's scaling figures — and paperbench -diff gates a
 // fresh run against a checked-in baseline report (BENCH_pr7.json) under
 // the tolerances and allowlist in perf_policy.json. The nightly CI

@@ -730,14 +730,14 @@ func paperBenchAnalyze(path, basePath, outDir string, stdout, stderr io.Writer) 
 func PaperBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: all, table2, table3, table4, fig3, fig4, fig5, weak, ablations")
+	exp := fs.String("exp", "all", "experiment: all, table2, table3, table4, fig3, fig4, fig5")
 	scale := fs.Float64("scale", experiments.DefaultConfig.Scale, "image-size scale factor (1.0 = paper sizes); overrides the -grid config when set explicitly")
 	repeats := fs.Int("repeats", experiments.DefaultConfig.Repeats, "timed repetitions per image; overrides the -grid config when set explicitly")
 	warmup := fs.Int("warmup", experiments.DefaultConfig.Warmup, "untimed warmup runs per image; overrides the -grid config when set explicitly")
 	jsonOut := fs.String("json", "", "write machine-readable per-algorithm ns/op + allocs to this file ('-' = stdout) instead of running -exp")
-	gridPath := fs.String("grid", "", "run the experiment grid in this config file (e.g. experiments.json) instead of the flat benchmark; combines with -json and -diff")
-	tag := fs.String("tag", "", "tag recorded in the -grid report (default: the config's tag)")
-	diffPath := fs.String("diff", "", "run the benchmark (flat or -grid) and compare it against this baseline report (e.g. BENCH_seed.json); exit 3 on regressions beyond tolerance")
+	gridPath := fs.String("grid", "", "run the experiment grid in this config file (e.g. experiments.json) instead of every algorithm at the library-default thread count; combines with -json and -diff")
+	tag := fs.String("tag", "", "tag recorded in the report (default: the -grid config's tag)")
+	diffPath := fs.String("diff", "", "run the benchmark (default point or -grid) and compare it against this baseline report (e.g. BENCH_seed.json); exit 3 on regressions beyond tolerance")
 	regress := fs.Float64("regress", 0.25, "default ns/op regression tolerance for -diff (0.25 = fail beyond +25%)")
 	policyPath := fs.String("regress-policy", "", "per-benchmark tolerance + allowlist policy file for -diff (e.g. perf_policy.json)")
 	analyzePath := fs.String("analyze", "", "analyze this benchmark report (medians/CIs, scaling curves, efficiency) instead of running anything")
@@ -765,17 +765,18 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 		return paperBenchAnalyze(*analyzePath, *basePath, *outDir, stdout, stderr)
 	}
 
-	cfg := experiments.Config{Scale: *scale, Repeats: *repeats, Warmup: *warmup}
-
 	if *jsonOut != "" || *diffPath != "" || *gridPath != "" {
-		var report *experiments.BenchReport
+		// Without -grid the report is the grid's library-default thread
+		// point over every algorithm and class: the rows BENCH_seed.json
+		// holds.
+		gridCfg := &experiments.GridConfig{Scale: *scale, Repeats: *repeats, Warmup: *warmup}
 		if *gridPath != "" {
 			f, err := os.Open(*gridPath)
 			if err != nil {
 				fmt.Fprintln(stderr, "paperbench:", err)
 				return 1
 			}
-			gridCfg, err := experiments.ReadGridConfig(f)
+			gridCfg, err = experiments.ReadGridConfig(f)
 			f.Close()
 			if err != nil {
 				fmt.Fprintln(stderr, "paperbench:", err)
@@ -792,14 +793,12 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 			if explicit["warmup"] {
 				gridCfg.Warmup = *warmup
 			}
-			report = experiments.RunGrid(gridCfg, experiments.GridMeta{
-				Tag:      *tag,
-				GitRev:   gitRev(),
-				Progress: stderr,
-			})
-		} else {
-			report = experiments.RunBench(cfg)
 		}
+		report := experiments.RunGrid(gridCfg, experiments.GridMeta{
+			Tag:      *tag,
+			GitRev:   gitRev(),
+			Progress: stderr,
+		})
 		if *jsonOut != "" {
 			out := stdout
 			if *jsonOut != "-" {
@@ -846,17 +845,16 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	cfg := experiments.Config{Scale: *scale, Repeats: *repeats, Warmup: *warmup}
 	runners := map[string]func(){
-		"table2":    func() { experiments.Table2(stdout, cfg) },
-		"table3":    func() { experiments.Table3(stdout, cfg) },
-		"table4":    func() { experiments.Table4(stdout, cfg) },
-		"fig3":      func() { experiments.Fig3(stdout, cfg) },
-		"fig4":      func() { experiments.Fig4(stdout, cfg) },
-		"fig5":      func() { experiments.Fig5(stdout, cfg) },
-		"weak":      func() { experiments.WeakScaling(stdout, cfg) },
-		"ablations": func() { experiments.Ablations(stdout, cfg) },
+		"table2": func() { experiments.Table2(stdout, cfg) },
+		"table3": func() { experiments.Table3(stdout, cfg) },
+		"table4": func() { experiments.Table4(stdout, cfg) },
+		"fig3":   func() { experiments.Fig3(stdout, cfg) },
+		"fig4":   func() { experiments.Fig4(stdout, cfg) },
+		"fig5":   func() { experiments.Fig5(stdout, cfg) },
 	}
-	order := []string{"fig3", "table2", "table3", "table4", "fig4", "fig5", "weak", "ablations"}
+	order := []string{"fig3", "table2", "table3", "table4", "fig4", "fig5"}
 
 	if *exp == "all" {
 		for i, name := range order {

@@ -18,7 +18,7 @@ import (
 // of machine noise.
 func writeBaseline(t *testing.T, scaleNs int64, div bool) string {
 	t.Helper()
-	report := experiments.RunBench(experiments.Config{Scale: 0.001, Repeats: 1, Warmup: 0})
+	report := experiments.RunGrid(&experiments.GridConfig{Scale: 0.001, Repeats: 1}, experiments.GridMeta{})
 	for i := range report.Results {
 		if div {
 			report.Results[i].NsPerOp /= scaleNs

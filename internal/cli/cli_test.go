@@ -159,7 +159,6 @@ func TestPaperBenchSingleExperiments(t *testing.T) {
 	for exp, want := range map[string]string{
 		"table3": "Table III",
 		"fig3":   "Figure 3",
-		"weak":   "Weak scaling",
 	} {
 		var out, errw bytes.Buffer
 		code := cli.PaperBench([]string{"-exp", exp, "-scale", "0.001", "-repeats", "1", "-warmup", "0"}, &out, &errw)
@@ -246,10 +245,13 @@ func TestCCServeBadFlags(t *testing.T) {
 	}
 }
 
+// TestPaperBenchJSON checks the -json report run without -grid: it must
+// hold exactly BENCH_seed.json's configurations, or the CI diff against the
+// seed compares nothing, and every row must carry one sample per repeat.
 func TestPaperBenchJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var out, errw bytes.Buffer
-	code := cli.PaperBench([]string{"-json", path, "-scale", "0.001", "-repeats", "1", "-warmup", "0"}, &out, &errw)
+	code := cli.PaperBench([]string{"-json", path, "-scale", "0.001", "-repeats", "2", "-warmup", "0"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
@@ -261,20 +263,35 @@ func TestPaperBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &report); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, raw)
 	}
-	if report.Scale != 0.001 || len(report.Results) == 0 {
+	if report.Scale != 0.001 || report.Repeats != 2 {
 		t.Fatalf("unexpected report: %+v", report)
 	}
-	seen := map[string]bool{}
+	f, err := os.Open(filepath.Join("..", "..", "BENCH_seed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seed, err := experiments.ReadBenchReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[experiments.ConfigKey]bool{}
+	for _, r := range seed.Results {
+		want[experiments.ConfigKey{Algorithm: r.Algorithm, Class: r.Class, Threads: r.Threads}] = true
+	}
+	got := map[experiments.ConfigKey]bool{}
 	for _, r := range report.Results {
-		seen[r.Algorithm] = true
-		if r.NsPerOp <= 0 || r.Pixels <= 0 {
+		key := experiments.ConfigKey{Algorithm: r.Algorithm, Class: r.Class, Threads: r.Threads}
+		if got[key] || !want[key] {
+			t.Fatalf("row %s is repeated or not in BENCH_seed.json", key)
+		}
+		got[key] = true
+		if r.NsPerOp <= 0 || r.Pixels <= 0 || len(r.SampleNs) != 2 {
 			t.Fatalf("degenerate row: %+v", r)
 		}
 	}
-	for _, want := range []string{"ARemSP", "BREMSP", "PAREMSP", "PBREMSP"} {
-		if !seen[want] {
-			t.Fatalf("report missing algorithm %s (have %v)", want, seen)
-		}
+	if len(got) != len(want) {
+		t.Fatalf("report has %d of BENCH_seed.json's %d configurations", len(got), len(want))
 	}
 }
 

@@ -18,7 +18,7 @@ var ctxAlgs = []struct {
 	run  func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error)
 }{
 	{"CCLREMSP", func(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-		n, _, err := core.CCLREMSP(ctx, img, lm, sc)
+		n, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{})
 		return n, err
 	}},
 	{"AREMSP", withOptions(core.PAREMSP, 1)},
@@ -107,7 +107,7 @@ func TestCtxDeadlinePropagates(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	lm, sc := &binimg.LabelMap{}, &core.Scratch{}
-	if _, _, err := core.CCLREMSP(ctx, img, lm, sc); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -124,7 +124,7 @@ func BenchmarkCancelCheck(b *testing.B) {
 		ctx := context.Background()
 		b.SetBytes(int64(img.Width * img.Height))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.CCLREMSP(ctx, img, lm, sc); err != nil {
+			if _, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -134,7 +134,7 @@ func BenchmarkCancelCheck(b *testing.B) {
 		defer cancel()
 		b.SetBytes(int64(img.Width * img.Height))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.CCLREMSP(ctx, img, lm, sc); err != nil {
+			if _, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

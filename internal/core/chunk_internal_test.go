@@ -35,19 +35,3 @@ func TestChunkStartsInvariants(t *testing.T) {
 		}
 	}
 }
-
-// TestMergeFuncVariants exercises both merger constructors directly.
-func TestMergeFuncVariants(t *testing.T) {
-	p := []Label{0, 1, 2, 3}
-	merge := mergeFunc(Options{Merger: MergerCAS}, p, &Scratch{})
-	merge(2, 3)
-	if p[3] != 2 {
-		t.Fatalf("CAS merge did not unite: %v", p)
-	}
-	p2 := []Label{0, 1, 2, 3}
-	mergeL := mergeFunc(Options{Merger: MergerLocked}, p2, &Scratch{})
-	mergeL(1, 3)
-	if p2[3] != 1 {
-		t.Fatalf("locked merge did not unite: %v", p2)
-	}
-}

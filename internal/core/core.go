@@ -17,7 +17,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -128,31 +127,6 @@ func (s *Scratch) runSets(n int) []*scan.RunSet {
 	return s.runs[:n]
 }
 
-// MergerKind selects the concurrent union used in the seam-merge phase.
-type MergerKind int
-
-// Boundary-merge implementations.
-const (
-	// MergerLocked is the paper's Algorithm 8: lock-based concurrent REM
-	// union (OpenMP lock array reproduced with striped sync.Mutex).
-	MergerLocked MergerKind = iota
-	// MergerCAS is the idiomatic lock-free variant built on
-	// atomic.CompareAndSwapInt32 (ablation alternative).
-	MergerCAS
-)
-
-// String names the merger for benchmark output.
-func (m MergerKind) String() string {
-	switch m {
-	case MergerLocked:
-		return "locked"
-	case MergerCAS:
-		return "cas"
-	default:
-		return fmt.Sprintf("MergerKind(%d)", int(m))
-	}
-}
-
 // Options configures a labeling run.
 type Options struct {
 	// Threads is the number of chunks scanned and relabeled concurrently
@@ -160,12 +134,6 @@ type Options struct {
 	// either way a raster never splits into more chunks than it has scan
 	// units, and one chunk is the sequential algorithm.
 	Threads int
-	// Merger selects the concurrent seam union (default MergerLocked, the
-	// paper's choice).
-	Merger MergerKind
-	// SequentialRelabel forces the final labeling pass onto one goroutine
-	// (ablation; the paper parallelizes it).
-	SequentialRelabel bool
 	// CountOnly stops the labeling after FLATTEN (phase III), which already
 	// yields the component count: phase IV never runs, its time reads 0,
 	// and the label map is left undefined. A kernel that scans into the
@@ -233,17 +201,18 @@ type Chunk struct {
 // checking ctx between them:
 //
 //	I    scan every chunk concurrently, each from its own label range;
-//	II   merge the seam above every chunk but the first with opt.Merger;
+//	II   merge the seam above every chunk but the first with the paper's
+//	     lock-based MERGER (Alg. 8);
 //	III  FLATTEN each chunk's created labels, chunk by chunk;
 //	IV   relabel every chunk concurrently, unless opt.CountOnly.
 //
 // The raster splits into chunks of whole units, as many as opt.Threads
-// allows (see Options.Threads); the parent array comes from sc (nil
-// allocates one). The seam-merge and flatten phases touch the equivalence
-// table, not the raster, and are a small fraction of the total, so they are
-// not polled; Run checks ctx after each phase instead. It returns the
-// component count, and the phase times accumulated so far along with ctx's
-// error when canceled.
+// allows (see Options.Threads); the parent array and the MERGER lock table
+// come from sc (nil allocates them). The seam-merge and flatten phases
+// touch the equivalence table, not the raster, and are a small fraction of
+// the total, so they are not polled; Run checks ctx after each phase
+// instead. It returns the component count, and the phase times accumulated
+// so far along with ctx's error when canceled.
 func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	var times PhaseTimes
 	if k.Rows == 0 || k.Stride == 0 {
@@ -260,7 +229,7 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 	}
 
 	t0 := time.Now()
-	ok := each(len(chunks), true, func(i int) bool {
+	ok := each(len(chunks), func(i int) bool {
 		c := &chunks[i]
 		var ok bool
 		c.last, ok = k.Scan(c)
@@ -273,8 +242,9 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 
 	t0 = time.Now()
 	if len(chunks) > 1 {
-		merge := mergeFunc(opt, p, sc)
-		each(len(chunks)-1, true, func(i int) bool {
+		lt := sc.lockTable()
+		merge := func(x, y Label) { unionfind.MergeLocked(p, lt, x, y) }
+		each(len(chunks)-1, func(i int) bool {
 			k.Seam(&chunks[i+1], merge)
 			return true
 		})
@@ -301,7 +271,7 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 	}
 
 	t0 = time.Now()
-	ok = each(len(chunks), !opt.SequentialRelabel, func(i int) bool { return k.Relabel(&chunks[i]) })
+	ok = each(len(chunks), func(i int) bool { return k.Relabel(&chunks[i]) })
 	times.Relabel = time.Since(t0)
 	if !ok {
 		return 0, times, poll.Err(ctx)
@@ -340,17 +310,11 @@ func (k *Kernel) chunks(threads int) []Chunk {
 	return cs
 }
 
-// each calls f for every index in [0, n) — on its own goroutine when
-// parallel and n > 1, in order otherwise, stopping at the first false — and
-// reports whether every call returned true.
-func each(n int, parallel bool, f func(i int) bool) bool {
-	if !parallel || n == 1 {
-		for i := 0; i < n; i++ {
-			if !f(i) {
-				return false
-			}
-		}
-		return true
+// each calls f for every index in [0, n), one goroutine per index when
+// n > 1, and reports whether every call returned true.
+func each(n int, f func(i int) bool) bool {
+	if n == 1 {
+		return f(0)
 	}
 	var wg sync.WaitGroup
 	var failed atomic.Bool
@@ -365,18 +329,6 @@ func each(n int, parallel bool, f func(i int) bool) bool {
 	}
 	wg.Wait()
 	return !failed.Load()
-}
-
-// mergeFunc returns the configured concurrent union bound to p, drawing the
-// lock table from sc so repeated labelings reuse it.
-func mergeFunc(opt Options, p []Label, sc *Scratch) func(x, y Label) {
-	switch opt.Merger {
-	case MergerCAS:
-		return func(x, y Label) { unionfind.MergeCAS(p, x, y) }
-	default:
-		lt := sc.lockTable()
-		return func(x, y Label) { unionfind.MergeLocked(p, lt, x, y) }
-	}
 }
 
 // RelabelFlat is the Relabel phase of every kernel whose labels form a flat
@@ -405,15 +357,11 @@ func RelabelFlat(c *Chunk, l []Label, w int) bool {
 // img into lm (reshaped with Reset; consecutive labels 1..n, background 0)
 // drawing equivalence buffers from sc (nil allocates fresh ones), polls ctx
 // every 64 rows, and returns n with the phase times. A canceled labeling
-// leaves lm and sc undefined but reusable. Of the optional opt only
-// CountOnly applies, since the kernel never splits.
-func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt ...Options) (int, PhaseTimes, error) {
-	var o Options
-	if len(opt) > 0 {
-		o = opt[0]
-	}
+// leaves lm and sc undefined but reusable. Of opt only CountOnly applies,
+// since the kernel never splits.
+func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	w, h := img.Width, img.Height
-	reshape(lm, w, h, o)
+	reshape(lm, w, h, opt)
 	k := Kernel{
 		Rows: h, Unit: h, Stride: scan.MaxProvisionalLabels(w, h),
 		Scan: func(c *Chunk) (Label, bool) {
@@ -423,7 +371,7 @@ func CCLREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *S
 		},
 		Relabel: func(c *Chunk) bool { return RelabelFlat(c, lm.L[c.Lo*w:c.Hi*w], w) },
 	}
-	return k.Run(ctx, sc, o)
+	return k.Run(ctx, sc, opt)
 }
 
 // reshape readies the label map a kernel scans into. A scan writes a label

@@ -185,6 +185,8 @@ func TestPAREMSPAllThreadCountsOddAndEvenHeights(t *testing.T) {
 	}
 }
 
+// TestPAREMSPMergerVariants checks eight chunks joined by the locked seam
+// MERGER against AREMSP, and the phase-time accounting of that run.
 func TestPAREMSPMergerVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	img := binimg.New(64, 64)
@@ -192,25 +194,19 @@ func TestPAREMSPMergerVariants(t *testing.T) {
 		img.Pix[i] = uint8(rng.Intn(2))
 	}
 	ref, nRef := aremsp(img)
-	for _, opt := range []core.Options{
-		{Threads: 8, Merger: core.MergerLocked},
-		{Threads: 8, Merger: core.MergerCAS},
-		{Threads: 8, SequentialRelabel: true},
-	} {
-		lm := &binimg.LabelMap{}
-		n, times, _ := core.PAREMSP(context.Background(), img, lm, nil, opt)
-		if n != nRef {
-			t.Fatalf("opt %+v: n=%d want %d", opt, n, nRef)
-		}
-		if err := stats.Equivalent(lm, ref); err != nil {
-			t.Fatalf("opt %+v: %v", opt, err)
-		}
-		if times.Total() <= 0 {
-			t.Fatalf("opt %+v: non-positive total time %v", opt, times)
-		}
-		if times.LocalMerge() != times.Scan+times.Merge {
-			t.Fatalf("LocalMerge accounting wrong: %+v", times)
-		}
+	lm := &binimg.LabelMap{}
+	n, times, _ := core.PAREMSP(context.Background(), img, lm, nil, core.Options{Threads: 8})
+	if n != nRef {
+		t.Fatalf("n=%d want %d", n, nRef)
+	}
+	if err := stats.Equivalent(lm, ref); err != nil {
+		t.Fatal(err)
+	}
+	if times.Total() <= 0 {
+		t.Fatalf("non-positive total time %v", times)
+	}
+	if times.LocalMerge() != times.Scan+times.Merge {
+		t.Fatalf("LocalMerge accounting wrong: %+v", times)
 	}
 }
 
@@ -311,21 +307,12 @@ func TestRemSinkSharedOffsets(t *testing.T) {
 	}
 }
 
-func TestMergerKindString(t *testing.T) {
-	if core.MergerLocked.String() != "locked" || core.MergerCAS.String() != "cas" {
-		t.Fatal("MergerKind names wrong")
-	}
-	if core.MergerKind(9).String() == "" {
-		t.Fatal("unknown MergerKind must still print")
-	}
-}
-
 // The helpers below run one algorithm into caller buffers (…Into) or fresh
 // ones under a never-canceled context. AREMSP and BREMSP are the one-thread
 // PAREMSP and PBREMSP.
 
 func cclremspInto(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch) int {
-	n, _, _ := core.CCLREMSP(context.Background(), img, lm, sc)
+	n, _, _ := core.CCLREMSP(context.Background(), img, lm, sc, core.Options{})
 	return n
 }
 

@@ -149,7 +149,7 @@ func TestScratchParentsNeedNoClearing(t *testing.T) {
 			return n, err
 		})},
 		{"CCLREMSP", binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-			n, _, err := core.CCLREMSP(ctx, img, lm, sc)
+			n, _, err := core.CCLREMSP(ctx, img, lm, sc, core.Options{})
 			return n, err
 		})},
 		{"gray", binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// ReadBenchReport decodes a BenchReport previously written by BenchJSON
-// (e.g. the checked-in BENCH_seed.json).
+// ReadBenchReport decodes a BenchReport previously written by
+// cmd/paperbench -json (e.g. the checked-in BENCH_seed.json).
 func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 	var rep BenchReport
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {

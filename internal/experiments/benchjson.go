@@ -1,39 +1,30 @@
 package experiments
 
-import (
-	"encoding/json"
-	"io"
-	"runtime"
-	"time"
-
-	"repro/internal/binimg"
-)
-
 // BenchResult is one machine-readable benchmark row: one algorithm over one
 // dataset class at one thread count.
 type BenchResult struct {
 	Algorithm string `json:"algorithm"`
 	Class     string `json:"class"`
 	// Threads is the pinned GOMAXPROCS / algorithm thread count of a grid
-	// row; 0 (omitted) means the library default, which is what the flat
-	// RunBench rows and the pre-grid BENCH_seed.json use.
+	// row; 0 (omitted) means the library default, the only point
+	// BENCH_seed.json and a -json run without -grid measure.
 	Threads     int   `json:"threads,omitempty"`
 	Pixels      int64 `json:"pixels"`
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// SampleNs holds the per-repeat wall times behind NsPerOp when the row
-	// came from the grid runner; the analyzer derives medians and
-	// confidence intervals from it. Absent in flat RunBench rows.
+	// SampleNs holds the per-repeat wall times behind NsPerOp, the median
+	// repeat; the analyzer derives medians and confidence intervals from
+	// it. BENCH_seed.json predates it and has none.
 	SampleNs []int64 `json:"sample_ns,omitempty"`
 }
 
 // BenchReport is the envelope cmd/paperbench -json writes. BENCH_seed.json
 // at the repository root is one of these, produced at -scale 0.05; future
 // changes diff their own run against it to track the perf trajectory
-// (ns/op values are machine-relative, allocs/op are not). Grid runs
-// (cmd/paperbench -grid) add the self-describing environment fields so a
-// checked-in BENCH_<tag>.json records where its numbers came from.
+// (ns/op values are machine-relative, allocs/op are not). The environment
+// fields make a checked-in BENCH_<tag>.json record where its numbers came
+// from; BENCH_seed.json predates the optional ones.
 type BenchReport struct {
 	Tag        string        `json:"tag,omitempty"`
 	Scale      float64       `json:"scale"`
@@ -45,63 +36,4 @@ type BenchReport struct {
 	GOARCH     string        `json:"goarch,omitempty"`
 	GitRev     string        `json:"git_rev,omitempty"`
 	Results    []BenchResult `json:"results"`
-}
-
-// BenchJSON measures every benchmark algorithm over every dataset class at
-// cfg and writes one BenchReport as indented JSON.
-func BenchJSON(w io.Writer, cfg Config) error {
-	report := RunBench(cfg)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
-}
-
-// RunBench measures every benchmark algorithm over every dataset class at
-// cfg and returns the report; BenchJSON and the regression differ
-// (cmd/paperbench -diff) both consume it.
-func RunBench(cfg Config) *BenchReport {
-	report := &BenchReport{
-		Scale:      cfg.Scale,
-		Repeats:    cfg.Repeats,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	classes := AllClasses(cfg.Scale)
-	for _, class := range ClassOrder {
-		imgs := make([]*binimg.Image, 0, len(classes[class]))
-		var pixels int64
-		for _, spec := range classes[class] {
-			img := spec.Build()
-			pixels += int64(len(img.Pix))
-			imgs = append(imgs, img)
-		}
-		for _, alg := range GridAlgs {
-			run := func() {
-				for _, img := range imgs {
-					alg.Run(img, 0)
-				}
-			}
-			for i := 0; i < cfg.Warmup; i++ {
-				run()
-			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			t0 := time.Now()
-			for i := 0; i < cfg.Repeats; i++ {
-				run()
-			}
-			elapsed := time.Since(t0)
-			runtime.ReadMemStats(&m1)
-			rep := int64(cfg.Repeats)
-			report.Results = append(report.Results, BenchResult{
-				Algorithm:   alg.Name,
-				Class:       class,
-				Pixels:      pixels,
-				NsPerOp:     elapsed.Nanoseconds() / rep,
-				AllocsPerOp: int64(m1.Mallocs-m0.Mallocs) / rep,
-				BytesPerOp:  int64(m1.TotalAlloc-m0.TotalAlloc) / rep,
-			})
-		}
-	}
-	return report
 }

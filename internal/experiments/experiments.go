@@ -130,12 +130,6 @@ var (
 	runPAREMSP  = label(paremsp.AlgPAREMSP)
 )
 
-// phases runs PAREMSP with opt and returns its phase times.
-func phases(img *binimg.Image, opt core.Options) core.PhaseTimes {
-	_, times, _ := core.PAREMSP(context.Background(), img, &binimg.LabelMap{}, nil, opt)
-	return times
-}
-
 // SequentialAlgs is the column order of Table II.
 var SequentialAlgs = []struct {
 	Name string
@@ -334,7 +328,7 @@ func Fig5(w io.Writer, cfg Config) {
 		for ti, th := range Fig5Threads {
 			var bestLocal, bestLM time.Duration
 			for r := 0; r < cfg.Repeats; r++ {
-				times := phases(img, core.Options{Threads: th})
+				_, times, _ := core.PAREMSP(context.Background(), img, &binimg.LabelMap{}, nil, core.Options{Threads: th})
 				if r == 0 || times.Local() < bestLocal {
 					bestLocal = times.Local()
 				}
@@ -366,88 +360,6 @@ func Fig5(w io.Writer, cfg Config) {
 	chartLocal.Render(w)
 	fmt.Fprintln(w)
 	chartLM.Render(w)
-}
-
-// WeakScaling is an experiment beyond the paper: problem size grows with
-// the thread count (a fixed per-thread quantum of land-cover raster), so
-// ideal behavior is *constant* time per row. The paper only reports strong
-// scaling (fixed size, Figures 4-5); weak scaling separates algorithmic
-// overhead growth from memory-bandwidth saturation.
-func WeakScaling(w io.Writer, cfg Config) {
-	fmt.Fprintf(w, "Weak scaling (beyond paper): constant %.1f MB of raster per thread (scale %.3g, %s)\n",
-		8*cfg.Scale, cfg.Scale, harness.EnvBanner())
-	tbl := harness.NewTable("Threads", "Image", "Total ms", "Scan ms", "Efficiency")
-	var baseline time.Duration
-	for _, th := range []int{1, 2, 4, 8, 16, 24} {
-		wpx, hpx := dims(8*float64(th), cfg.Scale)
-		img := dataset.LandCover(wpx, hpx, maxInt(32, wpx/64), 0.5, int64(500+th))
-		var best core.PhaseTimes
-		for r := 0; r < cfg.Repeats; r++ {
-			times := phases(img, core.Options{Threads: th})
-			if r == 0 || times.Total() < best.Total() {
-				best = times
-			}
-		}
-		if th == 1 {
-			baseline = best.Total()
-		}
-		eff := 0.0
-		if best.Total() > 0 {
-			eff = baseline.Seconds() / best.Total().Seconds()
-		}
-		tbl.AddRow(fmt.Sprintf("%d", th),
-			fmt.Sprintf("%dx%d", wpx, hpx),
-			harness.Msec(best.Total()),
-			harness.Msec(best.Scan),
-			fmt.Sprintf("%.2f", eff))
-	}
-	tbl.Render(w)
-}
-
-// Ablations runs the design-choice comparisons on the largest NLCD
-// surrogate and prints one table per question (the text mirror of the
-// BenchmarkAblation* families, for readers who do not drive
-// `go test -bench`).
-func Ablations(w io.Writer, cfg Config) {
-	specs := NLCDImages(cfg.Scale)
-	img := specs[len(specs)-1].Build()
-	fmt.Fprintf(w, "Ablations on %s (%dx%d, scale %.3g, %s)\n",
-		specs[len(specs)-1].Name, img.Width, img.Height, cfg.Scale, harness.EnvBanner())
-
-	measure := func(f func()) time.Duration {
-		return harness.Measure(cfg.Repeats, cfg.Warmup, f).Min()
-	}
-
-	tbl := harness.NewTable("Question", "Variant", "Best ms")
-	// 1. Union-find under a fixed pair-row scan.
-	tbl.AddRow("union-find (pair scan fixed)", "REMSP (paper)",
-		harness.Msec(measure(func() { runAREMSP(img) })))
-	tbl.AddRow("", "He rtable (ARUN)",
-		harness.Msec(measure(func() { baseline.ARUN(img) })))
-	// 2. Scan strategy under fixed REMSP.
-	tbl.AddRow("scan (REMSP fixed)", "pair-row (paper)",
-		harness.Msec(measure(func() { runAREMSP(img) })))
-	tbl.AddRow("", "decision tree",
-		harness.Msec(measure(func() { runCCLREMSP(img) })))
-	// 3. Boundary merger.
-	tbl.AddRow("boundary merger (24 threads)", "locked (paper)",
-		harness.Msec(measure(func() {
-			phases(img, core.Options{Threads: 24, Merger: core.MergerLocked})
-		})))
-	tbl.AddRow("", "lock-free CAS",
-		harness.Msec(measure(func() {
-			phases(img, core.Options{Threads: 24, Merger: core.MergerCAS})
-		})))
-	// 4. Relabel pass.
-	tbl.AddRow("final relabel (24 threads)", "parallel (paper)",
-		harness.Msec(measure(func() {
-			phases(img, core.Options{Threads: 24})
-		})))
-	tbl.AddRow("", "sequential",
-		harness.Msec(measure(func() {
-			phases(img, core.Options{Threads: 24, SequentialRelabel: true})
-		})))
-	tbl.Render(w)
 }
 
 // Fig3 demonstrates the grayscale-to-binary conversion of Figure 3: it

@@ -141,25 +141,3 @@ func TestFig3Renders(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationsRenders(t *testing.T) {
-	var sb strings.Builder
-	experiments.Ablations(&sb, tinyConfig)
-	out := sb.String()
-	for _, want := range []string{"Ablations", "REMSP (paper)", "lock-free CAS"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ablations output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWeakScalingRenders(t *testing.T) {
-	var sb strings.Builder
-	experiments.WeakScaling(&sb, tinyConfig)
-	out := sb.String()
-	for _, want := range []string{"Weak scaling", "Efficiency", "24"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("weak-scaling output missing %q:\n%s", want, out)
-		}
-	}
-}

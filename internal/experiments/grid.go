@@ -23,9 +23,9 @@ type GridAlg struct {
 	Run      func(img *binimg.Image, threads int) (*binimg.LabelMap, int)
 }
 
-// GridAlgs is the closed algorithm registry of the grid runner, in the
-// column order of the flat RunBench report (the paper's sequential
-// algorithms, the bit-packed pair, and the two parallel algorithms).
+// GridAlgs is the closed algorithm registry of the grid runner, in report
+// row order: the paper's four sequential algorithms, BREMSP, then the two
+// parallel algorithms.
 var GridAlgs = []GridAlg{
 	{"CCLLRPC", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.CCLLRPC(im) }},
 	{"CCLRemSP", false, label(paremsp.AlgCCLREMSP)},
@@ -67,8 +67,8 @@ type GridConfig struct {
 	Classes []string `json:"classes"`
 	// GOMAXPROCS is the thread axis for parallel algorithms: each value T>0
 	// pins runtime.GOMAXPROCS(T) and the algorithm's thread count for the
-	// measurement; 0 measures at the library default (unpinned), producing
-	// rows comparable with the flat RunBench report. Empty means [0].
+	// measurement; 0 measures at the library default (unpinned), the point
+	// BENCH_seed.json holds. Empty means [0].
 	GOMAXPROCS []int `json:"gomaxprocs"`
 }
 

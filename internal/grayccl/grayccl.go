@@ -80,9 +80,9 @@ func (im *Image) Reset(width, height int) {
 // returns n. Row-pair chunks are scanned concurrently with disjoint label
 // ranges — gray labels have no independent-set bound, since every pixel may
 // open a component, so each row pair budgets 2*w labels — and seam rows are
-// merged with opt.Merger. One thread is the sequential labeler. The
-// equivalence buffers come from sc (nil allocates fresh ones); the scan and
-// relabel poll ctx every 64 rows.
+// merged with the paper's locked MERGER. One thread is the sequential
+// labeler. The equivalence buffers come from sc (nil allocates fresh ones);
+// the scan and relabel poll ctx every 64 rows.
 func LabelIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, error) {
 	w := img.Width
 	lm.Reset(w, img.Height)

@@ -88,21 +88,6 @@ func (s Sample) Median() time.Duration {
 	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
-// Stddev returns the sample standard deviation in seconds (0 for fewer than
-// two runs).
-func (s Sample) Stddev() float64 {
-	if len(s.Runs) < 2 {
-		return 0
-	}
-	mean := s.Mean().Seconds()
-	var acc float64
-	for _, d := range s.Runs {
-		diff := d.Seconds() - mean
-		acc += diff * diff
-	}
-	return math.Sqrt(acc / float64(len(s.Runs)-1))
-}
-
 // MinAvgMax groups the three statistics the paper's tables report.
 type MinAvgMax struct {
 	Min, Avg, Max time.Duration
@@ -192,28 +177,6 @@ func (t *Table) Render(w io.Writer) {
 		line(row)
 	}
 }
-
-// RenderCSV writes the table as CSV (simple quoting: cells containing commas
-// or quotes are quoted).
-func (t *Table) RenderCSV(w io.Writer) {
-	writeRow := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			parts[i] = c
-		}
-		fmt.Fprintln(w, strings.Join(parts, ","))
-	}
-	writeRow(t.header)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-}
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // EnvBanner describes the measurement environment, mirroring the paper's
 // "Experiments" preamble (their Cray XE6 node; our host).

@@ -34,20 +34,8 @@ func TestSampleStatistics(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s harness.Sample
-	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Median() != 0 || s.Stddev() != 0 {
+	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Median() != 0 {
 		t.Fatal("empty sample statistics must be zero")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	s := sample(time.Second, time.Second, time.Second)
-	if s.Stddev() != 0 {
-		t.Errorf("constant sample stddev = %v", s.Stddev())
-	}
-	s2 := sample(1*time.Second, 3*time.Second)
-	// Sample stddev of {1, 3} seconds is sqrt(2).
-	if got := s2.Stddev(); got < 1.414 || got > 1.415 {
-		t.Errorf("stddev = %v, want ~1.4142", got)
 	}
 }
 
@@ -111,9 +99,6 @@ func TestTableRender(t *testing.T) {
 	if !strings.Contains(lines[1], "-----") {
 		t.Fatalf("missing separator: %q", lines[1])
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tb.NumRows())
-	}
 }
 
 func TestTableShortRowPadded(t *testing.T) {
@@ -123,20 +108,6 @@ func TestTableShortRowPadded(t *testing.T) {
 	tb.Render(&sb)
 	if !strings.Contains(sb.String(), "only") {
 		t.Fatal("short row lost")
-	}
-}
-
-func TestTableCSVQuoting(t *testing.T) {
-	tb := harness.NewTable("name", "note")
-	tb.AddRow("x,y", `say "hi"`)
-	var sb strings.Builder
-	tb.RenderCSV(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `"x,y"`) {
-		t.Fatalf("comma cell not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Fatalf("quote cell not escaped: %s", out)
 	}
 }
 

@@ -92,9 +92,6 @@ func NewObs(logger *slog.Logger, traceDepth int) *Obs {
 // Logger returns the Obs's structured logger (never nil).
 func (o *Obs) Logger() *slog.Logger { return o.log }
 
-// DumpTraces returns up to n most recent request traces, newest first.
-func (o *Obs) DumpTraces(n int) []Trace { return o.ring.dump(n, "") }
-
 // noopLogHandler is the disabled slog backend behind NewObs(nil, ...).
 // (slog.DiscardHandler needs Go 1.24; this module still builds on 1.23.)
 type noopLogHandler struct{}

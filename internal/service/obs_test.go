@@ -540,7 +540,7 @@ func TestObservabilityStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := len(obs.DumpTraces(0)); got == 0 {
+	if got := len(obs.ring.dump(0, "")); got == 0 {
 		t.Fatal("stress run left no traces in the ring")
 	}
 }

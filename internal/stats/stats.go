@@ -86,35 +86,6 @@ func Components(lm *binimg.LabelMap) []Component {
 	return out
 }
 
-// AreaHistogram buckets component areas: hist[k] counts components with
-// 2^k <= area < 2^(k+1) (hist[0] counts area 1).
-func AreaHistogram(comps []Component) []int {
-	var hist []int
-	for _, c := range comps {
-		k := 0
-		for a := c.Area; a > 1; a >>= 1 {
-			k++
-		}
-		for len(hist) <= k {
-			hist = append(hist, 0)
-		}
-		hist[k]++
-	}
-	return hist
-}
-
-// LargestComponent returns the component with the largest area, or a zero
-// Component when there are none.
-func LargestComponent(comps []Component) Component {
-	var best Component
-	for _, c := range comps {
-		if c.Area > best.Area {
-			best = c
-		}
-	}
-	return best
-}
-
 // RelabelByArea renumbers a consecutive labeling in place so that label 1 is
 // the largest component, label 2 the second largest, and so on (ties broken
 // by the original label, i.e. raster order). Downstream tooling routinely

@@ -62,31 +62,6 @@ func TestComponentsAreaSumsToForeground(t *testing.T) {
 	}
 }
 
-func TestAreaHistogram(t *testing.T) {
-	comps := []stats.Component{{Area: 1}, {Area: 1}, {Area: 2}, {Area: 3}, {Area: 8}}
-	hist := stats.AreaHistogram(comps)
-	// area 1 -> bucket 0; areas 2,3 -> bucket 1; area 8 -> bucket 3.
-	want := []int{2, 2, 0, 1}
-	if len(hist) != len(want) {
-		t.Fatalf("hist = %v, want %v", hist, want)
-	}
-	for i := range want {
-		if hist[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", hist, want)
-		}
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	comps := []stats.Component{{Label: 1, Area: 3}, {Label: 2, Area: 9}, {Label: 3, Area: 5}}
-	if got := stats.LargestComponent(comps); got.Label != 2 {
-		t.Fatalf("LargestComponent = %+v, want label 2", got)
-	}
-	if got := stats.LargestComponent(nil); got.Area != 0 {
-		t.Fatalf("LargestComponent(nil) = %+v", got)
-	}
-}
-
 func TestValidateAcceptsCorrectLabeling(t *testing.T) {
 	img := binimg.MustParse("#.#\n.#.\n#.#")
 	lm, n := baseline.FloodFill(img, baseline.Conn8)

@@ -41,8 +41,8 @@ func (lt *LockTable) unlock(i Label) { lt.locks[i&lt.mask].Unlock() }
 // MergeLocked is the concurrent lock-based REM union with splicing —
 // Algorithm 8 ("MERGER") of the paper. Multiple goroutines may call it on the
 // same parent array concurrently, provided all of them use the same lock
-// table and the array is only mutated through MergeLocked/MergeCAS for the
-// duration of the phase.
+// table and the array is only mutated through MergeLocked for the duration
+// of the phase.
 //
 // Reads of p outside the lock may observe stale parents; the algorithm
 // re-checks root-ness after acquiring the lock and retries from its current
@@ -90,44 +90,6 @@ func MergeLocked(p []Label, lt *LockTable, x, y Label) Label {
 				continue
 			}
 			atomic.StoreInt32(&p[rooty], px)
-			rooty = py
-		}
-	}
-}
-
-// MergeCAS is a lock-free variant of the concurrent REM union: the
-// "re-check root-ness under the lock, then write" step becomes a single
-// compare-and-swap. This is the idiomatic Go rendering of MERGER and is
-// benchmarked against MergeLocked in the merger ablation.
-//
-// The interior splicing write is also a CAS (from the observed parent) so a
-// concurrent change is never overwritten backwards; on CAS failure the climb
-// simply re-reads.
-func MergeCAS(p []Label, x, y Label) Label {
-	rootx, rooty := x, y
-	for {
-		px := atomic.LoadInt32(&p[rootx])
-		py := atomic.LoadInt32(&p[rooty])
-		if px == py {
-			return px
-		}
-		if px > py {
-			if rootx == px {
-				if atomic.CompareAndSwapInt32(&p[rootx], rootx, py) {
-					return py
-				}
-				continue
-			}
-			atomic.CompareAndSwapInt32(&p[rootx], px, py)
-			rootx = px
-		} else {
-			if rooty == py {
-				if atomic.CompareAndSwapInt32(&p[rooty], rooty, px) {
-					return px
-				}
-				continue
-			}
-			atomic.CompareAndSwapInt32(&p[rooty], py, px)
 			rooty = py
 		}
 	}

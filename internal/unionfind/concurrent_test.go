@@ -51,28 +51,11 @@ func TestMergeLockedSequentialMatchesRemSP(t *testing.T) {
 	}
 }
 
-func TestMergeCASSequentialMatchesRemSP(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 300
-	seq := identity(n)
-	conc := identity(n)
-	for k := 0; k < 2*n; k++ {
-		x, y := Label(rng.Intn(n)), Label(rng.Intn(n))
-		MergeRemSP(seq, x, y)
-		MergeCAS(conc, x, y)
-	}
-	for i := 0; i < n-1; i++ {
-		if Same(seq, Label(i), Label(i+1)) != Same(conc, Label(i), Label(i+1)) {
-			t.Fatalf("partitions diverge at %d", i)
-		}
-	}
-}
-
-// stressConcurrent merges a fixed random edge list from many goroutines and
-// verifies the final partition against a sequential oracle over the same
-// edges. Run with -race to exercise the memory-model claims.
-func stressConcurrent(t *testing.T, mergeFn func(p []Label, x, y Label)) {
-	t.Helper()
+// TestMergeLockedConcurrentStress merges a fixed random edge list from many
+// goroutines and verifies the final partition against a sequential oracle
+// over the same edges. Run with -race to exercise the memory-model claims.
+func TestMergeLockedConcurrentStress(t *testing.T) {
+	lt := NewLockTable(1 << 10)
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -103,7 +86,7 @@ func stressConcurrent(t *testing.T, mergeFn func(p []Label, x, y Label)) {
 			go func(part [][2]Label) {
 				defer wg.Done()
 				for _, e := range part {
-					mergeFn(p, e[0], e[1])
+					MergeLocked(p, lt, e[0], e[1])
 				}
 			}(edges[lo:hi])
 		}
@@ -122,15 +105,6 @@ func stressConcurrent(t *testing.T, mergeFn func(p []Label, x, y Label)) {
 			}
 		}
 	}
-}
-
-func TestMergeLockedConcurrentStress(t *testing.T) {
-	lt := NewLockTable(1 << 10)
-	stressConcurrent(t, func(p []Label, x, y Label) { MergeLocked(p, lt, x, y) })
-}
-
-func TestMergeCASConcurrentStress(t *testing.T) {
-	stressConcurrent(t, func(p []Label, x, y Label) { MergeCAS(p, x, y) })
 }
 
 // TestConcurrentDisjointRanges mimics PAREMSP's boundary phase: goroutines

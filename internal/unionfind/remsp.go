@@ -2,9 +2,8 @@
 // paper builds on: REM's algorithm with splicing ("REMSP", Patwary-Blair-
 // Manne, SEA 2010; Dijkstra 1976), the concurrent lock-based variant
 // ("MERGER", Patwary-Refsnes-Manne, IPDPS 2012) used by PAREMSP's boundary
-// phase, an idiomatic lock-free CAS variant, and the classical finds (path
-// compression, splitting, halving); the CCLLRPC baseline links by rank over
-// FindCompress.
+// phase, and the classical finds (a plain root walk and path compression);
+// the CCLLRPC baseline links by rank over FindCompress.
 //
 // All operations are free functions over a raw parent slice ([]int32)
 // rather than interface methods, so the CCL scan loops inline them.

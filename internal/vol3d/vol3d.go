@@ -188,8 +188,8 @@ func (lv *LabelVolume) Reset(w, h, d int) {
 // n. It is the PAREMSP construction applied along z: the volume is slabbed
 // into even-thickness z-ranges scanned concurrently with disjoint label
 // ranges (a plane pair budgets MaxLabels3D(w, h, 2) labels), and each
-// slab-boundary plane is merged against the plane below it with
-// opt.Merger. One thread is the sequential two-pass labeler. The
+// slab-boundary plane is merged against the plane below it with the
+// paper's locked MERGER. One thread is the sequential two-pass labeler. The
 // equivalence buffers come from sc (nil allocates fresh ones); the scan and
 // relabel poll ctx every 64 raster rows.
 func LabelIntoCtx(ctx context.Context, vol *Volume, lv *LabelVolume, sc *core.Scratch, opt core.Options) (int, error) {
@@ -299,25 +299,4 @@ func ComponentSizes(lv *LabelVolume, n int) []int {
 		}
 	}
 	return sizes
-}
-
-// SpansZ reports whether the component with the given label touches both the
-// z=0 and z=D-1 planes — the percolation question cluster analyses ask.
-func SpansZ(lv *LabelVolume, label binimg.Label) bool {
-	w, h := lv.W, lv.H
-	touchesBottom, touchesTop := false, false
-	for i := 0; i < w*h; i++ {
-		if lv.L[i] == label {
-			touchesBottom = true
-			break
-		}
-	}
-	topBase := (lv.D - 1) * w * h
-	for i := 0; i < w*h; i++ {
-		if lv.L[topBase+i] == label {
-			touchesTop = true
-			break
-		}
-	}
-	return touchesBottom && touchesTop
 }

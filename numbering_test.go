@@ -14,7 +14,7 @@ import (
 
 // The tests in this file pin label numbering, not just partitions: the same
 // input must produce the same label map, byte for byte, whatever the thread
-// count, merger or scan strategy that computed it.
+// count or scan strategy that computed it.
 
 // numberingImage is a seeded binary raster with the given foreground density.
 func numberingImage(w, h int, density float64, seed int64) *paremsp.Image {
@@ -63,8 +63,7 @@ func TestBinaryNumberingStable(t *testing.T) {
 			img := numberingImage(size[0], size[1], d, int64(100*si+di))
 			name := fmt.Sprintf("%dx%d/d%.2f", size[0], size[1], d)
 			t.Run(name, func(t *testing.T) {
-				// Pair-row family: AREMSP and PAREMSP at every thread count
-				// and merger.
+				// Pair-row family: AREMSP and PAREMSP at every thread count.
 				pair, npair := labelBytes(t, img, paremsp.Options{Algorithm: paremsp.AlgAREMSP})
 				// Decision-tree and run family: CCLREMSP, BREMSP, PBREMSP
 				// over an image and over a bitmap.
@@ -74,19 +73,17 @@ func TestBinaryNumberingStable(t *testing.T) {
 				bm := paremsp.NewBitmap(img.Width, img.Height)
 				bm.FromImage(img)
 				for _, th := range threads {
-					for _, cas := range []bool{false, true} {
-						what := fmt.Sprintf("threads=%d cas=%v", th, cas)
-						l, n := labelBytes(t, img, paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: th, UseCASMerger: cas})
-						sameLabels(t, "paremsp "+what, pair, npair, l, n)
-						l, n = labelBytes(t, img, paremsp.Options{Algorithm: paremsp.AlgPBREMSP, Threads: th, UseCASMerger: cas})
-						sameLabels(t, "pbremsp "+what, tree, ntree, l, n)
-						res, err := paremsp.LabelBitmapIntoCtx(context.Background(), bm, nil, nil,
-							paremsp.Options{Algorithm: paremsp.AlgPBREMSP, Threads: th, UseCASMerger: cas})
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameLabels(t, "pbremsp bitmap "+what, tree, ntree, res.Labels.L, res.NumComponents)
+					what := fmt.Sprintf("threads=%d", th)
+					l, n := labelBytes(t, img, paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: th})
+					sameLabels(t, "paremsp "+what, pair, npair, l, n)
+					l, n = labelBytes(t, img, paremsp.Options{Algorithm: paremsp.AlgPBREMSP, Threads: th})
+					sameLabels(t, "pbremsp "+what, tree, ntree, l, n)
+					res, err := paremsp.LabelBitmapIntoCtx(context.Background(), bm, nil, nil,
+						paremsp.Options{Algorithm: paremsp.AlgPBREMSP, Threads: th})
+					if err != nil {
+						t.Fatal(err)
 					}
+					sameLabels(t, "pbremsp bitmap "+what, tree, ntree, res.Labels.L, res.NumComponents)
 				}
 				res, err := paremsp.LabelBitmapIntoCtx(context.Background(), bm, nil, nil, paremsp.Options{Algorithm: paremsp.AlgBREMSP})
 				if err != nil {

@@ -80,14 +80,6 @@ func TestFloodFillValidates(t *testing.T) {
 	}
 }
 
-func TestCountComponents(t *testing.T) {
-	img := dataset.Blobs(40, 40, 6, 2, 4, 3)
-	_, n := baseline.FloodFill(img, baseline.Conn8)
-	if got := baseline.CountComponents(img, baseline.Conn8); got != n {
-		t.Fatalf("CountComponents = %d, want %d", got, n)
-	}
-}
-
 // algs8 is the 8-connected baseline family under test.
 var algs8 = map[string]func(*binimg.Image) (*binimg.LabelMap, int){
 	"CCLLRPC":  baseline.CCLLRPC,

@@ -66,10 +66,3 @@ func FloodFill(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 	}
 	return lm, int(next - 1)
 }
-
-// CountComponents returns only the component count of img under conn,
-// without materializing a label map (uses FloodFill internally).
-func CountComponents(img *binimg.Image, conn Connectivity) int {
-	_, n := FloodFill(img, conn)
-	return n
-}

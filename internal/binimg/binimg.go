@@ -19,6 +19,11 @@ import (
 	"strings"
 )
 
+// MaxDimension is the largest width or height a decoder accepts from an
+// untrusted header (PNM in internal/pnm, CCL1 in internal/stream); it is
+// checked before anything the size of the raster is allocated.
+const MaxDimension = 1 << 20
+
 // Image is a binary raster of Width x Height pixels. Pix holds exactly
 // Width*Height bytes in row-major order; every byte is 0 or 1.
 type Image struct {
@@ -52,18 +57,6 @@ func (im *Image) Reset(width, height int) {
 		clear(im.Pix)
 	}
 	im.Width, im.Height = width, height
-}
-
-// FromPix wraps an existing pixel slice without copying. The slice must hold
-// exactly width*height bytes, each 0 or 1 (not validated; see Validate).
-func FromPix(width, height int, pix []uint8) (*Image, error) {
-	if width < 0 || height < 0 {
-		return nil, fmt.Errorf("binimg: negative dimensions %dx%d", width, height)
-	}
-	if len(pix) != width*height {
-		return nil, fmt.Errorf("binimg: pixel buffer has %d bytes, want %d", len(pix), width*height)
-	}
-	return &Image{Width: width, Height: height, Pix: pix}, nil
 }
 
 // Validate reports the first pixel whose value is neither 0 nor 1, or nil if

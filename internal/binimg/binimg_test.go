@@ -46,31 +46,6 @@ func TestNewZeroSized(t *testing.T) {
 	}
 }
 
-func TestFromPix(t *testing.T) {
-	pix := []uint8{0, 1, 1, 0, 0, 1}
-	im, err := FromPix(3, 2, pix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.At(1, 0) != 1 || im.At(0, 1) != 0 || im.At(2, 1) != 1 {
-		t.Fatalf("unexpected pixels: %v", im.Pix)
-	}
-	// FromPix must not copy.
-	pix[0] = 1
-	if im.At(0, 0) != 1 {
-		t.Fatal("FromPix copied the buffer; want zero-copy wrap")
-	}
-}
-
-func TestFromPixErrors(t *testing.T) {
-	if _, err := FromPix(3, 2, make([]uint8, 5)); err == nil {
-		t.Error("short buffer accepted")
-	}
-	if _, err := FromPix(-1, 2, nil); err == nil {
-		t.Error("negative width accepted")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	im := New(4, 4)
 	if err := im.Validate(); err != nil {

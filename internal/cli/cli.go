@@ -658,6 +658,21 @@ func readReportFile(path string) (*experiments.BenchReport, error) {
 	return experiments.ReadBenchReport(f)
 }
 
+// writeFile creates path, writes it with render and closes it. It returns
+// the first error of the three, so a write that fails only when the file
+// is closed still fails.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // gitRev resolves the short revision of the working tree, best effort: a
 // grid report self-describes where its numbers came from, but a missing git
 // binary (or a tarball checkout) must not break a benchmark run.
@@ -695,17 +710,6 @@ func paperBenchAnalyze(path, basePath, outDir string, stdout, stderr io.Writer) 
 		fmt.Fprintln(stderr, "paperbench:", err)
 		return 1
 	}
-	writeOne := func(name string, render func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(outDir, name))
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
 	files := []struct {
 		name   string
 		render func(io.Writer) error
@@ -715,7 +719,7 @@ func paperBenchAnalyze(path, basePath, outDir string, stdout, stderr io.Writer) 
 		{"scaling.csv", analysis.WriteScalingCSV},
 	}
 	for _, file := range files {
-		if err := writeOne(file.name, file.render); err != nil {
+		if err := writeFile(filepath.Join(outDir, file.name), file.render); err != nil {
 			fmt.Fprintln(stderr, "paperbench:", err)
 			return 1
 		}
@@ -754,6 +758,10 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 	}
 	if *repeats < 1 {
 		fmt.Fprintln(stderr, "paperbench: -repeats must be >= 1")
+		return 2
+	}
+	if *warmup < 0 {
+		fmt.Fprintln(stderr, "paperbench: -warmup must be >= 0")
 		return 2
 	}
 	if *regress <= 0 {
@@ -800,24 +808,20 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 			Progress: stderr,
 		})
 		if *jsonOut != "" {
-			out := stdout
-			if *jsonOut != "-" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					fmt.Fprintln(stderr, "paperbench:", err)
-					return 1
-				}
-				defer f.Close()
-				out = f
+			render := func(w io.Writer) error {
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				return enc.Encode(report)
 			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(report); err != nil {
+			var err error
+			if *jsonOut == "-" {
+				err = render(stdout)
+			} else if err = writeFile(*jsonOut, render); err == nil {
+				fmt.Fprintf(stdout, "paperbench: benchmark report written to %s\n", *jsonOut)
+			}
+			if err != nil {
 				fmt.Fprintln(stderr, "paperbench:", err)
 				return 1
-			}
-			if *jsonOut != "-" {
-				fmt.Fprintf(stdout, "paperbench: benchmark report written to %s\n", *jsonOut)
 			}
 		}
 		if *diffPath != "" {

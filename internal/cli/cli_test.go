@@ -182,6 +182,19 @@ func TestPaperBenchBadFlags(t *testing.T) {
 	if code := cli.PaperBench([]string{"-exp", "bogus"}, &out, &errw); code != 2 {
 		t.Errorf("bogus experiment: exit %d, want 2", code)
 	}
+	// A negative -warmup is refused as the same value in a -grid config is,
+	// with or without -grid; the small scale keeps a wrongly accepted run
+	// short.
+	if code := cli.PaperBench([]string{"-exp", "table2", "-scale", "0.001", "-repeats", "1", "-warmup", "-1"}, &out, &errw); code != 2 {
+		t.Errorf("warmup -1: exit %d, want 2", code)
+	}
+	grid := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(grid, []byte(`{"scale": 0.001, "repeats": 1, "warmup": 0, "algorithms": ["CCLRemSP"], "classes": ["Misc"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := cli.PaperBench([]string{"-grid", grid, "-warmup", "-1"}, &out, &errw); code != 2 {
+		t.Errorf("-grid with warmup -1: exit %d, want 2", code)
+	}
 	if code := cli.PaperBench([]string{"-badflag"}, &out, &errw); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}

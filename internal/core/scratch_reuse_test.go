@@ -254,3 +254,55 @@ func TestCountOnlyNeedsNoClearedMap(t *testing.T) {
 		})
 	}
 }
+
+// TestGrayNeedsNoClearedMap: the gray labelers reshape their label map
+// without clearing it, since the pair-row and Rosenfeld scans write every
+// pixel before anything reads one. A map whose every label is 0x7FFFFFFF
+// must therefore give the labels a fresh map gets.
+func TestGrayNeedsNoClearedMap(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(46))
+	imgs := []*grayccl.Image{grayccl.New(53, 37), grayccl.New(64, 1), grayccl.New(1, 29)}
+	for _, img := range imgs {
+		for i := range img.Pix {
+			img.Pix[i] = uint8(rng.Intn(3) * 40)
+		}
+	}
+	cases := []struct {
+		name  string
+		label func(img *grayccl.Image, lm *binimg.LabelMap) (int, error)
+	}{
+		{"gray/t1", func(img *grayccl.Image, lm *binimg.LabelMap) (int, error) {
+			return grayccl.LabelIntoCtx(ctx, img, lm, nil, core.Options{Threads: 1})
+		}},
+		{"gray/t3", func(img *grayccl.Image, lm *binimg.LabelMap) (int, error) {
+			return grayccl.LabelIntoCtx(ctx, img, lm, nil, core.Options{Threads: 3})
+		}},
+		{"gray-delta", func(img *grayccl.Image, lm *binimg.LabelMap) (int, error) {
+			return grayccl.LabelDeltaIntoCtx(ctx, img, lm, nil, 40)
+		}},
+	}
+	const stale = binimg.Label(0x7FFFFFFF)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for i, img := range imgs {
+				fresh := &binimg.LabelMap{}
+				wantN, err := c.label(img, fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lm := &binimg.LabelMap{L: make([]binimg.Label, len(img.Pix)+5)}
+				for j := range lm.L {
+					lm.L[j] = stale
+				}
+				n, err := c.label(img, lm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantN || !slices.Equal(lm.L, fresh.L) {
+					t.Fatalf("image %d: a stale map gave %d components and different labels, a fresh one %d", i, n, wantN)
+				}
+			}
+		})
+	}
+}

@@ -76,7 +76,8 @@ func (im *Image) Reset(width, height int) {
 }
 
 // LabelIntoCtx computes the gray-level connected components of img into lm
-// (reshaped with Reset; every pixel labeled, labels consecutive 1..n) and
+// (reshaped without clearing, since the scan writes every pixel before
+// anything reads one; every pixel labeled, labels consecutive 1..n) and
 // returns n. Row-pair chunks are scanned concurrently with disjoint label
 // ranges — gray labels have no independent-set bound, since every pixel may
 // open a component, so each row pair budgets 2*w labels — and seam rows are
@@ -85,7 +86,7 @@ func (im *Image) Reset(width, height int) {
 // the scan and relabel poll ctx every 64 rows.
 func LabelIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, error) {
 	w := img.Width
-	lm.Reset(w, img.Height)
+	lm.Reshape(w, img.Height)
 	k := core.Kernel{
 		Rows: img.Height, Unit: 2, Stride: 2 * w,
 		Scan: func(c *core.Chunk) (binimg.Label, bool) {
@@ -234,7 +235,7 @@ func mergeGrayBoundary(img *Image, lm *binimg.LabelMap, merge func(x, y binimg.L
 // kernel that is never split. Buffers and cancellation follow LabelIntoCtx.
 func LabelDeltaIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, delta uint8) (int, error) {
 	w, h := img.Width, img.Height
-	lm.Reset(w, h)
+	lm.Reshape(w, h)
 	k := core.Kernel{
 		Rows: h, Unit: h, Stride: w * h,
 		Scan:    func(c *core.Chunk) (binimg.Label, bool) { return deltaScan(img, lm, c.P, delta, c.Done) },

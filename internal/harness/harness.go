@@ -1,7 +1,7 @@
 // Package harness provides the measurement machinery the paper-reproduction
 // benchmarks are built on: repeated timing with warmup, min/average/max
 // aggregation (the statistics Tables II and IV report), speedup series
-// (Figures 4 and 5), and aligned-table / CSV rendering.
+// (Figures 4 and 5), and aligned-table rendering.
 package harness
 
 import (
@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -34,34 +33,6 @@ func Measure(repeats, warmup int, f func()) Sample {
 	return s
 }
 
-// Min returns the fastest run (0 when empty).
-func (s Sample) Min() time.Duration {
-	if len(s.Runs) == 0 {
-		return 0
-	}
-	m := s.Runs[0]
-	for _, d := range s.Runs[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Max returns the slowest run (0 when empty).
-func (s Sample) Max() time.Duration {
-	if len(s.Runs) == 0 {
-		return 0
-	}
-	m := s.Runs[0]
-	for _, d := range s.Runs[1:] {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Mean returns the average run (0 when empty).
 func (s Sample) Mean() time.Duration {
 	if len(s.Runs) == 0 {
@@ -72,20 +43,6 @@ func (s Sample) Mean() time.Duration {
 		sum += d
 	}
 	return sum / time.Duration(len(s.Runs))
-}
-
-// Median returns the median run (0 when empty).
-func (s Sample) Median() time.Duration {
-	if len(s.Runs) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), s.Runs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // MinAvgMax groups the three statistics the paper's tables report.

@@ -14,27 +14,14 @@ func sample(ds ...time.Duration) harness.Sample {
 
 func TestSampleStatistics(t *testing.T) {
 	s := sample(4*time.Millisecond, 1*time.Millisecond, 3*time.Millisecond, 2*time.Millisecond)
-	if s.Min() != 1*time.Millisecond {
-		t.Errorf("Min = %v", s.Min())
-	}
-	if s.Max() != 4*time.Millisecond {
-		t.Errorf("Max = %v", s.Max())
-	}
 	if s.Mean() != 2500*time.Microsecond {
 		t.Errorf("Mean = %v", s.Mean())
-	}
-	if s.Median() != 2500*time.Microsecond {
-		t.Errorf("Median = %v", s.Median())
-	}
-	odd := sample(5*time.Millisecond, 1*time.Millisecond, 3*time.Millisecond)
-	if odd.Median() != 3*time.Millisecond {
-		t.Errorf("odd Median = %v", odd.Median())
 	}
 }
 
 func TestSampleEmpty(t *testing.T) {
 	var s harness.Sample
-	if s.Min() != 0 || s.Max() != 0 || s.Mean() != 0 || s.Median() != 0 {
+	if s.Mean() != 0 {
 		t.Fatal("empty sample statistics must be zero")
 	}
 }

@@ -332,7 +332,8 @@ type fuzzSeed struct {
 // 17 plus the word boundaries 63-65 (rows with their padding bits set),
 // maxvals 1, 255, 256 and 65535 with samples above maxval, levels on both
 // sides of [0, 1] and NaN, a level whose threshold is an exact integer
-// (0.5 at maxval 254), volumes, and short bodies.
+// (0.5 at maxval 254), plain bodies whose rows are split across lines and
+// carry '#' comments between samples, volumes, and short bodies.
 func fuzzSeeds() []fuzzSeed {
 	rng := rand.New(rand.NewSource(7))
 	var seeds []fuzzSeed
@@ -377,6 +378,10 @@ func fuzzSeeds() []fuzzSeed {
 			add(level, "P2\n", hdr, plain(18, maxVal))
 		}
 	}
+	add(0.5, "P1\n5 2\n1 0\n# mid-row comment\n1 1\n0 0 # trailing comment\n1\n1 0 1\n")
+	add(0.5, "P1\n9 1\n1 1 1 1 1 1 1 1\n# the ninth pixel sits past the first byte\n1\n")
+	add(0.5, "P2\n3 2\n# maxval next\n255\n10 # between samples\n200\n128\n0 255 #\n7\n")
+	add(0.35, "P2\n2 2\n65535 # 16-bit\n65535\n0\n# row 1 starts here\n40000 22937\n")
 	add(0.5, "P5\n16 16\n254\n", samples(256, 1))
 	add(0.5, "P2\n3 1\n254\n126 127 128\n")
 	frame := "P5\n5 4\n255\n"

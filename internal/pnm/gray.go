@@ -7,12 +7,10 @@ package pnm
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
-	"image/color"
-	"image/png"
 	"io"
 	"math"
-	"strconv"
 
 	"repro/internal/grayccl"
 	"repro/internal/vol3d"
@@ -27,47 +25,19 @@ import (
 // buffer grows with the rows read. On error the contents of dst are
 // unspecified.
 func DecodeGrayInto(r io.Reader, dst *grayccl.Image) error {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil {
-		return fmt.Errorf("pnm: reading magic: %w", err)
-	}
-	if magic != "P2" && magic != "P5" {
-		return fmt.Errorf("pnm: gray decode wants PGM magic P2 or P5, got %q", magic)
-	}
-	w, h, err := readDims(br)
+	rd, err := newReader(bufio.NewReader(r), "P2", "P5")
 	if err != nil {
 		return err
 	}
-	maxVal, err := readMaxVal(br)
+	s := newGrayScale(rd.maxVal)
+	pix, _, err := readRows(rd, dst.Pix[:0], rd.h, rd.w, rd.w*rd.h, func(px []uint8, row []byte) int {
+		s.row(px, row)
+		return 0
+	})
 	if err != nil {
 		return err
 	}
-	pix := dst.Pix[:0]
-	if magic == "P5" {
-		s := newGrayScale(maxVal)
-		rowBuf := make([]byte, p5RowBytes(w, maxVal))
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, rowBuf); err != nil {
-				return fmt.Errorf("pnm: P5 row %d: %w", y, err)
-			}
-			pix = growRows(pix, (y+1)*w, w*h)
-			s.row(pix[y*w:], rowBuf)
-		}
-	} else {
-		for y := 0; y < h; y++ {
-			pix = growRows(pix, (y+1)*w, w*h)
-			row := pix[y*w:]
-			for x := range row {
-				v, err := readSample(br, maxVal, y*w+x)
-				if err != nil {
-					return err
-				}
-				row[x] = uint8(v * 255 / maxVal)
-			}
-		}
-	}
-	dst.Width, dst.Height, dst.Pix = w, h, pix
+	dst.Width, dst.Height, dst.Pix = rd.w, rd.h, pix
 	return nil
 }
 
@@ -106,100 +76,42 @@ func (s *grayScale) row(dst []uint8, src []byte) {
 // (reshaped with Reset), taking each pixel's Rec. 601 luminance scaled to
 // 8 bits — the gray analogue of DecodePNGInto.
 func DecodePNGGrayInto(r io.Reader, dst *grayccl.Image) error {
-	src, err := png.Decode(r)
-	if err != nil {
-		return fmt.Errorf("pnm: decoding png: %w", err)
-	}
-	b := src.Bounds()
-	dst.Reset(b.Dx(), b.Dy())
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			g := color.Gray16Model.Convert(src.At(x, y)).(color.Gray16)
-			dst.Pix[(y-b.Min.Y)*dst.Width+(x-b.Min.X)] = uint8(g.Y >> 8)
-		}
-	}
-	return nil
+	return decodePNGLuma(r, dst.Reset, func(i, v int) { dst.Pix[i] = uint8(v >> 8) })
 }
 
 // DecodeVolumeInto reads a multi-frame raw-PGM stream — concatenated P5
 // graymaps, one per z-slice, all with identical dimensions — into a caller-
 // provided volume (buffer reused when large enough, grown with the rows
-// read). Each frame is binarized by the same im2bw table as DecodeInto:
-// luminance fraction strictly greater than level becomes an object voxel.
-// The frame count becomes the volume's depth; at least one frame is
-// required.
+// read). Each frame has its own header and reader and is binarized by the
+// same im2bw table as DecodeInto: luminance fraction strictly greater than
+// level becomes an object voxel. The frame count becomes the volume's
+// depth; at least one frame is required.
 func DecodeVolumeInto(r io.Reader, level float64, dst *vol3d.Volume) error {
 	br := bufio.NewReader(r)
 	w, h, d := 0, 0, 0
 	vox := dst.Vox[:0]
-	var buf []byte
-	for {
-		magic, err := readToken(br)
-		if err == io.EOF {
+	for ; ; d++ {
+		fr, err := newReader(br, "P5")
+		if errors.Is(err, errNoImage) && d > 0 {
 			break
 		}
-		if err != nil {
-			return fmt.Errorf("pnm: frame %d: reading magic: %w", d, err)
-		}
-		if magic != "P5" {
-			return fmt.Errorf("pnm: volume frames must be raw PGM (P5), frame %d has magic %q", d, magic)
-		}
-		fw, fh, err := readDims(br)
-		if err != nil {
-			return fmt.Errorf("pnm: frame %d: %w", d, err)
-		}
-		maxVal, err := readMaxVal(br)
 		if err != nil {
 			return fmt.Errorf("pnm: frame %d: %w", d, err)
 		}
 		if d == 0 {
-			w, h = fw, fh
-		} else if fw != w || fh != h {
-			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fw, fh, w, h)
+			w, h = fr.w, fr.h
+		} else if fr.w != w || fr.h != h {
+			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fr.w, fr.h, w, h)
 		}
-		t := newThreshold(level, maxVal)
-		if n := p5RowBytes(w, maxVal); cap(buf) < n {
-			buf = make([]byte, n)
-		} else {
-			buf = buf[:n]
+		t := newThreshold(level, fr.maxVal)
+		// The depth is unknown until the stream ends, so the volume grows
+		// without a limit.
+		if vox, _, err = readRows(fr, vox, h, w, math.MaxInt, t.row); err != nil {
+			return fmt.Errorf("pnm: frame %d: %w", d, err)
 		}
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("pnm: frame %d row %d: %w", d, y, err)
-			}
-			n := len(vox)
-			vox = growRows(vox, n+w, math.MaxInt)
-			t.row(vox[n:], buf)
-		}
-		d++
-	}
-	if d == 0 {
-		return fmt.Errorf("pnm: volume stream holds no P5 frames")
 	}
 	dst.W, dst.H, dst.D, dst.Vox = w, h, d, vox
 	return nil
-}
-
-// readMaxVal reads and validates the PGM maxval token.
-func readMaxVal(br *bufio.Reader) (int, error) {
-	maxTok, err := readToken(br)
-	if err != nil {
-		return 0, fmt.Errorf("pnm: reading maxval: %w", err)
-	}
-	maxVal, err := strconv.Atoi(maxTok)
-	if err != nil || maxVal < 1 || maxVal > 65535 {
-		return 0, fmt.Errorf("pnm: invalid maxval %q", maxTok)
-	}
-	return maxVal, nil
-}
-
-// p5RowBytes is the size of one raw P5 row: one byte per sample up to
-// maxVal 255, two (big-endian) above.
-func p5RowBytes(w, maxVal int) int {
-	if maxVal > 255 {
-		return 2 * w
-	}
-	return w
 }
 
 // EncodeGrayPGM writes a gray image as a raw P5 graymap — the inverse of

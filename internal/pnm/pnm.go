@@ -4,12 +4,17 @@
 // im2bw(0.5) threshold the paper applies to its datasets. PNG import (via
 // the standard library) covers the common interchange case.
 //
-// Raw rows are decoded through 256-entry lookup tables: a P4 byte expands to
-// its eight pixels with one 64-bit store, and an 8-bit P5 sample maps to its
-// im2bw bit (or, for gray rasters, its 0..255 value) with one load. The
-// whole-image decoders write every pixel, so a reused buffer is never
-// cleared first, and they grow the raster with the rows the stream actually
-// delivers: a header alone cannot reserve the w*h bytes it names.
+// Every Netpbm decoder reads through one reader, which parses the magic,
+// the dimensions and the maxval once and hands out rows in the raw layout,
+// re-encoding a plain (P1/P2) row's tokens as the P4/P5 row they stand for.
+// One row loop converts those rows into the destination: a P4 byte expands
+// through a 256-entry table to its eight pixels with one 64-bit store, or
+// eight P4 bytes bit-reverse into one packed bitmap word, and an 8-bit
+// sample maps through a 256-entry table to its im2bw bit (or, for gray
+// rasters, its 0..255 value) with one load. The loop writes every pixel, so
+// a reused buffer is never cleared first, and it grows the destination with
+// the rows the stream actually delivers: a header alone cannot reserve the
+// w*h bytes it names.
 //
 // Convention note: in PBM, 1 is black. Following the paper's convention that
 // object pixels are 1 and the binarized examples show dark objects on light
@@ -26,13 +31,9 @@ import (
 	"io"
 	"math/bits"
 	"sort"
-	"strconv"
 
 	"repro/internal/binimg"
 )
-
-// maxDimension guards against absurd headers in untrusted files.
-const maxDimension = 1 << 20
 
 // p4Pixels maps a raw-PBM byte to its eight pixels, one 0/1 byte each, in
 // little-endian order: the byte's MSB (the row's leftmost pixel) is the
@@ -47,21 +48,6 @@ func init() {
 			}
 		}
 	}
-}
-
-// growRows returns buf resliced to n elements, where n is the end of the row
-// about to be written and limit is the whole raster's size. A buffer that
-// already has the capacity (a pooled one that held an equal or larger
-// raster) is resliced without allocating; a short one is reallocated to
-// double its capacity, at least n and at most limit, keeping the rows
-// already written. The raster thus grows with the rows a stream delivers.
-func growRows[T any](buf []T, n, limit int) []T {
-	if n <= cap(buf) {
-		return buf[:n]
-	}
-	grown := make([]T, n, min(max(2*cap(buf), n), limit))
-	copy(grown, buf)
-	return grown
 }
 
 // Decode reads a PBM (P1/P4) or PGM (P2/P5) stream into a binary image.
@@ -89,61 +75,20 @@ func DecodeInto(r io.Reader, level float64, dst *binimg.Image) error {
 // buffer grows with the rows read (see the package doc). On error the
 // contents of dst are unspecified.
 func DecodeIntoCount(r io.Reader, level float64, dst *binimg.Image) (int, error) {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil {
-		return 0, fmt.Errorf("pnm: reading magic: %w", err)
-	}
-	switch magic {
-	case "P1", "P4":
-		return decodePBM(br, magic == "P4", dst)
-	case "P2", "P5":
-		return decodePGM(br, magic == "P5", level, dst)
-	default:
-		return 0, fmt.Errorf("pnm: unsupported magic %q (want P1, P2, P4 or P5)", magic)
-	}
-}
-
-func decodePBM(br *bufio.Reader, raw bool, im *binimg.Image) (int, error) {
-	w, h, err := readDims(br)
+	rd, err := newReader(bufio.NewReader(r), "P1", "P2", "P4", "P5")
 	if err != nil {
 		return 0, err
 	}
-	pix, fg := im.Pix[:0], 0
-	if raw {
-		// readToken consumed the single post-header whitespace byte, so the
-		// packed rows start immediately: each row padded to a whole number
-		// of bytes, MSB first.
-		rowBuf := make([]byte, (w+7)/8)
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, rowBuf); err != nil {
-				return 0, fmt.Errorf("pnm: P4 row %d: %w", y, err)
-			}
-			pix = growRows(pix, (y+1)*w, w*h)
-			fg += expandP4Row(pix[y*w:], rowBuf)
-		}
-	} else {
-		for y := 0; y < h; y++ {
-			pix = growRows(pix, (y+1)*w, w*h)
-			row := pix[y*w:]
-			for x := range row {
-				tok, err := readToken(br)
-				if err != nil {
-					return 0, fmt.Errorf("pnm: P1 pixel %d: %w", y*w+x, err)
-				}
-				switch tok {
-				case "0":
-					row[x] = 0
-				case "1":
-					row[x] = 1
-					fg++
-				default:
-					return 0, fmt.Errorf("pnm: P1 pixel %d: invalid token %q", y*w+x, tok)
-				}
-			}
-		}
+	conv := expandP4Row
+	if rd.pgm() {
+		t := newThreshold(level, rd.maxVal)
+		conv = t.row
 	}
-	im.Width, im.Height, im.Pix = w, h, pix
+	pix, fg, err := readRows(rd, dst.Pix[:0], rd.h, rd.w, rd.w*rd.h, conv)
+	if err != nil {
+		return 0, err
+	}
+	dst.Width, dst.Height, dst.Pix = rd.w, rd.h, pix
 	return fg, nil
 }
 
@@ -166,43 +111,6 @@ func expandP4Row(dst []uint8, row []byte) int {
 		n += bits.OnesCount8(b)
 	}
 	return n
-}
-
-// DecodePBMBitmapInto decodes a raw PBM (P4) stream directly into a packed
-// 1-bit-per-pixel bitmap whose word buffer is reused when large enough. P4
-// rows are already bit-packed (MSB first within each byte), so each row is
-// copied packed-to-packed, eight bytes to one LSB-first word, and its tail
-// padding bits are masked to preserve the Bitmap invariant, instead of being
-// unpacked to a byte per pixel. This is the fast ingest path for the
-// bit-packed labelers (BREMSP/PBREMSP): the byte raster is never
-// materialized. Every word is written, so dst is not cleared first, and its
-// buffer grows with the rows read. On error the contents of dst are
-// unspecified.
-func DecodePBMBitmapInto(r io.Reader, dst *binimg.Bitmap) error {
-	br := bufio.NewReader(r)
-	magic, err := readToken(br)
-	if err != nil {
-		return fmt.Errorf("pnm: reading magic: %w", err)
-	}
-	if magic != "P4" {
-		return fmt.Errorf("pnm: bitmap decode wants raw PBM magic P4, got %q", magic)
-	}
-	w, h, err := readDims(br)
-	if err != nil {
-		return err
-	}
-	bm := binimg.Bitmap{Width: w, Height: h, WordsPerRow: (w + 63) / 64, Words: dst.Words[:0]}
-	wpr, tail := bm.WordsPerRow, bm.TailMask()
-	rowBuf := make([]byte, (w+7)/8)
-	for y := 0; y < h; y++ {
-		if _, err := io.ReadFull(br, rowBuf); err != nil {
-			return fmt.Errorf("pnm: P4 row %d: %w", y, err)
-		}
-		bm.Words = growRows(bm.Words, (y+1)*wpr, h*wpr)
-		packP4Row(bm.Words[y*wpr:(y+1)*wpr], rowBuf, tail)
-	}
-	*dst = bm
-	return nil
 }
 
 // packP4Row writes one raw-PBM row (MSB-first within each byte) as a row of
@@ -250,7 +158,8 @@ func packBits(words []uint64, pix []uint8) {
 
 // threshold is the im2bw rule for PGM samples: sample v is foreground when
 // float64(v) > level*float64(maxVal), strictly. It is the one binarizer
-// behind DecodeInto, DecodeVolumeInto and BandReader.
+// behind DecodeInto, DecodeVolumeInto, BandReader and (at maxVal 65535, on
+// 16-bit luminance) DecodePNGInto.
 type threshold struct {
 	wide bool       // two big-endian bytes per sample (maxVal > 255)
 	min  int        // the smallest foreground sample, 1<<16 when none is
@@ -298,105 +207,6 @@ func (t *threshold) row(dst []uint8, src []byte) int {
 		n += int(p)
 	}
 	return n
-}
-
-func decodePGM(br *bufio.Reader, raw bool, level float64, im *binimg.Image) (int, error) {
-	w, h, err := readDims(br)
-	if err != nil {
-		return 0, err
-	}
-	maxVal, err := readMaxVal(br)
-	if err != nil {
-		return 0, err
-	}
-	t := newThreshold(level, maxVal)
-	pix, fg := im.Pix[:0], 0
-	if raw {
-		rowBuf := make([]byte, p5RowBytes(w, maxVal))
-		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, rowBuf); err != nil {
-				return 0, fmt.Errorf("pnm: P5 row %d: %w", y, err)
-			}
-			pix = growRows(pix, (y+1)*w, w*h)
-			fg += t.row(pix[y*w:], rowBuf)
-		}
-	} else {
-		for y := 0; y < h; y++ {
-			pix = growRows(pix, (y+1)*w, w*h)
-			row := pix[y*w:]
-			for x := range row {
-				v, err := readSample(br, maxVal, y*w+x)
-				if err != nil {
-					return 0, err
-				}
-				row[x] = t.pixel(v)
-				fg += int(row[x])
-			}
-		}
-	}
-	im.Width, im.Height, im.Pix = w, h, pix
-	return fg, nil
-}
-
-// readSample reads plain-PGM (P2) sample i and checks it against maxVal.
-func readSample(br *bufio.Reader, maxVal, i int) (int, error) {
-	tok, err := readToken(br)
-	if err != nil {
-		return 0, fmt.Errorf("pnm: P2 pixel %d: %w", i, err)
-	}
-	v, err := strconv.Atoi(tok)
-	if err != nil || v < 0 || v > maxVal {
-		return 0, fmt.Errorf("pnm: P2 pixel %d: invalid value %q", i, tok)
-	}
-	return v, nil
-}
-
-// readDims reads and validates the width and height tokens.
-func readDims(br *bufio.Reader) (int, int, error) {
-	wTok, err := readToken(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("pnm: reading width: %w", err)
-	}
-	hTok, err := readToken(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("pnm: reading height: %w", err)
-	}
-	w, err := strconv.Atoi(wTok)
-	if err != nil || w < 0 || w > maxDimension {
-		return 0, 0, fmt.Errorf("pnm: invalid width %q", wTok)
-	}
-	h, err := strconv.Atoi(hTok)
-	if err != nil || h < 0 || h > maxDimension {
-		return 0, 0, fmt.Errorf("pnm: invalid height %q", hTok)
-	}
-	return w, h, nil
-}
-
-// readToken returns the next whitespace-delimited token, skipping '#'
-// comments (which run to end of line), per the Netpbm grammar.
-func readToken(br *bufio.Reader) (string, error) {
-	var tok []byte
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF && len(tok) > 0 {
-				return string(tok), nil
-			}
-			return "", err
-		}
-		switch {
-		case b == '#' && len(tok) == 0:
-			if _, err := br.ReadString('\n'); err != nil && err != io.EOF {
-				return "", err
-			}
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			if len(tok) > 0 {
-				return string(tok), nil
-			}
-		default:
-			tok = append(tok, b)
-		}
-	}
 }
 
 // EncodePBM writes im as a PBM bitmap: raw packed P4 when raw is true,
@@ -468,24 +278,32 @@ func DecodePNG(r io.Reader, level float64) (*binimg.Image, error) {
 // foreground count it wrote. (The intermediate image.Image the standard
 // decoder builds is still allocated per call.)
 func DecodePNGInto(r io.Reader, level float64, dst *binimg.Image) (int, error) {
+	t, fg := newThreshold(level, 65535), 0
+	err := decodePNGLuma(r, dst.Reset, func(i, v int) {
+		dst.Pix[i] = t.pixel(v)
+		fg += int(dst.Pix[i])
+	})
+	return fg, err
+}
+
+// decodePNGLuma decodes a PNG stream, reshapes the destination with reset
+// and hands set each pixel's raster index and 16-bit Rec. 601 luminance, as
+// the standard library's grayscale conversion computes it.
+func decodePNGLuma(r io.Reader, reset func(w, h int), set func(i, v int)) error {
 	src, err := png.Decode(r)
 	if err != nil {
-		return 0, fmt.Errorf("pnm: decoding png: %w", err)
+		return fmt.Errorf("pnm: decoding png: %w", err)
 	}
 	b := src.Bounds()
-	dst.Reset(b.Dx(), b.Dy())
-	thresh := level * 65535
-	fg := 0
+	reset(b.Dx(), b.Dy())
+	i := 0
 	for y := b.Min.Y; y < b.Max.Y; y++ {
 		for x := b.Min.X; x < b.Max.X; x++ {
-			g := color.Gray16Model.Convert(src.At(x, y)).(color.Gray16)
-			if float64(g.Y) > thresh {
-				dst.Pix[(y-b.Min.Y)*dst.Width+(x-b.Min.X)] = 1
-				fg++
-			}
+			set(i, int(color.Gray16Model.Convert(src.At(x, y)).(color.Gray16).Y))
+			i++
 		}
 	}
-	return fg, nil
+	return nil
 }
 
 // EncodePNG writes a label map as a grayscale PNG (same palette rule as

@@ -27,9 +27,6 @@ import (
 // Magic identifies the CCL1 label-stream format.
 const Magic = "CCL1"
 
-// maxDimension guards against absurd headers.
-const maxDimension = 1 << 20
-
 // Label aliases the repository-wide label type.
 type Label = binimg.Label
 
@@ -137,7 +134,8 @@ func WriteLabels(out io.Writer, lm *binimg.LabelMap, n int) error {
 }
 
 // ReadLabels decodes a CCL1 label stream into a label map, returning the map
-// and the component count from the header.
+// and the component count from the header. The map grows with the rows
+// read, so a header alone cannot reserve the width*height labels it names.
 func ReadLabels(r io.Reader) (*binimg.LabelMap, int, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -154,17 +152,17 @@ func ReadLabels(r io.Reader) (*binimg.LabelMap, int, error) {
 	w := int(binary.LittleEndian.Uint32(hdr[0:]))
 	h := int(binary.LittleEndian.Uint32(hdr[4:]))
 	n := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if w > maxDimension || h > maxDimension {
+	if w > binimg.MaxDimension || h > binimg.MaxDimension {
 		return nil, 0, fmt.Errorf("stream: dimensions %dx%d too large", w, h)
 	}
-	lm := binimg.NewLabelMap(w, h)
+	lm := &binimg.LabelMap{Width: w, Height: h}
 	buf := make([]byte, 4*w)
 	for y := 0; y < h; y++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, 0, fmt.Errorf("stream: reading row %d: %w", y, err)
 		}
 		for x := 0; x < w; x++ {
-			lm.L[y*w+x] = Label(binary.LittleEndian.Uint32(buf[4*x:]))
+			lm.L = append(lm.L, Label(binary.LittleEndian.Uint32(buf[4*x:])))
 		}
 	}
 	return lm, n, nil

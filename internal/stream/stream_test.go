@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,25 @@ func TestReadLabelsRejectsBadStreams(t *testing.T) {
 		if _, _, err := stream.ReadLabels(bytes.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestReadLabelsAllocatesByRows: a CCL1 header naming 8192x8192 labels
+// (256 MiB as a label map) with no label after it must fail without
+// reserving the map, since the map grows with the rows read.
+func TestReadLabelsAllocatesByRows(t *testing.T) {
+	body := append([]byte(stream.Magic),
+		0x00, 0x20, 0, 0, 0x00, 0x20, 0, 0, 0x01, 0, 0, 0) // 8192x8192, 1 component
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, _, err := stream.ReadLabels(bytes.NewReader(body))
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatal("a header-only CCL1 body decoded without error")
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("allocated %d bytes for a %d-byte body, want < 1 MiB", alloc, len(body))
 	}
 }
 

@@ -31,7 +31,8 @@ type LabelID = binimg.Label
 // AlgBREMSP and AlgPBREMSP.
 type Bitmap = binimg.Bitmap
 
-// Component carries per-component statistics (area, bounding box, centroid).
+// Component carries per-component statistics: area, bounding box, centroid
+// and run count (maximal horizontal runs), from ComponentsOf or LabelStream.
 type Component = stats.Component
 
 // PhaseTimes reports PAREMSP's per-phase wall time (scan / merge / flatten /
@@ -404,9 +405,10 @@ type StreamOptions struct {
 // produced; use Label when the full LabelMap is needed and fits in memory.
 type StreamResult = band.Result
 
-// ComponentStats is the per-component statistics record LabelStream
-// produces: area, bounding box, centroid, and foreground run count.
-type ComponentStats = band.ComponentStats
+// ComponentStats is Component under the name LabelStream's records had.
+//
+// Deprecated: use Component.
+type ComponentStats = Component
 
 // LabelStream labels a raw PBM (P4) or raw PGM (P5) stream out-of-core:
 // the image is consumed as fixed-height row bands, each labeled with the

@@ -3,10 +3,12 @@ package paremsp_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	paremsp "repro"
+	"repro/internal/pnm"
 )
 
 func testImage(t *testing.T) *paremsp.Image {
@@ -134,11 +136,11 @@ func TestComponentsOf(t *testing.T) {
 	if len(comps) != 5 {
 		t.Fatalf("len = %d, want 5", len(comps))
 	}
-	total := 0
+	var total int64
 	for _, c := range comps {
 		total += c.Area
 	}
-	if total != img.ForegroundCount() {
+	if total != int64(img.ForegroundCount()) {
 		t.Fatalf("areas sum to %d, want %d", total, img.ForegroundCount())
 	}
 }
@@ -153,18 +155,47 @@ func TestFromGray(t *testing.T) {
 	}
 }
 
+// TestPNMRoundTripViaFacade: DecodePNM reads back what EncodePBM wrote, and
+// the gray and volume decoders read a body as their internal/pnm
+// counterparts do, DecodeVolumePNM taking level 0 as the paper's 0.5.
 func TestPNMRoundTripViaFacade(t *testing.T) {
 	img := testImage(t)
-	var buf bytes.Buffer
-	if err := paremsp.EncodePBM(&buf, img, true); err != nil {
+	var p4, p5 bytes.Buffer
+	if err := paremsp.EncodePBM(&p4, img, true); err != nil {
 		t.Fatal(err)
 	}
-	back, err := paremsp.DecodePNM(&buf, 0.5)
-	if err != nil {
+	gray := randGray(13, 7, 5)
+	if err := pnm.EncodeGrayPGM(&p5, gray); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(img) {
-		t.Fatal("facade PBM round trip failed")
+	stack := bytes.Repeat(p5.Bytes(), 3)
+	volumeAt := func(level float64) *paremsp.Volume {
+		v := &paremsp.Volume{}
+		if err := pnm.DecodeVolumeInto(bytes.NewReader(stack), level, v); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if reflect.DeepEqual(volumeAt(0), volumeAt(0.5)) {
+		t.Fatal("the stack binarizes alike at levels 0 and 0.5")
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() (any, error)
+		want   any
+	}{
+		{"DecodePNM", func() (any, error) { return paremsp.DecodePNM(bytes.NewReader(p4.Bytes()), 0.5) }, img},
+		{"DecodeGrayPNM", func() (any, error) { return paremsp.DecodeGrayPNM(bytes.NewReader(p5.Bytes())) }, gray},
+		{"DecodeVolumePNM/level-0", func() (any, error) { return paremsp.DecodeVolumePNM(bytes.NewReader(stack), 0) }, volumeAt(0.5)},
+		{"DecodeVolumePNM/level-0.2", func() (any, error) { return paremsp.DecodeVolumePNM(bytes.NewReader(stack), 0.2) }, volumeAt(0.2)},
+	} {
+		got, err := tc.decode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: decoded %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -409,6 +409,52 @@ func BenchmarkPNMIngest(b *testing.B) {
 	run("volume", vol, func(r *bytes.Reader) error { return pnm.DecodeVolumeInto(r, 0.5, v) })
 }
 
+// BenchmarkComponents times ComponentsOf, the per-run fold behind every
+// JSON component list, on the 1 MB surrogate of each label-small-mix class
+// labeled as a binary image and as the gray raster that workload sends
+// (the image and its mirror weighted 85 and 170), and on a 1-px
+// checkerboard, whose single-pixel runs are the fold's worst case.
+func BenchmarkComponents(b *testing.B) {
+	const side = 1024
+	type labeled struct {
+		name string
+		lm   *paremsp.LabelMap
+	}
+	var maps []labeled
+	for _, c := range []struct {
+		class string
+		gen   func(w, h int, seed int64) *binimg.Image
+	}{{"Aerial", dataset.Aerial}, {"Texture", dataset.Texture}, {"Misc", dataset.Misc}} {
+		img := c.gen(side, side, 1)
+		res, err := paremsp.Label(img, paremsp.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gray := paremsp.NewGrayImage(side, side)
+		for i, v := range img.Pix {
+			gray.Pix[i] = 85*v + 170*img.Pix[i-i%side+side-1-i%side]
+		}
+		glm, _ := paremsp.LabelGray(gray)
+		maps = append(maps, labeled{c.class + "/binary", res.Labels}, labeled{c.class + "/gray", glm})
+	}
+	res, err := paremsp.Label(dataset.Checkerboard(side, side, 1), paremsp.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	maps = append(maps, labeled{"checker-1px", res.Labels})
+	for _, m := range maps {
+		b.Run(m.name, func(b *testing.B) {
+			b.SetBytes(int64(len(m.lm.L)))
+			for i := 0; i < b.N; i++ {
+				componentsSink = paremsp.ComponentsOf(m.lm)
+			}
+		})
+	}
+}
+
+// componentsSink keeps BenchmarkComponents' calls from being optimized away.
+var componentsSink []paremsp.Component
+
 // randomP5 is a raw 8-bit PGM of uniformly random samples.
 func randomP5(rng *rand.Rand, w, h int) []byte {
 	body := []byte(fmt.Sprintf("P5\n%d %d\n255\n", w, h))

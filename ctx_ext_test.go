@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	paremsp "repro"
@@ -39,20 +40,26 @@ func randVolume(w, h, d int, seed int64) *paremsp.Volume {
 
 // TestLabelGrayIntoCtxMatchesPlain: with a live context the Ctx entry point
 // must agree with the plain facades for every gray mode and both
-// sequential and parallel algorithms.
+// sequential and parallel algorithms, and LabelGrayInto must give the Ctx
+// entry point's labels.
 func TestLabelGrayIntoCtxMatchesPlain(t *testing.T) {
 	img := randGray(131, 300, 1)
 	plain, n := paremsp.LabelGray(img)
+	withCtx := func(img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+		return paremsp.LabelGrayIntoCtx(context.Background(), img, dst, sc, opt)
+	}
 
 	for _, tc := range []struct {
-		name string
-		opt  paremsp.Options
+		name  string
+		opt   paremsp.Options
+		label func(*paremsp.GrayImage, *paremsp.LabelMap, *paremsp.Scratch, paremsp.Options) (*paremsp.Result, error)
 	}{
-		{"gray-parallel", paremsp.Options{Mode: paremsp.ModeGray, Threads: 3}},
-		{"gray-sequential", paremsp.Options{Mode: paremsp.ModeGray, Algorithm: paremsp.AlgAREMSP}},
+		{"gray-parallel", paremsp.Options{Mode: paremsp.ModeGray, Threads: 3}, withCtx},
+		{"gray-sequential", paremsp.Options{Mode: paremsp.ModeGray, Algorithm: paremsp.AlgAREMSP}, withCtx},
+		{"gray-into", paremsp.Options{Mode: paremsp.ModeGray, Threads: 3}, paremsp.LabelGrayInto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := paremsp.LabelGrayIntoCtx(context.Background(), img, &paremsp.LabelMap{}, &paremsp.Scratch{}, tc.opt)
+			res, err := tc.label(img, &paremsp.LabelMap{}, &paremsp.Scratch{}, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,6 +68,13 @@ func TestLabelGrayIntoCtxMatchesPlain(t *testing.T) {
 			}
 			if err := paremsp.Equivalent(plain, res.Labels); err != nil {
 				t.Fatal(err)
+			}
+			ref, err := withCtx(img, nil, nil, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Labels.L, ref.Labels.L) {
+				t.Fatal("labels differ from LabelGrayIntoCtx's")
 			}
 		})
 	}
@@ -82,24 +96,36 @@ func TestLabelGrayIntoCtxMatchesPlain(t *testing.T) {
 }
 
 // TestLabelVolumeIntoCtxMatchesPlain: ditto for the 3-D labeler, both
-// slab-parallel and sequential.
+// slab-parallel and sequential, and for LabelVolumeInto.
 func TestLabelVolumeIntoCtxMatchesPlain(t *testing.T) {
 	vol := randVolume(17, 13, 40, 2)
 	_, n := paremsp.LabelVolume(vol)
+	withCtx := func(vol *paremsp.Volume, dst *paremsp.LabelVolumeMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.VolumeResult, error) {
+		return paremsp.LabelVolumeIntoCtx(context.Background(), vol, dst, sc, opt)
+	}
 	for _, tc := range []struct {
-		name string
-		opt  paremsp.Options
+		name  string
+		opt   paremsp.Options
+		label func(*paremsp.Volume, *paremsp.LabelVolumeMap, *paremsp.Scratch, paremsp.Options) (*paremsp.VolumeResult, error)
 	}{
-		{"parallel", paremsp.Options{Mode: paremsp.ModeVolume, Threads: 3}},
-		{"sequential", paremsp.Options{Mode: paremsp.ModeVolume, Algorithm: paremsp.AlgAREMSP}},
+		{"parallel", paremsp.Options{Mode: paremsp.ModeVolume, Threads: 3}, withCtx},
+		{"sequential", paremsp.Options{Mode: paremsp.ModeVolume, Algorithm: paremsp.AlgAREMSP}, withCtx},
+		{"into", paremsp.Options{Mode: paremsp.ModeVolume, Threads: 3}, paremsp.LabelVolumeInto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := paremsp.LabelVolumeIntoCtx(context.Background(), vol, &paremsp.LabelVolumeMap{}, &paremsp.Scratch{}, tc.opt)
+			res, err := tc.label(vol, &paremsp.LabelVolumeMap{}, &paremsp.Scratch{}, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.NumComponents != n {
 				t.Fatalf("NumComponents = %d, want %d", res.NumComponents, n)
+			}
+			ref, err := withCtx(vol, nil, nil, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Labels.L, ref.Labels.L) {
+				t.Fatal("labels differ from LabelVolumeIntoCtx's")
 			}
 			sizes := paremsp.VolumeComponentSizes(res.Labels, res.NumComponents)
 			total := 0

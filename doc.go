@@ -20,6 +20,11 @@
 //		fmt.Printf("label %d: area %d, bbox %dx%d\n", c.Label, c.Area, c.Width(), c.Height())
 //	}
 //
+// Component is the one per-component record (area, bounding box, centroid,
+// run count): ComponentsOf folds each run of a label map into it, and
+// LabelStream each streamed run, through one accumulator. ComponentStats is
+// its deprecated former name.
+//
 // The default configuration runs PAREMSP across all available CPUs. Set
 // Options.Algorithm to pick a specific algorithm and Options.Threads to pin
 // the worker count; results are identical partitions for every algorithm
@@ -70,11 +75,11 @@
 // (StreamOptions.BandRows; default 256): each band is labeled with BREMSP's
 // run scan in its own label space, consecutive bands are stitched by
 // unioning the foreground runs of the two seam rows, and per-component
-// statistics (area, bounding box, centroid, run count — see ComponentStats)
-// accumulate run-by-run. No label raster is ever materialized, so peak
-// memory is O(one band + its equivalence table + the component table),
-// independent of image height: a 100k-row raster streams through the few
-// megabytes a single band needs.
+// statistics (a Component per component, run count included) accumulate
+// run-by-run. No label raster is ever materialized, so peak memory is
+// O(one band + its equivalence table + the component table), independent
+// of image height: a 100k-row raster streams through the few megabytes a
+// single band needs.
 //
 // Band-height guidance: larger bands amortize the per-band flatten and seam
 // costs and are faster; smaller bands cap memory. The per-band working set
@@ -253,9 +258,9 @@
 // binary-only. Async jobs mirror the matrix via ?kind=
 // (labels|stats|contours|gray|volume), keyed by JobKeyMode so the same
 // bytes under different modes are distinct jobs while binary labels/stats
-// IDs stay identical to earlier releases. The ?stats= query parameter was
-// renamed ?components=; the old name is accepted for one release and
-// logged at warn.
+// IDs stay identical to earlier releases. ?components=false leaves the
+// per-component list out of every JSON body — /v1/label, /v1/stats,
+// /v1/volume and job results alike.
 //
 // # Reproducing the paper
 //

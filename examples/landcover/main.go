@@ -48,8 +48,7 @@ func main() {
 	comps := paremsp.ComponentsOf(res.Labels)
 
 	// Region-size report: how much of the land cover sits in large regions?
-	var large, total int
-	largest := 0
+	var large, total, largest int64
 	for _, c := range comps {
 		total += c.Area
 		if c.Area >= 10000 {

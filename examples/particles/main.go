@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,13 +32,13 @@ func main() {
 		res.Phases.Scan, res.Phases.Merge, res.Phases.Flatten, res.Phases.Relabel)
 
 	// Size distribution.
-	areas := make([]int, len(comps))
-	total := 0
+	areas := make([]int64, len(comps))
+	var total int64
 	for i, c := range comps {
 		areas[i] = c.Area
 		total += c.Area
 	}
-	sort.Ints(areas)
+	slices.Sort(areas)
 	fmt.Printf("particle areas: min %d, median %d, max %d, mean %.1f px\n",
 		areas[0], areas[len(areas)/2], areas[len(areas)-1], float64(total)/float64(len(areas)))
 

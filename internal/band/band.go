@@ -27,9 +27,8 @@
 //  3. unions the band's first-row runs with the previous band's seam runs
 //     (scan.MergeRuns), attaching local roots to global component ids and
 //     merging global ids that the seam proves equivalent;
-//  4. folds every run into the per-component statistics accumulator — area,
-//     bounding box, centroid sums, run count — so no label raster is ever
-//     materialized;
+//  4. folds every run into its component's stats.Acc — area, bounding box,
+//     centroid sums, run count — so no label raster is ever materialized;
 //  5. retains the last row's runs, relabeled with global ids, as the seam
 //     for the next band.
 //
@@ -47,6 +46,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/poll"
 	"repro/internal/scan"
+	"repro/internal/stats"
 	"repro/internal/unionfind"
 )
 
@@ -91,31 +91,16 @@ type Options struct {
 	Ctx context.Context
 }
 
-// ComponentStats is the per-component result of a streamed labeling: the
-// statistics of stats.Component plus the foreground run count, computed
-// run-by-run during the band scans without a label raster.
-type ComponentStats struct {
-	// Label is the final component number, 1..NumComponents in discovery
-	// (band, then raster) order.
-	Label Label
-	// Area is the component's pixel count.
-	Area int64
-	// MinX, MinY, MaxX, MaxY are the bounding box (inclusive).
-	MinX, MinY, MaxX, MaxY int
-	// CentroidX, CentroidY are the mean foreground coordinates.
-	CentroidX, CentroidY float64
-	// Runs counts the component's maximal horizontal foreground runs.
-	Runs int64
-}
-
 // Result is the outcome of one streamed labeling.
 type Result struct {
 	// Width, Height are the image dimensions from the source header.
 	Width, Height int
 	// NumComponents is the number of 8-connected components.
 	NumComponents int
-	// Components holds per-component statistics, indexed by Label-1.
-	Components []ComponentStats
+	// Components holds per-component statistics with their run counts,
+	// indexed by Label-1 (final labels are 1..NumComponents in discovery,
+	// that is band then raster, order).
+	Components []stats.Component
 	// ForegroundPixels is the total object-pixel count (the sum of areas).
 	ForegroundPixels int64
 
@@ -144,7 +129,7 @@ func Stream(src Source, opt Options) (*Result, error) {
 	if h > 0 && bandRows > h {
 		bandRows = h
 	}
-	l := newLabeler(w, bandRows)
+	l := newLabeler(w, h, bandRows)
 	done := poll.Done(opt.Ctx)
 	var bm binimg.Bitmap
 	y := 0
@@ -176,80 +161,33 @@ func Stream(src Source, opt Options) (*Result, error) {
 	if y != h {
 		return nil, fmt.Errorf("band: source delivered %d of %d rows", y, h)
 	}
-	return l.finish(w, h), nil
-}
-
-// acc accumulates one component's statistics; it lives at the component's
-// global DSU root and is folded into the winner on every cross-band merge.
-type acc struct {
-	area, sumX, sumY, runs int64
-	minX, minY             int32
-	maxX, maxY             int32
-}
-
-func (a *acc) addRun(y, s, e int) {
-	n := int64(e - s)
-	a.area += n
-	a.sumX += n * int64(s+e-1) / 2 // sum of s..e-1; n*(s+e-1) is always even
-	a.sumY += n * int64(y)
-	a.runs++
-	if int32(s) < a.minX {
-		a.minX = int32(s)
-	}
-	if int32(e-1) > a.maxX {
-		a.maxX = int32(e - 1)
-	}
-	if int32(y) < a.minY {
-		a.minY = int32(y)
-	}
-	if int32(y) > a.maxY {
-		a.maxY = int32(y)
-	}
-}
-
-func (a *acc) fold(b *acc) {
-	a.area += b.area
-	a.sumX += b.sumX
-	a.sumY += b.sumY
-	a.runs += b.runs
-	if b.minX < a.minX {
-		a.minX = b.minX
-	}
-	if b.maxX > a.maxX {
-		a.maxX = b.maxX
-	}
-	if b.minY < a.minY {
-		a.minY = b.minY
-	}
-	if b.maxY > a.maxY {
-		a.maxY = b.maxY
-	}
+	return l.finish(), nil
 }
 
 // labeler is the streaming engine. Per-band buffers (pl, glob, rs) are sized
 // once for the band height and reused; global state (gp, st) grows with the
 // component count only.
 type labeler struct {
-	w, bandRows int
+	w, h int
 
 	pl   []Label      // band-local REM parent array
 	glob []Label      // band-local root -> provisional global id
 	rs   scan.RunSet  // band-local labeled runs
 	seam []binimg.Run // previous band's last row, Label = global id
 
-	gp []Label // global DSU over provisional component ids; gp[0] unused
-	st []acc   // per-global-id statistics, valid at DSU roots
+	gp []Label     // global DSU over provisional component ids; gp[0] unused
+	st []stats.Acc // per-global-id statistics, valid at DSU roots
 }
 
-func newLabeler(w, bandRows int) *labeler {
+func newLabeler(w, h, bandRows int) *labeler {
 	n := scan.MaxRunLabels(w, bandRows)
 	return &labeler{
-		w:        w,
-		bandRows: bandRows,
-		pl:       make([]Label, n+1),
-		glob:     make([]Label, n+1),
-		gp:       make([]Label, 1, 64),
-		st:       make([]acc, 1, 64),
+		w:    w,
+		h:    h,
+		pl:   make([]Label, n+1),
+		glob: make([]Label, n+1),
+		gp:   make([]Label, 1, 64),
+		st:   make([]stats.Acc, 1, 64),
 	}
 }
 
@@ -270,17 +208,14 @@ func (l *labeler) gunion(a, b Label) Label {
 		a, b = b, a
 	}
 	l.gp[b] = a
-	l.st[a].fold(&l.st[b])
+	l.st[a].Fold(&l.st[b])
 	return a
 }
 
 func (l *labeler) newGlobal() Label {
 	g := Label(len(l.gp))
 	l.gp = append(l.gp, g)
-	l.st = append(l.st, acc{
-		minX: int32(l.w), minY: int32(1 << 30),
-		maxX: -1, maxY: -1,
-	})
+	l.st = append(l.st, stats.NewAcc(l.w, l.h))
 	return g
 }
 
@@ -330,7 +265,7 @@ func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run
 		runs := l.rs.RowRuns(i)
 		for _, r := range runs {
 			g := l.gfind(glob[l.pl[r.Label]])
-			l.st[g].addRun(y, int(r.Start), int(r.End))
+			l.st[g].AddRun(y, int(r.Start), int(r.End))
 		}
 		if emit != nil {
 			if err := emit(y, runs, resolve); err != nil {
@@ -347,8 +282,8 @@ func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run
 	return nil
 }
 
-func (l *labeler) finish(w, h int) *Result {
-	res := &Result{Width: w, Height: h}
+func (l *labeler) finish() *Result {
+	res := &Result{Width: l.w, Height: l.h}
 	finalOf := make([]Label, len(l.gp))
 	var n Label
 	for g := 1; g < len(l.gp); g++ {
@@ -357,23 +292,15 @@ func (l *labeler) finish(w, h int) *Result {
 			finalOf[g] = n
 		}
 	}
-	comps := make([]ComponentStats, 0, n)
+	comps := make([]stats.Component, 0, n)
 	for g := 1; g < len(l.gp); g++ {
 		if finalOf[g] == 0 {
 			finalOf[g] = finalOf[l.gfind(Label(g))]
 			continue
 		}
-		a := &l.st[g]
-		res.ForegroundPixels += a.area
-		comps = append(comps, ComponentStats{
-			Label: finalOf[g],
-			Area:  a.area,
-			MinX:  int(a.minX), MinY: int(a.minY),
-			MaxX: int(a.maxX), MaxY: int(a.maxY),
-			CentroidX: float64(a.sumX) / float64(a.area),
-			CentroidY: float64(a.sumY) / float64(a.area),
-			Runs:      a.runs,
-		})
+		c := l.st[g].Component(finalOf[g])
+		res.ForegroundPixels += c.Area
+		comps = append(comps, c)
 	}
 	res.NumComponents = int(n)
 	res.Components = comps

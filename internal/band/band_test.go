@@ -34,37 +34,43 @@ func streamImage(t *testing.T, img *binimg.Image, bandRows int) *band.Result {
 	return res
 }
 
-// wholeImageStats computes the oracle statistics from a flood-fill labeling:
-// area, bounding box and centroid exactly as stats.Components reports them,
-// plus the per-component count of maximal horizontal runs.
-func wholeImageStats(img *binimg.Image) []band.ComponentStats {
+// wholeImageStats is the oracle: a flood-fill labeling of the whole image
+// and a per-pixel pass over it, which shares no code with the run
+// accumulator the stream folds into. A pixel whose left neighbor is
+// background starts one of its component's runs.
+func wholeImageStats(img *binimg.Image) []stats.Component {
 	lm, n := baseline.FloodFill(img, baseline.Conn8)
-	comps := stats.Components(lm)
-	runs := make([]int64, n+1)
-	for y := 0; y < img.Height; y++ {
-		row := y * img.Width
-		for x := 0; x < img.Width; x++ {
-			if img.Pix[row+x] != 0 && (x == 0 || img.Pix[row+x-1] == 0) {
-				runs[lm.L[row+x]]++
-			}
+	out := make([]stats.Component, n)
+	sumX, sumY := make([]int64, n), make([]int64, n)
+	for i := range out {
+		out[i] = stats.Component{MinX: img.Width, MinY: img.Height, MaxX: -1, MaxY: -1}
+	}
+	for i, v := range lm.L {
+		if v == 0 {
+			continue
+		}
+		x, y := i%img.Width, i/img.Width
+		c := &out[v-1]
+		c.Area++
+		c.MinX, c.MaxX = min(c.MinX, x), max(c.MaxX, x)
+		c.MinY, c.MaxY = min(c.MinY, y), max(c.MaxY, y)
+		sumX[v-1] += int64(x)
+		sumY[v-1] += int64(y)
+		if x == 0 || lm.L[i-1] == 0 {
+			c.Runs++
 		}
 	}
-	out := make([]band.ComponentStats, 0, n)
-	for _, c := range comps {
-		out = append(out, band.ComponentStats{
-			Area: int64(c.Area),
-			MinX: c.MinX, MinY: c.MinY, MaxX: c.MaxX, MaxY: c.MaxY,
-			CentroidX: c.CentroidX, CentroidY: c.CentroidY,
-			Runs: runs[c.Label],
-		})
+	for i := range out {
+		out[i].CentroidX = float64(sumX[i]) / float64(out[i].Area)
+		out[i].CentroidY = float64(sumY[i]) / float64(out[i].Area)
 	}
 	return out
 }
 
 // canonical sorts component statistics into a numbering-independent order
 // and zeroes the labels so two labelings can be compared field by field.
-func canonical(comps []band.ComponentStats) []band.ComponentStats {
-	out := append([]band.ComponentStats(nil), comps...)
+func canonical(comps []stats.Component) []stats.Component {
+	out := append([]stats.Component(nil), comps...)
 	for i := range out {
 		out[i].Label = 0
 	}

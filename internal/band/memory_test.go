@@ -8,6 +8,7 @@ import (
 	"repro/internal/band"
 	"repro/internal/pnm"
 	"repro/internal/scan"
+	"repro/internal/stats"
 )
 
 // stripeP4 generates a synthetic raw-PBM stream on the fly — header first,
@@ -138,8 +139,8 @@ func TestStreamFixedMemory16k(t *testing.T) {
 	}
 	for i, c := range res.Components {
 		x := 8 * i
-		want := band.ComponentStats{
-			Label: band.Label(i + 1),
+		want := stats.Component{
+			Label: stats.Label(i + 1),
 			Area:  h,
 			MinX:  x, MinY: 0, MaxX: x, MaxY: h - 1,
 			CentroidX: float64(x), CentroidY: float64(h-1) / 2,

@@ -84,11 +84,7 @@ func CCLabel(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *showStats {
-		fmt.Fprintln(stdout, "label  area  bbox              centroid")
-		for _, c := range paremsp.ComponentsOf(res.Labels) {
-			fmt.Fprintf(stdout, "%5d %5d  (%d,%d)-(%d,%d)  (%.1f, %.1f)\n",
-				c.Label, c.Area, c.MinX, c.MinY, c.MaxX, c.MaxY, c.CentroidX, c.CentroidY)
-		}
+		printComponents(stdout, paremsp.ComponentsOf(res.Labels))
 	}
 	if *showContours {
 		fmt.Fprintln(stdout, "label  boundary-pixels  perimeter")
@@ -279,13 +275,18 @@ func CCStream(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s: %d components in %v; labels written to %s\n",
 		filepath.Base(fs.Arg(0)), res.NumComponents, time.Since(start).Round(time.Millisecond), *out)
 	if *showStats {
-		fmt.Fprintln(stdout, "label  area  runs  bbox              centroid")
-		for _, c := range res.Components {
-			fmt.Fprintf(stdout, "%5d %5d %5d  (%d,%d)-(%d,%d)  (%.1f, %.1f)\n",
-				c.Label, c.Area, c.Runs, c.MinX, c.MinY, c.MaxX, c.MaxY, c.CentroidX, c.CentroidY)
-		}
+		printComponents(stdout, res.Components)
 	}
 	return 0
+}
+
+// printComponents writes the -stats table of cclabel and ccstream.
+func printComponents(w io.Writer, comps []paremsp.Component) {
+	fmt.Fprintln(w, "label  area  runs  bbox              centroid")
+	for _, c := range comps {
+		fmt.Fprintf(w, "%5d %5d %5d  (%d,%d)-(%d,%d)  (%.1f, %.1f)\n",
+			c.Label, c.Area, c.Runs, c.MinX, c.MinY, c.MaxX, c.MaxY, c.CentroidX, c.CentroidY)
+	}
 }
 
 // newServeLogger builds ccserve's structured logger from the -log-level

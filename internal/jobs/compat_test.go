@@ -66,7 +66,7 @@ func fixtureJobs() []fixtureJob {
 			input: p5, end: StateDone,
 			result: &Result{ResultInfo: ResultInfo{NumComponents: 2, Width: 4, Height: 2, BandRows: 64}, Stats: &band.Result{
 				Width: 4, Height: 2, NumComponents: 2, ForegroundPixels: 5,
-				Components: []band.ComponentStats{
+				Components: []stats.Component{
 					{Label: 1, Area: 3, MaxX: 1, MaxY: 1, CentroidX: 2.0 / 3, CentroidY: 1.0 / 3, Runs: 2},
 					{Label: 2, Area: 2, MinX: 3, MaxX: 3, MaxY: 1, CentroidX: 3, CentroidY: 0.5, Runs: 2},
 				}}}},

@@ -17,32 +17,32 @@ import (
 // The reference decoders below are the per-pixel loops the table-driven
 // decoders replaced: a bit test per P4 pixel, a float compare per P5
 // sample, v*255/maxVal per gray sample. They share only the token parsing
-// (readToken, readDims, readMaxVal, readSample) with the package, and they
+// (the reader's token, dims, number and sample) with the package, and they
 // append pixels as they are read, so an oversized header costs them
 // nothing.
 
 // refDecode is DecodeInto's reference: a P1, P2, P4 or P5 body binarized
 // at level.
 func refDecode(body []byte, level float64) (*binimg.Image, error) {
-	br := bufio.NewReader(bytes.NewReader(body))
-	magic, err := readToken(br)
+	rd := tokens(body)
+	tok, err := rd.token()
 	if err != nil {
 		return nil, err
 	}
 	var w, h int
 	var pix []uint8
-	switch magic {
+	switch magic := string(tok); magic {
 	case "P1", "P4":
-		w, h, pix, err = refPBM(br, magic == "P4")
+		w, h, pix, err = refPBM(rd, magic == "P4")
 	case "P2", "P5":
-		w, h, pix, err = refPGM(br, magic == "P5", func(v, maxVal int) uint8 {
+		w, h, pix, err = refPGM(rd, magic == "P5", func(v, maxVal int) uint8 {
 			if float64(v) > level*float64(maxVal) {
 				return 1
 			}
 			return 0
 		})
 	default:
-		err = fmt.Errorf("magic %q", magic)
+		err = fmt.Errorf("magic %q", tok)
 	}
 	if err != nil {
 		return nil, err
@@ -50,14 +50,19 @@ func refDecode(body []byte, level float64) (*binimg.Image, error) {
 	return &binimg.Image{Width: w, Height: h, Pix: pix}, nil
 }
 
-func refPBM(br *bufio.Reader, raw bool) (w, h int, pix []uint8, err error) {
-	if w, h, err = readDims(br); err != nil {
+// tokens is a reader over body used only for its token parsing.
+func tokens(body []byte) *reader {
+	return &reader{br: bufio.NewReader(bytes.NewReader(body))}
+}
+
+func refPBM(rd *reader, raw bool) (w, h int, pix []uint8, err error) {
+	if w, h, err = rd.dims(); err != nil {
 		return 0, 0, nil, err
 	}
 	if raw {
 		rowBuf := make([]byte, (w+7)/8)
 		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, rowBuf); err != nil {
+			if _, err := io.ReadFull(rd.br, rowBuf); err != nil {
 				return 0, 0, nil, err
 			}
 			for x := 0; x < w; x++ {
@@ -71,11 +76,11 @@ func refPBM(br *bufio.Reader, raw bool) (w, h int, pix []uint8, err error) {
 		return w, h, pix, nil
 	}
 	for i := 0; i < w*h; i++ {
-		tok, err := readToken(br)
+		tok, err := rd.token()
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		switch tok {
+		switch string(tok) {
 		case "0":
 			pix = append(pix, 0)
 		case "1":
@@ -89,14 +94,15 @@ func refPBM(br *bufio.Reader, raw bool) (w, h int, pix []uint8, err error) {
 
 // refPGM decodes a P2 or P5 body after its magic, mapping every sample
 // through f.
-func refPGM(br *bufio.Reader, raw bool, f func(v, maxVal int) uint8) (w, h int, pix []uint8, err error) {
-	if w, h, err = readDims(br); err != nil {
+func refPGM(rd *reader, raw bool, f func(v, maxVal int) uint8) (w, h int, pix []uint8, err error) {
+	if w, h, err = rd.dims(); err != nil {
 		return 0, 0, nil, err
 	}
-	maxVal, err := readMaxVal(br)
+	maxVal, err := rd.number("maxval", 1, 65535)
 	if err != nil {
 		return 0, 0, nil, err
 	}
+	rd.maxVal = maxVal // sample checks against it
 	if raw {
 		bytesPer := 1
 		if maxVal > 255 {
@@ -104,7 +110,7 @@ func refPGM(br *bufio.Reader, raw bool, f func(v, maxVal int) uint8) (w, h int, 
 		}
 		buf := make([]byte, w*bytesPer)
 		for y := 0; y < h; y++ {
-			if _, err := io.ReadFull(br, buf); err != nil {
+			if _, err := io.ReadFull(rd.br, buf); err != nil {
 				return 0, 0, nil, err
 			}
 			for x := 0; x < w; x++ {
@@ -118,7 +124,7 @@ func refPGM(br *bufio.Reader, raw bool, f func(v, maxVal int) uint8) (w, h int, 
 		return w, h, pix, nil
 	}
 	for i := 0; i < w*h; i++ {
-		v, err := readSample(br, maxVal, i)
+		v, err := rd.sample(i)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -128,15 +134,16 @@ func refPGM(br *bufio.Reader, raw bool, f func(v, maxVal int) uint8) (w, h int, 
 }
 
 func refGray(body []byte) (*grayccl.Image, error) {
-	br := bufio.NewReader(bytes.NewReader(body))
-	magic, err := readToken(br)
+	rd := tokens(body)
+	tok, err := rd.token()
 	if err != nil {
 		return nil, err
 	}
+	magic := string(tok)
 	if magic != "P2" && magic != "P5" {
 		return nil, fmt.Errorf("magic %q", magic)
 	}
-	w, h, pix, err := refPGM(br, magic == "P5", func(v, maxVal int) uint8 { return uint8(v * 255 / maxVal) })
+	w, h, pix, err := refPGM(rd, magic == "P5", func(v, maxVal int) uint8 { return uint8(v * 255 / maxVal) })
 	if err != nil {
 		return nil, err
 	}
@@ -144,20 +151,20 @@ func refGray(body []byte) (*grayccl.Image, error) {
 }
 
 func refVolume(body []byte, level float64) (*vol3d.Volume, error) {
-	br := bufio.NewReader(bytes.NewReader(body))
+	rd := tokens(body)
 	v := &vol3d.Volume{}
 	for {
-		magic, err := readToken(br)
+		tok, err := rd.token()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if magic != "P5" {
-			return nil, fmt.Errorf("magic %q", magic)
+		if string(tok) != "P5" {
+			return nil, fmt.Errorf("magic %q", tok)
 		}
-		w, h, pix, err := refPGM(br, true, func(s, maxVal int) uint8 {
+		w, h, pix, err := refPGM(rd, true, func(s, maxVal int) uint8 {
 			if float64(s) > level*float64(maxVal) {
 				return 1
 			}
@@ -202,7 +209,8 @@ func FuzzPNMDecoders(f *testing.F) {
 		f.Add(seed.body, seed.level)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, level float64) {
-		magic, _ := readToken(bufio.NewReader(bytes.NewReader(body)))
+		tok, _ := tokens(body).token()
+		magic := string(tok)
 		want, wantErr := refDecode(body, level)
 		size, words := 64, 64
 		if wantErr == nil {

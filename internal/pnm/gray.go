@@ -82,32 +82,36 @@ func DecodePNGGrayInto(r io.Reader, dst *grayccl.Image) error {
 // DecodeVolumeInto reads a multi-frame raw-PGM stream — concatenated P5
 // graymaps, one per z-slice, all with identical dimensions — into a caller-
 // provided volume (buffer reused when large enough, grown with the rows
-// read). Each frame has its own header and reader and is binarized by the
-// same im2bw table as DecodeInto: luminance fraction strictly greater than
-// level becomes an object voxel. The frame count becomes the volume's
-// depth; at least one frame is required.
+// read). One reader reads every frame, re-reading its header in place, and
+// each frame is binarized by the same im2bw table as DecodeInto, built for
+// its maxval: luminance fraction strictly greater than level becomes an
+// object voxel. The frame count becomes the volume's depth; at least one
+// frame is required.
 func DecodeVolumeInto(r io.Reader, level float64, dst *vol3d.Volume) error {
-	br := bufio.NewReader(r)
-	w, h, d := 0, 0, 0
+	fr, err := newReader(bufio.NewReader(r), "P5")
+	if err != nil {
+		return fmt.Errorf("pnm: frame 0: %w", err)
+	}
+	w, h := fr.w, fr.h
 	vox := dst.Vox[:0]
-	for ; ; d++ {
-		fr, err := newReader(br, "P5")
-		if errors.Is(err, errNoImage) && d > 0 {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("pnm: frame %d: %w", d, err)
-		}
-		if d == 0 {
-			w, h = fr.w, fr.h
-		} else if fr.w != w || fr.h != h {
-			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fr.w, fr.h, w, h)
-		}
+	d := 0
+	for {
 		t := newThreshold(level, fr.maxVal)
 		// The depth is unknown until the stream ends, so the volume grows
 		// without a limit.
 		if vox, _, err = readRows(fr, vox, h, w, math.MaxInt, t.row); err != nil {
 			return fmt.Errorf("pnm: frame %d: %w", d, err)
+		}
+		d++
+		err = fr.header("P5")
+		if errors.Is(err, errNoImage) {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("pnm: frame %d: %w", d, err)
+		}
+		if fr.w != w || fr.h != h {
+			return fmt.Errorf("pnm: frame %d is %dx%d, want %dx%d (all z-slices must share dimensions)", d, fr.w, fr.h, w, h)
 		}
 	}
 	dst.W, dst.H, dst.D, dst.Vox = w, h, d, vox

@@ -2,6 +2,7 @@ package pnm_test
 
 import (
 	"bytes"
+	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -325,5 +326,37 @@ func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc >= 1<<20 {
 			t.Errorf("%s: allocated %d bytes for a %d-byte body, want < 1 MiB", c.name, alloc, len(c.body))
 		}
+	}
+}
+
+// TestVolumeDecodeAllocatesPerStream: one reader reads every frame of a
+// volume, re-reading each header in place, so a decode into a reused
+// volume allocates as often for 2 frames as for 64.
+func TestVolumeDecodeAllocatesPerStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stack := func(depth int) []byte {
+		var b bytes.Buffer
+		for z := 0; z < depth; z++ {
+			// Alternate maxvals so every frame rebuilds its threshold, and
+			// put a comment in some headers.
+			fmt.Fprintf(&b, "P5\n# slice %d\n32 16\n%d\n", z, 200+55*(z%2))
+			pix := make([]byte, 32*16)
+			rng.Read(pix)
+			b.Write(pix)
+		}
+		return b.Bytes()
+	}
+	allocs := func(body []byte) float64 {
+		v := &vol3d.Volume{}
+		decode := func() {
+			if err := pnm.DecodeVolumeInto(bytes.NewReader(body), 0.5, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // size v's voxel buffer
+		return testing.AllocsPerRun(20, decode)
+	}
+	if two, many := allocs(stack(2)), allocs(stack(64)); two != many {
+		t.Fatalf("a decode into a reused volume allocates %v times for 2 frames, %v for 64", two, many)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/binimg"
 )
 
-// errNoImage is newReader's error for a stream that holds nothing but
+// errNoImage is the header error for a stream that holds nothing but
 // whitespace and comments; DecodeVolumeInto reads it as the end of its
 // frames.
 var errNoImage = errors.New("pnm: no image: the stream ends before a magic number")
@@ -23,7 +23,9 @@ var errNoImage = errors.New("pnm: no image: the stream ends before a magic numbe
 // raster a row at a time in the raw layout: P4's packed bits for P1 and P4,
 // P5's samples for P2 and P5. A plain row's tokens are re-encoded as the raw
 // row they stand for, so the raw row tables serve both forms. The header is
-// parsed before anything the size of the raster is allocated.
+// parsed before anything the size of the raster is allocated. A multi-frame
+// stream re-reads each frame's header into the same reader, which keeps its
+// row and token buffers.
 type reader struct {
 	br     *bufio.Reader
 	magic  string
@@ -31,37 +33,50 @@ type reader struct {
 	maxVal int    // PGM only
 	y      int    // rows read
 	row    []byte // the last row read, in the raw layout
+	tok    []byte // the last token read
 }
 
 // newReader reads a header whose magic is one of formats and sizes the row
 // buffer for it.
 func newReader(br *bufio.Reader, formats ...string) (*reader, error) {
-	magic, err := readToken(br)
+	r := &reader{br: br}
+	if err := r.header(formats...); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// header reads the next header, whose magic must be one of formats, and
+// sizes the row buffer for it, reusing the last frame's when it is large
+// enough. A stream that ends before a magic is errNoImage.
+func (r *reader) header(formats ...string) error {
+	magic, err := r.token()
 	if err == io.EOF {
-		return nil, errNoImage
+		return errNoImage
 	}
 	if err != nil {
-		return nil, fmt.Errorf("pnm: reading magic: %w", err)
+		return fmt.Errorf("pnm: reading magic: %w", err)
 	}
-	if !slices.Contains(formats, magic) {
-		return nil, fmt.Errorf("pnm: unsupported magic %q (want %s)", magic, strings.Join(formats, " or "))
+	i := slices.Index(formats, string(magic))
+	if i < 0 {
+		return fmt.Errorf("pnm: unsupported magic %q (want %s)", magic, strings.Join(formats, " or "))
 	}
-	r := &reader{br: br, magic: magic}
-	if r.w, r.h, err = readDims(br); err != nil {
-		return nil, err
+	r.magic, r.maxVal, r.y = formats[i], 0, 0
+	if r.w, r.h, err = r.dims(); err != nil {
+		return err
 	}
 	n := (r.w + 7) / 8
 	if r.pgm() {
-		if r.maxVal, err = readMaxVal(br); err != nil {
-			return nil, err
+		if r.maxVal, err = r.number("maxval", 1, 65535); err != nil {
+			return err
 		}
 		n = r.w
 		if r.maxVal > 255 {
 			n = 2 * r.w // big-endian samples
 		}
 	}
-	r.row = make([]byte, n)
-	return r, nil
+	r.row = slices.Grow(r.row[:0], n)[:n]
+	return nil
 }
 
 // pgm reports whether the rows hold samples (P2, P5) rather than bits.
@@ -74,20 +89,20 @@ func (r *reader) next() error {
 	case "P1":
 		clear(r.row)
 		for x := 0; x < r.w; x++ {
-			tok, err := readToken(r.br)
+			tok, err := r.token()
 			if err != nil {
 				return fmt.Errorf("pnm: P1 pixel %d: %w", i+x, err)
 			}
-			if tok != "0" && tok != "1" {
+			if string(tok) != "0" && string(tok) != "1" {
 				return fmt.Errorf("pnm: P1 pixel %d: invalid token %q", i+x, tok)
 			}
-			if tok == "1" {
+			if tok[0] == '1' {
 				r.row[x/8] |= 0x80 >> (x % 8)
 			}
 		}
 	case "P2":
 		for x := 0; x < r.w; x++ {
-			v, err := readSample(r.br, r.maxVal, i+x)
+			v, err := r.sample(i + x)
 			if err != nil {
 				return err
 			}
@@ -98,7 +113,7 @@ func (r *reader) next() error {
 			}
 		}
 	default:
-		// readToken consumed the single whitespace byte after the header,
+		// token consumed the single whitespace byte after the header,
 		// so the raw rows start at once.
 		if _, err := io.ReadFull(r.br, r.row); err != nil {
 			return fmt.Errorf("pnm: %s row %d: %w", r.magic, r.y, err)
@@ -140,76 +155,72 @@ func growRows[T any](buf []T, n, limit int) []T {
 	return grown
 }
 
-// readDims reads and validates the width and height tokens.
-func readDims(br *bufio.Reader) (int, int, error) {
-	wTok, err := readToken(br)
+// dims reads and validates the width and height tokens.
+func (r *reader) dims() (int, int, error) {
+	w, err := r.number("width", 0, binimg.MaxDimension)
 	if err != nil {
-		return 0, 0, fmt.Errorf("pnm: reading width: %w", err)
+		return 0, 0, err
 	}
-	hTok, err := readToken(br)
+	h, err := r.number("height", 0, binimg.MaxDimension)
 	if err != nil {
-		return 0, 0, fmt.Errorf("pnm: reading height: %w", err)
-	}
-	w, err := strconv.Atoi(wTok)
-	if err != nil || w < 0 || w > binimg.MaxDimension {
-		return 0, 0, fmt.Errorf("pnm: invalid width %q", wTok)
-	}
-	h, err := strconv.Atoi(hTok)
-	if err != nil || h < 0 || h > binimg.MaxDimension {
-		return 0, 0, fmt.Errorf("pnm: invalid height %q", hTok)
+		return 0, 0, err
 	}
 	return w, h, nil
 }
 
-// readMaxVal reads and validates the PGM maxval token.
-func readMaxVal(br *bufio.Reader) (int, error) {
-	maxTok, err := readToken(br)
+// number reads the header token name, which must be an integer in
+// [lo, hi].
+func (r *reader) number(name string, lo, hi int) (int, error) {
+	tok, err := r.token()
 	if err != nil {
-		return 0, fmt.Errorf("pnm: reading maxval: %w", err)
+		return 0, fmt.Errorf("pnm: reading %s: %w", name, err)
 	}
-	maxVal, err := strconv.Atoi(maxTok)
-	if err != nil || maxVal < 1 || maxVal > 65535 {
-		return 0, fmt.Errorf("pnm: invalid maxval %q", maxTok)
+	v, err := strconv.Atoi(string(tok))
+	if err != nil || v < lo || v > hi {
+		return 0, fmt.Errorf("pnm: invalid %s %q", name, tok)
 	}
-	return maxVal, nil
+	return v, nil
 }
 
-// readSample reads plain-PGM (P2) sample i and checks it against maxVal.
-func readSample(br *bufio.Reader, maxVal, i int) (int, error) {
-	tok, err := readToken(br)
+// sample reads plain-PGM (P2) sample i and checks it against maxVal.
+func (r *reader) sample(i int) (int, error) {
+	tok, err := r.token()
 	if err != nil {
 		return 0, fmt.Errorf("pnm: P2 pixel %d: %w", i, err)
 	}
-	v, err := strconv.Atoi(tok)
-	if err != nil || v < 0 || v > maxVal {
+	v, err := strconv.Atoi(string(tok))
+	if err != nil || v < 0 || v > r.maxVal {
 		return 0, fmt.Errorf("pnm: P2 pixel %d: invalid value %q", i, tok)
 	}
 	return v, nil
 }
 
-// readToken returns the next whitespace-delimited token, skipping '#'
-// comments (which run to end of line), per the Netpbm grammar.
-func readToken(br *bufio.Reader) (string, error) {
-	var tok []byte
+// token returns the next whitespace-delimited token, skipping '#' comments
+// (which run to end of line), per the Netpbm grammar. The token is read
+// into r.tok, so it is valid until the next call.
+func (r *reader) token() ([]byte, error) {
+	r.tok = r.tok[:0]
 	for {
-		b, err := br.ReadByte()
+		b, err := r.br.ReadByte()
 		if err != nil {
-			if err == io.EOF && len(tok) > 0 {
-				return string(tok), nil
+			if err == io.EOF && len(r.tok) > 0 {
+				return r.tok, nil
 			}
-			return "", err
+			return nil, err
 		}
 		switch {
-		case b == '#' && len(tok) == 0:
-			if _, err := br.ReadString('\n'); err != nil && err != io.EOF {
-				return "", err
+		case b == '#' && len(r.tok) == 0:
+			for b != '\n' {
+				if b, err = r.br.ReadByte(); err != nil {
+					return nil, err
+				}
 			}
 		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			if len(tok) > 0 {
-				return string(tok), nil
+			if len(r.tok) > 0 {
+				return r.tok, nil
 			}
 		default:
-			tok = append(tok, b)
+			r.tok = append(r.tok, b)
 		}
 	}
 }

@@ -274,11 +274,28 @@ func phasesJSONFrom(ph paremsp.PhaseTimes) *phasesJSON {
 	}
 }
 
+// componentJSON is one component's statistics. Only /v1/stats and stats
+// jobs report runs; a labeling's components leave it out.
 type componentJSON struct {
 	Label    int32      `json:"label"`
-	Area     int        `json:"area"`
+	Area     int64      `json:"area"`
 	BBox     [4]int     `json:"bbox"` // min_x, min_y, max_x, max_y (inclusive)
 	Centroid [2]float64 `json:"centroid"`
+	Runs     int64      `json:"runs,omitempty"`
+}
+
+// componentsJSON renders a component list, with each component's run count
+// when runs is set. The list is never nil, so an empty one encodes as [].
+func componentsJSON(comps []paremsp.Component, runs bool) []componentJSON {
+	out := make([]componentJSON, len(comps))
+	for i, c := range comps {
+		out[i] = componentJSON{Label: c.Label, Area: c.Area,
+			BBox: [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY}, Centroid: [2]float64{c.CentroidX, c.CentroidY}}
+		if runs {
+			out[i].Runs = c.Runs
+		}
+	}
+	return out
 }
 
 // contourJSON is one component's outer boundary polyline: clockwise
@@ -289,21 +306,15 @@ type contourJSON struct {
 }
 
 // statsResponse is the JSON body of /v1/stats and of a done stats job.
+// Components is nil (and left out) under ?components=false; a requested
+// list is present even when empty.
 type statsResponse struct {
-	Width         int                  `json:"width"`
-	Height        int                  `json:"height"`
-	NumComponents int                  `json:"num_components"`
-	Density       float64              `json:"density"`
-	BandRows      int                  `json:"band_rows"`
-	Components    []statsComponentJSON `json:"components"`
-}
-
-type statsComponentJSON struct {
-	Label    int32      `json:"label"`
-	Area     int64      `json:"area"`
-	BBox     [4]int     `json:"bbox"` // min_x, min_y, max_x, max_y (inclusive)
-	Centroid [2]float64 `json:"centroid"`
-	Runs     int64      `json:"runs"`
+	Width         int              `json:"width"`
+	Height        int              `json:"height"`
+	NumComponents int              `json:"num_components"`
+	Density       float64          `json:"density"`
+	BandRows      int              `json:"band_rows"`
+	Components    *[]componentJSON `json:"components,omitempty"`
 }
 
 // volumeResponse is the JSON body of a successful /v1/volume request (and
@@ -335,8 +346,9 @@ type volumeResponse struct {
 // out-of-core band labeler, so arbitrarily tall images — chunked uploads
 // included — are labeled in O(band) memory and only their component
 // statistics come back. Query parameters: level (binarization threshold
-// for P5), band (band height in rows, 0 = default). The response is
-// always JSON; there is no label raster to return.
+// for P5), band (band height in rows, 0 = default), components (false
+// leaves the component list out). The response is always JSON; there is
+// no label raster to return.
 //
 // POST /v1/volume takes a stack of concatenated raw-PGM (P5) frames —
 // every frame one z-slice, all with identical dimensions — binarized at
@@ -414,7 +426,7 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 		// only in the /debug/requests trace record.
 		w.Header().Set("Server-Timing", string(appendServerTiming(nil, tr, encodeStart.Sub(tr.Start))))
 	}
-	writeResult(w, spec.kind, accept, res)
+	writeResult(w, spec.kind, accept, res, spec.components)
 	if tr != nil {
 		tr.EncodeNs = time.Since(encodeStart).Nanoseconds()
 	}
@@ -569,8 +581,9 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 // endpoints and GET /v1/jobs/{id}/result. Streaming statistics and volume
 // summaries are JSON; a labeling is JSON (with its components and contours
 // when present), a PGM or PNG label map, or a CCL1 label stream. Only a
-// JSON labeling may lack its label map.
-func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs.Result) {
+// JSON labeling may lack its label map. comps is ?components=: false
+// leaves every per-component list out of the JSON.
+func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs.Result, comps bool) {
 	if d := faultinject.Delay(faultinject.EncodeSlow); d > 0 {
 		time.Sleep(d)
 	}
@@ -580,43 +593,32 @@ func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs
 		s := res.Stats
 		resp := statsResponse{
 			Width: s.Width, Height: s.Height, NumComponents: s.NumComponents,
-			BandRows:   cmp.Or(res.BandRows, band.DefaultBandRows),
-			Components: make([]statsComponentJSON, len(s.Components)),
+			BandRows: cmp.Or(res.BandRows, band.DefaultBandRows),
 		}
 		if px := int64(s.Width) * int64(s.Height); px > 0 {
 			resp.Density = float64(s.ForegroundPixels) / float64(px)
 		}
-		for i, c := range s.Components {
-			resp.Components[i] = statsComponentJSON{
-				Label:    c.Label,
-				Area:     c.Area,
-				BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
-				Centroid: [2]float64{c.CentroidX, c.CentroidY},
-				Runs:     c.Runs,
-			}
+		if comps {
+			list := componentsJSON(s.Components, true)
+			resp.Components = &list
 		}
 		body = resp
 	case kind == jobs.KindVolume:
-		body = volumeResponse{
+		resp := volumeResponse{
 			Width: res.Width, Height: res.Height, Depth: res.Depth,
-			NumComponents:  res.NumComponents,
-			ComponentSizes: res.VolumeSizes,
+			NumComponents: res.NumComponents,
 		}
+		if comps {
+			resp.ComponentSizes = res.VolumeSizes
+		}
+		body = resp
 	case accept == ctJSON:
 		resp := labelResponse{
 			Width: res.Width, Height: res.Height, NumComponents: res.NumComponents,
 			Density: res.Density, Phases: phasesJSONFrom(res.Phases),
 		}
-		if res.Components != nil {
-			resp.Components = make([]componentJSON, len(res.Components))
-			for i, c := range res.Components {
-				resp.Components[i] = componentJSON{
-					Label:    c.Label,
-					Area:     c.Area,
-					BBox:     [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY},
-					Centroid: [2]float64{c.CentroidX, c.CentroidY},
-				}
-			}
+		if comps {
+			resp.Components = componentsJSON(res.Components, false)
 		}
 		if res.Contours != nil {
 			resp.Contours = make([]contourJSON, len(res.Contours))

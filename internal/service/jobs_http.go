@@ -403,18 +403,12 @@ func (h *Handler) jobResult(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
-	comps, err := h.componentsParam(r.URL.Query())
+	comps, err := boolParam(r.URL.Query(), "components", true)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	if !comps {
-		// The stored result is shared; render a copy without the lists.
-		cp := *res
-		cp.Components, cp.VolumeSizes = nil, nil
-		res = &cp
-	}
-	writeResult(w, j.Kind, accept, res)
+	writeResult(w, j.Kind, accept, res, comps)
 }
 
 // jobDelete handles DELETE /v1/jobs/{id}: the job and its retained result

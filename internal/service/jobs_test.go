@@ -213,11 +213,11 @@ func TestJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || lr.NumComponents != 5 || len(lr.Components) != 5 {
 		t.Fatalf("result status %d, body %+v", resp.StatusCode, lr)
 	}
-	var area int
+	var area int64
 	for _, c := range lr.Components {
 		area += c.Area
 	}
-	if area != img.ForegroundCount() {
+	if area != int64(img.ForegroundCount()) {
 		t.Fatalf("component areas sum to %d, want %d", area, img.ForegroundCount())
 	}
 

@@ -394,23 +394,6 @@ func TestContoursHTTPDifferential(t *testing.T) {
 	})
 }
 
-// TestDeprecatedStatsAlias: ?stats= (renamed to ?components=) is honored
-// for one release — identical behavior, logged at warn.
-func TestDeprecatedStatsAlias(t *testing.T) {
-	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
-	for _, q := range []string{"?stats=false", "?components=false"} {
-		resp := post(t, srv.URL+"/v1/label"+q, ctPBM, ctJSON, pbmBody(t, testImage(t)))
-		var out labelResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if out.Components != nil {
-			t.Fatalf("%s still returned components", q)
-		}
-	}
-}
-
 // TestEngineGrayCancel: a gray labeling canceled mid-run returns the
 // context error and releases its (single) worker; the pooled gray buffers
 // must produce a correct labeling on the next call.

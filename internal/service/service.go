@@ -39,7 +39,8 @@
 //	                 same worker pool: arbitrarily tall images are labeled
 //	                 in O(band) memory and only JSON component statistics
 //	                 (area, bbox, centroid, run count) come back. Query
-//	                 parameters: level, band (band height in rows).
+//	                 parameters: level, band (band height in rows),
+//	                 components.
 //	POST /v1/volume  body = concatenated raw-PGM z-slices, labeled as one
 //	                 26-connected volume; JSON component summary.
 //	POST /v1/jobs    the same workloads as async jobs (see jobs_http.go).
@@ -50,6 +51,10 @@
 //	                 latency histograms (per-endpoint request duration,
 //	                 queue wait, job service time, per-phase durations)
 //	                 with approximate p50/p95/p99 gauges.
+//
+// Label and stats component lists render paremsp.Component through one
+// conversion; only stats lists report runs. components=false leaves the
+// per-component list out of every JSON body, job results included.
 //
 // # Observability
 //

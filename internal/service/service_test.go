@@ -117,11 +117,11 @@ func TestLabelJSONFromPBM(t *testing.T) {
 	if got.Phases == nil {
 		t.Fatal("phases missing for default (paremsp) algorithm")
 	}
-	var area int
+	var area int64
 	for _, c := range got.Components {
 		area += c.Area
 	}
-	if area != img.ForegroundCount() {
+	if area != int64(img.ForegroundCount()) {
 		t.Fatalf("component areas sum to %d, want %d", area, img.ForegroundCount())
 	}
 }
@@ -391,7 +391,7 @@ func TestMetricsPhaseTimings(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = uint8(i % 2)
 	}
-	resp := post(t, srv.URL+"/v1/label?stats=false", ctPBM, "", pbmBody(t, img))
+	resp := post(t, srv.URL+"/v1/label?components=false", ctPBM, "", pbmBody(t, img))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)

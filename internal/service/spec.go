@@ -72,8 +72,8 @@ func badParam(format string, args ...any) error {
 type requestSpec struct {
 	kind   jobs.Kind
 	params jobs.Params
-	// components is ?components= (include per-component statistics in JSON
-	// responses; default true).
+	// components is ?components= (include the per-component list in JSON
+	// responses: component statistics, or a volume's sizes; default true).
 	components bool
 }
 
@@ -152,7 +152,7 @@ func (h *Handler) parseSpec(r *http.Request) (requestSpec, error) {
 		}
 		p.BandRows = n
 	}
-	components, err := h.componentsParam(q)
+	components, err := boolParam(q, "components", true)
 	if err != nil {
 		return requestSpec{}, err
 	}
@@ -201,17 +201,6 @@ func (h *Handler) parseSpec(r *http.Request) (requestSpec, error) {
 		p.Mode = string(mode)
 	}
 	return requestSpec{kind: kind, params: p, components: components}, nil
-}
-
-// componentsParam reads ?components= (default true). The pre-rename
-// ?stats= is honored for one release and logged at warn.
-func (h *Handler) componentsParam(q url.Values) (bool, error) {
-	if q.Get("components") == "" && q.Get("stats") != "" {
-		// Renamed to ?components= (the response field it controls).
-		h.obs.log.Warn("deprecated query parameter", "param", "stats", "use", "components")
-		return boolParam(q, "stats", true)
-	}
-	return boolParam(q, "components", true)
 }
 
 // boolParam reads a boolean query parameter, def when absent.

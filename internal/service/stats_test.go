@@ -10,24 +10,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/band"
+	"repro/internal/jobs"
 	"repro/internal/pnm"
 )
 
 type statsBody struct {
-	Width         int     `json:"width"`
-	Height        int     `json:"height"`
-	NumComponents int     `json:"num_components"`
-	Density       float64 `json:"density"`
-	BandRows      int     `json:"band_rows"`
-	Components    []struct {
-		Label    int32      `json:"label"`
-		Area     int64      `json:"area"`
-		BBox     [4]int     `json:"bbox"`
-		Centroid [2]float64 `json:"centroid"`
-		Runs     int64      `json:"runs"`
-	} `json:"components"`
+	Width         int             `json:"width"`
+	Height        int             `json:"height"`
+	NumComponents int             `json:"num_components"`
+	Density       float64         `json:"density"`
+	BandRows      int             `json:"band_rows"`
+	Components    []componentJSON `json:"components"`
 }
 
 func TestStatsJSONFromPBM(t *testing.T) {
@@ -181,5 +177,62 @@ func TestServiceConcurrentLabelAndStats(t *testing.T) {
 	snap := eng.Snapshot()
 	if snap.Completed != clients*perClient {
 		t.Fatalf("engine completed %d requests, want %d", snap.Completed, clients*perClient)
+	}
+}
+
+// TestStatsComponentsParam: ?components=false leaves the component list out
+// of /v1/stats and of a stats job's result, as it does for labelings, and a
+// requested list is present even when the image has no component.
+func TestStatsComponentsParam(t *testing.T) {
+	_, _, srv := newJobsServer(t, Config{Workers: 1}, jobs.Options{TTL: time.Hour})
+	three := []byte("P4\n8 2\n\xc3\x18") // runs x=0-1 and x=6-7 on row 0, x=3-4 on row 1
+	blank := []byte("P4\n8 2\n\x00\x00")
+	fields := func(resp *http.Response) map[string]json.RawMessage {
+		t.Helper()
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		var out map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	jobResult := func(body []byte, query string) map[string]json.RawMessage {
+		t.Helper()
+		id := submitJobs(t, srv.URL+"/v1/jobs?kind=stats", ctPBM, body).Jobs[0].ID
+		pollJob(t, srv.URL, id, "done")
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + id + "/result" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fields(resp)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		q    string
+		n    string // num_components
+		want string // the components value; "" = the key is absent
+	}{
+		{"listed", three, "", "3", `[{"label":1,"area":2,"bbox":[0,0,1,0],"centroid":[0.5,0],"runs":1},` +
+			`{"label":2,"area":2,"bbox":[6,0,7,0],"centroid":[6.5,0],"runs":1},` +
+			`{"label":3,"area":2,"bbox":[3,1,4,1],"centroid":[3.5,1],"runs":1}]`},
+		{"omitted", three, "?components=false", "3", ""},
+		{"empty", blank, "", "0", "[]"},
+		{"empty-omitted", blank, "?components=false", "0", ""},
+	} {
+		sync := fields(post(t, srv.URL+"/v1/stats"+tc.q, ctPBM, "", tc.body))
+		async := jobResult(tc.body, tc.q)
+		for name, got := range map[string]map[string]json.RawMessage{"sync": sync, "job": async} {
+			list, ok := got["components"]
+			if string(list) != tc.want || ok != (tc.want != "") {
+				t.Errorf("%s/%s: components %s (present %v), want %q", tc.name, name, list, ok, tc.want)
+			}
+			if n := string(got["num_components"]); n != tc.n {
+				t.Errorf("%s/%s: num_components %s, want %s", tc.name, name, n, tc.n)
+			}
+		}
 	}
 }

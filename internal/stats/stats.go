@@ -16,16 +16,19 @@ type Label = binimg.Label
 
 // Component aggregates the per-component measurements downstream
 // applications consume (the paper's motivating uses: inspection, target
-// recognition, medical image analysis).
+// recognition, medical image analysis). It is the one per-component record:
+// Components builds it from a label map and the band labeler from a
+// streamed image, both by folding runs into an Acc.
 type Component struct {
 	Label     Label
-	Area      int // pixel count
-	MinX      int // bounding box
+	Area      int64 // pixel count
+	MinX      int   // bounding box
 	MinY      int
 	MaxX      int // inclusive
 	MaxY      int
 	CentroidX float64
 	CentroidY float64
+	Runs      int64 // maximal horizontal runs: row segments of the component
 }
 
 // Width returns the bounding-box width of the component.
@@ -40,48 +43,85 @@ func (c Component) BBoxArea() int { return c.Width() * c.Height() }
 // Extent returns Area / BBoxArea, a standard compactness measure in (0, 1].
 func (c Component) Extent() float64 { return float64(c.Area) / float64(c.BBoxArea()) }
 
+// Acc accumulates one component's statistics a run at a time, the
+// run-granular bookkeeping of run-based two-scan labeling (He, Chao and
+// Suzuki, IEEE TIP 2008). A run [s, e) of row y adds e-s pixels, the x sum
+// s+...+e-1 and the y sum y(e-s); the sums are exact integers, so the
+// centroids are the same float64 values whatever order the runs come in.
+type Acc struct {
+	area, sumX, sumY, runs int64
+	minX, minY, maxX, maxY int32
+}
+
+// NewAcc returns an empty accumulator for a w x h raster: zero area and
+// the inverted bounding box (w, h)-(-1, -1), which the first run replaces.
+func NewAcc(w, h int) Acc {
+	return Acc{minX: int32(w), minY: int32(h), maxX: -1, maxY: -1}
+}
+
+// AddRun adds the run [s, e) of row y.
+func (a *Acc) AddRun(y, s, e int) {
+	n := int64(e - s)
+	a.area += n
+	a.sumX += n * int64(s+e-1) / 2 // sum of s..e-1; n*(s+e-1) is always even
+	a.sumY += n * int64(y)
+	a.runs++
+	a.minX = min(a.minX, int32(s))
+	a.maxX = max(a.maxX, int32(e-1))
+	a.minY = min(a.minY, int32(y))
+	a.maxY = max(a.maxY, int32(y))
+}
+
+// Fold adds b's runs to a, as when two provisional components merge.
+func (a *Acc) Fold(b *Acc) {
+	a.area += b.area
+	a.sumX += b.sumX
+	a.sumY += b.sumY
+	a.runs += b.runs
+	a.minX = min(a.minX, b.minX)
+	a.maxX = max(a.maxX, b.maxX)
+	a.minY = min(a.minY, b.minY)
+	a.maxY = max(a.maxY, b.maxY)
+}
+
+// Component returns the accumulated statistics as the record of label; an
+// empty accumulator's centroid is (0, 0).
+func (a *Acc) Component(label Label) Component {
+	c := Component{Label: label, Area: a.area, Runs: a.runs,
+		MinX: int(a.minX), MinY: int(a.minY), MaxX: int(a.maxX), MaxY: int(a.maxY)}
+	if a.area > 0 {
+		c.CentroidX = float64(a.sumX) / float64(a.area)
+		c.CentroidY = float64(a.sumY) / float64(a.area)
+	}
+	return c
+}
+
 // Components computes per-component statistics from a label map whose labels
-// are consecutive 1..n (the postcondition of every labeler in this
-// repository). The result is indexed by label-1.
+// are 1..n (the postcondition of every labeler in this repository) in one
+// pass, folding each run of equal labels in a row into its label's Acc. The
+// result is indexed by label-1 and ends at the largest label present; a
+// label with no pixels keeps an empty Acc's record.
 func Components(lm *binimg.LabelMap) []Component {
-	n := int(lm.Max())
-	out := make([]Component, n)
-	for i := range out {
-		out[i] = Component{Label: Label(i + 1), MinX: lm.Width, MinY: lm.Height, MaxX: -1, MaxY: -1}
-	}
-	var sumX, sumY []int64
-	sumX = make([]int64, n)
-	sumY = make([]int64, n)
+	var accs []Acc
 	for y := 0; y < lm.Height; y++ {
-		row := y * lm.Width
-		for x := 0; x < lm.Width; x++ {
-			v := lm.L[row+x]
-			if v == 0 {
-				continue
+		row := lm.L[y*lm.Width : (y+1)*lm.Width]
+		for s := 0; s < len(row); {
+			v, e := row[s], s+1
+			for e < len(row) && row[e] == v {
+				e++
 			}
-			c := &out[v-1]
-			c.Area++
-			if x < c.MinX {
-				c.MinX = x
+			if v != 0 {
+				for len(accs) < int(v) {
+					accs = append(accs, NewAcc(lm.Width, lm.Height))
+				}
+				accs[v-1].AddRun(y, s, e)
 			}
-			if x > c.MaxX {
-				c.MaxX = x
-			}
-			if y < c.MinY {
-				c.MinY = y
-			}
-			if y > c.MaxY {
-				c.MaxY = y
-			}
-			sumX[v-1] += int64(x)
-			sumY[v-1] += int64(y)
+			s = e
 		}
 	}
-	for i := range out {
-		if out[i].Area > 0 {
-			out[i].CentroidX = float64(sumX[i]) / float64(out[i].Area)
-			out[i].CentroidY = float64(sumY[i]) / float64(out[i].Area)
-		}
+	out := make([]Component, len(accs))
+	for i := range accs {
+		out[i] = accs[i].Component(Label(i + 1))
 	}
 	return out
 }

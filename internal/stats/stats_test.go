@@ -53,11 +53,11 @@ func TestComponentsAreaSumsToForeground(t *testing.T) {
 	}
 	lm := &binimg.LabelMap{}
 	core.PAREMSP(context.Background(), img, lm, nil, core.Options{Threads: 1}) // AREMSP
-	total := 0
+	var total int64
 	for _, c := range stats.Components(lm) {
 		total += c.Area
 	}
-	if total != img.ForegroundCount() {
+	if total != int64(img.ForegroundCount()) {
 		t.Fatalf("areas sum to %d, want %d", total, img.ForegroundCount())
 	}
 }

@@ -1,12 +1,10 @@
-// Benchmarks regenerating the paper's evaluation (one benchmark family per
-// table/figure; see "Reproducing the paper" in README.md) plus the
-// design-choice ablations. The same image specs back cmd/paperbench, which
-// prints the tables in the paper's format; these benches expose the raw
-// numbers to `go test -bench` tooling.
-//
-// Bench images are built at benchScale of the paper's sizes so the default
-// sweep completes quickly; run cmd/paperbench with a larger -scale for
-// paper-sized measurements.
+// Benchmarks of the library's kernels and ingest paths for `go test
+// -bench`: the design-choice ablations (union-find and scan strategy on the
+// largest NLCD surrogate), buffer reuse, the bit-packed scans, PNM ingest
+// and the component fold. The paper's Tables II and IV and Figures 4 and 5
+// are not benchmarks here: cmd/paperbench -exp measures them through the
+// experiment grid (internal/experiments.RunGrid), whose rows are what a
+// BENCH_*.json report holds; see "Reproducing the paper" in README.md.
 package paremsp_test
 
 import (
@@ -30,28 +28,12 @@ import (
 	"repro/internal/vol3d"
 )
 
-const benchScale = 0.02
-
-var (
-	benchOnce    sync.Once
-	benchClasses map[string][]*binimg.Image
-	benchNLCD    []*binimg.Image
-)
-
-func benchImages() (map[string][]*binimg.Image, []*binimg.Image) {
-	benchOnce.Do(func() {
-		benchClasses = map[string][]*binimg.Image{}
-		for class, specs := range experiments.SmallClasses(benchScale) {
-			for _, spec := range specs {
-				benchClasses[class] = append(benchClasses[class], spec.Build())
-			}
-		}
-		for _, spec := range experiments.NLCDImages(benchScale) {
-			benchNLCD = append(benchNLCD, spec.Build())
-		}
-	})
-	return benchClasses, benchNLCD
-}
+// benchNLCD is the largest NLCD surrogate at 2% of the paper's size, the
+// image the ablations label.
+var benchNLCD = sync.OnceValue(func() *binimg.Image {
+	specs := experiments.NLCDImages(0.02)
+	return specs[len(specs)-1].Build()
+})
 
 // coreRun labels img into fresh buffers — the cost a one-shot caller pays —
 // and returns the phase times.
@@ -63,119 +45,12 @@ func coreRun(run func(context.Context, *binimg.Image, *binimg.LabelMap, *core.Sc
 // oneThread makes PAREMSP the sequential AREMSP and PBREMSP BREMSP.
 var oneThread = core.Options{Threads: 1}
 
-func pixels(imgs []*binimg.Image) int64 {
-	var n int64
-	for _, im := range imgs {
-		n += int64(len(im.Pix))
-	}
-	return n
-}
-
-// BenchmarkTable2 regenerates Table II: the four sequential algorithms over
-// each dataset class. Bytes/op-style throughput is reported as pixels/s via
-// b.SetBytes (one pixel = one byte).
-func BenchmarkTable2(b *testing.B) {
-	classes, nlcd := benchImages()
-	all := map[string][]*binimg.Image{
-		"Aerial": classes["Aerial"], "Texture": classes["Texture"],
-		"Misc": classes["Misc"], "NLCD": nlcd,
-	}
-	for _, class := range experiments.ClassOrder {
-		imgs := all[class]
-		for _, alg := range experiments.SequentialAlgs {
-			b.Run(fmt.Sprintf("%s/%s", class, alg.Name), func(b *testing.B) {
-				b.SetBytes(pixels(imgs))
-				for i := 0; i < b.N; i++ {
-					for _, img := range imgs {
-						alg.Run(img)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table IV: PAREMSP over each class at the
-// paper's thread counts.
-func BenchmarkTable4(b *testing.B) {
-	classes, nlcd := benchImages()
-	all := map[string][]*binimg.Image{
-		"Aerial": classes["Aerial"], "Texture": classes["Texture"],
-		"Misc": classes["Misc"], "NLCD": nlcd,
-	}
-	for _, class := range experiments.ClassOrder {
-		imgs := all[class]
-		for _, threads := range experiments.Table4Threads {
-			b.Run(fmt.Sprintf("%s/threads=%d", class, threads), func(b *testing.B) {
-				b.SetBytes(pixels(imgs))
-				for i := 0; i < b.N; i++ {
-					for _, img := range imgs {
-						coreRun(core.PAREMSP, img, core.Options{Threads: threads})
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates Figure 4's underlying measurements: PAREMSP on
-// the small classes across the figure's thread axis (speedup = the
-// threads=0(seq) time divided by the threads=N time).
-func BenchmarkFig4(b *testing.B) {
-	classes, _ := benchImages()
-	for _, class := range []string{"Aerial", "Misc", "Texture"} {
-		imgs := classes[class]
-		b.Run(fmt.Sprintf("%s/sequential", class), func(b *testing.B) {
-			b.SetBytes(pixels(imgs))
-			for i := 0; i < b.N; i++ {
-				for _, img := range imgs {
-					coreRun(core.PAREMSP, img, oneThread)
-				}
-			}
-		})
-		for _, threads := range experiments.Fig4Threads {
-			b.Run(fmt.Sprintf("%s/threads=%d", class, threads), func(b *testing.B) {
-				b.SetBytes(pixels(imgs))
-				for i := 0; i < b.N; i++ {
-					for _, img := range imgs {
-						coreRun(core.PAREMSP, img, core.Options{Threads: threads})
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5's underlying measurements: per NLCD
-// image and thread count, the local (scan) and local+merge phase times are
-// reported as custom metrics alongside the full run time.
-func BenchmarkFig5(b *testing.B) {
-	_, nlcd := benchImages()
-	for i, img := range nlcd {
-		name := fmt.Sprintf("image_%d_%.0fMB", i+1, experiments.NLCDSizesMB[i])
-		for _, threads := range []int{1, 2, 6, 16, 24} {
-			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
-				b.SetBytes(int64(len(img.Pix)))
-				var scanNs, mergeNs float64
-				for i := 0; i < b.N; i++ {
-					times := coreRun(core.PAREMSP, img, core.Options{Threads: threads})
-					scanNs += float64(times.Scan.Nanoseconds())
-					mergeNs += float64(times.Merge.Nanoseconds())
-				}
-				b.ReportMetric(scanNs/float64(b.N), "local-ns/op")
-				b.ReportMetric((scanNs+mergeNs)/float64(b.N), "local+merge-ns/op")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationUnionFind holds the scan strategy fixed (pair-row) and
 // varies the equivalence machinery: REMSP (the paper's choice) vs
 // link-by-rank+PC vs the He rtable — isolating the union-find contribution
 // claimed in Table II.
 func BenchmarkAblationUnionFind(b *testing.B) {
-	_, nlcd := benchImages()
-	img := nlcd[len(nlcd)-1]
+	img := benchNLCD()
 	b.Run("pairscan/remsp", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {
@@ -208,8 +83,7 @@ func BenchmarkAblationUnionFind(b *testing.B) {
 // scan strategy: pair-row (AREMSP) vs decision tree (CCLREMSP) vs the
 // classic all-neighbor scan — isolating the scan contribution.
 func BenchmarkAblationScan(b *testing.B) {
-	_, nlcd := benchImages()
-	img := nlcd[len(nlcd)-1]
+	img := benchNLCD()
 	b.Run("pairscan", func(b *testing.B) {
 		b.SetBytes(int64(len(img.Pix)))
 		for i := 0; i < b.N; i++ {

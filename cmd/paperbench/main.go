@@ -10,17 +10,29 @@
 //	           [-scale 0.02] [-repeats 3] [-warmup 1]
 //	paperbench -json report.json [-scale 0.05]
 //	paperbench -grid experiments.json [-tag pr7] [-json BENCH_pr7.json]
-//	paperbench [-grid ...] -diff BENCH_seed.json [-regress 0.25]
-//	           [-regress-policy perf_policy.json]
+//	paperbench [-grid ...] -diff BENCH_seed.json [-regress-policy perf_policy.json]
 //	paperbench -analyze BENCH_pr7.json [-baseline BENCH_seed.json] [-out dir]
+//
+// -exp prints the tables and figures. Each timed one (Tables II and IV,
+// Figures 4 and 5) runs its own grid through the same runner as -grid, so
+// GOMAXPROCS is pinned to each thread count as in every grid row. A grid
+// cell times every image separately in every repeat: Tables II and IV
+// report the min/average/max over a class's images of each image's median
+// time, Figure 4 the ratio of the ARemSP and PAREMSP rows' median repeats,
+// and Figure 5 each NLCD image's median scan (local) and median scan plus
+// median merge (local + merge) time against its one-thread value.
+// Per-image medians replace the per-image means the tables used before and
+// the best of the repeats Figure 5 used.
 //
 // -json skips the tables and instead writes a machine-readable benchmark
 // report (per-algorithm ns/op as the median repeat, allocs/op, bytes/op per
-// dataset class, raw per-repeat samples, and environment metadata: go
-// version, GOMAXPROCS, CPU count, git revision). Without -grid it runs the
-// grid's library-default thread point: every algorithm over every dataset
-// class, the configurations of BENCH_seed.json, which is such a report at
-// -scale 0.05. BENCH_pr7.json is the current grid baseline.
+// dataset class, raw per-repeat samples, per-image medians with the
+// per-phase scan_ns/merge_ns/flatten_ns/relabel_ns of PAREMSP and PBREMSP,
+// and environment metadata: go version, GOMAXPROCS, CPU count, git
+// revision). Without -grid it runs the grid's library-default thread
+// point: every algorithm over every dataset class, the configurations of
+// BENCH_seed.json, which is such a report at -scale 0.05. BENCH_pr7.json is
+// the current grid baseline.
 //
 // -grid runs the experiment grid declared in a config file (see
 // experiments.json: algorithms x dataset classes x GOMAXPROCS values x
@@ -32,10 +44,11 @@
 //
 // -diff runs the benchmark (-grid or the default point) and compares ns/op
 // per configuration against a baseline report, exiting 3 on regressions
-// beyond tolerance. -regress sets the default tolerance; -regress-policy
-// points at a JSON policy with per-benchmark overrides and an allowlist
-// for accepted regressions. Configurations present on only one side are
-// reported as added/removed, never as errors.
+// beyond tolerance. -regress-policy points at a JSON policy with the
+// default tolerance, per-benchmark overrides and an allowlist for accepted
+// regressions; without one every configuration is held to +25%.
+// Configurations present on only one side are reported as added/removed,
+// never as errors.
 //
 // -analyze digests a report offline: per-configuration medians with 95%
 // confidence intervals, speedup-vs-threads curves (against both the

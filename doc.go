@@ -268,9 +268,15 @@
 // surrogates of the paper's datasets: Tables II-IV and Figures 3-5
 // directly (-exp), or the declarative experiment grid in experiments.json
 // (-grid: algorithms x dataset classes x GOMAXPROCS values x repeats),
-// which emits a self-describing JSON report with raw per-repeat samples
-// and environment metadata; -json without -grid runs every algorithm and
-// class at the library-default thread point, BENCH_seed.json's rows.
+// which emits a self-describing JSON report with raw per-repeat samples,
+// per-image medians (with PAREMSP's and PBREMSP's per-phase scan_ns,
+// merge_ns, flatten_ns and relabel_ns) and environment metadata; -json
+// without -grid runs every algorithm and class at the library-default
+// thread point, BENCH_seed.json's rows. Every timed -exp table and figure
+// is rendered from such a grid's report, so -exp pins GOMAXPROCS per
+// thread count as every grid row does, and Tables II and IV and Figure 5
+// read per-image medians where they used per-image means and the best of
+// the repeats before.
 // paperbench -analyze digests such a report into per-configuration medians
 // with 95% confidence intervals, speedup-vs-threads curves against the
 // best sequential baseline, and parallel-efficiency tables — the repo's

@@ -607,13 +607,18 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
+// defaultTolerance is the ns/op regression tolerance of -diff for every
+// configuration a -regress-policy file does not set (0.25 = fail beyond
+// +25%).
+const defaultTolerance = 0.25
+
 // reportDiff prints the outcome of a regression diff and returns the
 // process exit code: 0 clean, 3 on gating regressions, 1 when nothing was
 // comparable. Configurations present on only one side are reported, not
 // errors — benchmark grids evolve between PRs, and the gate compares the
 // intersection.
-func reportDiff(stdout, stderr io.Writer, base, cur *experiments.BenchReport, basePath string, tolerance float64, policy *experiments.Policy) int {
-	d := experiments.DiffReports(base, cur, tolerance, policy)
+func reportDiff(stdout, stderr io.Writer, base, cur *experiments.BenchReport, basePath string, policy *experiments.Policy) int {
+	d := experiments.DiffReports(base, cur, defaultTolerance, policy)
 	if len(d.Added) > 0 {
 		fmt.Fprintf(stdout, "paperbench: %d configuration(s) not in %s (new or rescaled, not compared):\n", len(d.Added), basePath)
 		for _, k := range d.Added {
@@ -649,14 +654,15 @@ func reportDiff(stdout, stderr io.Writer, base, cur *experiments.BenchReport, ba
 	return 3
 }
 
-// readReportFile loads a BenchReport from disk.
-func readReportFile(path string) (*experiments.BenchReport, error) {
+// readFile opens path and decodes it with read: a benchmark report, a
+// grid config or a regression policy.
+func readFile[T any](path string, read func(io.Reader) (*T, error)) (*T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return experiments.ReadBenchReport(f)
+	return read(f)
 }
 
 // writeFile creates path, writes it with render and closes it. It returns
@@ -688,7 +694,7 @@ func gitRev() string {
 // paperBenchAnalyze implements the -analyze mode: digest a report into
 // markdown + CSV tables, optionally with a trajectory against -baseline.
 func paperBenchAnalyze(path, basePath, outDir string, stdout, stderr io.Writer) int {
-	rep, err := readReportFile(path)
+	rep, err := readFile(path, experiments.ReadBenchReport)
 	if err != nil {
 		fmt.Fprintln(stderr, "paperbench:", err)
 		return 1
@@ -696,7 +702,7 @@ func paperBenchAnalyze(path, basePath, outDir string, stdout, stderr io.Writer) 
 	analysis := experiments.Analyze(rep)
 	var baseline *experiments.Analysis
 	if basePath != "" {
-		base, err := readReportFile(basePath)
+		base, err := readFile(basePath, experiments.ReadBenchReport)
 		if err != nil {
 			fmt.Fprintln(stderr, "paperbench:", err)
 			return 1
@@ -743,8 +749,7 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 	gridPath := fs.String("grid", "", "run the experiment grid in this config file (e.g. experiments.json) instead of every algorithm at the library-default thread count; combines with -json and -diff")
 	tag := fs.String("tag", "", "tag recorded in the report (default: the -grid config's tag)")
 	diffPath := fs.String("diff", "", "run the benchmark (default point or -grid) and compare it against this baseline report (e.g. BENCH_seed.json); exit 3 on regressions beyond tolerance")
-	regress := fs.Float64("regress", 0.25, "default ns/op regression tolerance for -diff (0.25 = fail beyond +25%)")
-	policyPath := fs.String("regress-policy", "", "per-benchmark tolerance + allowlist policy file for -diff (e.g. perf_policy.json)")
+	policyPath := fs.String("regress-policy", "", "per-benchmark tolerance + allowlist policy file for -diff (e.g. perf_policy.json); without one every configuration is held to +25%")
 	analyzePath := fs.String("analyze", "", "analyze this benchmark report (medians/CIs, scaling curves, efficiency) instead of running anything")
 	basePath := fs.String("baseline", "", "with -analyze: add a trajectory section diffing against this report")
 	outDir := fs.String("out", "", "with -analyze: write analysis.md, configs.csv and scaling.csv into this directory (default: markdown to stdout)")
@@ -765,28 +770,20 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "paperbench: -warmup must be >= 0")
 		return 2
 	}
-	if *regress <= 0 {
-		fmt.Fprintln(stderr, "paperbench: -regress must be positive")
-		return 2
-	}
 
 	if *analyzePath != "" {
 		return paperBenchAnalyze(*analyzePath, *basePath, *outDir, stdout, stderr)
 	}
 
+	sweep := experiments.GridConfig{Scale: *scale, Repeats: *repeats, Warmup: *warmup}
 	if *jsonOut != "" || *diffPath != "" || *gridPath != "" {
 		// Without -grid the report is the grid's library-default thread
 		// point over every algorithm and class: the rows BENCH_seed.json
 		// holds.
-		gridCfg := &experiments.GridConfig{Scale: *scale, Repeats: *repeats, Warmup: *warmup}
+		gridCfg := &sweep
 		if *gridPath != "" {
-			f, err := os.Open(*gridPath)
-			if err != nil {
-				fmt.Fprintln(stderr, "paperbench:", err)
-				return 1
-			}
-			gridCfg, err = experiments.ReadGridConfig(f)
-			f.Close()
+			var err error
+			gridCfg, err = readFile(*gridPath, experiments.ReadGridConfig)
 			if err != nil {
 				fmt.Fprintln(stderr, "paperbench:", err)
 				return 1
@@ -826,56 +823,45 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *diffPath != "" {
-			base, err := readReportFile(*diffPath)
+			base, err := readFile(*diffPath, experiments.ReadBenchReport)
 			if err != nil {
 				fmt.Fprintln(stderr, "paperbench:", err)
 				return 1
 			}
 			var policy *experiments.Policy
 			if *policyPath != "" {
-				pf, err := os.Open(*policyPath)
-				if err != nil {
-					fmt.Fprintln(stderr, "paperbench:", err)
-					return 1
-				}
-				policy, err = experiments.ReadPolicy(pf)
-				pf.Close()
+				policy, err = readFile(*policyPath, experiments.ReadPolicy)
 				if err != nil {
 					fmt.Fprintln(stderr, "paperbench:", err)
 					return 1
 				}
 			}
-			return reportDiff(stdout, stderr, base, report, *diffPath, *regress, policy)
+			return reportDiff(stdout, stderr, base, report, *diffPath, policy)
 		}
 		return 0
 	}
 
-	cfg := experiments.Config{Scale: *scale, Repeats: *repeats, Warmup: *warmup}
-	runners := map[string]func(){
-		"table2": func() { experiments.Table2(stdout, cfg) },
-		"table3": func() { experiments.Table3(stdout, cfg) },
-		"table4": func() { experiments.Table4(stdout, cfg) },
-		"fig3":   func() { experiments.Fig3(stdout, cfg) },
-		"fig4":   func() { experiments.Fig4(stdout, cfg) },
-		"fig5":   func() { experiments.Fig5(stdout, cfg) },
-	}
-	order := []string{"fig3", "table2", "table3", "table4", "fig4", "fig5"}
-
-	if *exp == "all" {
-		for i, name := range order {
-			if i > 0 {
-				fmt.Fprintln(stdout)
-			}
-			runners[name]()
+	// Each timed experiment runs its own grid, so its thread counts pin
+	// GOMAXPROCS as every grid row does.
+	name := strings.ToLower(*exp)
+	var names []string
+	var run []experiments.Experiment
+	for _, e := range experiments.Experiments {
+		names = append(names, e.Name)
+		if name == "all" || name == e.Name {
+			run = append(run, e)
 		}
-		return 0
 	}
-	run, ok := runners[strings.ToLower(*exp)]
-	if !ok {
+	if len(run) == 0 {
 		fmt.Fprintf(stderr, "paperbench: unknown experiment %q (want all, %s)\n",
-			*exp, strings.Join(order, ", "))
+			*exp, strings.Join(names, ", "))
 		return 2
 	}
-	run()
+	for i, e := range run {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		e.Render(stdout, e.Measure(sweep))
+	}
 	return 0
 }

@@ -14,9 +14,26 @@ type BenchResult struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	// SampleNs holds the per-repeat wall times behind NsPerOp, the median
-	// repeat; the analyzer derives medians and confidence intervals from
-	// it. BENCH_seed.json predates it and has none.
+	// repeat; each is the sum of that repeat's per-image times. The
+	// analyzer derives medians and confidence intervals from it.
+	// BENCH_seed.json predates it and has none.
 	SampleNs []int64 `json:"sample_ns,omitempty"`
+	// Images holds each image's medians over the repeats, in the class's
+	// image order; the paper's tables and figures are rendered from them.
+	// Reports recorded before it have none.
+	Images []ImageResult `json:"images,omitempty"`
+}
+
+// ImageResult is one image's median time over a grid row's repeats and,
+// for the kernels that time their phases (PAREMSP and PBREMSP), the median
+// of each phase under the names the service's phases JSON uses.
+type ImageResult struct {
+	Name      string `json:"name"`
+	NsPerOp   int64  `json:"ns_per_op"`
+	ScanNs    int64  `json:"scan_ns,omitempty"`
+	MergeNs   int64  `json:"merge_ns,omitempty"`
+	FlattenNs int64  `json:"flatten_ns,omitempty"`
+	RelabelNs int64  `json:"relabel_ns,omitempty"`
 }
 
 // BenchReport is the envelope cmd/paperbench -json writes. BENCH_seed.json
@@ -36,4 +53,15 @@ type BenchReport struct {
 	GOARCH     string        `json:"goarch,omitempty"`
 	GitRev     string        `json:"git_rev,omitempty"`
 	Results    []BenchResult `json:"results"`
+}
+
+// row returns the report's row for key, or nil when it has none.
+func (rep *BenchReport) row(key ConfigKey) *BenchResult {
+	for i := range rep.Results {
+		r := &rep.Results[i]
+		if r.Algorithm == key.Algorithm && r.Class == key.Class && r.Threads == key.Threads {
+			return r
+		}
+	}
+	return nil
 }

@@ -1,8 +1,9 @@
-// Package experiments defines the paper's evaluation workloads and the
-// runners that regenerate every table and figure of the evaluation section
-// (Tables II-IV, Figures 3-5). cmd/paperbench is a thin CLI over this
-// package, and the repository-root benchmarks reuse the same image specs so
-// `go test -bench` and the CLI measure identical workloads.
+// Package experiments defines the paper's evaluation workloads and
+// regenerates every table and figure of the evaluation section (Tables
+// II-IV, Figures 3-5). cmd/paperbench is a thin CLI over this package.
+// RunGrid is the one timing loop: each timed table or figure is a
+// GridConfig it measures plus a renderer that prints the resulting
+// BenchReport, so every number printed is backed by a report row.
 //
 // Dataset substitution: the USC-SIPI classes and the NLCD rasters are
 // regenerated synthetically at the same binarized-image regimes.
@@ -13,16 +14,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
 	paremsp "repro"
-	"repro/internal/baseline"
 	"repro/internal/binimg"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/harness"
 )
@@ -82,18 +80,11 @@ func NLCDImages(scale float64) []ImageSpec {
 			Class:  "NLCD",
 			SizeMB: sizeMB,
 			Build: func() *binimg.Image {
-				return dataset.LandCover(w, h, maxInt(32, w/64), 0.5, seed)
+				return dataset.LandCover(w, h, max(32, w/64), 0.5, seed)
 			},
 		}
 	}
 	return specs
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ClassOrder is the row order of Tables II and IV.
@@ -106,83 +97,73 @@ func AllClasses(scale float64) map[string][]ImageSpec {
 	return classes
 }
 
-// label adapts a library algorithm to the (image, threads) -> (labels, n)
-// shape the runners time; the sequential algorithms ignore threads.
-func label(alg paremsp.Algorithm) func(*binimg.Image, int) (*binimg.LabelMap, int) {
-	return func(img *binimg.Image, threads int) (*binimg.LabelMap, int) {
-		res, err := paremsp.Label(img, paremsp.Options{Algorithm: alg, Threads: threads})
-		if err != nil {
-			panic(err) // every algorithm labels every binary image at 8-connectivity
-		}
-		return res.Labels, res.NumComponents
+// DefaultConfig is a laptop-friendly sweep (NLCD largest ≈ 9.3 MB): the
+// scale, repeats and warmup paperbench runs the experiments at unless
+// flags say otherwise.
+var DefaultConfig = GridConfig{Scale: 0.02, Repeats: 3, Warmup: 1}
+
+// Experiment is one table or figure of the paper's evaluation section. A
+// timed one declares the grid that measures it, and Render prints it from
+// that grid's report; Table III and Figure 3 time nothing (Grid is nil) and
+// render from the report's scale alone.
+type Experiment struct {
+	Name   string
+	Grid   *GridConfig // the axes; Measure supplies scale, repeats and warmup
+	Render func(w io.Writer, rep *BenchReport)
+}
+
+// Experiments lists the paper's experiments in the order paperbench
+// -exp all prints them.
+var Experiments = []Experiment{
+	{"fig3", nil, func(w io.Writer, rep *BenchReport) { Fig3(w, rep.Scale) }},
+	{"table2", &GridConfig{Algorithms: Table2Algs}, Table2},
+	{"table3", nil, func(w io.Writer, rep *BenchReport) { Table3(w, rep.Scale) }},
+	{"table4", &GridConfig{Algorithms: []string{"PAREMSP"}, GOMAXPROCS: Table4Threads}, Table4},
+	{"fig4", &GridConfig{Algorithms: []string{"ARemSP", "PAREMSP"}, Classes: Fig4Classes, GOMAXPROCS: Fig4Threads}, Fig4},
+	{"fig5", &GridConfig{Algorithms: []string{"PAREMSP"}, Classes: []string{"NLCD"}, GOMAXPROCS: Fig5Threads}, Fig5},
+}
+
+// Measure runs the experiment's grid at base's scale, repeats and warmup.
+func (e Experiment) Measure(base GridConfig) *BenchReport {
+	if e.Grid == nil {
+		return &BenchReport{Scale: base.Scale}
 	}
+	cfg := *e.Grid
+	cfg.Scale, cfg.Repeats, cfg.Warmup = base.Scale, base.Repeats, base.Warmup
+	return RunGrid(&cfg, GridMeta{})
 }
 
-// sequential is label for the one-thread signature of Table II.
-func sequential(alg paremsp.Algorithm) func(*binimg.Image) (*binimg.LabelMap, int) {
-	run := label(alg)
-	return func(img *binimg.Image) (*binimg.LabelMap, int) { return run(img, 1) }
+// Table2Algs is the column order of Table II.
+var Table2Algs = []string{"CCLLRPC", "CCLRemSP", "ARun", "ARemSP"}
+
+// Table2 renders Table II from its grid's report: per dataset class, the
+// min/average/max over the class's images of each image's median
+// execution time (ms) under the four sequential algorithms.
+func Table2(w io.Writer, rep *BenchReport) {
+	timesTable(w, rep, "Table II: sequential execution times", Table2Algs,
+		func(class string, col int) ConfigKey { return ConfigKey{Table2Algs[col], class, 0} })
 }
 
-var (
-	runAREMSP   = sequential(paremsp.AlgAREMSP)
-	runCCLREMSP = sequential(paremsp.AlgCCLREMSP)
-	runPAREMSP  = label(paremsp.AlgPAREMSP)
-)
-
-// SequentialAlgs is the column order of Table II.
-var SequentialAlgs = []struct {
-	Name string
-	Run  func(*binimg.Image) (*binimg.LabelMap, int)
-}{
-	{"CCLLRPC", baseline.CCLLRPC},
-	{"CCLRemSP", runCCLREMSP},
-	{"ARun", baseline.ARUN},
-	{"ARemSP", runAREMSP},
-}
-
-// Config bundles the sweep parameters shared by the runners.
-type Config struct {
-	Scale   float64 // image-size scale factor (1.0 = the paper's sizes)
-	Repeats int     // timed repetitions per image
-	Warmup  int     // untimed warmup runs per image
-}
-
-// DefaultConfig is a laptop-friendly sweep (NLCD largest ≈ 9.3 MB).
-var DefaultConfig = Config{Scale: 0.02, Repeats: 3, Warmup: 1}
-
-// Table2 regenerates Table II: min/average/max execution time (ms) of the
-// four sequential algorithms over each dataset class.
-func Table2(w io.Writer, cfg Config) {
-	fmt.Fprintf(w, "Table II: sequential execution times [msec] (scale %.3g, %s)\n",
-		cfg.Scale, harness.EnvBanner())
-	tbl := harness.NewTable("Image type", "Stat", "CCLLRPC", "CCLRemSP", "ARun", "ARemSP")
-	classes := AllClasses(cfg.Scale)
+// timesTable renders a table of Table II's shape. Each class in ClassOrder
+// gets Min, Average and Max rows: in each column, the minimum, mean and
+// maximum of the per-image median times (ms) of the report row that key
+// names for the class and column.
+func timesTable(w io.Writer, rep *BenchReport, title string, cols []string, key func(class string, col int) ConfigKey) {
+	fmt.Fprintf(w, "%s [msec] (scale %.3g, %s)\n", title, rep.Scale, harness.EnvBanner())
+	tbl := harness.NewTable(append([]string{"Image type", "Stat"}, cols...)...)
 	for _, class := range ClassOrder {
-		stats := make([]harness.MinAvgMax, len(SequentialAlgs))
-		for a, alg := range SequentialAlgs {
-			var samples []harness.Sample
-			for _, spec := range classes[class] {
-				img := spec.Build()
-				samples = append(samples, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					alg.Run(img)
-				}))
+		rows := [3][]string{{class, "Min"}, {class, "Average"}, {class, "Max"}}
+		for col := range cols {
+			images := rep.row(key(class, col)).Images
+			lo, sum, hi := images[0].NsPerOp, int64(0), images[0].NsPerOp
+			for _, im := range images {
+				lo, sum, hi = min(lo, im.NsPerOp), sum+im.NsPerOp, max(hi, im.NsPerOp)
 			}
-			stats[a] = harness.Aggregate(samples)
-		}
-		rows := []struct {
-			stat string
-			get  func(harness.MinAvgMax) time.Duration
-		}{
-			{"Min", func(s harness.MinAvgMax) time.Duration { return s.Min }},
-			{"Average", func(s harness.MinAvgMax) time.Duration { return s.Avg }},
-			{"Max", func(s harness.MinAvgMax) time.Duration { return s.Max }},
-		}
-		for _, r := range rows {
-			cells := []string{class, r.stat}
-			for _, s := range stats {
-				cells = append(cells, harness.Msec(r.get(s)))
+			for s, ns := range []int64{lo, sum / int64(len(images)), hi} {
+				rows[s] = append(rows[s], harness.Msec(time.Duration(ns)))
 			}
+		}
+		for _, cells := range rows {
 			tbl.AddRow(cells...)
 		}
 	}
@@ -191,10 +172,10 @@ func Table2(w io.Writer, cfg Config) {
 
 // Table3 regenerates Table III: the NLCD image inventory with nominal and
 // scaled sizes.
-func Table3(w io.Writer, cfg Config) {
-	fmt.Fprintf(w, "Table III: NLCD images and their sizes [MB] (scale %.3g)\n", cfg.Scale)
+func Table3(w io.Writer, scale float64) {
+	fmt.Fprintf(w, "Table III: NLCD images and their sizes [MB] (scale %.3g)\n", scale)
 	tbl := harness.NewTable("Image name", "Paper size", "Scaled size", "Pixels")
-	for _, spec := range NLCDImages(cfg.Scale) {
+	for _, spec := range NLCDImages(scale) {
 		img := spec.Build()
 		tbl.AddRow(spec.Name,
 			fmt.Sprintf("%.2f", spec.SizeMB),
@@ -207,91 +188,48 @@ func Table3(w io.Writer, cfg Config) {
 // Table4Threads is the thread-count column set of Table IV.
 var Table4Threads = []int{2, 6, 16, 24}
 
-// Table4 regenerates Table IV: min/average/max PAREMSP execution time (ms)
-// per dataset class for each thread count.
-func Table4(w io.Writer, cfg Config) {
-	fmt.Fprintf(w, "Table IV: PAREMSP execution times [msec] (scale %.3g, %s)\n",
-		cfg.Scale, harness.EnvBanner())
-	header := []string{"Image type", "Stat"}
-	for _, th := range Table4Threads {
-		header = append(header, fmt.Sprintf("%d", th))
+// Table4 renders Table IV from its grid's report: per dataset class, the
+// min/average/max over the class's images of each image's median PAREMSP
+// execution time (ms) at each thread count.
+func Table4(w io.Writer, rep *BenchReport) {
+	cols := make([]string, len(Table4Threads))
+	for i, th := range Table4Threads {
+		cols[i] = fmt.Sprintf("%d", th)
 	}
-	tbl := harness.NewTable(header...)
-	classes := AllClasses(cfg.Scale)
-	for _, class := range ClassOrder {
-		stats := make([]harness.MinAvgMax, len(Table4Threads))
-		for ti, th := range Table4Threads {
-			var samples []harness.Sample
-			for _, spec := range classes[class] {
-				img := spec.Build()
-				samples = append(samples, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					runPAREMSP(img, th)
-				}))
-			}
-			stats[ti] = harness.Aggregate(samples)
-		}
-		for _, r := range []struct {
-			stat string
-			get  func(harness.MinAvgMax) time.Duration
-		}{
-			{"Min", func(s harness.MinAvgMax) time.Duration { return s.Min }},
-			{"Average", func(s harness.MinAvgMax) time.Duration { return s.Avg }},
-			{"Max", func(s harness.MinAvgMax) time.Duration { return s.Max }},
-		} {
-			cells := []string{class, r.stat}
-			for _, s := range stats {
-				cells = append(cells, harness.Msec(r.get(s)))
-			}
-			tbl.AddRow(cells...)
-		}
-	}
-	tbl.Render(w)
+	timesTable(w, rep, "Table IV: PAREMSP execution times", cols,
+		func(class string, col int) ConfigKey { return ConfigKey{"PAREMSP", class, Table4Threads[col]} })
 }
 
 // Fig4Threads is the x-axis of Figure 4.
 var Fig4Threads = []int{2, 6, 8, 16, 24}
 
-// Fig4 regenerates Figure 4: PAREMSP speedup (vs sequential AREMSP) for the
-// three small-image classes, averaged per class, at each thread count.
-func Fig4(w io.Writer, cfg Config) {
+// Fig4Classes is the series order of Figure 4: the three small classes.
+var Fig4Classes = []string{"Aerial", "Misc", "Texture"}
+
+// Fig4 renders Figure 4 from its grid's report: per small class, PAREMSP's
+// speedup over sequential AREMSP at each thread count, the ratio of the
+// two rows' median repeats (Analysis.ScalingCurves).
+func Fig4(w io.Writer, rep *BenchReport) {
 	fmt.Fprintf(w, "Figure 4: speedup vs threads, small classes (scale %.3g, %s)\n",
-		cfg.Scale, harness.EnvBanner())
+		rep.Scale, harness.EnvBanner())
 	header := []string{"Class"}
 	for _, th := range Fig4Threads {
 		header = append(header, fmt.Sprintf("T=%d", th))
 	}
 	tbl := harness.NewTable(header...)
-	xt := make([]float64, len(Fig4Threads))
-	for i, th := range Fig4Threads {
-		xt[i] = float64(th)
+	chart := harness.NewChart("", "threads", "speedup vs sequential AREMSP", ticks(Fig4Threads))
+	curves := map[string]ScalingCurve{}
+	for _, c := range Analyze(rep).ScalingCurves() {
+		if c.Algorithm == "PAREMSP" {
+			curves[c.Class] = c
+		}
 	}
-	chart := harness.NewChart("", "threads", "speedup vs sequential AREMSP", xt)
-	for _, class := range []string{"Aerial", "Misc", "Texture"} {
-		specs := SmallClasses(cfg.Scale)[class]
+	for _, class := range Fig4Classes {
 		cells := []string{class}
 		var series []float64
-		// Per-class mean sequential time.
-		var seq []harness.Sample
-		imgs := make([]*binimg.Image, len(specs))
-		for i, spec := range specs {
-			imgs[i] = spec.Build()
-			seq = append(seq, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-				runAREMSP(imgs[i])
-			}))
-		}
-		seqAvg := harness.Aggregate(seq).Avg
-		for _, th := range Fig4Threads {
-			var par []harness.Sample
-			for _, img := range imgs {
-				img := img
-				par = append(par, harness.Measure(cfg.Repeats, cfg.Warmup, func() {
-					runPAREMSP(img, th)
-				}))
-			}
-			parAvg := harness.Aggregate(par).Avg
-			sp := harness.Speedup(seqAvg, parAvg)
-			series = append(series, sp)
-			cells = append(cells, fmt.Sprintf("%.2f", sp))
+		for _, p := range curves[class].Points {
+			series = append(series, p.SpeedupVsSeq)
+			cells = append(cells, fmt.Sprintf("%.2f", p.SpeedupVsSeq))
 		}
 		tbl.AddRow(cells...)
 		chart.AddSeries(class, series)
@@ -304,69 +242,70 @@ func Fig4(w io.Writer, cfg Config) {
 // Fig5Threads is the x-axis of Figure 5.
 var Fig5Threads = []int{1, 2, 4, 6, 8, 12, 16, 20, 24}
 
-// Fig5 regenerates Figure 5: per NLCD image, the speedup of PAREMSP's local
-// phase (5a) and local+merge (5b) relative to the one-thread run of the same
-// phases, at each thread count.
-func Fig5(w io.Writer, cfg Config) {
+// Fig5 renders Figure 5 from its grid's report: per NLCD image, the
+// speedup of PAREMSP's local phase (5a, the median scan time) and of
+// local+merge (5b, the median scan plus the median merge time) at each
+// thread count, relative to the same quantity at one thread.
+func Fig5(w io.Writer, rep *BenchReport) {
 	fmt.Fprintf(w, "Figure 5: NLCD speedup vs threads (scale %.3g, %s)\n",
-		cfg.Scale, harness.EnvBanner())
+		rep.Scale, harness.EnvBanner())
 	header := []string{"Image", "Size MB", "Phase"}
 	for _, th := range Fig5Threads {
 		header = append(header, fmt.Sprintf("T=%d", th))
 	}
 	tbl := harness.NewTable(header...)
-	xt := make([]float64, len(Fig5Threads))
-	for i, th := range Fig5Threads {
-		xt[i] = float64(th)
+	xt := ticks(Fig5Threads)
+	phases := []struct {
+		name  string
+		ns    func(ImageResult) int64
+		chart *harness.Chart
+	}{
+		{"local", func(im ImageResult) int64 { return im.ScanNs },
+			harness.NewChart("(a) local", "threads", "speedup", xt)},
+		{"local+merge", func(im ImageResult) int64 { return im.ScanNs + im.MergeNs },
+			harness.NewChart("(b) local + merge", "threads", "speedup", xt)},
 	}
-	chartLocal := harness.NewChart("(a) local", "threads", "speedup", xt)
-	chartLM := harness.NewChart("(b) local + merge", "threads", "speedup", xt)
-	for _, spec := range NLCDImages(cfg.Scale) {
-		img := spec.Build()
-		local := make([]time.Duration, len(Fig5Threads))
-		localMerge := make([]time.Duration, len(Fig5Threads))
-		for ti, th := range Fig5Threads {
-			var bestLocal, bestLM time.Duration
-			for r := 0; r < cfg.Repeats; r++ {
-				_, times, _ := core.PAREMSP(context.Background(), img, &binimg.LabelMap{}, nil, core.Options{Threads: th})
-				if r == 0 || times.Local() < bestLocal {
-					bestLocal = times.Local()
+	rows := make([]*BenchResult, len(Fig5Threads))
+	for t, th := range Fig5Threads {
+		rows[t] = rep.row(ConfigKey{"PAREMSP", "NLCD", th})
+	}
+	for i, im := range rows[0].Images {
+		for _, phase := range phases {
+			cells := []string{im.Name, fmt.Sprintf("%.2f", NLCDSizesMB[i]), phase.name}
+			var series []float64
+			for _, row := range rows {
+				sp := 0.0
+				if ns := phase.ns(row.Images[i]); ns > 0 {
+					sp = float64(phase.ns(im)) / float64(ns)
 				}
-				if r == 0 || times.LocalMerge() < bestLM {
-					bestLM = times.LocalMerge()
-				}
+				series = append(series, sp)
+				cells = append(cells, fmt.Sprintf("%.2f", sp))
 			}
-			local[ti] = bestLocal
-			localMerge[ti] = bestLM
+			tbl.AddRow(cells...)
+			phase.chart.AddSeries(im.Name, series)
 		}
-		rowLocal := []string{spec.Name, fmt.Sprintf("%.2f", spec.SizeMB), "local"}
-		rowLM := []string{spec.Name, fmt.Sprintf("%.2f", spec.SizeMB), "local+merge"}
-		var serLocal, serLM []float64
-		for ti := range Fig5Threads {
-			spLocal := harness.Speedup(local[0], local[ti])
-			spLM := harness.Speedup(localMerge[0], localMerge[ti])
-			serLocal = append(serLocal, spLocal)
-			serLM = append(serLM, spLM)
-			rowLocal = append(rowLocal, fmt.Sprintf("%.2f", spLocal))
-			rowLM = append(rowLM, fmt.Sprintf("%.2f", spLM))
-		}
-		tbl.AddRow(rowLocal...)
-		tbl.AddRow(rowLM...)
-		chartLocal.AddSeries(spec.Name, serLocal)
-		chartLM.AddSeries(spec.Name, serLM)
 	}
 	tbl.Render(w)
-	fmt.Fprintln(w)
-	chartLocal.Render(w)
-	fmt.Fprintln(w)
-	chartLM.Render(w)
+	for _, phase := range phases {
+		fmt.Fprintln(w)
+		phase.chart.Render(w)
+	}
+}
+
+// ticks converts a thread axis to chart x positions.
+func ticks(threads []int) []float64 {
+	xt := make([]float64, len(threads))
+	for i, th := range threads {
+		xt[i] = float64(th)
+	}
+	return xt
 }
 
 // Fig3 demonstrates the grayscale-to-binary conversion of Figure 3: it
 // synthesizes a grayscale raster, binarizes it at level 0.5 with the im2bw
 // rule, and reports the before/after statistics.
-func Fig3(w io.Writer, cfg Config) {
-	width, height := dims(0.25, cfg.Scale)
+func Fig3(w io.Writer, scale float64) {
+	width, height := dims(0.25, scale)
 	gray := make([]uint8, width*height)
 	// A radial gradient with texture: mimics a natural photograph's
 	// luminance distribution well enough to show the threshold in action.
@@ -391,7 +330,7 @@ func Fig3(w io.Writer, cfg Config) {
 		fmt.Fprintf(w, "fig3: %v\n", err)
 		return
 	}
-	_, n := runAREMSP(img)
+	n := paremsp.CountComponents(img)
 	fmt.Fprintf(w, "Figure 3: im2bw(0.5) conversion demo\n")
 	tbl := harness.NewTable("Stage", "Pixels", "Foreground", "Density", "Components")
 	tbl.AddRow("grayscale", fmt.Sprintf("%dx%d", width, height), "-", "-", "-")

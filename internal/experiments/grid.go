@@ -5,45 +5,34 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	paremsp "repro"
-	"repro/internal/baseline"
 	"repro/internal/binimg"
 )
 
-// GridAlg is one algorithm the grid runner can sweep. Sequential algorithms
-// ignore the thread axis (they are measured once per class, with Threads
-// recorded as 0); parallel ones are measured at every configured GOMAXPROCS
-// value, plus once at the library default when the config lists 0.
+// GridAlg is one algorithm the grid runner can sweep: the name its report
+// rows carry and the library algorithm it labels with. The algorithms
+// SeqBaselines maps are parallel and measured at every configured
+// GOMAXPROCS value; the others ignore the thread axis and are measured
+// once per class, with Threads recorded as 0.
 type GridAlg struct {
-	Name     string
-	Parallel bool
-	Run      func(img *binimg.Image, threads int) (*binimg.LabelMap, int)
+	Name      string
+	Algorithm paremsp.Algorithm
 }
 
 // GridAlgs is the closed algorithm registry of the grid runner, in report
 // row order: the paper's four sequential algorithms, BREMSP, then the two
 // parallel algorithms.
 var GridAlgs = []GridAlg{
-	{"CCLLRPC", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.CCLLRPC(im) }},
-	{"CCLRemSP", false, label(paremsp.AlgCCLREMSP)},
-	{"ARun", false, func(im *binimg.Image, _ int) (*binimg.LabelMap, int) { return baseline.ARUN(im) }},
-	{"ARemSP", false, label(paremsp.AlgAREMSP)},
-	{"BREMSP", false, label(paremsp.AlgBREMSP)},
-	{"PAREMSP", true, label(paremsp.AlgPAREMSP)},
-	{"PBREMSP", true, label(paremsp.AlgPBREMSP)},
-}
-
-// gridAlgByName resolves a registry entry; ok is false for unknown names.
-func gridAlgByName(name string) (GridAlg, bool) {
-	for _, a := range GridAlgs {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return GridAlg{}, false
+	{"CCLLRPC", paremsp.AlgCCLLRPC},
+	{"CCLRemSP", paremsp.AlgCCLREMSP},
+	{"ARun", paremsp.AlgARUN},
+	{"ARemSP", paremsp.AlgAREMSP},
+	{"BREMSP", paremsp.AlgBREMSP},
+	{"PAREMSP", paremsp.AlgPAREMSP},
+	{"PBREMSP", paremsp.AlgPBREMSP},
 }
 
 // GridConfig is the declarative experiment grid cmd/paperbench -grid runs:
@@ -54,7 +43,8 @@ type GridConfig struct {
 	// Tag names the run; the emitted report carries it (BENCH_<tag>.json by
 	// convention).
 	Tag string `json:"tag"`
-	// Scale is the image-size scale factor in (0, 1] (see Config.Scale).
+	// Scale is the image-size scale factor in (0, 1]; 1.0 is the paper's
+	// sizes (see the package comment).
 	Scale float64 `json:"scale"`
 	// Repeats is the number of timed repetitions per configuration (>= 1).
 	Repeats int `json:"repeats"`
@@ -100,19 +90,12 @@ func (cfg *GridConfig) Validate() error {
 		return fmt.Errorf("experiments: grid warmup %d < 0", cfg.Warmup)
 	}
 	for _, name := range cfg.Algorithms {
-		if _, ok := gridAlgByName(name); !ok {
+		if !slices.ContainsFunc(GridAlgs, func(a GridAlg) bool { return a.Name == name }) {
 			return fmt.Errorf("experiments: unknown grid algorithm %q", name)
 		}
 	}
 	for _, class := range cfg.Classes {
-		found := false
-		for _, known := range ClassOrder {
-			if class == known {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(ClassOrder, class) {
 			return fmt.Errorf("experiments: unknown grid class %q (want one of %v)", class, ClassOrder)
 		}
 	}
@@ -126,35 +109,24 @@ func (cfg *GridConfig) Validate() error {
 
 // algorithms returns the selected registry entries in registry order.
 func (cfg *GridConfig) algorithms() []GridAlg {
-	if len(cfg.Algorithms) == 0 {
-		return GridAlgs
-	}
-	selected := make(map[string]bool, len(cfg.Algorithms))
-	for _, name := range cfg.Algorithms {
-		selected[name] = true
-	}
-	algs := make([]GridAlg, 0, len(cfg.Algorithms))
-	for _, a := range GridAlgs {
-		if selected[a.Name] {
-			algs = append(algs, a)
-		}
-	}
-	return algs
+	return selected(GridAlgs, cfg.Algorithms, func(a GridAlg) string { return a.Name })
 }
 
 // classes returns the selected class names in ClassOrder.
 func (cfg *GridConfig) classes() []string {
-	if len(cfg.Classes) == 0 {
-		return ClassOrder
+	return selected(ClassOrder, cfg.Classes, func(class string) string { return class })
+}
+
+// selected returns the entries of all whose name is in names, in all's
+// order; every entry when names is empty.
+func selected[T any](all []T, names []string, name func(T) string) []T {
+	if len(names) == 0 {
+		return all
 	}
-	selected := make(map[string]bool, len(cfg.Classes))
-	for _, class := range cfg.Classes {
-		selected[class] = true
-	}
-	out := make([]string, 0, len(cfg.Classes))
-	for _, class := range ClassOrder {
-		if selected[class] {
-			out = append(out, class)
+	var out []T
+	for _, e := range all {
+		if slices.Contains(names, name(e)) {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -166,16 +138,9 @@ func (cfg *GridConfig) threadAxis() []int {
 	if len(cfg.GOMAXPROCS) == 0 {
 		return []int{0}
 	}
-	seen := make(map[int]bool, len(cfg.GOMAXPROCS))
-	axis := make([]int, 0, len(cfg.GOMAXPROCS))
-	for _, th := range cfg.GOMAXPROCS {
-		if !seen[th] {
-			seen[th] = true
-			axis = append(axis, th)
-		}
-	}
-	sort.Ints(axis)
-	return axis
+	axis := slices.Clone(cfg.GOMAXPROCS)
+	slices.Sort(axis)
+	return slices.Compact(axis)
 }
 
 // GridMeta carries run identity the config itself cannot know: the CLI
@@ -189,13 +154,15 @@ type GridMeta struct {
 }
 
 // RunGrid executes the config's full sweep and returns the self-describing
-// report. Every configuration is measured cfg.Repeats times after
-// cfg.Warmup untimed runs; the row's NsPerOp is the median repeat (robust
-// to a stray scheduler hiccup) and the raw repeats ride along in SampleNs
-// for the analyzer. Parallel algorithms additionally pin
-// runtime.GOMAXPROCS to the row's thread count for the duration of the
-// measurement, so the thread axis constrains real CPU parallelism rather
-// than just the algorithm's goroutine count.
+// report. Each class's images are built once. Every configuration labels
+// them cfg.Warmup untimed times, then cfg.Repeats timed times, timing each
+// image on its own: a repeat's SampleNs entry is the sum of its image
+// times, the row's NsPerOp is the median repeat (robust to a stray
+// scheduler hiccup), and Images holds each image's median time and phase
+// times. Parallel algorithms additionally pin runtime.GOMAXPROCS to the
+// row's thread count for the duration of the measurement, so the thread
+// axis constrains real CPU parallelism rather than just the algorithm's
+// goroutine count.
 func RunGrid(cfg *GridConfig, meta GridMeta) *BenchReport {
 	tag := meta.Tag
 	if tag == "" {
@@ -215,20 +182,20 @@ func RunGrid(cfg *GridConfig, meta GridMeta) *BenchReport {
 	classes := AllClasses(cfg.Scale)
 	axis := cfg.threadAxis()
 	for _, class := range cfg.classes() {
-		imgs := make([]*binimg.Image, 0, len(classes[class]))
+		specs := classes[class]
+		imgs := make([]*binimg.Image, len(specs))
 		var pixels int64
-		for _, spec := range classes[class] {
-			img := spec.Build()
-			pixels += int64(len(img.Pix))
-			imgs = append(imgs, img)
+		for i, spec := range specs {
+			imgs[i] = spec.Build()
+			pixels += int64(len(imgs[i].Pix))
 		}
 		for _, alg := range cfg.algorithms() {
 			ths := axis
-			if !alg.Parallel {
+			if _, parallel := SeqBaselines[alg.Name]; !parallel {
 				ths = []int{0}
 			}
 			for _, th := range ths {
-				row := measureGridConfig(alg, imgs, th, cfg.Repeats, cfg.Warmup)
+				row := measureGridConfig(alg, specs, imgs, th, cfg.Repeats, cfg.Warmup)
 				row.Class = class
 				row.Pixels = pixels
 				report.Results = append(report.Results, row)
@@ -243,28 +210,62 @@ func RunGrid(cfg *GridConfig, meta GridMeta) *BenchReport {
 }
 
 // measureGridConfig times one algorithm × image-set × thread-count cell.
-func measureGridConfig(alg GridAlg, imgs []*binimg.Image, threads, repeats, warmup int) BenchResult {
+func measureGridConfig(alg GridAlg, specs []ImageSpec, imgs []*binimg.Image, threads, repeats, warmup int) BenchResult {
 	if threads > 0 {
 		prev := runtime.GOMAXPROCS(threads)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	run := func() {
+	opt := paremsp.Options{Algorithm: alg.Algorithm, Threads: threads}
+	label := func(img *binimg.Image) paremsp.PhaseTimes {
+		res, err := paremsp.Label(img, opt)
+		if err != nil {
+			panic(err) // every grid algorithm labels every binary image at 8-connectivity
+		}
+		return res.Phases
+	}
+	for range warmup {
 		for _, img := range imgs {
-			alg.Run(img, threads)
+			label(img)
 		}
 	}
-	for i := 0; i < warmup; i++ {
-		run()
-	}
+	// Per-image results are stored by index into slices made before the
+	// timed loop, so allocs/op and bytes/op count the labelings alone.
 	samples := make([]int64, repeats)
+	times := make([][]int64, len(imgs))
+	phases := make([][]paremsp.PhaseTimes, len(imgs))
+	for i := range imgs {
+		times[i] = make([]int64, repeats)
+		phases[i] = make([]paremsp.PhaseTimes, repeats)
+	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for i := range samples {
-		t0 := time.Now()
-		run()
-		samples[i] = time.Since(t0).Nanoseconds()
+	for r := range samples {
+		for i, img := range imgs {
+			t0 := time.Now()
+			phases[i][r] = label(img)
+			times[i][r] = time.Since(t0).Nanoseconds()
+			samples[r] += times[i][r]
+		}
 	}
 	runtime.ReadMemStats(&m1)
+	images := make([]ImageResult, len(imgs))
+	for i := range imgs {
+		median := func(phase func(paremsp.PhaseTimes) time.Duration) int64 {
+			ns := make([]int64, repeats)
+			for r, ph := range phases[i] {
+				ns[r] = phase(ph).Nanoseconds()
+			}
+			return medianInt64(ns)
+		}
+		images[i] = ImageResult{
+			Name:      specs[i].Name,
+			NsPerOp:   medianInt64(times[i]),
+			ScanNs:    median(func(ph paremsp.PhaseTimes) time.Duration { return ph.Scan }),
+			MergeNs:   median(func(ph paremsp.PhaseTimes) time.Duration { return ph.Merge }),
+			FlattenNs: median(func(ph paremsp.PhaseTimes) time.Duration { return ph.Flatten }),
+			RelabelNs: median(func(ph paremsp.PhaseTimes) time.Duration { return ph.Relabel }),
+		}
+	}
 	rep := int64(repeats)
 	return BenchResult{
 		Algorithm:   alg.Name,
@@ -273,14 +274,14 @@ func measureGridConfig(alg GridAlg, imgs []*binimg.Image, threads, repeats, warm
 		AllocsPerOp: int64(m1.Mallocs-m0.Mallocs) / rep,
 		BytesPerOp:  int64(m1.TotalAlloc-m0.TotalAlloc) / rep,
 		SampleNs:    samples,
+		Images:      images,
 	}
 }
 
 // medianInt64 returns the median of a non-empty sample set (lower middle
 // for even counts), without mutating the input.
 func medianInt64(samples []int64) int64 {
-	sorted := make([]int64, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	return sorted[(len(sorted)-1)/2]
 }

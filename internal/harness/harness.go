@@ -1,89 +1,21 @@
-// Package harness provides the measurement machinery the paper-reproduction
-// benchmarks are built on: repeated timing with warmup, min/average/max
-// aggregation (the statistics Tables II and IV report), speedup series
-// (Figures 4 and 5), and aligned-table rendering.
+// Package harness provides what the paper-reproduction output and the
+// conformance suites share: aligned console tables and ASCII charts for
+// the tables and figures internal/experiments renders from its grid
+// reports, the environment banner they print, and the generated corpus
+// every algorithm is checked against.
 package harness
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"strings"
 	"time"
 )
 
-// Sample aggregates repeated duration measurements.
-type Sample struct {
-	Runs []time.Duration
-}
-
-// Measure times f repeated times (after warmup un-timed runs) and collects
-// the samples.
-func Measure(repeats, warmup int, f func()) Sample {
-	for i := 0; i < warmup; i++ {
-		f()
-	}
-	s := Sample{Runs: make([]time.Duration, 0, repeats)}
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		f()
-		s.Runs = append(s.Runs, time.Since(start))
-	}
-	return s
-}
-
-// Mean returns the average run (0 when empty).
-func (s Sample) Mean() time.Duration {
-	if len(s.Runs) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.Runs {
-		sum += d
-	}
-	return sum / time.Duration(len(s.Runs))
-}
-
-// MinAvgMax groups the three statistics the paper's tables report.
-type MinAvgMax struct {
-	Min, Avg, Max time.Duration
-}
-
-// Aggregate reduces a set of per-image samples to the dataset-class
-// statistics of Tables II/IV: Min is the minimum over images of the per-image
-// mean, Avg the average of means, Max the maximum of means.
-func Aggregate(samples []Sample) MinAvgMax {
-	if len(samples) == 0 {
-		return MinAvgMax{}
-	}
-	out := MinAvgMax{Min: time.Duration(math.MaxInt64)}
-	var sum time.Duration
-	for _, s := range samples {
-		m := s.Mean()
-		if m < out.Min {
-			out.Min = m
-		}
-		if m > out.Max {
-			out.Max = m
-		}
-		sum += m
-	}
-	out.Avg = sum / time.Duration(len(samples))
-	return out
-}
-
 // Msec renders a duration in the paper's unit (milliseconds, two decimals).
 func Msec(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d.Nanoseconds())/1e6)
-}
-
-// Speedup returns base/parallel as a float (0 when parallel is 0).
-func Speedup(base, parallel time.Duration) float64 {
-	if parallel <= 0 {
-		return 0
-	}
-	return base.Seconds() / parallel.Seconds()
 }
 
 // Table renders aligned console tables for the experiment binaries.

@@ -2,7 +2,9 @@
 // uses for image exchange: PBM bitmaps (P1 plain / P4 raw) map directly onto
 // binary images, PGM graymaps (P2 plain / P5 raw) are binarized with the
 // im2bw(0.5) threshold the paper applies to its datasets. PNG import (via
-// the standard library) covers the common interchange case.
+// the standard library) covers the common interchange case; its IHDR is
+// checked against a size budget before the standard decoder allocates the
+// image it names.
 //
 // Every Netpbm decoder reads through one reader, which parses the magic,
 // the dimensions and the maxval once and hands out rows in the raw layout,
@@ -23,6 +25,7 @@ package pnm
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"image"
@@ -286,11 +289,46 @@ func DecodePNGInto(r io.Reader, level float64, dst *binimg.Image) (int, error) {
 	return fg, err
 }
 
+// maxPNGImageBytes caps the image png.Decode may build for one stream. It
+// is the byte raster the largest raw P4 body under ccserve's default
+// 64 MiB body cap decodes to.
+const maxPNGImageBytes = 512 << 20
+
 // decodePNGLuma decodes a PNG stream, reshapes the destination with reset
 // and hands set each pixel's raster index and 16-bit Rec. 601 luminance, as
 // the standard library's grayscale conversion computes it.
+//
+// png.Decode allocates the whole image its IHDR names before it reads a
+// pixel, so the header is read first: png.DecodeConfig reads through a tee
+// (for a paletted image it reads on through PLTE), and png.Decode then
+// reads the recorded bytes followed by the rest of r, so the body is read
+// once. A side over binimg.MaxDimension, or an image over
+// maxPNGImageBytes, is refused before anything its size is allocated.
 func decodePNGLuma(r io.Reader, reset func(w, h int), set func(i, v int)) error {
-	src, err := png.Decode(r)
+	var head bytes.Buffer
+	cfg, err := png.DecodeConfig(io.TeeReader(r, &head))
+	if err != nil {
+		return fmt.Errorf("pnm: decoding png: %w", err)
+	}
+	if cfg.Width > binimg.MaxDimension || cfg.Height > binimg.MaxDimension {
+		return fmt.Errorf("pnm: png is %dx%d, over the %d-pixel side limit",
+			cfg.Width, cfg.Height, binimg.MaxDimension)
+	}
+	// Count the widest image png.Decode may build for the color type: a
+	// tRNS chunk, which DecodeConfig stops before, turns a gray or
+	// truecolor image into NRGBA (4 bytes per pixel) or, at 16 bits,
+	// NRGBA64 (8); a paletted image stays one byte per pixel.
+	bytesPerPixel := int64(4)
+	if _, paletted := cfg.ColorModel.(color.Palette); paletted {
+		bytesPerPixel = 1
+	} else if m := cfg.ColorModel; m == color.Gray16Model || m == color.RGBA64Model || m == color.NRGBA64Model {
+		bytesPerPixel = 8
+	}
+	if size := int64(cfg.Width) * int64(cfg.Height) * bytesPerPixel; size > maxPNGImageBytes {
+		return fmt.Errorf("pnm: png is %dx%d, up to %d bytes decoded, over the %d-byte limit",
+			cfg.Width, cfg.Height, size, maxPNGImageBytes)
+	}
+	src, err := png.Decode(io.MultiReader(&head, r))
 	if err != nil {
 		return fmt.Errorf("pnm: decoding png: %w", err)
 	}

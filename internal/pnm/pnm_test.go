@@ -2,11 +2,15 @@ package pnm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"image/png"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -171,21 +175,33 @@ func TestDecodePNG(t *testing.T) {
 	}
 }
 
+// TestDecodePNGColorUsesLuminance decodes a red and a white pixel stored
+// as truecolor and as paletted PNGs, with and without a tRNS chunk: the
+// header read for a paletted image runs on through PLTE (and tRNS), and
+// the decode must still see the whole stream.
 func TestDecodePNGColorUsesLuminance(t *testing.T) {
-	src := image.NewRGBA(image.Rect(0, 0, 2, 1))
-	src.Set(0, 0, color.RGBA{R: 255, A: 255})                 // dark-ish red
-	src.Set(1, 0, color.RGBA{R: 255, G: 255, B: 255, A: 255}) // white
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	im, err := pnm.DecodePNG(&buf, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rec. 601 luma of pure red is ~0.30 -> background at level 0.5.
-	if im.Pix[0] != 0 || im.Pix[1] != 1 {
-		t.Fatalf("luminance binarization wrong: %v", im.Pix)
+	red := color.RGBA{R: 255, A: 255} // dark-ish red
+	white := color.RGBA{R: 255, G: 255, B: 255, A: 255}
+	rgba := image.NewRGBA(image.Rect(0, 0, 2, 1))
+	rgba.Set(0, 0, red)
+	rgba.Set(1, 0, white)
+	paletted := image.NewPaletted(image.Rect(0, 0, 2, 1), color.Palette{red, white})
+	paletted.SetColorIndex(1, 0, 1)
+	transparent := image.NewPaletted(image.Rect(0, 0, 2, 1), color.Palette{red, white, color.RGBA{}})
+	transparent.SetColorIndex(1, 0, 1)
+	for name, src := range map[string]image.Image{"rgba": rgba, "paletted": paletted, "paletted-trns": transparent} {
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		im, err := pnm.DecodePNG(&buf, 0.5)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Rec. 601 luma of pure red is ~0.30 -> background at level 0.5.
+		if im.Pix[0] != 0 || im.Pix[1] != 1 {
+			t.Fatalf("%s: luminance binarization wrong: %v", name, im.Pix)
+		}
 	}
 }
 
@@ -279,9 +295,22 @@ func TestDecodePBMBitmapIntoTruncated(t *testing.T) {
 // TestHeaderOnlyBodyAllocatesByRows sends every decoder a header that names
 // a 200000x200000 raster (40 GB as bytes) and no pixel bytes. Each must
 // fail, and since the decoders grow their rasters with the rows delivered,
-// none may allocate more than a row's working buffers.
+// none may allocate more than a row's working buffers. The PNG decoders
+// get testdata/huge-ihdr.png (an IHDR naming a 200000x200000 8-bit gray
+// image, then a 4-byte IDAT), which they must refuse from the header: the
+// standard decoder sizes the whole image before reading a pixel. A
+// 12000x12000 gray header with a tRNS chunk is refused too, since tRNS
+// makes that image 576 MB of NRGBA.
 func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 	const dims = "200000 200000\n"
+	hugePNG, err := os.ReadFile(filepath.Join("testdata", "huge-ihdr.png"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	intoPNG := func(body string) error {
+		_, err := pnm.DecodePNGInto(strings.NewReader(body), 0.5, &binimg.Image{})
+		return err
+	}
 	intoImage := func(body string) error { return pnm.DecodeInto(strings.NewReader(body), 0.5, &binimg.Image{}) }
 	intoGray := func(body string) error { return pnm.DecodeGrayInto(strings.NewReader(body), &grayccl.Image{}) }
 	bands := func(body string) error {
@@ -313,6 +342,11 @@ func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 		}},
 		{"BandReader/P4", "P4\n" + dims, bands},
 		{"BandReader/P5", "P5\n" + dims + "255\n", bands},
+		{"DecodePNGInto", string(hugePNG), intoPNG},
+		{"DecodePNGGrayInto", string(hugePNG), func(body string) error {
+			return pnm.DecodePNGGrayInto(strings.NewReader(body), &grayccl.Image{})
+		}},
+		{"DecodePNGInto/tRNS", grayPNGHeader(12000, 12000, "tRNS\x00\x00"), intoPNG},
 	}
 	for _, c := range cases {
 		runtime.GC()
@@ -327,6 +361,22 @@ func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes for a %d-byte body, want < 1 MiB", c.name, alloc, len(c.body))
 		}
 	}
+}
+
+// grayPNGHeader is a PNG signature, an IHDR naming a w x h 8-bit gray
+// image, the given chunks (each a 4-byte type then its data) and a 4-byte
+// IDAT, every chunk with a valid CRC.
+func grayPNGHeader(w, h uint32, chunks ...string) string {
+	var b bytes.Buffer
+	b.WriteString("\x89PNG\r\n\x1a\n")
+	ihdr := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32([]byte("IHDR"), w), h)
+	ihdr = append(ihdr, 8, 0, 0, 0, 0)
+	for _, c := range append([]string{string(ihdr)}, append(chunks, "IDAT\x78\x9c\x63\x00")...) {
+		binary.Write(&b, binary.BigEndian, uint32(len(c)-4))
+		b.WriteString(c)
+		binary.Write(&b, binary.BigEndian, crc32.ChecksumIEEE([]byte(c)))
+	}
+	return b.String()
 }
 
 // TestVolumeDecodeAllocatesPerStream: one reader reads every frame of a

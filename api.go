@@ -341,10 +341,13 @@ func LabelBitmap(bm *Bitmap, opt Options) (*Result, error) {
 }
 
 // LabelBitmapInto is LabelBitmap writing into caller-provided buffers (see
-// LabelInto for the dst/sc contract). Only the bit-packed algorithms accept a
-// packed raster: Algorithm must be AlgBREMSP or AlgPBREMSP (default
-// AlgPBREMSP), and connectivity must be 8. For any other algorithm, unpack
-// with Bitmap.ToImage and call LabelInto.
+// LabelInto for the dst/sc contract). The bit-packed run kernel labels the
+// packed raster under three names: AlgPBREMSP (the default) and AlgBREMSP,
+// its one-thread case, number components in raster order, and AlgPAREMSP
+// numbers them as PAREMSP does over the unpacked image, so its label map
+// equals LabelInto's with AlgPAREMSP byte for byte, at any thread count.
+// Connectivity must be 8. For any other algorithm, unpack with
+// Bitmap.ToImage and call LabelInto.
 func LabelBitmapInto(bm *Bitmap, dst *LabelMap, sc *Scratch, opt Options) (*Result, error) {
 	return LabelBitmapIntoCtx(context.Background(), bm, dst, sc, opt)
 }
@@ -373,14 +376,18 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 		res.Labels = dst
 	}
 	var err error
+	copt := core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly}
 	switch alg {
+	case AlgPAREMSP:
+		res.NumComponents, res.Phases, err = core.PAREMSPBitmap(ctx, bm, dst, sc, copt)
 	case AlgBREMSP:
-		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: 1, CountOnly: opt.CountOnly})
+		copt.Threads = 1
+		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, copt)
 	case AlgPBREMSP:
-		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly})
+		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, copt)
 	default:
-		return nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q or %q)",
-			alg, AlgBREMSP, AlgPBREMSP)
+		return nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q, %q or %q)",
+			alg, AlgPAREMSP, AlgBREMSP, AlgPBREMSP)
 	}
 	if err != nil {
 		return nil, err

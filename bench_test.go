@@ -173,7 +173,10 @@ func BenchmarkLabelInto(b *testing.B) {
 // word-parallel run-scan pipeline. The landcover raster is the mid-density
 // (~0.5) regime of the paper's NLCD class; the noise sweep covers the density
 // classes from nearly-empty to nearly-full, where run lengths (and so the
-// bit-scan advantage) vary the most.
+// bit-scan advantage) vary the most. The paremsp-packed rows time what an
+// unpinned binary request runs: the run kernel with the rank pass that
+// gives PAREMSP's numbering, over an already-packed bitmap and into reused
+// buffers, as the service's pools hand them out.
 func BenchmarkBitScan(b *testing.B) {
 	seqAlgs := []struct {
 		name string
@@ -214,6 +217,15 @@ func BenchmarkBitScan(b *testing.B) {
 			b.SetBytes(int64(len(land.Pix)))
 			for i := 0; i < b.N; i++ {
 				coreRun(core.PBREMSP, land, core.Options{Threads: threads})
+			}
+		})
+		b.Run(fmt.Sprintf("landcover1024/paremsp-packed/threads=%d", threads), func(b *testing.B) {
+			bm := &binimg.Bitmap{}
+			bm.FromImage(land)
+			lm, sc := &binimg.LabelMap{}, &core.Scratch{}
+			b.SetBytes(int64(len(land.Pix)))
+			for i := 0; i < b.N; i++ {
+				core.PAREMSPBitmap(context.Background(), bm, lm, sc, core.Options{Threads: threads})
 			}
 		})
 	}

@@ -25,11 +25,13 @@
 // LabelStream each streamed run, through one accumulator. ComponentStats is
 // its deprecated former name.
 //
-// The default configuration runs PAREMSP across all available CPUs. Set
-// Options.Algorithm to pick a specific algorithm and Options.Threads to pin
-// the worker count; results are identical partitions for every algorithm
-// (8-connectivity), with labels numbered consecutively from 1 in raster
-// order of each component's smallest provisional label.
+// The library's default configuration runs PAREMSP across all available
+// CPUs. Set Options.Algorithm to pick a specific algorithm and
+// Options.Threads to pin the worker count; results are identical
+// partitions for every algorithm (8-connectivity), with labels numbered
+// consecutively from 1 in raster order of each component's smallest
+// provisional label. The service's default (below) answers with PAREMSP's
+// numbering but computes it with the bit-packed run kernel.
 //
 // Labeling follows the paper's conventions: binary images store one byte per
 // pixel (1 = object, 0 = background), connectivity is 8-connectedness, and
@@ -63,10 +65,17 @@
 // The bit-packed pair (AlgBREMSP, AlgPBREMSP) operates on a Bitmap — 1 bit
 // per pixel, 64-bit words, rows padded to whole words — extracting foreground
 // runs with math/bits and calling the union-find once per run instead of per
-// pixel, then writing the final label map run-by-run. LabelBitmap /
+// pixel, then writing the final label map run-by-run, background gaps
+// included, so a reused map is never cleared first. LabelBitmap /
 // LabelBitmapInto accept the packed raster directly, and DecodePBMBitmap
 // fills one from raw PBM (P4) without materializing a byte raster, since P4
-// rows are already bit-packed.
+// rows are already bit-packed. Given AlgPAREMSP, LabelBitmapInto runs the
+// same run kernel and returns PAREMSP's label map byte for byte: PAREMSP's
+// label k is the k-th component by first pixel in the order
+// (y/2, x, y mod 2), and a rank pass over the runs after FLATTEN — each
+// row pair's two run lists merged by start, each final label ranked when
+// first seen — renumbers the run kernel's labels into that order. The pass
+// is timed in the flatten phase and skipped for Options.CountOnly.
 //
 // # Streaming and out-of-core statistics
 //
@@ -108,7 +117,14 @@
 // bounded worker pool, with counting buffer pools and backpressure, and its
 // HTTP handler (cmd/ccserve) serves POST /v1/label with JSON statistics,
 // PGM/PNG label maps, or CCL1 label streams, plus /healthz and /metrics
-// with the per-phase timings above as live counters. A synchronous request
+// with the per-phase timings above as live counters. The service's default
+// configuration (no ?alg=, no ccserve -alg) decodes every binary body —
+// PBM, PGM or PNG — straight into a packed Bitmap, runs PBREMSP and
+// answers with PAREMSP's numbering through the rank pass, so every
+// response byte equals what ?alg=paremsp returns, while traces, access
+// lines and ccserve_labelings_total name pbremsp, the kernel that ran; a
+// pinned byte algorithm decodes a byte raster and runs itself, and
+// cmd/paperbench still times PAREMSP itself. A synchronous request
 // is an async job without the store: the sync endpoints, job submission,
 // job recovery and the job result endpoint share one decode, one engine
 // queue, one finish and one renderer. When the queue is full the service

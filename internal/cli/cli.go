@@ -359,7 +359,7 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	threads := fs.Int("threads", 0, "threads for every labeling that does not pin ?threads= (0 = every idle CPU at dispatch, at least one)")
 	maxBytes := fs.Int64("max-bytes", 64<<20, "largest accepted image body in bytes")
 	level := fs.Float64("level", 0.5, "default binarization threshold for grayscale input, in (0, 1); per-request ?level= accepts [0, 1)")
-	alg := fs.String("alg", "", "default algorithm for requests without ?alg= (default paremsp): "+algList())
+	alg := fs.String("alg", "", "algorithm for requests without ?alg=; unset, binary bodies decode packed, run pbremsp and answer with paremsp's numbering (gray and volume run paremsp; paperbench still times paremsp itself), and a name pins it: "+algList())
 	jobsOn := fs.Bool("jobs", true, "enable the asynchronous job API (/v1/jobs)")
 	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "retain finished job results this long before eviction")
 	jobMaxBytes := fs.Int64("job-max-bytes", 0, "cap on retained job-result bytes; oldest results evicted beyond it (0 = 512 MiB)")
@@ -540,7 +540,7 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 		slog.Int("threads", *threads),
 		slog.Int64("max_bytes", *maxBytes),
 		slog.Float64("level", *level),
-		slog.String("alg", cmp.Or(*alg, string(paremsp.AlgPAREMSP))),
+		slog.String("alg", cmp.Or(*alg, "unpinned")),
 		slog.Bool("jobs", store != nil),
 		slog.Duration("request_timeout", *reqTimeout),
 		slog.Duration("job_timeout", *jobTimeoutFlag),
@@ -857,11 +857,13 @@ func PaperBench(args []string, stdout, stderr io.Writer) int {
 			*exp, strings.Join(names, ", "))
 		return 2
 	}
+	// The experiments share one set of images: each class is built once.
+	images := &experiments.ImageCache{}
 	for i, e := range run {
 		if i > 0 {
 			fmt.Fprintln(stdout)
 		}
-		e.Render(stdout, e.Measure(sweep))
+		e.Render(stdout, e.Measure(sweep, images))
 	}
 	return 0
 }

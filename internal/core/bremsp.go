@@ -31,21 +31,37 @@ func PBREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Sc
 	}
 	bm := sc.bitmap()
 	bm.Reset(img.Width, img.Height)
-	return pbremsp(ctx, bm, img, lm, sc, opt)
+	return pbremsp(ctx, bm, img, lm, sc, opt, false)
 }
 
 // PBREMSPBitmap is PBREMSP over an already-packed bitmap — the entry point
-// for callers that hold the packed raster natively (the service's PBM P4
-// fast path decodes straight into one, skipping the byte raster entirely).
+// for callers that hold the packed raster natively and never build the
+// byte raster.
 func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	return pbremsp(ctx, bm, nil, lm, sc, opt)
+	return pbremsp(ctx, bm, nil, lm, sc, opt, false)
+}
+
+// PAREMSPBitmap is PBREMSPBitmap numbering components as PAREMSP numbers
+// them over the unpacked image: the label map is PAREMSP's, byte for byte,
+// at any thread count. The run kernel labels runs, not pixels (the
+// run-based two-scan of He, Chao and Suzuki, IEEE TIP 2008), and the REMSP
+// merge underneath is unchanged; only the order of the final labels
+// differs, and a rank pass over the runs after FLATTEN (rankPairOrder)
+// restores PAREMSP's. The pass is timed inside phase III and skipped for
+// opt.CountOnly.
+func PAREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	return pbremsp(ctx, bm, nil, lm, sc, opt, true)
 }
 
 // pbremsp is the run-scan kernel. When src is non-nil each chunk packs its
-// rows of src into bm (already Reset) before scanning.
+// rows of src into bm (already Reset) before scanning. pairOrder numbers
+// the components in PAREMSP's order instead of raster order.
 //
 // Phase I runs the run-based scan on every chunk concurrently, each chunk
 // recording its labeled runs into its own RunSet. Chunk label ranges are
@@ -54,10 +70,12 @@ func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, 
 // merges across chunk seams at run granularity: the first-row runs of every
 // chunk but the first are united with the overlapping last-row runs of the
 // chunk above using the concurrent MERGER. Phase III runs FLATTEN over each
-// chunk's created labels; phase IV writes the final label map run-by-run.
-func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
+// chunk's created labels (and the rank pass, for pairOrder); phase IV
+// writes the final label map row by row, runs and the background between
+// them, so the map needs no clearing first.
+func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options, pairOrder bool) (int, PhaseTimes, error) {
 	if !opt.CountOnly {
-		lm.Reset(bm.Width, bm.Height)
+		lm.Reshape(bm.Width, bm.Height)
 	}
 	runs := sc.runSets(chunkCount(opt.Threads, bm.Height))
 	k := Kernel{
@@ -76,29 +94,87 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 		},
 		Relabel: func(c *Chunk) bool { return relabelRuns(lm, c.P, runs[c.I], c.Done) },
 	}
+	if pairOrder {
+		k.Renumber = func(chunks []Chunk, n Label) { rankPairOrder(chunks, runs, sc.ranks(n)) }
+	}
 	return k.Run(ctx, sc, opt)
 }
 
-// relabelRuns writes final labels into lm for every run of rs: one parent
-// lookup and one contiguous fill per run instead of a lookup per pixel
-// (labeling phase, run-granular). It polls done every poll.Rows rows and
+// rankPairOrder renumbers a flattened run labeling in PAREMSP's order.
+// PAREMSP's label k is the k-th component by its first pixel in the order
+// (y/2, x, y mod 2), the order its pair-row scan visits pixels. Walking each
+// row pair's two run lists merged by run start, top row first on a tie (two
+// runs that start together touch, so either order would do), meets every
+// component first at the run holding that pixel, so giving
+// each final label the next rank the first time it is seen, and composing
+// the ranks into p, numbers the components as PAREMSP does: one pass over
+// the runs and one over the created labels, with no sort and no pixel
+// pass. Chunks are whole rows, not row pairs, so a pair's two rows can lie
+// in two chunks; each row is read from the run set of the chunk that owns
+// it. rank has n+1 zeroed slots.
+func rankPairOrder(chunks []Chunk, runs []*scan.RunSet, rank []Label) {
+	p := chunks[0].P
+	var next Label
+	ci := 0
+	rowRuns := func(y int) []scan.Run {
+		for y >= chunks[ci].Hi {
+			ci++
+		}
+		return runs[ci].RowRuns(y)
+	}
+	h := chunks[len(chunks)-1].Hi
+	for y := 0; y < h; y += 2 {
+		top := rowRuns(y)
+		var bottom []scan.Run
+		if y+1 < h {
+			bottom = rowRuns(y + 1)
+		}
+		for len(top) > 0 || len(bottom) > 0 {
+			var r scan.Run
+			if len(bottom) == 0 || len(top) > 0 && top[0].Start <= bottom[0].Start {
+				r, top = top[0], top[1:]
+			} else {
+				r, bottom = bottom[0], bottom[1:]
+			}
+			if f := p[r.Label]; rank[f] == 0 {
+				next++
+				rank[f] = next
+			}
+		}
+	}
+	for i := range chunks {
+		c := &chunks[i]
+		for l := c.Offset + 1; l <= c.last; l++ {
+			p[l] = rank[p[l]]
+		}
+	}
+}
+
+// relabelRuns writes the final labels of rs's rows into lm: each row's
+// runs, one parent lookup and one contiguous fill per run instead of a
+// lookup per pixel (labeling phase, run-granular), and zeros in the gaps
+// between them, so every pixel of the rows is written exactly once and a
+// reused map needs no clearing. It polls done every poll.Rows rows and
 // reports whether it ran to completion.
 func relabelRuns(lm *binimg.LabelMap, p []Label, rs *scan.RunSet, done <-chan struct{}) bool {
-	l := lm.L
 	w := lm.Width
 	for i, rows := 0, rs.Rows(); i < rows; i++ {
 		if i%poll.Rows == 0 && poll.Stopped(done) {
 			return false
 		}
 		y := rs.Row0 + i
-		base := y * w
+		row := lm.L[y*w : (y+1)*w]
+		x := int32(0)
 		for _, r := range rs.RowRuns(y) {
+			clear(row[x:r.Start])
 			final := p[r.Label]
-			seg := l[base+int(r.Start) : base+int(r.End)]
+			seg := row[r.Start:r.End]
 			for k := range seg {
 				seg[k] = final
 			}
+			x = r.End
 		}
+		clear(row[x:])
 	}
 	return true
 }

@@ -88,6 +88,7 @@ type Scratch struct {
 	lt   *unionfind.LockTable
 	bm   *binimg.Bitmap
 	runs []*scan.RunSet
+	rank []Label
 }
 
 // parents returns a parent array with n+1 slots (slot 0 is the
@@ -125,6 +126,16 @@ func (s *Scratch) runSets(n int) []*scan.RunSet {
 		s.runs = append(s.runs, &scan.RunSet{})
 	}
 	return s.runs[:n]
+}
+
+// ranks returns a zeroed rank table for n final labels, slot 0 unused.
+func (s *Scratch) ranks(n Label) []Label {
+	if cap(s.rank) < int(n)+1 {
+		s.rank = make([]Label, n+1)
+	}
+	s.rank = s.rank[:n+1]
+	clear(s.rank)
+	return s.rank
 }
 
 // Options configures a labeling run.
@@ -184,6 +195,11 @@ type Kernel struct {
 	// Relabel rewrites the chunk's provisional labels through the
 	// flattened c.P, polling like Scan.
 	Relabel func(c *Chunk) bool
+	// Renumber, when set, reorders the n final labels after FLATTEN by
+	// rewriting c.P over every chunk's created labels. It runs inside
+	// phase III, and not at all for a CountOnly labeling, whose count is
+	// the same in any order.
+	Renumber func(chunks []Chunk, n Label)
 }
 
 // Chunk is the share of a raster one goroutine scans and relabels.
@@ -203,7 +219,8 @@ type Chunk struct {
 //	I    scan every chunk concurrently, each from its own label range;
 //	II   merge the seam above every chunk but the first with the paper's
 //	     lock-based MERGER (Alg. 8);
-//	III  FLATTEN each chunk's created labels, chunk by chunk;
+//	III  FLATTEN each chunk's created labels, chunk by chunk, then
+//	     Renumber them when the kernel has it;
 //	IV   relabel every chunk concurrently, unless opt.CountOnly.
 //
 // The raster splits into chunks of whole units, as many as opt.Threads
@@ -261,6 +278,9 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 	var n Label
 	for i := range chunks {
 		n = unionfind.Flatten(p, chunks[i].Offset+1, chunks[i].last, n)
+	}
+	if k.Renumber != nil && !opt.CountOnly {
+		k.Renumber(chunks, n)
 	}
 	times.Flatten = time.Since(t0)
 	if poll.Stopped(done) {

@@ -306,3 +306,63 @@ func TestGrayNeedsNoClearedMap(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRelabelNeedsNoClearedMap: a full run-kernel labeling reshapes its
+// label map without clearing it, because the run relabel writes every
+// pixel of its rows, background included. A pooled map whose every label
+// is 0x7FFFFFFF must therefore relabel to the bytes a fresh map gets, for
+// every run entry point and thread count, across shrinking and growing
+// shapes.
+func TestRunRelabelNeedsNoClearedMap(t *testing.T) {
+	ctx := context.Background()
+	type runLabel func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, threads int) (int, error)
+	packed := func(alg func(context.Context, *binimg.Bitmap, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error)) runLabel {
+		return func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, threads int) (int, error) {
+			bm := &binimg.Bitmap{}
+			bm.FromImage(img)
+			n, _, err := alg(ctx, bm, lm, sc, core.Options{Threads: threads})
+			return n, err
+		}
+	}
+	cases := []struct {
+		name  string
+		label runLabel
+	}{
+		{"PBREMSP/image", func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, threads int) (int, error) {
+			n, _, err := core.PBREMSP(ctx, img, lm, sc, core.Options{Threads: threads})
+			return n, err
+		}},
+		{"PBREMSP/bitmap", packed(core.PBREMSPBitmap)},
+		{"PAREMSP/bitmap", packed(core.PAREMSPBitmap)},
+	}
+	shapes := []struct{ w, h int }{{200, 150}, {5, 3}, {64, 64}, {3, 200}, {129, 7}, {1, 1}, {150, 90}}
+	const stale = binimg.Label(0x7FFFFFFF)
+	for _, c := range cases {
+		for _, threads := range []int{1, 3} {
+			t.Run(c.name, func(t *testing.T) {
+				sc := &core.Scratch{}
+				pooled := &binimg.LabelMap{}
+				for i, s := range shapes {
+					img := dataset.UniformNoise(s.w, s.h, 0.45, int64(50+i))
+					fresh := &binimg.LabelMap{}
+					want, err := c.label(img, fresh, nil, threads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pooled.L = pooled.L[:cap(pooled.L)]
+					for j := range pooled.L {
+						pooled.L[j] = stale
+					}
+					n, err := c.label(img, pooled, sc, threads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != want || !slices.Equal(pooled.L, fresh.L) {
+						t.Fatalf("threads %d, %dx%d: a stale pooled map gave %d components and different labels, a fresh one %d",
+							threads, s.w, s.h, n, want)
+					}
+				}
+			})
+		}
+	}
+}

@@ -30,7 +30,39 @@ type ImageSpec struct {
 	Name   string
 	Class  string
 	SizeMB float64 // nominal binary-raster size at scale 1
+	W, H   int     // the scaled image's dimensions
 	Build  func() *binimg.Image
+}
+
+// ImageCache holds the images built so far, by name and dimensions, so
+// every grid run with one labels the same rasters: paperbench -exp all
+// builds each class once, not once per experiment. The labelers only read
+// the images. A nil cache builds afresh on every use; a cache is not safe
+// for concurrent grids.
+type ImageCache struct {
+	images map[imageKey]*binimg.Image
+}
+
+type imageKey struct {
+	name string
+	w, h int
+}
+
+// build returns spec's image, building it on first use.
+func (c *ImageCache) build(spec ImageSpec) *binimg.Image {
+	if c == nil {
+		return spec.Build()
+	}
+	k := imageKey{spec.Name, spec.W, spec.H}
+	img, ok := c.images[k]
+	if !ok {
+		img = spec.Build()
+		if c.images == nil {
+			c.images = map[imageKey]*binimg.Image{}
+		}
+		c.images[k] = img
+	}
+	return img
 }
 
 // dims returns width/height for a square image of the given raster size in
@@ -54,6 +86,8 @@ func SmallClasses(scale float64) map[string][]ImageSpec {
 			Name:   fmt.Sprintf("%s_%02d", class, len(classes[class])+1),
 			Class:  class,
 			SizeMB: sizeMB,
+			W:      w,
+			H:      h,
 			Build:  func() *binimg.Image { return build(w, h, seed) },
 		})
 	}
@@ -79,6 +113,8 @@ func NLCDImages(scale float64) []ImageSpec {
 			Name:   fmt.Sprintf("image_%d", i+1),
 			Class:  "NLCD",
 			SizeMB: sizeMB,
+			W:      w,
+			H:      h,
 			Build: func() *binimg.Image {
 				return dataset.LandCover(w, h, max(32, w/64), 0.5, seed)
 			},
@@ -123,14 +159,15 @@ var Experiments = []Experiment{
 	{"fig5", &GridConfig{Algorithms: []string{"PAREMSP"}, Classes: []string{"NLCD"}, GOMAXPROCS: Fig5Threads}, Fig5},
 }
 
-// Measure runs the experiment's grid at base's scale, repeats and warmup.
-func (e Experiment) Measure(base GridConfig) *BenchReport {
+// Measure runs the experiment's grid at base's scale, repeats and warmup,
+// on images drawn from images (nil builds them afresh).
+func (e Experiment) Measure(base GridConfig, images *ImageCache) *BenchReport {
 	if e.Grid == nil {
 		return &BenchReport{Scale: base.Scale}
 	}
 	cfg := *e.Grid
 	cfg.Scale, cfg.Repeats, cfg.Warmup = base.Scale, base.Repeats, base.Warmup
-	return RunGrid(&cfg, GridMeta{})
+	return RunGrid(&cfg, GridMeta{Images: images})
 }
 
 // Table2Algs is the column order of Table II.
@@ -171,16 +208,16 @@ func timesTable(w io.Writer, rep *BenchReport, title string, cols []string, key 
 }
 
 // Table3 regenerates Table III: the NLCD image inventory with nominal and
-// scaled sizes.
+// scaled sizes. The scaled size is the byte raster's, one byte per pixel,
+// so no image is built.
 func Table3(w io.Writer, scale float64) {
 	fmt.Fprintf(w, "Table III: NLCD images and their sizes [MB] (scale %.3g)\n", scale)
 	tbl := harness.NewTable("Image name", "Paper size", "Scaled size", "Pixels")
 	for _, spec := range NLCDImages(scale) {
-		img := spec.Build()
 		tbl.AddRow(spec.Name,
 			fmt.Sprintf("%.2f", spec.SizeMB),
-			fmt.Sprintf("%.2f", float64(img.SizeBytes())/(1<<20)),
-			fmt.Sprintf("%dx%d", img.Width, img.Height))
+			fmt.Sprintf("%.2f", float64(spec.W*spec.H)/(1<<20)),
+			fmt.Sprintf("%dx%d", spec.W, spec.H))
 	}
 	tbl.Render(w)
 }

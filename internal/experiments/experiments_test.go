@@ -18,7 +18,7 @@ func measure(t *testing.T, name string) *experiments.BenchReport {
 	t.Helper()
 	for _, e := range experiments.Experiments {
 		if e.Name == name {
-			return e.Measure(tinyConfig)
+			return e.Measure(tinyConfig, nil)
 		}
 	}
 	t.Fatalf("no experiment %q", name)

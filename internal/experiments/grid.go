@@ -151,18 +151,21 @@ type GridMeta struct {
 	// Progress, when non-nil, receives one line per finished configuration
 	// so multi-minute sweeps show life on stderr.
 	Progress io.Writer
+	// Images, when non-nil, supplies the images already built for an
+	// earlier grid and keeps the ones this grid builds.
+	Images *ImageCache
 }
 
 // RunGrid executes the config's full sweep and returns the self-describing
-// report. Each class's images are built once. Every configuration labels
-// them cfg.Warmup untimed times, then cfg.Repeats timed times, timing each
-// image on its own: a repeat's SampleNs entry is the sum of its image
-// times, the row's NsPerOp is the median repeat (robust to a stray
-// scheduler hiccup), and Images holds each image's median time and phase
-// times. Parallel algorithms additionally pin runtime.GOMAXPROCS to the
-// row's thread count for the duration of the measurement, so the thread
-// axis constrains real CPU parallelism rather than just the algorithm's
-// goroutine count.
+// report. Each class's images are built once, or drawn from meta.Images.
+// Every configuration labels them cfg.Warmup untimed times, then
+// cfg.Repeats timed times, timing each image on its own: a repeat's
+// SampleNs entry is the sum of its image times, the row's NsPerOp is the
+// median repeat (robust to a stray scheduler hiccup), and Images holds
+// each image's median time and phase times. Parallel algorithms
+// additionally pin runtime.GOMAXPROCS to the row's thread count for the
+// duration of the measurement, so the thread axis constrains real CPU
+// parallelism rather than just the algorithm's goroutine count.
 func RunGrid(cfg *GridConfig, meta GridMeta) *BenchReport {
 	tag := meta.Tag
 	if tag == "" {
@@ -186,7 +189,7 @@ func RunGrid(cfg *GridConfig, meta GridMeta) *BenchReport {
 		imgs := make([]*binimg.Image, len(specs))
 		var pixels int64
 		for i, spec := range specs {
-			imgs[i] = spec.Build()
+			imgs[i] = meta.Images.build(spec)
 			pixels += int64(len(imgs[i].Pix))
 		}
 		for _, alg := range cfg.algorithms() {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"repro/internal/binimg"
 )
@@ -15,7 +16,7 @@ import (
 // pixels is ever resident, so the image height does not bound memory.
 //
 // It reads through the package's one header parser and row loop, and
-// DecodePBMBitmapInto is its loop run over every row of a P4 image. P4 rows
+// DecodeBitmapInto is its loop run over every row of a whole image. P4 rows
 // are already bit-packed and are reordered packed-to-packed; P5 rows are
 // binarized by the im2bw table the whole-image decoders use (luminance
 // fraction strictly greater than level becomes foreground), then packed.
@@ -30,7 +31,14 @@ type BandReader struct {
 // ccstream document: band decoding exists for rasters too large to hold,
 // and plain PBM spends two text bytes on every one-bit pixel.
 func NewBandReader(r io.Reader, level float64) (*BandReader, error) {
-	rd, err := newReader(bufio.NewReaderSize(r, 1<<16), "P4", "P5")
+	return newBandReader(bufio.NewReaderSize(r, 1<<16), level, "P4", "P5")
+}
+
+// newBandReader reads a header whose magic is one of formats. The reader
+// hands out plain rows in the raw layout, so P1 rows pack like P4 rows and
+// P2 rows binarize like P5 rows.
+func newBandReader(br *bufio.Reader, level float64, formats ...string) (*BandReader, error) {
+	rd, err := newReader(br, formats...)
 	if err != nil {
 		return nil, err
 	}
@@ -60,31 +68,36 @@ func (b *BandReader) ReadBand(dst *binimg.Bitmap, maxRows int) (int, error) {
 	if rows == 0 {
 		return 0, io.EOF
 	}
-	if err := b.band(dst, rows); err != nil {
+	if _, err := b.band(dst, rows); err != nil {
 		return 0, err
 	}
 	return rows, nil
 }
 
-// band reads the next rows rows into dst as packed words.
-func (b *BandReader) band(dst *binimg.Bitmap, rows int) error {
+// band reads the next rows rows into dst as packed words and returns their
+// foreground count.
+func (b *BandReader) band(dst *binimg.Bitmap, rows int) (int, error) {
 	bm := binimg.Bitmap{Width: b.r.w, Height: rows, WordsPerRow: (b.r.w + 63) / 64}
 	tail := bm.TailMask()
-	words, _, err := readRows(b.r, dst.Words[:0], rows, bm.WordsPerRow, rows*bm.WordsPerRow, func(words []uint64, row []byte) int {
+	words, fg, err := readRows(b.r, dst.Words[:0], rows, bm.WordsPerRow, rows*bm.WordsPerRow, func(words []uint64, row []byte) int {
 		if b.thresh == nil {
 			packP4Row(words, row, tail)
-		} else {
-			b.thresh.row(b.pix, row)
-			packBits(words, b.pix)
+			n := 0
+			for _, w := range words {
+				n += bits.OnesCount64(w)
+			}
+			return n
 		}
-		return 0
+		n := b.thresh.row(b.pix, row)
+		packBits(words, b.pix)
+		return n
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	bm.Words = words
 	*dst = bm
-	return nil
+	return fg, nil
 }
 
 // DecodePBMBitmapInto decodes a raw PBM (P4) stream directly into a packed
@@ -92,17 +105,31 @@ func (b *BandReader) band(dst *binimg.Bitmap, rows int) error {
 // rows are already bit-packed (MSB first within each byte), so each row is
 // copied packed-to-packed, eight bytes to one LSB-first word, and its tail
 // padding bits are masked to preserve the Bitmap invariant, instead of being
-// unpacked to a byte per pixel. This is the fast ingest path for the
-// bit-packed labelers (BREMSP/PBREMSP): the byte raster is never
-// materialized. Every word is written, so dst is not cleared first, and its
-// buffer grows with the rows read. On error the contents of dst are
-// unspecified.
+// unpacked to a byte per pixel. It is DecodeBitmapInto for P4 alone. Every
+// word is written, so dst is not cleared first, and its buffer grows with
+// the rows read. On error the contents of dst are unspecified.
 func DecodePBMBitmapInto(r io.Reader, dst *binimg.Bitmap) error {
-	rd, err := newReader(bufio.NewReader(r), "P4")
+	_, err := decodeBitmap(r, 0, dst, "P4")
+	return err
+}
+
+// DecodeBitmapInto is DecodeIntoCount into a packed bitmap: a PBM (P1/P4)
+// or PGM (P2/P5) stream, grayscale binarized at level by the same im2bw
+// table, straight into the 1-bit-per-pixel raster the run kernel labels,
+// with no byte raster in between. It is the BandReader's row loop run over
+// every row, and returns the foreground count it wrote. Every word is
+// written, so dst is not cleared first, and its buffer grows with the rows
+// read. On error the contents of dst are unspecified.
+func DecodeBitmapInto(r io.Reader, level float64, dst *binimg.Bitmap) (int, error) {
+	return decodeBitmap(r, level, dst, "P1", "P2", "P4", "P5")
+}
+
+func decodeBitmap(r io.Reader, level float64, dst *binimg.Bitmap, formats ...string) (int, error) {
+	b, err := newBandReader(bufio.NewReader(r), level, formats...)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return (&BandReader{r: rd}).band(dst, rd.h)
+	return b.band(dst, b.r.h)
 }
 
 // NewBandReaderBytes is NewBandReader over an in-memory encoding; tests and

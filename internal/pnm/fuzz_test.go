@@ -203,7 +203,8 @@ func starts[T any](size int, full T) [][]T {
 // give the same pixels, whether its destination starts empty, large enough
 // and pre-filled (which catches a missed write now that nothing is
 // cleared), or pre-filled but too small (which catches a lost row when the
-// buffer grows). DecodeIntoCount's count must equal ForegroundCount.
+// buffer grows). DecodeIntoCount's count must equal ForegroundCount, and
+// DecodeBitmapInto must give DecodeIntoCount's raster, packed, and count.
 func FuzzPNMDecoders(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed.body, seed.level)
@@ -245,6 +246,30 @@ func FuzzPNMDecoders(f *testing.F) {
 			}
 		}
 		checkBands(t, body, level, want, wantErr == nil && (magic == "P4" || magic == "P5"))
+
+		// DecodeBitmapInto takes every Netpbm format and must hold
+		// DecodeIntoCount's raster, packed, with its count.
+		for _, start := range starts(words, ^uint64(0)) {
+			bm := &binimg.Bitmap{Words: start}
+			fg, err := DecodeBitmapInto(bytes.NewReader(body), level, bm)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("DecodeBitmapInto error %v, reference %v", err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			im := &binimg.Image{}
+			wantFg, err := DecodeIntoCount(bytes.NewReader(body), level, im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed := &binimg.Bitmap{}
+			packed.FromImage(im)
+			checkBitmap(t, "DecodeBitmapInto", bm, im)
+			if !bm.Equal(packed) || fg != wantFg {
+				t.Fatalf("DecodeBitmapInto (start len %d): %d foreground, DecodeIntoCount %d, or words differ", len(start), fg, wantFg)
+			}
+		}
 
 		wantGray, wantErr := refGray(body)
 		if wantErr == nil {

@@ -76,7 +76,12 @@ func (s *grayScale) row(dst []uint8, src []byte) {
 // (reshaped with Reset), taking each pixel's Rec. 601 luminance scaled to
 // 8 bits — the gray analogue of DecodePNGInto.
 func DecodePNGGrayInto(r io.Reader, dst *grayccl.Image) error {
-	return decodePNGLuma(r, dst.Reset, func(i, v int) { dst.Pix[i] = uint8(v >> 8) })
+	return decodePNGLuma(r, dst.Reset, func(y int, luma []uint16) {
+		row := dst.Pix[y*dst.Width : (y+1)*dst.Width]
+		for x, v := range luma {
+			row[x] = uint8(v >> 8)
+		}
+	})
 }
 
 // DecodeVolumeInto reads a multi-frame raw-PGM stream — concatenated P5

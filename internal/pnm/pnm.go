@@ -161,8 +161,8 @@ func packBits(words []uint64, pix []uint8) {
 
 // threshold is the im2bw rule for PGM samples: sample v is foreground when
 // float64(v) > level*float64(maxVal), strictly. It is the one binarizer
-// behind DecodeInto, DecodeVolumeInto, BandReader and (at maxVal 65535, on
-// 16-bit luminance) DecodePNGInto.
+// behind DecodeInto, DecodeVolumeInto, BandReader (and so DecodeBitmapInto)
+// and, at maxVal 65535 on 16-bit luminance, the PNG decoders.
 type threshold struct {
 	wide bool       // two big-endian bytes per sample (maxVal > 255)
 	min  int        // the smallest foreground sample, 1<<16 when none is
@@ -206,6 +206,19 @@ func (t *threshold) row(dst []uint8, src []byte) int {
 	}
 	for x := range dst {
 		p := t.pixel(int(src[2*x])<<8 | int(src[2*x+1]))
+		dst[x] = p
+		n += int(p)
+	}
+	return n
+}
+
+// binarizeLuma binarizes a row of 16-bit luminance into dst (one 0/1 byte per
+// pixel) and returns its foreground count; the threshold must be built for
+// maxVal 65535.
+func (t *threshold) binarizeLuma(dst []uint8, luma []uint16) int {
+	n := 0
+	for x, v := range luma {
+		p := t.pixel(int(v))
 		dst[x] = p
 		n += int(p)
 	}
@@ -282,9 +295,25 @@ func DecodePNG(r io.Reader, level float64) (*binimg.Image, error) {
 // decoder builds is still allocated per call.)
 func DecodePNGInto(r io.Reader, level float64, dst *binimg.Image) (int, error) {
 	t, fg := newThreshold(level, 65535), 0
-	err := decodePNGLuma(r, dst.Reset, func(i, v int) {
-		dst.Pix[i] = t.pixel(v)
-		fg += int(dst.Pix[i])
+	err := decodePNGLuma(r, dst.Reset, func(y int, luma []uint16) {
+		fg += t.binarizeLuma(dst.Pix[y*dst.Width:(y+1)*dst.Width], luma)
+	})
+	return fg, err
+}
+
+// DecodePNGBitmapInto is DecodePNGInto into a packed bitmap, reshaped with
+// Reset: each row is binarized by the same threshold and packed, so the
+// byte raster is never built.
+func DecodePNGBitmapInto(r io.Reader, level float64, dst *binimg.Bitmap) (int, error) {
+	t, fg := newThreshold(level, 65535), 0
+	var pix []uint8
+	reset := func(w, h int) {
+		dst.Reset(w, h)
+		pix = make([]uint8, w)
+	}
+	err := decodePNGLuma(r, reset, func(y int, luma []uint16) {
+		fg += t.binarizeLuma(pix, luma)
+		packBits(dst.Row(y), pix)
 	})
 	return fg, err
 }
@@ -295,8 +324,9 @@ func DecodePNGInto(r io.Reader, level float64, dst *binimg.Image) (int, error) {
 const maxPNGImageBytes = 512 << 20
 
 // decodePNGLuma decodes a PNG stream, reshapes the destination with reset
-// and hands set each pixel's raster index and 16-bit Rec. 601 luminance, as
-// the standard library's grayscale conversion computes it.
+// and hands row each row's index and its pixels' 16-bit Rec. 601
+// luminance, as the standard library's grayscale conversion computes it.
+// The luma buffer is reused from row to row.
 //
 // png.Decode allocates the whole image its IHDR names before it reads a
 // pixel, so the header is read first: png.DecodeConfig reads through a tee
@@ -304,7 +334,7 @@ const maxPNGImageBytes = 512 << 20
 // reads the recorded bytes followed by the rest of r, so the body is read
 // once. A side over binimg.MaxDimension, or an image over
 // maxPNGImageBytes, is refused before anything its size is allocated.
-func decodePNGLuma(r io.Reader, reset func(w, h int), set func(i, v int)) error {
+func decodePNGLuma(r io.Reader, reset func(w, h int), row func(y int, luma []uint16)) error {
 	var head bytes.Buffer
 	cfg, err := png.DecodeConfig(io.TeeReader(r, &head))
 	if err != nil {
@@ -334,14 +364,98 @@ func decodePNGLuma(r io.Reader, reset func(w, h int), set func(i, v int)) error 
 	}
 	b := src.Bounds()
 	reset(b.Dx(), b.Dy())
-	i := 0
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			set(i, int(color.Gray16Model.Convert(src.At(x, y)).(color.Gray16).Y))
-			i++
-		}
+	fill := lumaRows(src)
+	luma := make([]uint16, b.Dx())
+	for y := range b.Dy() {
+		fill(b.Min.Y+y, luma)
+		row(y, luma)
 	}
 	return nil
+}
+
+// lumaRows returns the loop that writes row y of src into luma as the
+// value color.Gray16Model.Convert(src.At(x, y)) takes at each pixel. The
+// image types png.Decode returns get loops over their Pix that apply the
+// color's own RGBA conversion and the model's weights with nothing boxed;
+// any other image goes through At and the model.
+func lumaRows(src image.Image) func(y int, luma []uint16) {
+	x0 := src.Bounds().Min.X
+	switch m := src.(type) {
+	case *image.Gray:
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				luma[x] = uint16(pix[x]) * 0x101
+			}
+		}
+	case *image.Gray16:
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				luma[x] = uint16(pix[2*x])<<8 | uint16(pix[2*x+1])
+			}
+		}
+	case *image.RGBA:
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				p := pix[4*x : 4*x+3]
+				luma[x] = gray16(uint32(p[0])*0x101, uint32(p[1])*0x101, uint32(p[2])*0x101)
+			}
+		}
+	case *image.RGBA64:
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				p := pix[8*x : 8*x+6]
+				luma[x] = gray16(uint32(p[0])<<8|uint32(p[1]), uint32(p[2])<<8|uint32(p[3]), uint32(p[4])<<8|uint32(p[5]))
+			}
+		}
+	case *image.NRGBA:
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				p := pix[4*x : 4*x+4]
+				a := uint32(p[3])
+				luma[x] = gray16(uint32(p[0])*0x101*a/0xff, uint32(p[1])*0x101*a/0xff, uint32(p[2])*0x101*a/0xff)
+			}
+		}
+	case *image.NRGBA64:
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				p := pix[8*x : 8*x+8]
+				a := uint32(p[6])<<8 | uint32(p[7])
+				r, g, b := uint32(p[0])<<8|uint32(p[1]), uint32(p[2])<<8|uint32(p[3]), uint32(p[4])<<8|uint32(p[5])
+				luma[x] = gray16(r*a/0xffff, g*a/0xffff, b*a/0xffff)
+			}
+		}
+	case *image.Paletted:
+		// A palette has at most 256 entries, and png.Decode's pixels index
+		// only entries it holds.
+		var pal [256]uint16
+		for i, c := range m.Palette[:min(len(m.Palette), len(pal))] {
+			pal[i] = color.Gray16Model.Convert(c).(color.Gray16).Y
+		}
+		return func(y int, luma []uint16) {
+			pix := m.Pix[m.PixOffset(x0, y):]
+			for x := range luma {
+				luma[x] = pal[pix[x]]
+			}
+		}
+	}
+	return func(y int, luma []uint16) {
+		for x := range luma {
+			luma[x] = color.Gray16Model.Convert(src.At(x0+x, y)).(color.Gray16).Y
+		}
+	}
+}
+
+// gray16 is color.Gray16Model's weighting of alpha-premultiplied 16-bit
+// channels (the JFIF coefficients 0.299, 0.587 and 0.114; the weights sum
+// to 65536).
+func gray16(r, g, b uint32) uint16 {
+	return uint16((19595*r + 38470*g + 7471*b + 1<<15) >> 16)
 }
 
 // EncodePNG writes a label map as a grayscale PNG (same palette rule as

@@ -313,6 +313,10 @@ func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 	}
 	intoImage := func(body string) error { return pnm.DecodeInto(strings.NewReader(body), 0.5, &binimg.Image{}) }
 	intoGray := func(body string) error { return pnm.DecodeGrayInto(strings.NewReader(body), &grayccl.Image{}) }
+	intoBitmap := func(body string) error {
+		_, err := pnm.DecodeBitmapInto(strings.NewReader(body), 0.5, &binimg.Bitmap{})
+		return err
+	}
 	bands := func(body string) error {
 		src, err := pnm.NewBandReader(strings.NewReader(body), 0.5)
 		if err != nil {
@@ -334,6 +338,10 @@ func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 		{"DecodePBMBitmapInto", "P4\n" + dims, func(body string) error {
 			return pnm.DecodePBMBitmapInto(strings.NewReader(body), &binimg.Bitmap{})
 		}},
+		{"DecodeBitmapInto/P1", "P1\n" + dims, intoBitmap},
+		{"DecodeBitmapInto/P2", "P2\n" + dims + "255\n", intoBitmap},
+		{"DecodeBitmapInto/P4", "P4\n" + dims, intoBitmap},
+		{"DecodeBitmapInto/P5", "P5\n" + dims + "255\n", intoBitmap},
 		{"DecodeGrayInto/P2", "P2\n" + dims + "255\n", intoGray},
 		{"DecodeGrayInto/P5", "P5\n" + dims + "255\n", intoGray},
 		{"DecodeGrayInto/P5-16bit", "P5\n" + dims + "65535\n", intoGray},
@@ -343,6 +351,10 @@ func TestHeaderOnlyBodyAllocatesByRows(t *testing.T) {
 		{"BandReader/P4", "P4\n" + dims, bands},
 		{"BandReader/P5", "P5\n" + dims + "255\n", bands},
 		{"DecodePNGInto", string(hugePNG), intoPNG},
+		{"DecodePNGBitmapInto", string(hugePNG), func(body string) error {
+			_, err := pnm.DecodePNGBitmapInto(strings.NewReader(body), 0.5, &binimg.Bitmap{})
+			return err
+		}},
 		{"DecodePNGGrayInto", string(hugePNG), func(body string) error {
 			return pnm.DecodePNGGrayInto(strings.NewReader(body), &grayccl.Image{})
 		}},
@@ -408,5 +420,73 @@ func TestVolumeDecodeAllocatesPerStream(t *testing.T) {
 	}
 	if two, many := allocs(stack(2)), allocs(stack(64)); two != many {
 		t.Fatalf("a decode into a reused volume allocates %v times for 2 frames, %v for 64", two, many)
+	}
+}
+
+// TestPNGDecodeAllocatesPerStream: the luma loops read each image type's
+// pixels directly, so a PNG decode allocates as often for 16x16 pixels as
+// for 256x256, for every image type png.Decode returns that a test body
+// here produces (gray, truecolor, truecolor with alpha, paletted) and into
+// a byte raster, a bitmap or a gray raster alike.
+func TestPNGDecodeAllocatesPerStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	body := func(kind string, n int) []byte {
+		r := image.Rect(0, 0, n, n)
+		var src image.Image
+		switch kind {
+		case "gray":
+			m := image.NewGray(r)
+			rng.Read(m.Pix)
+			src = m
+		case "rgb":
+			m := image.NewRGBA(r)
+			rng.Read(m.Pix)
+			for i := 3; i < len(m.Pix); i += 4 {
+				m.Pix[i] = 0xFF
+			}
+			src = m
+		case "nrgba":
+			m := image.NewNRGBA(r)
+			rng.Read(m.Pix)
+			src = m
+		case "paletted":
+			m := image.NewPaletted(r, color.Palette{color.Black, color.White, color.NRGBA{R: 200, A: 90}})
+			for i := range m.Pix {
+				m.Pix[i] = uint8(rng.Intn(3))
+			}
+			src = m
+		}
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	im, bm, g := &binimg.Image{}, &binimg.Bitmap{}, &grayccl.Image{}
+	decoders := map[string]func(r *bytes.Reader) error{
+		"DecodePNGInto": func(r *bytes.Reader) error {
+			_, err := pnm.DecodePNGInto(r, 0.5, im)
+			return err
+		},
+		"DecodePNGBitmapInto": func(r *bytes.Reader) error {
+			_, err := pnm.DecodePNGBitmapInto(r, 0.5, bm)
+			return err
+		},
+		"DecodePNGGrayInto": func(r *bytes.Reader) error { return pnm.DecodePNGGrayInto(r, g) },
+	}
+	for _, kind := range []string{"gray", "rgb", "nrgba", "paletted"} {
+		small, large := body(kind, 16), body(kind, 256)
+		for name, decode := range decoders {
+			allocs := func(b []byte) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if err := decode(bytes.NewReader(b)); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if s, l := allocs(small), allocs(large); l > s {
+				t.Errorf("%s/%s: %v allocations for 16x16 pixels, %v for 256x256", name, kind, s, l)
+			}
+		}
 	}
 }

@@ -60,6 +60,11 @@ func TestEngineAccounting(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	img := testImage(t)
 	p4 := pbmBody(t, img)
+	// The unpinned case's job would dedup to the alg=paremsp case's (an
+	// unpinned job keys as paremsp), so it labels another image.
+	other := paremsp.NewImage(6, 5)
+	other.Pix[0], other.Pix[29] = 1, 1
+	p4Other := pbmBody(t, other)
 	grayB, grayImg := grayBody(t, 9, 7, 3)
 	_, grayN := paremsp.LabelGray(grayImg)
 	volB, vol := volumeBody(t, 6, 5, 4, 4)
@@ -75,8 +80,9 @@ func TestEngineAccounting(t *testing.T) {
 		pools     []string // borrowed once per labeling; every other pool untouched
 		timed     bool     // lands a job_service_ns sample
 	}{
-		{"image", "/v1/label", "", ctPBM, p4, 20, 5, []string{"image", "labelmap", "scratch"}, true},
+		{"image", "/v1/label?alg=paremsp", "?alg=paremsp", ctPBM, p4, 20, 5, []string{"image", "labelmap", "scratch"}, true},
 		{"bitmap", "/v1/label?alg=bremsp", "?alg=bremsp", ctPBM, p4, 20, 5, []string{"bitmap", "labelmap", "scratch"}, true},
+		{"unpinned", "/v1/label", "", ctPBM, p4Other, 30, 2, []string{"bitmap", "labelmap", "scratch"}, true},
 		{"gray", "/v1/label?mode=gray", "?kind=gray", ctPGM, grayB, 63, int64(grayN), []string{"gray", "labelmap", "scratch"}, true},
 		{"volume", "/v1/volume", "?kind=volume", ctPGM, volB, 120, int64(volN), []string{"volume", "labelvol", "scratch"}, true},
 		{"stream", "/v1/stats", "?kind=stats", ctPBM, p4, 20, 5, nil, false},

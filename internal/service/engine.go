@@ -1,11 +1,13 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +94,8 @@ type Engine struct {
 	// context is the request's: the labeling polls it between row blocks and
 	// returns its error when canceled.
 	run func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runBM is run for bit-packed rasters (raw PBM with bremsp/pbremsp).
+	// runBM is run for packed bitmaps: every binary body but a pinned byte
+	// algorithm's, unpinned ones labeled as PAREMSP.
 	runBM func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
 	// runGray is run for gray-level jobs (modes gray and gray-delta).
 	runGray func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
@@ -187,6 +190,27 @@ func (e *Engine) grayTask(img *paremsp.GrayImage) task {
 
 func area(w, h int) int64 { return int64(w) * int64(h) }
 
+// ranAlg names the labeler that runs t under opt, as traces, access lines
+// and ccserve_labelings_total report it: a packed task runs the bit-packed
+// kernel whatever numbering opt asks for, so its PAREMSP is PBREMSP, and a
+// stream runs the band labeler.
+func ranAlg(t task, opt paremsp.Options) string {
+	alg := cmp.Or(opt.Algorithm, paremsp.AlgPAREMSP)
+	switch t.(type) {
+	case streamTask:
+		return "band"
+	case rasterTask[paremsp.Bitmap]:
+		if alg == paremsp.AlgPAREMSP {
+			return string(paremsp.AlgPBREMSP)
+		}
+	}
+	return string(alg)
+}
+
+// algNames lists every name ranAlg gives, in the exposition order of
+// ccserve_labelings_total.
+var algNames = append(paremsp.Algorithms(), "band")
+
 // volumeTask labels a voxel volume into a pooled label volume.
 type volumeTask struct{ vol *paremsp.Volume }
 
@@ -256,6 +280,8 @@ type jobResult struct {
 	// pooled trace records race-free under cancellation.
 	wait    time.Duration
 	threads int
+	// alg is the labeler that ran (see ranAlg).
+	alg string
 	// pixels (voxels for a volume), components and phases feed the
 	// engine's counters. paced marks a stream, whose duration is dominated
 	// by how fast the client's source delivers bands, not by compute.
@@ -286,6 +312,7 @@ func NewEngine(cfg Config) *Engine {
 		runGray:    paremsp.LabelGrayIntoCtx,
 		runVol:     paremsp.LabelVolumeIntoCtx,
 	}
+	e.metrics.labelings = make([]atomic.Int64, len(algNames))
 	e.cpus.Store(int64(runtime.GOMAXPROCS(0)))
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -659,7 +686,7 @@ func (e *Engine) worker() {
 		j.opt.Threads = threads
 		r := e.compute(j)
 		e.cpus.Add(int64(threads))
-		r.wait, r.threads = wait, threads
+		r.wait, r.threads, r.alg = wait, threads, ranAlg(j.task, j.opt)
 		e.account(r, time.Since(start).Nanoseconds())
 		j.done <- r
 	}
@@ -716,6 +743,9 @@ func (e *Engine) account(r jobResult, elapsed int64) {
 		return
 	}
 	m.completed.Add(1)
+	if i := slices.Index(algNames, paremsp.Algorithm(r.alg)); i >= 0 {
+		m.labelings[i].Add(1)
+	}
 	m.pixels.Add(r.pixels)
 	m.components.Add(r.components)
 	if r.paced {

@@ -44,9 +44,13 @@ type HandlerConfig struct {
 	// paper's 0.5.
 	Level float64
 	// DefaultAlgorithm is used when a request does not pin ?alg=. Empty
-	// selects the library default (paremsp). Selecting a bit-packed
-	// algorithm (bremsp/pbremsp) makes raw-PBM uploads take the packed
-	// ingest path by default.
+	// leaves requests unpinned: a binary body then decodes straight into a
+	// packed bitmap and runs PBREMSP, and the response carries PAREMSP's
+	// numbering, byte for byte what alg=paremsp returns; the gray and volume
+	// modes run PAREMSP. Any name pins it: a byte algorithm (paremsp
+	// included) decodes a byte raster, a bit-packed one (bremsp, pbremsp)
+	// a bitmap. cmd/paperbench, which calls the library, still times
+	// PAREMSP itself.
 	DefaultAlgorithm paremsp.Algorithm
 	// Jobs, when non-nil, enables the asynchronous job API (POST /v1/jobs
 	// and the /v1/jobs/{id} endpoints) backed by this store. The handler
@@ -382,15 +386,16 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
+	// A JSON labeling without components reads nothing of the label map
+	// but its count, which FLATTEN yields, so it stops there.
+	opt := options(spec.params)
+	opt.CountOnly = spec.kind == jobs.KindLabels && !spec.components && accept == ctJSON
 	if tr != nil {
 		// A stream parses only its header up front — band decoding is
 		// interleaved with labeling on the worker — so its DecodeNs is the
 		// header cost and the streamed pass lands in queue+total.
 		tr.DecodeNs = time.Since(decodeStart).Nanoseconds()
-		tr.Alg = cmp.Or(spec.params.Alg, string(paremsp.AlgPAREMSP))
-		if spec.kind == jobs.KindStats {
-			tr.Alg = "band"
-		}
+		tr.Alg = ranAlg(d.task, opt)
 		tr.Pixels = int64(d.info.Width) * int64(d.info.Height) * int64(max(d.info.Depth, 1))
 	}
 	// The labeling runs under the request's context, deadline-bounded when
@@ -401,10 +406,6 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, h.reqTimeout)
 		defer cancel()
 	}
-	// A JSON labeling without components reads nothing of the label map
-	// but its count, which FLATTEN yields, so it stops there.
-	opt := options(spec.params)
-	opt.CountOnly = spec.kind == jobs.KindLabels && !spec.components && accept == ctJSON
 	out := h.engine.do(ctx, d.task, opt)
 	// The trace is filled from the returned outcome only, so a worker that
 	// finishes after a cancellation never races the (pooled, recycled)
@@ -432,10 +433,12 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// options is p as the engine's labeling options.
+// options is p as the engine's labeling options. An unpinned request asks
+// for PAREMSP: its answer in every mode, which a packed binary task
+// computes with the run kernel and the rank pass.
 func options(p jobs.Params) paremsp.Options {
 	return paremsp.Options{
-		Algorithm:    paremsp.Algorithm(p.Alg),
+		Algorithm:    paremsp.Algorithm(cmp.Or(p.Alg, string(paremsp.AlgPAREMSP))),
 		Connectivity: p.Conn,
 		Threads:      p.Threads,
 		Mode:         paremsp.Mode(p.Mode),
@@ -457,13 +460,13 @@ type decoded struct {
 // endpoints, fresh async jobs and recovered ones. A stats body is read on
 // the worker (only its raw-PBM/PGM header is parsed here); a volume body
 // is concatenated P5 z-slices. The 2-D kinds resolve their codec from
-// p.ContentType, sniffing an absent or generic type. Raw PBM paired with a
-// bit-packed algorithm takes the packed ingest path — P4 rows are already
-// 1 bit per pixel, so the byte raster is never materialized; gray kinds
-// decode intensities, maxval-scaled onto the 0..255 domain the gray
-// labelers compare. A binary raster's density comes from the foreground
-// count its decoder returns, so the raster is not read a second time. On
-// error the borrowed input is already back in its pool.
+// p.ContentType, sniffing an absent or generic type. Gray kinds decode
+// intensities, maxval-scaled onto the 0..255 domain the gray labelers
+// compare. A binary body of any codec decodes straight into a packed
+// bitmap, and a byte raster only when a byte algorithm is pinned. A binary
+// raster's density comes from the foreground count its decoder returns,
+// so the raster is not read a second time. On error the borrowed input is
+// already back in its pool.
 func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded, error) {
 	if faultinject.Fire(faultinject.DecodeError) {
 		return decoded{}, errors.New("faultinject: decode-error")
@@ -507,13 +510,19 @@ func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded
 		// Gray labeling has no background: every pixel belongs to a
 		// component, so the foreground density is definitionally 1.
 		return decoded{task: e.grayTask(g), info: jobs.ResultInfo{Width: g.Width, Height: g.Height, Density: 1}}, nil
-	case codec == "pnm" && bitPackedAlg(paremsp.Algorithm(p.Alg)) && sniffP4(br):
+	case packed(p.Alg):
 		bm := e.bitmaps.get()
-		if err := pnm.DecodePBMBitmapInto(br, bm); err != nil {
+		var fg int
+		if codec == "png" {
+			fg, err = pnm.DecodePNGBitmapInto(br, p.Level, bm)
+		} else {
+			fg, err = pnm.DecodeBitmapInto(br, p.Level, bm)
+		}
+		if err != nil {
 			e.bitmaps.put(bm)
 			return decoded{}, err
 		}
-		return decoded{task: e.bitmapTask(bm), info: jobs.ResultInfo{Width: bm.Width, Height: bm.Height, Density: bm.Density()}}, nil
+		return decoded{task: e.bitmapTask(bm), info: binaryInfo(bm.Width, bm.Height, fg)}, nil
 	}
 	img := e.images.get()
 	var fg int
@@ -526,11 +535,28 @@ func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded
 		e.images.put(img)
 		return decoded{}, err
 	}
-	info := jobs.ResultInfo{Width: img.Width, Height: img.Height}
-	if px := img.Width * img.Height; px > 0 {
+	return decoded{task: e.imageTask(img), info: binaryInfo(img.Width, img.Height, fg)}, nil
+}
+
+// packed reports whether a binary labeling under the algorithm choice alg
+// labels a packed bitmap: unpinned (the run kernel, answering with
+// PAREMSP's numbering) or pinned to a bit-packed algorithm.
+func packed(alg string) bool {
+	switch paremsp.Algorithm(alg) {
+	case "", paremsp.AlgBREMSP, paremsp.AlgPBREMSP:
+		return true
+	}
+	return false
+}
+
+// binaryInfo is the response facts of a w x h binary raster holding fg
+// foreground pixels.
+func binaryInfo(w, h, fg int) jobs.ResultInfo {
+	info := jobs.ResultInfo{Width: w, Height: h}
+	if px := w * h; px > 0 {
 		info.Density = float64(fg) / float64(px)
 	}
-	return decoded{task: e.imageTask(img), info: info}, nil
+	return info
 }
 
 // finish turns a task's outcome into the jobs.Result every response is
@@ -644,17 +670,6 @@ func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// bitPackedAlg reports whether alg consumes a packed bitmap natively.
-func bitPackedAlg(alg paremsp.Algorithm) bool {
-	return alg == paremsp.AlgBREMSP || alg == paremsp.AlgPBREMSP
-}
-
-// sniffP4 reports whether the body starts with the raw-PBM magic.
-func sniffP4(body *bufio.Reader) bool {
-	magic, err := body.Peek(2)
-	return err == nil && magic[0] == 'P' && magic[1] == '4'
 }
 
 // bodyKind resolves the request body codec ("pnm" or "png") from the

@@ -148,11 +148,11 @@ func TestJobLifecycle(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 4, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
 		started <- struct{}{}
 		<-block
-		return paremsp.LabelInto(img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	img := testImage(t)
 	// Job A occupies the single worker; job B (a different image) queues.
@@ -456,11 +456,11 @@ func TestJobResultNotReady(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 4, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
 		started <- struct{}{}
 		<-block
-		return paremsp.LabelInto(img, dst, sc, opt)
-	}
+		return nil
+	})
 	id := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, pbmBody(t, testImage(t))).Jobs[0].ID
 	<-started
 
@@ -488,11 +488,11 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	eng, store, srv := newJobsServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	block := make(chan struct{})
 	started := make(chan struct{}, 4)
-	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
 		started <- struct{}{}
 		<-block
-		return paremsp.LabelInto(img, dst, sc, opt)
-	}
+		return nil
+	})
 
 	imgs := make([][]byte, 3)
 	for i := range imgs {

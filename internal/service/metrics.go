@@ -42,6 +42,8 @@ type metrics struct {
 	busyNs     atomic.Int64 // cumulative wall time workers spent on jobs, every kind and outcome
 	panics     atomic.Int64 // worker panics contained by recoverPanic
 
+	labelings []atomic.Int64 // successful labelings, by the algNames index of the labeler that ran
+
 	phaseNs [phaseCount]atomic.Int64 // cumulative PhaseTimes, per phase
 
 	queueWaitHist hist             // enqueue → worker-dequeue wait, all jobs
@@ -84,12 +86,16 @@ type Snapshot struct {
 
 	BusyNs int64                   `json:"worker_busy_ns"`
 	Pools  [poolCount]PoolSnapshot `json:"pools"`
+	// Labelings counts the successful labelings of each labeler that ran,
+	// by name: the bit-packed kernel serves unpinned binary requests as
+	// pbremsp, and a /v1/stats stream counts as band.
+	Labelings map[string]int64 `json:"labelings"`
 }
 
 // Snapshot copies the current counters. QueueDepth is the number of requests
 // waiting in the queue at the instant of the call.
 func (e *Engine) Snapshot() Snapshot {
-	return Snapshot{
+	s := Snapshot{
 		Requests:   e.metrics.requests.Load(),
 		Completed:  e.metrics.completed.Load(),
 		Rejected:   e.metrics.rejected.Load(),
@@ -110,6 +116,7 @@ func (e *Engine) Snapshot() Snapshot {
 		JobP99Ns:   e.metrics.jobHist.quantile(0.99),
 		Panics:     e.metrics.panics.Load(),
 		BusyNs:     e.metrics.busyNs.Load(),
+		Labelings:  make(map[string]int64, len(algNames)),
 		// The names are the `pool` label values on ccserve_pool_get_total
 		// and ccserve_pool_miss_total, in exposition order.
 		Pools: [poolCount]PoolSnapshot{
@@ -119,6 +126,10 @@ func (e *Engine) Snapshot() Snapshot {
 			e.labelVols.census("labelvol"),
 		},
 	}
+	for i, alg := range algNames {
+		s.Labelings[string(alg)] = e.metrics.labelings[i].Load()
+	}
+	return s
 }
 
 // writeHistograms renders the engine's latency histograms — queue wait,
@@ -231,6 +242,16 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err = writePromLabeled(w, "counter", "pool_miss_total",
 		"Pool borrows that had to allocate (gets minus misses = reuse hits).", misses)
+	total += n
+	if err != nil {
+		return total, err
+	}
+	algs := make([]promSeries, 0, len(algNames))
+	for _, alg := range algNames {
+		algs = append(algs, promSeries{labels: `alg="` + string(alg) + `"`, v: s.Labelings[string(alg)]})
+	}
+	n, err = writePromLabeled(w, "counter", "labelings_total",
+		"Successful labelings by the labeler that ran (unpinned binary requests run pbremsp; /v1/stats streams run band).", algs)
 	total += n
 	return total, err
 }

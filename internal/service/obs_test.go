@@ -187,7 +187,7 @@ func TestPromExpositionValid(t *testing.T) {
 		"ccserve_http_request_duration_ns", "ccserve_queue_wait_ns",
 		"ccserve_job_service_ns", "ccserve_phase_duration_ns",
 		"ccserve_job_latency_p50_ns", "ccserve_jobs_submitted_total",
-		"ccserve_pool_get_total", "ccserve_pool_miss_total",
+		"ccserve_pool_get_total", "ccserve_pool_miss_total", "ccserve_labelings_total",
 		"ccserve_worker_busy_ns_total", "ccserve_workers_busy",
 		"ccserve_go_goroutines", "ccserve_go_heap_objects_bytes",
 		"ccserve_go_gc_pause_seconds",
@@ -199,13 +199,17 @@ func TestPromExpositionValid(t *testing.T) {
 	if !regexp.MustCompile(`ccserve_http_request_duration_ns_bucket\{endpoint="label",le="\+Inf"\} [1-9]`).MatchString(text) {
 		t.Fatalf("label endpoint histogram recorded no requests:\n%s", text)
 	}
-	// The raster traffic above borrowed from the image, labelmap and scratch
-	// pools; their get counters must be live (the bitmap pool stays 0 — no
-	// bit-packed requests were sent).
-	for _, pool := range []string{"image", "labelmap", "scratch"} {
+	// The unpinned binary traffic above decoded packed and borrowed from the
+	// bitmap, labelmap and scratch pools; their get counters must be live
+	// (the image pool stays 0 — no byte algorithm was pinned), and the
+	// labelings count under the kernel that ran them.
+	for _, pool := range []string{"bitmap", "labelmap", "scratch"} {
 		if !regexp.MustCompile(`ccserve_pool_get_total\{pool="` + pool + `"\} [1-9]`).MatchString(text) {
 			t.Fatalf("pool %s recorded no gets:\n%s", pool, text)
 		}
+	}
+	if !regexp.MustCompile(`ccserve_labelings_total\{alg="pbremsp"\} 4\n`).MatchString(text) {
+		t.Fatalf("the four unpinned labelings are not counted under pbremsp:\n%s", text)
 	}
 	if !regexp.MustCompile(`ccserve_worker_busy_ns_total [1-9]`).MatchString(text) {
 		t.Fatalf("worker busy time not recorded:\n%s", text)
@@ -453,7 +457,7 @@ func TestAccessLogFields(t *testing.T) {
 	if entry["method"] != "POST" || entry["status"] != float64(http.StatusOK) {
 		t.Fatalf("access entry = %v", entry)
 	}
-	if entry["alg"] != "paremsp" || entry["pixels"] != float64(20) || entry["threads"] != float64(runtime.GOMAXPROCS(0)) {
+	if entry["alg"] != "pbremsp" || entry["pixels"] != float64(20) || entry["threads"] != float64(runtime.GOMAXPROCS(0)) {
 		t.Fatalf("access entry missing alg/pixels/threads: %v", entry)
 	}
 	if id, _ := entry["id"].(string); len(id) != 16 {

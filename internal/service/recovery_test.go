@@ -58,14 +58,14 @@ func TestServiceRecoveryAfterReopen(t *testing.T) {
 	// "crash".
 	started := make(chan struct{}, 1)
 	var parked atomic.Int32
-	eng1.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+	gateBinary(eng1, func(ctx context.Context, _ paremsp.Options) error {
 		if parked.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
-	}
+		return nil
+	})
 	other, err := paremsp.ParseImage("#.#\n.#.\n#.#")
 	if err != nil {
 		t.Fatal(err)

@@ -13,17 +13,34 @@ import (
 	paremsp "repro"
 )
 
-// threadProbe substitutes every kernel seam of eng with one that reports
-// the thread count it was handed on seen, then behaves as act says: nil
-// labels for real, otherwise act decides the outcome.
-func threadProbe(eng *Engine, seen chan<- int, act func(ctx context.Context) error) {
+// gateBinary substitutes both binary kernel seams of eng — the byte
+// raster's, which pinned byte algorithms and Engine.Label take, and the
+// packed bitmap's, which unpinned binary requests take — with ones that
+// call gate with the labeling's context and options first: a non-nil error
+// is the labeling's outcome, nil labels for real.
+func gateBinary(eng *Engine, gate func(ctx context.Context, opt paremsp.Options) error) {
 	eng.run = func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
-		seen <- opt.Threads
-		if err := act(ctx); err != nil {
+		if err := gate(ctx, opt); err != nil {
 			return nil, err
 		}
 		return paremsp.LabelIntoCtx(ctx, img, dst, sc, opt)
 	}
+	eng.runBM = func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
+		if err := gate(ctx, opt); err != nil {
+			return nil, err
+		}
+		return paremsp.LabelBitmapIntoCtx(ctx, bm, dst, sc, opt)
+	}
+}
+
+// threadProbe substitutes every kernel seam of eng with one that reports
+// the thread count it was handed on seen, then behaves as act says: nil
+// labels for real, otherwise act decides the outcome.
+func threadProbe(eng *Engine, seen chan<- int, act func(ctx context.Context) error) {
+	gateBinary(eng, func(ctx context.Context, opt paremsp.Options) error {
+		seen <- opt.Threads
+		return act(ctx)
+	})
 	eng.runGray = func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
 		seen <- opt.Threads
 		if err := act(ctx); err != nil {

@@ -1,6 +1,7 @@
 package paremsp_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -84,6 +85,13 @@ func TestBinaryNumberingStable(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameLabels(t, "pbremsp bitmap "+what, tree, ntree, res.Labels.L, res.NumComponents)
+					// The run kernel with the rank pass: PAREMSP's numbering.
+					res, err = paremsp.LabelBitmapIntoCtx(context.Background(), bm, nil, nil,
+						paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: th})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameLabels(t, "paremsp bitmap "+what, pair, npair, res.Labels.L, res.NumComponents)
 				}
 				res, err := paremsp.LabelBitmapIntoCtx(context.Background(), bm, nil, nil, paremsp.Options{Algorithm: paremsp.AlgBREMSP})
 				if err != nil {
@@ -190,6 +198,11 @@ func TestNumberingDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["bitmap"] = labelDigest(res.Labels.L, res.NumComponents)
+	res, err = paremsp.LabelBitmapIntoCtx(ctx, bm, nil, nil, paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["bitmap-paremsp"] = labelDigest(res.Labels.L, res.NumComponents)
 	res, err = paremsp.LabelGrayIntoCtx(ctx, gray, nil, nil, paremsp.Options{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -212,19 +225,63 @@ func TestNumberingDigests(t *testing.T) {
 	const pairRows = "f4b8302c06760e3469c4b27b40e69c05fb70441f0adf34adeabe3363ac6713a2"
 	const treeRuns = "6bd168b0f5f21d7df9fe9ffe59d43d4feb45a06e01891f5acbccbbcd7dca3e7d"
 	want := map[string]string{
-		"paremsp":    pairRows,
-		"aremsp":     pairRows,
-		"cclremsp":   treeRuns,
-		"bremsp":     treeRuns,
-		"pbremsp":    treeRuns,
-		"bitmap":     treeRuns,
-		"gray":       "dc22efb72f586c360769f495dcab0484a59daf9609a81334280259b6aa8a078d",
-		"gray-delta": "1092048ee397393b3fc1964d9f9230952b2d6234a8289ee0d708629ef55a456f",
-		"volume":     "8b4c89cf75c9cc9b4978a6f59092f4838f6977069a57c047d3b09b7841e4a0d5",
+		"paremsp":  pairRows,
+		"aremsp":   pairRows,
+		"cclremsp": treeRuns,
+		"bremsp":   treeRuns,
+		"pbremsp":  treeRuns,
+		"bitmap":   treeRuns,
+		// The run kernel with the rank pass numbers as the pair-row family.
+		"bitmap-paremsp": pairRows,
+		"gray":           "dc22efb72f586c360769f495dcab0484a59daf9609a81334280259b6aa8a078d",
+		"gray-delta":     "1092048ee397393b3fc1964d9f9230952b2d6234a8289ee0d708629ef55a456f",
+		"volume":         "8b4c89cf75c9cc9b4978a6f59092f4838f6977069a57c047d3b09b7841e4a0d5",
 	}
 	for k, v := range want {
 		if got[k] != v {
 			t.Errorf("%s: digest %s, want %s", k, got[k], v)
 		}
 	}
+}
+
+// FuzzPackedPAREMSPNumbering: the run kernel with the rank pass
+// (LabelBitmapIntoCtx with AlgPAREMSP) must give PAREMSP's label map over
+// the unpacked image, byte for byte, at every thread count from 1 to 7,
+// into a reused destination and Scratch. The first byte sets the width,
+// the rest are pixels, one bit each. The seed corpus runs as part of
+// `go test`; `go test -fuzz=FuzzPackedPAREMSPNumbering .` explores further.
+func FuzzPackedPAREMSPNumbering(f *testing.F) {
+	f.Add([]byte{3, 0xA5, 0x5A, 0xFF})
+	f.Add([]byte{1, 0xB6, 0x6D})
+	f.Add([]byte{8, 0x81, 0x42, 0x24, 0x18, 0x18, 0x24, 0x42, 0x81})
+	f.Add([]byte{13, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55})
+	f.Add(append([]byte{64}, bytes.Repeat([]byte{0xF0, 0x0F, 0x3C}, 40)...))
+	f.Add(append([]byte{65}, bytes.Repeat([]byte{0xFF}, 33)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		w := int(data[0])%80 + 1
+		pix := data[1:min(len(data), 1+2048)]
+		h := len(pix) * 8 / w
+		if h == 0 {
+			return
+		}
+		img := paremsp.NewImage(w, h)
+		for i := range img.Pix {
+			img.Pix[i] = pix[i/8] >> (i % 8) & 1
+		}
+		bm := paremsp.NewBitmap(w, h)
+		bm.FromImage(img)
+		ctx := context.Background()
+		dst, sc := &paremsp.LabelMap{}, &paremsp.Scratch{}
+		for th := 1; th <= 7; th++ {
+			want, nwant := labelBytes(t, img, paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: th})
+			res, err := paremsp.LabelBitmapIntoCtx(ctx, bm, dst, sc, paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: th})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameLabels(t, fmt.Sprintf("%dx%d threads=%d", w, h, th), want, nwant, res.Labels.L, res.NumComponents)
+		}
+	})
 }

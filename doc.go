@@ -145,14 +145,20 @@
 //
 // The service is fully instrumented: every request carries an X-Request-ID
 // (inbound honored, otherwise generated, always echoed), synchronous
-// responses report per-phase durations in a Server-Timing header, /metrics
-// exposes lock-free log₂-bucket latency histograms (per-endpoint request
-// duration, queue wait, worker service time, per-phase splits) alongside
-// the counters, and recent per-request phase traces are retained in a ring
-// buffer dumped by GET /debug/requests on the separate ccserve -debug-addr
-// listener, which also serves net/http/pprof. Structured slog logging
-// (access lines, job lifecycle events) is configured with ccserve
-// -log-level and -log-format.
+// responses report per-layer durations in a Server-Timing header (queue,
+// decode, the four phases, then the components and contours shaping that
+// follows the labeling), /metrics exposes lock-free log₂-bucket latency
+// histograms (per-endpoint request duration, queue wait, worker service
+// time, per-phase splits) alongside the counters, and recent per-request
+// traces are retained in a ring buffer dumped by GET /debug/requests on the
+// separate ccserve -debug-addr listener, which also serves net/http/pprof.
+// Structured slog logging (access lines, job lifecycle events) is
+// configured with ccserve -log-level and -log-format; each access line
+// carries its request's nonzero layer times, encode included, and a job's
+// status trace names the labeler that ran. Result bodies are appended, not
+// reflected: one writer renders every JSON result from the component and
+// contour lists in 64 KiB writes, byte-identical to the earlier
+// encoding/json output, and a PGM label map is written a row at a time.
 //
 // # Asynchronous jobs
 //

@@ -108,6 +108,11 @@ type ResultInfo struct {
 	// Threads is the thread count the labeling ran with; execution detail
 	// for the status trace, outside the dedup key like BandRows.
 	Threads int `json:"threads,omitempty"`
+	// Alg names the labeler that ran (pbremsp for an unpinned binary
+	// labeling, band for a stream); execution detail for the status trace,
+	// outside the dedup key like BandRows. Records written before it
+	// existed read back without one.
+	Alg string `json:"alg,omitempty"`
 	// Phases holds per-phase times when the parallel algorithms produced
 	// the labeling; zero otherwise.
 	Phases core.PhaseTimes `json:"phases,omitempty"`

@@ -263,15 +263,21 @@ func EncodePBM(w io.Writer, im *binimg.Image, raw bool) error {
 
 // EncodePGM writes a label map as a raw P5 graymap for quick visual
 // inspection: background is 0 and labels cycle through 64..255, so adjacent
-// components are usually distinguishable.
+// components are usually distinguishable. Each row is shaded into one row
+// buffer and written whole.
 func EncodePGM(w io.Writer, lm *binimg.LabelMap) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "P5\n%d %d\n255\n", lm.Width, lm.Height)
-	for _, v := range lm.L {
-		if v == 0 {
-			bw.WriteByte(0)
-		} else {
-			bw.WriteByte(byte(64 + (v-1)%192))
+	row := make([]byte, lm.Width)
+	for y := 0; y < lm.Height; y++ {
+		for x, v := range lm.L[y*lm.Width : (y+1)*lm.Width] {
+			row[x] = 0
+			if v != 0 {
+				row[x] = byte(64 + (v-1)%192)
+			}
+		}
+		if _, err := bw.Write(row); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

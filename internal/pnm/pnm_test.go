@@ -8,10 +8,13 @@ import (
 	"image"
 	"image/color"
 	"image/png"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,21 +142,47 @@ func TestP4PacksRowPadding(t *testing.T) {
 	}
 }
 
+// TestEncodePGMLabelPalette checks the header and every pixel of a
+// width-7 map against the palette rule: background 0, label v gray
+// 64 + (v-1) mod 192. The second row holds the labels in reverse.
 func TestEncodePGMLabelPalette(t *testing.T) {
-	lm := binimg.NewLabelMap(3, 1)
-	lm.Set(1, 0, 1)
-	lm.Set(2, 0, 500)
+	labels := []binimg.Label{0, 1, 192, 193, 384, 385, math.MaxInt32}
+	grays := []byte{0, 64, 255, 64, 255, 64, 190}
+	lm := binimg.NewLabelMap(len(labels), 2)
+	want := []byte("P5\n7 2\n255\n")
+	want = append(want, grays...)
+	for x, v := range labels {
+		lm.Set(x, 0, v)
+		lm.Set(len(labels)-1-x, 1, v)
+	}
+	want = append(want, grays...)
+	slices.Reverse(want[len(want)-len(grays):])
 	var buf bytes.Buffer
 	if err := pnm.EncodePGM(&buf, lm); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	pixels := data[len(data)-3:]
-	if pixels[0] != 0 {
-		t.Fatal("background must encode to 0")
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("EncodePGM = %q, want %q", buf.Bytes(), want)
 	}
-	if pixels[1] < 64 || pixels[2] < 64 {
-		t.Fatal("labels must encode to >= 64")
+}
+
+// TestEncodePGMAllocatesPerMap: the encoder shades one row buffer per
+// map, so a map 100 times taller allocates as often. Both heights are
+// above 255, so the header's fmt call boxes both alike.
+func TestEncodePGMAllocatesPerMap(t *testing.T) {
+	allocs := func(h int) float64 {
+		lm := binimg.NewLabelMap(7, h)
+		for i := range lm.L {
+			lm.L[i] = binimg.Label(i % 5)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := pnm.EncodePGM(io.Discard, lm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, tall := allocs(300), allocs(30000); short != tall {
+		t.Fatalf("EncodePGM allocates %v times for 300 rows, %v for 30000", short, tall)
 	}
 }
 

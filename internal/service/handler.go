@@ -245,94 +245,6 @@ func (h *Handler) writeErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// labelResponse is the JSON body of a labeling: /v1/label, and the result
-// of a done labels, contours or gray job.
-type labelResponse struct {
-	Width         int             `json:"width"`
-	Height        int             `json:"height"`
-	NumComponents int             `json:"num_components"`
-	Density       float64         `json:"density"`
-	Phases        *phasesJSON     `json:"phases,omitempty"`
-	Components    []componentJSON `json:"components,omitempty"`
-	Contours      []contourJSON   `json:"contours,omitempty"`
-}
-
-type phasesJSON struct {
-	ScanNs    int64 `json:"scan_ns"`
-	MergeNs   int64 `json:"merge_ns"`
-	FlattenNs int64 `json:"flatten_ns"`
-	RelabelNs int64 `json:"relabel_ns"`
-}
-
-// phasesJSONFrom renders a labeling's phase times; nil when the kernel
-// did not time its phases.
-func phasesJSONFrom(ph paremsp.PhaseTimes) *phasesJSON {
-	if ph.Total() <= 0 {
-		return nil
-	}
-	return &phasesJSON{
-		ScanNs:    ph.Scan.Nanoseconds(),
-		MergeNs:   ph.Merge.Nanoseconds(),
-		FlattenNs: ph.Flatten.Nanoseconds(),
-		RelabelNs: ph.Relabel.Nanoseconds(),
-	}
-}
-
-// componentJSON is one component's statistics. Only /v1/stats and stats
-// jobs report runs; a labeling's components leave it out.
-type componentJSON struct {
-	Label    int32      `json:"label"`
-	Area     int64      `json:"area"`
-	BBox     [4]int     `json:"bbox"` // min_x, min_y, max_x, max_y (inclusive)
-	Centroid [2]float64 `json:"centroid"`
-	Runs     int64      `json:"runs,omitempty"`
-}
-
-// componentsJSON renders a component list, with each component's run count
-// when runs is set. The list is never nil, so an empty one encodes as [].
-func componentsJSON(comps []paremsp.Component, runs bool) []componentJSON {
-	out := make([]componentJSON, len(comps))
-	for i, c := range comps {
-		out[i] = componentJSON{Label: c.Label, Area: c.Area,
-			BBox: [4]int{c.MinX, c.MinY, c.MaxX, c.MaxY}, Centroid: [2]float64{c.CentroidX, c.CentroidY}}
-		if runs {
-			out[i].Runs = c.Runs
-		}
-	}
-	return out
-}
-
-// contourJSON is one component's outer boundary polyline: clockwise
-// boundary pixels as [x, y] pairs (Moore tracing, 8-connectivity).
-type contourJSON struct {
-	Label  int32    `json:"label"`
-	Points [][2]int `json:"points"`
-}
-
-// statsResponse is the JSON body of /v1/stats and of a done stats job.
-// Components is nil (and left out) under ?components=false; a requested
-// list is present even when empty.
-type statsResponse struct {
-	Width         int              `json:"width"`
-	Height        int              `json:"height"`
-	NumComponents int              `json:"num_components"`
-	Density       float64          `json:"density"`
-	BandRows      int              `json:"band_rows"`
-	Components    *[]componentJSON `json:"components,omitempty"`
-}
-
-// volumeResponse is the JSON body of a successful /v1/volume request (and
-// of a done volume job's result). The labeled voxel grid itself is not
-// returned — at W*H*D*4 bytes it dwarfs the input — only the component
-// summary; ?components=false drops the per-component voxel counts too.
-type volumeResponse struct {
-	Width          int   `json:"width"`
-	Height         int   `json:"height"`
-	Depth          int   `json:"depth"`
-	NumComponents  int   `json:"num_components"`
-	ComponentSizes []int `json:"component_sizes,omitempty"`
-}
-
 // serveSync handles the synchronous endpoints. A synchronous request is an
 // async job without the store: parseSpec resolves its kind and Params,
 // decode reads the body into a pooled engine task, the engine runs it on
@@ -424,7 +336,7 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		tr.setPhases(res.Phases.Scan, res.Phases.Merge, res.Phases.Flatten, res.Phases.Relabel)
 		// Server-Timing must precede the body; encode time therefore lives
-		// only in the /debug/requests trace record.
+		// only in the /debug/requests trace record and the access line.
 		w.Header().Set("Server-Timing", string(appendServerTiming(nil, tr, encodeStart.Sub(tr.Start))))
 	}
 	writeResult(w, spec.kind, accept, res, spec.components)
@@ -568,13 +480,15 @@ func binaryInfo(w, h, fg int) jobs.ResultInfo {
 // after rendering, a job keeps it out of the pool until eviction or
 // deletion releases it to the GC. Contours are traced under ctx here, on
 // the caller's goroutine: tracing is output shaping, not labeling, so it
-// does not hold a worker.
+// does not hold a worker. A synchronous request's trace, which ctx
+// carries, times the component summaries and the contours.
 func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultInfo, out jobResult, comps bool) (*jobs.Result, error) {
 	if out.err != nil {
 		return nil, out.err
 	}
 	res := &jobs.Result{ResultInfo: info}
-	res.Threads = out.threads
+	res.Threads, res.Alg = out.threads, out.alg
+	tr, start := traceFrom(ctx), time.Now()
 	switch {
 	case out.bres != nil:
 		res.Stats, res.NumComponents = out.bres, out.bres.NumComponents
@@ -582,20 +496,30 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 		res.NumComponents = out.vres.NumComponents
 		if comps {
 			res.VolumeSizes = paremsp.VolumeComponentSizes(out.vres.Labels, out.vres.NumComponents)
+			if tr != nil {
+				tr.ComponentsNs = time.Since(start).Nanoseconds()
+			}
 		}
 		h.engine.PutVolumeResult(out.vres)
 	default:
 		res.Labels, res.NumComponents, res.Phases = out.res.Labels, out.res.NumComponents, out.res.Phases
 		if comps {
 			res.Components = paremsp.ComponentsOf(res.Labels)
+			if tr != nil {
+				tr.ComponentsNs = time.Since(start).Nanoseconds()
+			}
 		}
 		if kind == jobs.KindContours {
+			start = time.Now()
 			var err error
 			if res.Contours, err = paremsp.TraceContoursCtx(ctx, res.Labels, res.NumComponents); err != nil {
 				// The labeling succeeded but the trace was canceled; the
 				// label map is unneeded, back to the pool with it.
 				h.engine.PutResult(out.res)
 				return nil, err
+			}
+			if tr != nil {
+				tr.ContoursNs = time.Since(start).Nanoseconds()
 			}
 		}
 	}
@@ -608,68 +532,28 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 // summaries are JSON; a labeling is JSON (with its components and contours
 // when present), a PGM or PNG label map, or a CCL1 label stream. Only a
 // JSON labeling may lack its label map. comps is ?components=: false
-// leaves every per-component list out of the JSON.
+// leaves every per-component list out of the JSON. Write errors are
+// dropped: the status is already sent, and a failed write means the
+// client has gone.
 func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs.Result, comps bool) {
 	if d := faultinject.Delay(faultinject.EncodeSlow); d > 0 {
 		time.Sleep(d)
 	}
-	var body any
-	switch {
-	case res.Stats != nil:
-		s := res.Stats
-		resp := statsResponse{
-			Width: s.Width, Height: s.Height, NumComponents: s.NumComponents,
-			BandRows: cmp.Or(res.BandRows, band.DefaultBandRows),
-		}
-		if px := int64(s.Width) * int64(s.Height); px > 0 {
-			resp.Density = float64(s.ForegroundPixels) / float64(px)
-		}
-		if comps {
-			list := componentsJSON(s.Components, true)
-			resp.Components = &list
-		}
-		body = resp
-	case kind == jobs.KindVolume:
-		resp := volumeResponse{
-			Width: res.Width, Height: res.Height, Depth: res.Depth,
-			NumComponents: res.NumComponents,
-		}
-		if comps {
-			resp.ComponentSizes = res.VolumeSizes
-		}
-		body = resp
-	case accept == ctJSON:
-		resp := labelResponse{
-			Width: res.Width, Height: res.Height, NumComponents: res.NumComponents,
-			Density: res.Density, Phases: phasesJSONFrom(res.Phases),
-		}
-		if comps {
-			resp.Components = componentsJSON(res.Components, false)
-		}
-		if res.Contours != nil {
-			resp.Contours = make([]contourJSON, len(res.Contours))
-			for i, c := range res.Contours {
-				pts := make([][2]int, len(c.Points))
-				for j, p := range c.Points {
-					pts[j] = [2]int{p.X, p.Y}
-				}
-				resp.Contours[i] = contourJSON{Label: int32(c.Label), Points: pts}
-			}
-		}
-		body = resp
-	default:
-		w.Header().Set("Content-Type", accept)
-		switch accept {
-		case ctPGM:
-			paremsp.EncodeLabelsPGM(w, res.Labels)
-		case ctPNG:
-			paremsp.EncodeLabelsPNG(w, res.Labels)
-		case ctCCL:
-			stream.WriteLabels(w, res.Labels, res.NumComponents)
-		}
+	if res.Stats != nil || kind == jobs.KindVolume || accept == ctJSON {
+		w.Header().Set("Content-Type", ctJSON)
+		w.WriteHeader(http.StatusOK)
+		writeResultJSON(w, kind, res, comps)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	w.Header().Set("Content-Type", accept)
+	switch accept {
+	case ctPGM:
+		paremsp.EncodeLabelsPGM(w, res.Labels)
+	case ctPNG:
+		paremsp.EncodeLabelsPNG(w, res.Labels)
+	case ctCCL:
+		stream.WriteLabels(w, res.Labels, res.NumComponents)
+	}
 }
 
 // bodyKind resolves the request body codec ("pnm" or "png") from the

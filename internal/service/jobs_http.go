@@ -52,15 +52,39 @@ type jobJSON struct {
 // jobTraceJSON is the span-like timing breakdown embedded in a started
 // job's status: where the job's wall time went, from submission through
 // queue wait, decode, the labeling run (with per-phase splits via the
-// sibling phases object) to completion, and the thread count the labeling
-// ran with. It is derived from the store's transition timestamps and the
-// result summary, so it needs no extra bookkeeping on the hot path.
+// sibling phases object) to completion, and the thread count and labeler
+// the labeling ran with. It is derived from the store's transition
+// timestamps and the result summary, so it needs no extra bookkeeping on
+// the hot path.
 type jobTraceJSON struct {
-	QueueWaitNs int64 `json:"queue_wait_ns"`
-	DecodeNs    int64 `json:"decode_ns,omitempty"`
-	RunNs       int64 `json:"run_ns,omitempty"`
-	TotalNs     int64 `json:"total_ns,omitempty"`
-	Threads     int   `json:"threads,omitempty"`
+	QueueWaitNs int64  `json:"queue_wait_ns"`
+	DecodeNs    int64  `json:"decode_ns,omitempty"`
+	RunNs       int64  `json:"run_ns,omitempty"`
+	TotalNs     int64  `json:"total_ns,omitempty"`
+	Threads     int    `json:"threads,omitempty"`
+	Alg         string `json:"alg,omitempty"`
+}
+
+// phasesJSON is a labeling's phase times in a job's status.
+type phasesJSON struct {
+	ScanNs    int64 `json:"scan_ns"`
+	MergeNs   int64 `json:"merge_ns"`
+	FlattenNs int64 `json:"flatten_ns"`
+	RelabelNs int64 `json:"relabel_ns"`
+}
+
+// phasesJSONFrom renders a labeling's phase times; nil when the kernel
+// did not time its phases.
+func phasesJSONFrom(ph paremsp.PhaseTimes) *phasesJSON {
+	if ph.Total() <= 0 {
+		return nil
+	}
+	return &phasesJSON{
+		ScanNs:    ph.Scan.Nanoseconds(),
+		MergeNs:   ph.Merge.Nanoseconds(),
+		FlattenNs: ph.Flatten.Nanoseconds(),
+		RelabelNs: ph.Relabel.Nanoseconds(),
+	}
 }
 
 type jobsSubmitResponse struct {
@@ -106,7 +130,7 @@ func jobJSONFrom(j jobs.Job, dedup bool) jobJSON {
 		out.Width, out.Height, out.NumComponents = info.Width, info.Height, info.NumComponents
 		out.Depth = info.Depth
 		if out.Trace != nil {
-			out.Trace.DecodeNs, out.Trace.Threads = info.DecodeNs, info.Threads
+			out.Trace.DecodeNs, out.Trace.Threads, out.Trace.Alg = info.DecodeNs, info.Threads, info.Alg
 		}
 		out.Phases = phasesJSONFrom(info.Phases)
 	}
@@ -408,7 +432,11 @@ func (h *Handler) jobResult(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
+	encodeStart := time.Now()
 	writeResult(w, j.Kind, accept, res, comps)
+	if tr := traceFrom(r.Context()); tr != nil {
+		tr.EncodeNs = time.Since(encodeStart).Nanoseconds()
+	}
 }
 
 // jobDelete handles DELETE /v1/jobs/{id}: the job and its retained result

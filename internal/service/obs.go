@@ -191,7 +191,7 @@ func (o *Obs) middleware(next http.Handler) http.Handler {
 			level = slog.LevelDebug
 		}
 		if o.log.Enabled(r.Context(), level) {
-			attrs := make([]slog.Attr, 0, 8)
+			attrs := make([]slog.Attr, 0, 18)
 			attrs = append(attrs,
 				slog.String("id", id),
 				slog.String("method", r.Method),
@@ -209,6 +209,7 @@ func (o *Obs) middleware(next http.Handler) http.Handler {
 			if st.tr.Threads > 0 {
 				attrs = append(attrs, slog.Int("threads", st.tr.Threads))
 			}
+			attrs = st.tr.layerAttrs(attrs)
 			o.log.LogAttrs(r.Context(), level, "request", attrs...)
 		}
 		st.rw.ResponseWriter = nil

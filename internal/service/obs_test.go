@@ -319,7 +319,8 @@ func TestRequestIDEchoAndServerTiming(t *testing.T) {
 		t.Fatalf("inbound request ID not echoed: got %q", got)
 	}
 	st := resp.Header.Get("Server-Timing")
-	for _, field := range []string{"queue;dur=", "decode;dur=", "scan;dur=", "merge;dur=", "flatten;dur=", "relabel;dur=", "total;dur="} {
+	for _, field := range []string{"queue;dur=", "decode;dur=", "scan;dur=", "merge;dur=", "flatten;dur=", "relabel;dur=",
+		"components;dur=", "contours;dur=", "total;dur="} {
 		if !strings.Contains(st, field) {
 			t.Fatalf("Server-Timing %q missing %q", st, field)
 		}
@@ -418,6 +419,55 @@ func (w *syncWriter) String() string {
 	return w.b.String()
 }
 
+// accessLine returns the JSON access line of the request with the given
+// ID. The line is emitted after the handler returns; the client can observe
+// the response a hair earlier, so it polls briefly.
+func accessLine(t *testing.T, out *syncWriter, id string) map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		for _, line := range strings.Split(out.String(), "\n") {
+			if line == "" {
+				continue
+			}
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				t.Fatalf("access log line is not JSON: %q (%v)", line, err)
+			}
+			if m["msg"] == "request" && (m["id"] == id || id == "" && m["path"] == "/v1/label") {
+				return m
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no access log line for request %q in:\n%s", id, out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// layerKeys are the trace's layer fields, as the access line names them.
+var layerKeys = []string{"decode_ns", "queue_wait_ns", "scan_ns", "merge_ns", "flatten_ns", "relabel_ns",
+	"components_ns", "contours_ns", "encode_ns"}
+
+// checkLayerFields wants every nonzero layer time of tr on the access line
+// with the same value, and no zero one.
+func checkLayerFields(t *testing.T, entry map[string]any, tr Trace) {
+	t.Helper()
+	b, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range layerKeys {
+		if got, want := entry[k], fields[k]; want == float64(0) && got != nil || want != float64(0) && got != want {
+			t.Errorf("access line %s = %v, trace says %v", k, got, want)
+		}
+	}
+}
+
 func TestAccessLogFields(t *testing.T) {
 	var out syncWriter
 	obs := NewObs(slog.New(slog.NewJSONHandler(&out, &slog.HandlerOptions{Level: slog.LevelInfo})), 0)
@@ -429,42 +479,90 @@ func TestAccessLogFields(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	// The access line is emitted after the handler returns; the client can
-	// observe the response a hair earlier, so poll briefly.
-	var entry map[string]any
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		for _, line := range strings.Split(out.String(), "\n") {
-			if line == "" {
-				continue
-			}
-			var m map[string]any
-			if err := json.Unmarshal([]byte(line), &m); err != nil {
-				t.Fatalf("access log line is not JSON: %q (%v)", line, err)
-			}
-			if m["msg"] == "request" && m["path"] == "/v1/label" {
-				entry = m
-			}
-		}
-		if entry != nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if entry == nil {
-		t.Fatalf("no access log line for /v1/label in:\n%s", out.String())
-	}
+	entry := accessLine(t, &out, "")
 	if entry["method"] != "POST" || entry["status"] != float64(http.StatusOK) {
 		t.Fatalf("access entry = %v", entry)
 	}
 	if entry["alg"] != "pbremsp" || entry["pixels"] != float64(20) || entry["threads"] != float64(runtime.GOMAXPROCS(0)) {
 		t.Fatalf("access entry missing alg/pixels/threads: %v", entry)
 	}
-	if id, _ := entry["id"].(string); len(id) != 16 {
+	id, _ := entry["id"].(string)
+	if len(id) != 16 {
 		t.Fatalf("access entry id = %v, want generated 16-char ID", entry["id"])
 	}
 	if _, ok := entry["duration"]; !ok {
 		t.Fatalf("access entry has no duration: %v", entry)
+	}
+	// The default JSON labeling decodes, scans, relabels, summarizes its
+	// components and encodes; it traces no contours.
+	for _, k := range []string{"decode_ns", "scan_ns", "relabel_ns", "components_ns", "encode_ns"} {
+		if ns, _ := entry[k].(float64); ns <= 0 {
+			t.Errorf("access entry %s = %v, want > 0: %v", k, entry[k], entry)
+		}
+	}
+	if _, ok := entry["contours_ns"]; ok {
+		t.Errorf("access entry has contours_ns without contours: %v", entry)
+	}
+	checkLayerFields(t, entry, obs.ring.dump(1, id)[0])
+}
+
+// TestShapingTimesInTrace: the component summaries and the contour trace
+// run between the labeling and the encode, and the request's trace, its
+// Server-Timing and its access line time them; a count-only request runs
+// neither.
+func TestShapingTimesInTrace(t *testing.T) {
+	var out syncWriter
+	obs := NewObs(slog.New(slog.NewJSONHandler(&out, &slog.HandlerOptions{Level: slog.LevelInfo})), 0)
+	eng := NewEngine(Config{})
+	srv := httptest.NewServer(NewHandler(eng, HandlerConfig{Obs: obs}))
+	dbg := httptest.NewServer(NewDebugHandler(obs))
+	defer func() { srv.Close(); dbg.Close(); eng.Close() }()
+
+	body := pbmBody(t, testImage(t))
+	for _, c := range []struct {
+		id, query string
+		shaped    bool
+	}{
+		{"shape-contours", "?contours=true", true},
+		{"shape-count-only", "?components=false", false},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/label"+c.query, bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctPBM)
+		req.Header.Set(headerRequestID, c.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", c.id, resp.StatusCode)
+		}
+		st := resp.Header.Get("Server-Timing")
+		if !strings.Contains(st, "components;dur=") || !strings.Contains(st, "contours;dur=") {
+			t.Fatalf("%s: Server-Timing %q lacks components or contours", c.id, st)
+		}
+
+		dresp, err := http.Get(dbg.URL + "/debug/requests?id=" + c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traces []Trace
+		if err := json.NewDecoder(dresp.Body).Decode(&traces); err != nil {
+			t.Fatal(err)
+		}
+		dresp.Body.Close()
+		if len(traces) != 1 {
+			t.Fatalf("%s: %d traces, want 1", c.id, len(traces))
+		}
+		tr := traces[0]
+		if c.shaped && (tr.ComponentsNs <= 0 || tr.ContoursNs <= 0 || tr.EncodeNs <= 0) {
+			t.Fatalf("%s: trace components/contours/encode = %d/%d/%d ns, want all > 0", c.id, tr.ComponentsNs, tr.ContoursNs, tr.EncodeNs)
+		}
+		if !c.shaped && (tr.ComponentsNs != 0 || tr.ContoursNs != 0 || tr.EncodeNs <= 0) {
+			t.Fatalf("%s: trace components/contours/encode = %d/%d/%d ns, want 0/0/>0", c.id, tr.ComponentsNs, tr.ContoursNs, tr.EncodeNs)
+		}
+		checkLayerFields(t, accessLine(t, &out, c.id), tr)
 	}
 }
 
@@ -485,6 +583,18 @@ func TestJobStatusTrace(t *testing.T) {
 	}
 	if j.Trace.Threads != runtime.GOMAXPROCS(0) {
 		t.Fatalf("job trace threads = %d, want GOMAXPROCS = %d", j.Trace.Threads, runtime.GOMAXPROCS(0))
+	}
+	// The trace names the kernel that ran: the packed kernel for an
+	// unpinned binary job, the pinned algorithm otherwise, the band
+	// labeler for a stats job.
+	if j.Trace.Alg != "pbremsp" {
+		t.Fatalf("unpinned labels job trace alg = %q, want pbremsp", j.Trace.Alg)
+	}
+	for query, want := range map[string]string{"?alg=aremsp": "aremsp", "?kind=stats": "band"} {
+		sub := submitJobs(t, srv.URL+"/v1/jobs"+query, ctPBM, pbmBody(t, testImage(t)))
+		if j := pollJob(t, srv.URL, sub.Jobs[0].ID, string(jobs.StateDone)); j.Trace == nil || j.Trace.Alg != want {
+			t.Fatalf("%s job trace = %+v, want alg %q", query, j.Trace, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"log/slog"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,13 +10,14 @@ import (
 )
 
 // Trace is the span-like timing record of one HTTP request: where its wall
-// time went, phase by phase (queue wait, decode, the labeling phases,
-// encode), the thread count the labeling ran with, plus enough request
-// identity (ID, endpoint, algorithm, status) to find it again. Every
-// request gets one; finished traces are copied into a fixed-size ring
-// buffer served by GET /debug/requests for tail-latency forensics, and the
-// labeling phases are surfaced live as the Server-Timing header on
-// synchronous responses.
+// time went, layer by layer (decode, queue wait, the labeling phases, the
+// component summaries, contour tracing, encode), the thread count the
+// labeling ran with, plus enough request identity (ID, endpoint,
+// algorithm, status) to find it again. Every request gets one; finished
+// traces are copied into a fixed-size ring buffer served by GET
+// /debug/requests for tail-latency forensics, the layers up to encode are
+// surfaced live as the Server-Timing header on synchronous responses, and
+// every layer is on the access line.
 //
 // A Trace is written only by the goroutine serving its request (the engine
 // reports queue wait through the job result, not by touching the Trace), so
@@ -39,8 +41,12 @@ type Trace struct {
 	MergeNs   int64     `json:"merge_ns"`
 	FlattenNs int64     `json:"flatten_ns"`
 	RelabelNs int64     `json:"relabel_ns"`
-	EncodeNs  int64     `json:"encode_ns"`
-	TotalNs   int64     `json:"total_ns"`
+	// ComponentsNs and ContoursNs time the response shaping after the
+	// labeling: the component statistics or volume sizes, and the contours.
+	ComponentsNs int64 `json:"components_ns"`
+	ContoursNs   int64 `json:"contours_ns"`
+	EncodeNs     int64 `json:"encode_ns"`
+	TotalNs      int64 `json:"total_ns"`
 }
 
 // setPhases copies a labeling's phase durations into the trace.
@@ -49,6 +55,25 @@ func (t *Trace) setPhases(scan, merge, flatten, relabel time.Duration) {
 	t.MergeNs = merge.Nanoseconds()
 	t.FlattenNs = flatten.Nanoseconds()
 	t.RelabelNs = relabel.Nanoseconds()
+}
+
+// layerAttrs appends the trace's nonzero layer times to an access line's
+// attributes, under their JSON names, so the log alone is a per-request
+// record of where the time went.
+func (t *Trace) layerAttrs(attrs []slog.Attr) []slog.Attr {
+	for _, l := range [...]struct {
+		key string
+		ns  int64
+	}{
+		{"decode_ns", t.DecodeNs}, {"queue_wait_ns", t.QueueNs},
+		{"scan_ns", t.ScanNs}, {"merge_ns", t.MergeNs}, {"flatten_ns", t.FlattenNs}, {"relabel_ns", t.RelabelNs},
+		{"components_ns", t.ComponentsNs}, {"contours_ns", t.ContoursNs}, {"encode_ns", t.EncodeNs},
+	} {
+		if l.ns > 0 {
+			attrs = append(attrs, slog.Int64(l.key, l.ns))
+		}
+	}
+	return attrs
 }
 
 // traceKey is the context key under which the middleware parks the
@@ -133,11 +158,11 @@ func (r *traceRing) dump(n int, id string) []Trace {
 	return out
 }
 
-// appendServerTiming renders the trace's phases as a Server-Timing header
+// appendServerTiming renders the trace's layers as a Server-Timing header
 // value (durations in milliseconds, per the spec) into b. total is the
 // request's elapsed time at header-write time; encode cannot appear — it
 // happens after the headers are on the wire — and lives only in the ring
-// record.
+// record and the access line.
 func appendServerTiming(b []byte, t *Trace, total time.Duration) []byte {
 	b = appendTimingEntry(b, "queue", t.QueueNs)
 	b = appendTimingEntry(b, "decode", t.DecodeNs)
@@ -145,6 +170,8 @@ func appendServerTiming(b []byte, t *Trace, total time.Duration) []byte {
 	b = appendTimingEntry(b, "merge", t.MergeNs)
 	b = appendTimingEntry(b, "flatten", t.FlattenNs)
 	b = appendTimingEntry(b, "relabel", t.RelabelNs)
+	b = appendTimingEntry(b, "components", t.ComponentsNs)
+	b = appendTimingEntry(b, "contours", t.ContoursNs)
 	b = appendTimingEntry(b, "total", total.Nanoseconds())
 	return b
 }

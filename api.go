@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/pnm"
+	"repro/internal/poll"
 	"repro/internal/stats"
 )
 
@@ -35,9 +36,9 @@ type Bitmap = binimg.Bitmap
 // and run count (maximal horizontal runs), from ComponentsOf or LabelStream.
 type Component = stats.Component
 
-// PhaseTimes reports PAREMSP's per-phase wall time (scan / merge / flatten /
-// relabel); the paper's "local" speedup is Scan, "local + merge" is
-// Scan+Merge.
+// PhaseTimes reports one REMSP labeling's per-phase wall time (scan / merge /
+// flatten / relabel), as every REMSP kernel measures it; the paper's
+// "local" speedup is Scan, "local + merge" is Scan+Merge.
 type PhaseTimes = core.PhaseTimes
 
 // NewImage returns a zeroed binary image.
@@ -177,10 +178,11 @@ type Options struct {
 	// Mode is the labeling predicate; empty means the entry point's native
 	// mode (ModeBinary for Label/LabelInto/LabelIntoCtx).
 	Mode Mode
-	// Threads used by AlgPAREMSP and AlgPBREMSP, and by the gray and
-	// volume modes under AlgPAREMSP (default 0: all CPUs). No labeling
-	// splits into more chunks than it has scan units (row pairs, rows or
-	// plane pairs). Ignored by the sequential algorithms.
+	// Threads used by a labeling that splits its raster (see Splits):
+	// AlgPAREMSP and AlgPBREMSP, and the gray and volume modes under
+	// AlgPAREMSP (default 0: all CPUs). No labeling splits into more chunks
+	// than it has scan units (row pairs, rows or plane pairs). Every other
+	// labeling runs on one thread.
 	Threads int
 	// Connectivity: 8 (default) or 4. Only AlgClassic, AlgMultiPass and
 	// AlgFloodFill support 4-connectivity; the paper's algorithms are
@@ -199,6 +201,27 @@ type Options struct {
 	CountOnly bool
 }
 
+// Splits reports whether the labeling o selects divides its raster among
+// o.Threads goroutines: PAREMSP (the default) and PBREMSP do, in every mode
+// but gray-delta. AREMSP, CCLREMSP and BREMSP, the baselines and the
+// gray-delta scan run on one goroutine whatever o.Threads says.
+func (o Options) Splits() bool {
+	switch o.Algorithm {
+	case "", AlgPAREMSP, AlgPBREMSP:
+		return o.Mode != ModeGrayDelta
+	}
+	return false
+}
+
+// kernelThreads is the thread count the kernel runs o's labeling on:
+// o.Threads when it splits its raster, one when it does not.
+func (o Options) kernelThreads() int {
+	if o.Splits() {
+		return o.Threads
+	}
+	return 1
+}
+
 // Result is a labeling outcome.
 type Result struct {
 	// Labels is the final label map: consecutive labels 1..NumComponents,
@@ -206,8 +229,9 @@ type Result struct {
 	Labels *LabelMap
 	// NumComponents is the number of connected components found.
 	NumComponents int
-	// Phases holds the per-phase times of the parallel algorithms (PAREMSP
-	// and PBREMSP); zero for the sequential algorithms and baselines.
+	// Phases holds the per-phase times of every REMSP labeling (PAREMSP,
+	// AREMSP, CCLREMSP, BREMSP, PBREMSP and the gray modes); zero for the
+	// baselines, which have no four-phase structure.
 	Phases PhaseTimes
 }
 
@@ -236,11 +260,13 @@ func LabelInto(img *Image, dst *LabelMap, sc *Scratch, opt Options) (*Result, er
 // LabelIntoCtx is LabelInto with cooperative cancellation: the paper
 // algorithms and their bit-packed variants (AlgPAREMSP, AlgAREMSP,
 // AlgCCLREMSP, AlgBREMSP, AlgPBREMSP) poll ctx per row block during their
-// scan and relabel passes and abort with ctx.Err(); the check is
-// allocation-free and costs one predicted branch per row when ctx can never
-// be canceled. The baseline algorithms are not cancelable mid-run — ctx is
-// only checked before they start. A canceled labeling leaves dst and sc in
-// an undefined but reusable state.
+// scan and relabel passes, and the multi-pass baselines (AlgMultiPass,
+// AlgSuzuki), whose pass count grows with component length, per row block
+// of every pass; each aborts with ctx.Err(). The check is allocation-free
+// and costs one predicted branch per row when ctx can never be canceled.
+// The linear-time baselines (AlgCCLLRPC, AlgARUN, AlgRUN, AlgClassic,
+// AlgFloodFill) check ctx only before they start. A canceled labeling
+// leaves dst and sc in an undefined but reusable state.
 func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, opt Options) (*Result, error) {
 	if img == nil {
 		return nil, fmt.Errorf("paremsp: nil image")
@@ -277,24 +303,20 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	var (
 		n   int
 		err error
+		ok  = true // false once a polling baseline has stopped on ctx
 	)
 	res := &Result{}
 	lm := dst
 	if lm == nil {
 		lm = &LabelMap{}
 	}
-	copt := core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly}
-	seq := core.Options{Threads: 1, CountOnly: opt.CountOnly}
+	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly}
 	switch alg {
-	case AlgPAREMSP:
+	case AlgPAREMSP, AlgAREMSP:
 		n, res.Phases, err = core.PAREMSP(ctx, img, lm, sc, copt)
-	case AlgAREMSP:
-		n, _, err = core.PAREMSP(ctx, img, lm, sc, seq)
 	case AlgCCLREMSP:
-		n, _, err = core.CCLREMSP(ctx, img, lm, sc, seq)
-	case AlgBREMSP:
-		n, _, err = core.PBREMSP(ctx, img, lm, sc, seq)
-	case AlgPBREMSP:
+		n, res.Phases, err = core.CCLREMSP(ctx, img, lm, sc, copt)
+	case AlgBREMSP, AlgPBREMSP:
 		n, res.Phases, err = core.PBREMSP(ctx, img, lm, sc, copt)
 	case AlgCCLLRPC:
 		lm, n = baseline.CCLLRPC(img)
@@ -309,13 +331,16 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 			lm, n = baseline.Classic8(img)
 		}
 	case AlgMultiPass:
-		lm, n = baseline.MultiPass(img, baseline.Connectivity(conn))
+		lm, n, ok = baseline.MultiPass(img, baseline.Connectivity(conn), poll.Done(ctx))
 	case AlgSuzuki:
-		lm, n = baseline.Suzuki(img, baseline.Connectivity(conn))
+		lm, n, ok = baseline.Suzuki(img, baseline.Connectivity(conn), poll.Done(ctx))
 	case AlgFloodFill:
 		lm, n = baseline.FloodFill(img, baseline.Connectivity(conn))
 	default:
 		return nil, fmt.Errorf("paremsp: unknown algorithm %q", alg)
+	}
+	if !ok {
+		err = poll.Err(ctx)
 	}
 	if err != nil {
 		return nil, err
@@ -376,14 +401,11 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 		res.Labels = dst
 	}
 	var err error
-	copt := core.Options{Threads: opt.Threads, CountOnly: opt.CountOnly}
+	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly}
 	switch alg {
 	case AlgPAREMSP:
 		res.NumComponents, res.Phases, err = core.PAREMSPBitmap(ctx, bm, dst, sc, copt)
-	case AlgBREMSP:
-		copt.Threads = 1
-		res.NumComponents, _, err = core.PBREMSPBitmap(ctx, bm, dst, sc, copt)
-	case AlgPBREMSP:
+	case AlgBREMSP, AlgPBREMSP:
 		res.NumComponents, res.Phases, err = core.PBREMSPBitmap(ctx, bm, dst, sc, copt)
 	default:
 		return nil, fmt.Errorf("paremsp: algorithm %q cannot label a packed bitmap (want %q, %q or %q)",

@@ -27,7 +27,7 @@
 // -json skips the tables and instead writes a machine-readable benchmark
 // report (per-algorithm ns/op as the median repeat, allocs/op, bytes/op per
 // dataset class, raw per-repeat samples, per-image medians with the
-// per-phase scan_ns/merge_ns/flatten_ns/relabel_ns of PAREMSP and PBREMSP,
+// per-phase scan_ns/merge_ns/flatten_ns/relabel_ns of the REMSP algorithms,
 // and environment metadata: go version, GOMAXPROCS, CPU count, git
 // revision). Without -grid it runs the grid's library-default thread
 // point: every algorithm over every dataset class, the configurations of

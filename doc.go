@@ -117,7 +117,10 @@
 // bounded worker pool, with counting buffer pools and backpressure, and its
 // HTTP handler (cmd/ccserve) serves POST /v1/label with JSON statistics,
 // PGM/PNG label maps, or CCL1 label streams, plus /healthz and /metrics
-// with the per-phase timings above as live counters. The service's default
+// with the per-phase timings above as live counters; every REMSP labeling,
+// binary, gray or volume, reports its phases (Result.Phases,
+// VolumeResult.Phases), and Options.Splits is the one rule for which
+// labelings divide their raster among threads. The service's default
 // configuration (no ?alg=, no ccserve -alg) decodes every binary body —
 // PBM, PGM or PNG — straight into a packed Bitmap, runs PBREMSP and
 // answers with PAREMSP's numbering through the rank pass, so every
@@ -223,9 +226,11 @@
 // algorithm has a context-aware entry point (LabelIntoCtx, LabelBitmapIntoCtx,
 // StreamOptions.Ctx) that polls ctx.Done() once per 64-row block, cheap
 // enough for the hot loops (the perf gate runs with the checks compiled in)
-// and frequent enough to stop a canceled labeling within a few row-scans; a
-// canceled call leaves its LabelMap/Scratch reusable, so pooled buffers
-// survive cancellation. ccserve -request-timeout bounds synchronous requests
+// and frequent enough to stop a canceled labeling within a few row-scans;
+// the multi-pass baselines (multipass, suzuki) poll per row block of every
+// pass, and only the linear-time baselines check ctx just before they
+// start. A canceled call leaves its LabelMap/Scratch reusable, so pooled
+// buffers survive cancellation. ccserve -request-timeout bounds synchronous requests
 // (504 on expiry) and -job-timeout bounds async jobs (terminal state
 // canceled, retryable on resubmission); both default to unbounded.
 //
@@ -291,7 +296,7 @@
 // directly (-exp), or the declarative experiment grid in experiments.json
 // (-grid: algorithms x dataset classes x GOMAXPROCS values x repeats),
 // which emits a self-describing JSON report with raw per-repeat samples,
-// per-image medians (with PAREMSP's and PBREMSP's per-phase scan_ns,
+// per-image medians (with every REMSP algorithm's per-phase scan_ns,
 // merge_ns, flatten_ns and relabel_ns) and environment metadata; -json
 // without -grid runs every algorithm and class at the library-default
 // thread point, BENCH_seed.json's rows. Every timed -exp table and figure

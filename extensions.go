@@ -51,19 +51,16 @@ func NewGrayImage(width, height int) *GrayImage { return grayccl.New(width, heig
 
 // extOptions resolves the algorithm selection for the gray and volume
 // modes, which run the paper's pair-scan machinery only: AlgPAREMSP (the
-// default) selects the chunk-parallel labeler on opt.Threads, AlgAREMSP its
-// one-thread case. Every other algorithm name is rejected — the baselines
-// have no gray or 3D form. Both modes keep the paper's locked merger.
+// default) selects the chunk-parallel labeler, AlgAREMSP its one-thread
+// case. Every other algorithm name is rejected — the baselines have no
+// gray or 3D form.
 func extOptions(mode Mode, opt Options) (core.Options, error) {
 	switch opt.Algorithm {
-	case "", AlgPAREMSP:
-		return core.Options{Threads: opt.Threads}, nil
-	case AlgAREMSP:
-		return core.Options{Threads: 1}, nil
-	default:
-		return core.Options{}, fmt.Errorf("paremsp: algorithm %q does not support mode %q (want %q or %q)",
-			opt.Algorithm, mode, AlgPAREMSP, AlgAREMSP)
+	case "", AlgPAREMSP, AlgAREMSP:
+		return core.Options{Threads: opt.kernelThreads()}, nil
 	}
+	return core.Options{}, fmt.Errorf("paremsp: algorithm %q does not support mode %q (want %q or %q)",
+		opt.Algorithm, mode, AlgPAREMSP, AlgAREMSP)
 }
 
 // LabelGray computes gray-level connected components (adjacent pixels with
@@ -75,7 +72,7 @@ func LabelGray(img *GrayImage) (*LabelMap, int) { return LabelGrayParallel(img, 
 // threads = 0 uses every CPU.
 func LabelGrayParallel(img *GrayImage, threads int) (*LabelMap, int) {
 	lm := &LabelMap{}
-	n, _ := grayccl.LabelIntoCtx(context.Background(), img, lm, nil, core.Options{Threads: threads})
+	n, _, _ := grayccl.LabelIntoCtx(context.Background(), img, lm, nil, core.Options{Threads: threads})
 	return lm, n
 }
 
@@ -83,7 +80,7 @@ func LabelGrayParallel(img *GrayImage, threads int) (*LabelMap, int) {
 // |v(p)-v(q)| <= delta between adjacent pixels (transitive closure).
 func LabelGrayDelta(img *GrayImage, delta uint8) (*LabelMap, int) {
 	lm := &LabelMap{}
-	n, _ := grayccl.LabelDeltaIntoCtx(context.Background(), img, lm, nil, delta)
+	n, _, _ := grayccl.LabelDeltaIntoCtx(context.Background(), img, lm, nil, delta)
 	return lm, n
 }
 
@@ -124,18 +121,18 @@ func LabelGrayIntoCtx(ctx context.Context, img *GrayImage, dst *LabelMap, sc *Sc
 	if dst == nil {
 		dst = &LabelMap{}
 	}
-	var n int
+	res := &Result{Labels: dst}
 	if mode == ModeGrayDelta {
 		// The tolerance predicate is not transitive; only the exhaustive
 		// sequential scan exists.
-		n, err = grayccl.LabelDeltaIntoCtx(ctx, img, dst, sc, opt.Delta)
+		res.NumComponents, res.Phases, err = grayccl.LabelDeltaIntoCtx(ctx, img, dst, sc, opt.Delta)
 	} else {
-		n, err = grayccl.LabelIntoCtx(ctx, img, dst, sc, copt)
+		res.NumComponents, res.Phases, err = grayccl.LabelIntoCtx(ctx, img, dst, sc, copt)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Labels: dst, NumComponents: n}, nil
+	return res, nil
 }
 
 // NewVolume returns a zeroed 3D binary volume.
@@ -148,6 +145,8 @@ type VolumeResult struct {
 	Labels *LabelVolumeMap
 	// NumComponents is the number of 26-connected components found.
 	NumComponents int
+	// Phases holds the labeling's per-phase times.
+	Phases PhaseTimes
 }
 
 // LabelVolume computes 26-connected components of a binary volume with the
@@ -158,7 +157,7 @@ func LabelVolume(vol *Volume) (*LabelVolumeMap, int) { return LabelVolumeParalle
 // construction applied along the z axis); threads = 0 uses every CPU.
 func LabelVolumeParallel(vol *Volume, threads int) (*LabelVolumeMap, int) {
 	lv := &LabelVolumeMap{}
-	n, _ := vol3d.LabelIntoCtx(context.Background(), vol, lv, nil, core.Options{Threads: threads})
+	n, _, _ := vol3d.LabelIntoCtx(context.Background(), vol, lv, nil, core.Options{Threads: threads})
 	return lv, n
 }
 
@@ -196,11 +195,12 @@ func LabelVolumeIntoCtx(ctx context.Context, vol *Volume, dst *LabelVolumeMap, s
 	if dst == nil {
 		dst = &LabelVolumeMap{}
 	}
-	n, err := vol3d.LabelIntoCtx(ctx, vol, dst, sc, copt)
+	res := &VolumeResult{Labels: dst}
+	res.NumComponents, res.Phases, err = vol3d.LabelIntoCtx(ctx, vol, dst, sc, copt)
 	if err != nil {
 		return nil, err
 	}
-	return &VolumeResult{Labels: dst, NumComponents: n}, nil
+	return res, nil
 }
 
 // VolumeComponentSizes returns the voxel count of each component of a label

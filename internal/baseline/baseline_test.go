@@ -87,7 +87,8 @@ var algs8 = map[string]func(*binimg.Image) (*binimg.LabelMap, int){
 	"RUN":      baseline.RUN,
 	"Classic8": baseline.Classic8,
 	"MultiPass8": func(im *binimg.Image) (*binimg.LabelMap, int) {
-		return baseline.MultiPass(im, baseline.Conn8)
+		lm, n, _ := baseline.MultiPass(im, baseline.Conn8, nil)
+		return lm, n
 	},
 }
 
@@ -114,7 +115,8 @@ func TestBaselines4ConnMatchFloodFill(t *testing.T) {
 	for name, f := range map[string]func(*binimg.Image) (*binimg.LabelMap, int){
 		"Classic4": baseline.Classic4,
 		"MultiPass4": func(im *binimg.Image) (*binimg.LabelMap, int) {
-			return baseline.MultiPass(im, baseline.Conn4)
+			lm, n, _ := baseline.MultiPass(im, baseline.Conn4, nil)
+			return lm, n
 		},
 	} {
 		name, f := name, f
@@ -187,7 +189,7 @@ func TestRUNHandlesRunGeometry(t *testing.T) {
 // the algorithm must still converge to one component.
 func TestMultiPassSpiralTerminates(t *testing.T) {
 	img := dataset.Serpentine(41, 41, 1, 2)
-	_, n := baseline.MultiPass(img, baseline.Conn8)
+	_, n, _ := baseline.MultiPass(img, baseline.Conn8, nil)
 	_, nRef := baseline.FloodFill(img, baseline.Conn8)
 	if n != nRef {
 		t.Fatalf("MultiPass spiral: n = %d, want %d", n, nRef)

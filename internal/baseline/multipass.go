@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"repro/internal/binimg"
+	"repro/internal/poll"
 )
 
 // MultiPass is the repeated-pass ("multi-pass") labeling algorithm the
@@ -11,8 +12,10 @@ import (
 // pass changes nothing. Worst-case pass count is proportional to component
 // geometry (spirals are pathological), which is exactly why two-pass
 // algorithms exist; it serves as the slow outside-the-family baseline.
-// Returns the label map with consecutive final labels 1..n and n.
-func MultiPass(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
+// Returns the label map with consecutive final labels 1..n, n, and true; it
+// polls done every poll.Rows rows of every pass and returns false once done
+// has closed.
+func MultiPass(img *binimg.Image, conn Connectivity, done <-chan struct{}) (*binimg.LabelMap, int, bool) {
 	w, h := img.Width, img.Height
 	lm := binimg.NewLabelMap(w, h)
 	pix := img.Pix
@@ -53,6 +56,9 @@ func MultiPass(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 		changed := false
 		// Forward pass.
 		for y := 0; y < h; y++ {
+			if y%poll.Rows == 0 && poll.Stopped(done) {
+				return nil, 0, false
+			}
 			for x := 0; x < w; x++ {
 				i := y*w + x
 				if pix[i] == 0 {
@@ -66,6 +72,9 @@ func MultiPass(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 		}
 		// Backward pass.
 		for y := h - 1; y >= 0; y-- {
+			if (h-1-y)%poll.Rows == 0 && poll.Stopped(done) {
+				return nil, 0, false
+			}
 			for x := w - 1; x >= 0; x-- {
 				i := y*w + x
 				if pix[i] == 0 {
@@ -97,5 +106,5 @@ func MultiPass(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 		}
 		lab[i] = f
 	}
-	return lm, int(k)
+	return lm, int(k), true
 }

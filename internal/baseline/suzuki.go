@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"repro/internal/binimg"
+	"repro/internal/poll"
 )
 
 // Suzuki is the table-accelerated multi-pass algorithm of
@@ -16,8 +17,9 @@ import (
 // Each pass computes, per foreground pixel, the minimum of T-resolved labels
 // over the scan mask (the four already-visited neighbors in scan direction
 // plus the pixel itself), assigns it, and lowers T entries for every mask
-// label accordingly.
-func Suzuki(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
+// label accordingly. Results and polling follow MultiPass: done is polled
+// every poll.Rows rows of every pass.
+func Suzuki(img *binimg.Image, conn Connectivity, done <-chan struct{}) (*binimg.LabelMap, int, bool) {
 	w, h := img.Width, img.Height
 	lm := binimg.NewLabelMap(w, h)
 	pix := img.Pix
@@ -103,6 +105,9 @@ func Suzuki(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 	}
 
 	for y := 0; y < h; y++ {
+		if y%poll.Rows == 0 && poll.Stopped(done) {
+			return nil, 0, false
+		}
 		for x := 0; x < w; x++ {
 			i := y*w + x
 			if pix[i] == 0 {
@@ -124,6 +129,9 @@ func Suzuki(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 		changed := false
 		// Backward pass.
 		for y := h - 1; y >= 0; y-- {
+			if (h-1-y)%poll.Rows == 0 && poll.Stopped(done) {
+				return nil, 0, false
+			}
 			for x := w - 1; x >= 0; x-- {
 				i := y*w + x
 				if pix[i] == 0 {
@@ -145,6 +153,9 @@ func Suzuki(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 		}
 		// Forward pass.
 		for y := 0; y < h; y++ {
+			if y%poll.Rows == 0 && poll.Stopped(done) {
+				return nil, 0, false
+			}
 			for x := 0; x < w; x++ {
 				i := y*w + x
 				if pix[i] == 0 {
@@ -184,5 +195,5 @@ func Suzuki(img *binimg.Image, conn Connectivity) (*binimg.LabelMap, int) {
 		}
 		lab[i] = final[r]
 	}
-	return lm, int(k)
+	return lm, int(k), true
 }

@@ -25,7 +25,7 @@ func TestSuzukiKnownCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		img := binimg.MustParse(tc.art)
-		lm, n := baseline.Suzuki(img, baseline.Conn8)
+		lm, n, _ := baseline.Suzuki(img, baseline.Conn8, nil)
 		if n != tc.want8 {
 			t.Errorf("Suzuki components of\n%s\n= %d, want %d", img, n, tc.want8)
 			continue
@@ -42,7 +42,7 @@ func TestPropertySuzukiMatchesFloodFill(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			img := randomImage(rng, 30, 30)
-			lm, n := baseline.Suzuki(img, conn)
+			lm, n, _ := baseline.Suzuki(img, conn, nil)
 			ref, nRef := baseline.FloodFill(img, conn)
 			return n == nRef && stats.Equivalent(lm, ref) == nil
 		}
@@ -57,7 +57,7 @@ func TestPropertySuzukiMatchesFloodFill(t *testing.T) {
 // (and, unlike plain MultiPass, in a bounded handful of sweeps).
 func TestSuzukiSerpentineConverges(t *testing.T) {
 	img := dataset.Serpentine(81, 81, 1, 2)
-	lm, n := baseline.Suzuki(img, baseline.Conn8)
+	lm, n, _ := baseline.Suzuki(img, baseline.Conn8, nil)
 	if n != 1 {
 		t.Fatalf("serpentine: n = %d, want 1", n)
 	}
@@ -73,7 +73,7 @@ func TestSuzukiOnStructuredWorkloads(t *testing.T) {
 		"noise":   dataset.UniformNoise(64, 48, 0.5, 13),
 		"blobs":   dataset.Blobs(64, 64, 10, 2, 6, 14),
 	} {
-		lm, n := baseline.Suzuki(img, baseline.Conn8)
+		lm, n, _ := baseline.Suzuki(img, baseline.Conn8, nil)
 		ref, nRef := baseline.FloodFill(img, baseline.Conn8)
 		if n != nRef {
 			t.Errorf("%s: n = %d, want %d", name, n, nRef)

@@ -631,19 +631,19 @@ func reportDiff(stdout, stderr io.Writer, base, cur *experiments.BenchReport, ba
 			fmt.Fprintf(stdout, "  - %s\n", k)
 		}
 	}
-	if d.Compared == 0 {
+	if len(d.Pairs) == 0 {
 		fmt.Fprintf(stderr, "paperbench: no comparable pairs between this run and %s (different -scale or algorithm set?)\n", basePath)
 		return 1
 	}
 	gating := d.Gating()
-	for _, r := range d.Regressions {
+	for _, r := range d.Regressions() {
 		if r.Allowed {
 			fmt.Fprintf(stdout, "paperbench: allowlisted regression %s %d -> %d ns/op (%.2fx, tolerance +%.0f%%)\n",
 				r.Key, r.BaseNs, r.CurNs, r.Ratio, r.Tolerance*100)
 		}
 	}
 	if len(gating) == 0 {
-		fmt.Fprintf(stdout, "paperbench: no gating ns/op regressions vs %s (%d pairs compared)\n", basePath, d.Compared)
+		fmt.Fprintf(stdout, "paperbench: no gating ns/op regressions vs %s (%d pairs compared)\n", basePath, len(d.Pairs))
 		return 0
 	}
 	fmt.Fprintf(stdout, "paperbench: %d ns/op regression(s) vs %s:\n", len(gating), basePath)
@@ -700,14 +700,12 @@ func paperBenchAnalyze(path, basePath, outDir string, stdout, stderr io.Writer) 
 		return 1
 	}
 	analysis := experiments.Analyze(rep)
-	var baseline *experiments.Analysis
+	var baseline *experiments.BenchReport
 	if basePath != "" {
-		base, err := readFile(basePath, experiments.ReadBenchReport)
-		if err != nil {
+		if baseline, err = readFile(basePath, experiments.ReadBenchReport); err != nil {
 			fmt.Fprintln(stderr, "paperbench:", err)
 			return 1
 		}
-		baseline = experiments.Analyze(base)
 	}
 	if outDir == "" {
 		analysis.WriteMarkdown(stdout, baseline)

@@ -153,11 +153,12 @@ func TestScratchParentsNeedNoClearing(t *testing.T) {
 			return n, err
 		})},
 		{"gray", binary(func(lm *binimg.LabelMap, sc *core.Scratch) (int, error) {
-			return grayccl.LabelIntoCtx(ctx, gray, lm, sc, core.Options{Threads: 3})
+			n, _, err := grayccl.LabelIntoCtx(ctx, gray, lm, sc, core.Options{Threads: 3})
+			return n, err
 		})},
 		{"volume", func(sc *core.Scratch) ([]binimg.Label, error) {
 			lv := &vol3d.LabelVolume{}
-			_, err := vol3d.LabelIntoCtx(ctx, vol, lv, sc, core.Options{Threads: 3})
+			_, _, err := vol3d.LabelIntoCtx(ctx, vol, lv, sc, core.Options{Threads: 3})
 			return lv.L, err
 		}},
 	}
@@ -270,15 +271,15 @@ func TestGrayNeedsNoClearedMap(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		label func(img *grayccl.Image, lm *binimg.LabelMap) (int, error)
+		label func(img *grayccl.Image, lm *binimg.LabelMap) (int, core.PhaseTimes, error)
 	}{
-		{"gray/t1", func(img *grayccl.Image, lm *binimg.LabelMap) (int, error) {
+		{"gray/t1", func(img *grayccl.Image, lm *binimg.LabelMap) (int, core.PhaseTimes, error) {
 			return grayccl.LabelIntoCtx(ctx, img, lm, nil, core.Options{Threads: 1})
 		}},
-		{"gray/t3", func(img *grayccl.Image, lm *binimg.LabelMap) (int, error) {
+		{"gray/t3", func(img *grayccl.Image, lm *binimg.LabelMap) (int, core.PhaseTimes, error) {
 			return grayccl.LabelIntoCtx(ctx, img, lm, nil, core.Options{Threads: 3})
 		}},
-		{"gray-delta", func(img *grayccl.Image, lm *binimg.LabelMap) (int, error) {
+		{"gray-delta", func(img *grayccl.Image, lm *binimg.LabelMap) (int, core.PhaseTimes, error) {
 			return grayccl.LabelDeltaIntoCtx(ctx, img, lm, nil, 40)
 		}},
 	}
@@ -287,7 +288,7 @@ func TestGrayNeedsNoClearedMap(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for i, img := range imgs {
 				fresh := &binimg.LabelMap{}
-				wantN, err := c.label(img, fresh)
+				wantN, _, err := c.label(img, fresh)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +296,7 @@ func TestGrayNeedsNoClearedMap(t *testing.T) {
 				for j := range lm.L {
 					lm.L[j] = stale
 				}
-				n, err := c.label(img, lm)
+				n, _, err := c.label(img, lm)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -199,57 +199,6 @@ func (a *Analysis) ScalingCurves() []ScalingCurve {
 	return curves
 }
 
-// TrajectoryEntry is one configuration measured by both reports of a
-// trajectory diff.
-type TrajectoryEntry struct {
-	Key    ConfigKey
-	BaseNs int64
-	CurNs  int64
-	// Ratio is CurNs / BaseNs: > 1 slower than the baseline, < 1 faster.
-	Ratio float64
-}
-
-// Trajectory summarizes how performance moved between two reports: the
-// per-configuration median ratios over the shared keys, plus the
-// configurations only one side measured.
-type Trajectory struct {
-	Entries []TrajectoryEntry // shared keys, worst ratio first
-	Added   []ConfigKey       // measured only by the current report
-	Removed []ConfigKey       // measured only by the baseline report
-}
-
-// ComputeTrajectory diffs two analyses. Keys whose pixel counts differ (a
-// scale mismatch) are excluded from Entries and reported on both the Added
-// and Removed lists, because their ns are incomparable in either direction.
-func ComputeTrajectory(base, cur *Analysis) *Trajectory {
-	tr := &Trajectory{}
-	for i := range cur.Stats {
-		st := &cur.Stats[i]
-		bst := base.Stat(st.ConfigKey)
-		if bst == nil || bst.Pixels != st.Pixels {
-			tr.Added = append(tr.Added, st.ConfigKey)
-			continue
-		}
-		if bst.MedianNs <= 0 {
-			continue
-		}
-		tr.Entries = append(tr.Entries, TrajectoryEntry{
-			Key:    st.ConfigKey,
-			BaseNs: bst.MedianNs,
-			CurNs:  st.MedianNs,
-			Ratio:  float64(st.MedianNs) / float64(bst.MedianNs),
-		})
-	}
-	for i := range base.Stats {
-		st := &base.Stats[i]
-		if cst := cur.Stat(st.ConfigKey); cst == nil || cst.Pixels != st.Pixels {
-			tr.Removed = append(tr.Removed, st.ConfigKey)
-		}
-	}
-	sort.SliceStable(tr.Entries, func(i, j int) bool { return tr.Entries[i].Ratio > tr.Entries[j].Ratio })
-	return tr
-}
-
 // ms renders nanoseconds as milliseconds with three decimals.
 func ms(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
 
@@ -257,8 +206,8 @@ func ms(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e6) }
 // environment, the per-configuration statistics, the speedup-vs-threads
 // scaling tables (the paper's headline figure as numbers), the parallel
 // efficiency tables, and — when baseline is non-nil — the trajectory
-// against it.
-func (a *Analysis) WriteMarkdown(w io.Writer, baseline *Analysis) error {
+// against it, DiffReports' pairs.
+func (a *Analysis) WriteMarkdown(w io.Writer, baseline *BenchReport) error {
 	rep := a.Report
 	tag := rep.Tag
 	if tag == "" {
@@ -308,7 +257,7 @@ func (a *Analysis) WriteMarkdown(w io.Writer, baseline *Analysis) error {
 		func(p ScalingPoint) float64 { return p.Efficiency })
 
 	if baseline != nil {
-		writeTrajectoryMarkdown(w, ComputeTrajectory(baseline, a), baseline.Report, rep)
+		writeTrajectoryMarkdown(w, DiffReports(baseline, rep, 0, nil), baseline, rep)
 	}
 	return nil
 }
@@ -376,7 +325,7 @@ func writeCurveTables(w io.Writer, curves []ScalingCurve, title, caption string,
 
 // writeTrajectoryMarkdown renders the trajectory section of the analysis
 // document.
-func writeTrajectoryMarkdown(w io.Writer, tr *Trajectory, baseRep, curRep *BenchReport) {
+func writeTrajectoryMarkdown(w io.Writer, d *DiffSummary, baseRep, curRep *BenchReport) {
 	baseTag, curTag := baseRep.Tag, curRep.Tag
 	if baseTag == "" {
 		baseTag = "baseline"
@@ -386,28 +335,28 @@ func writeTrajectoryMarkdown(w io.Writer, tr *Trajectory, baseRep, curRep *Bench
 	}
 	fmt.Fprintf(w, "## Trajectory: %s → %s\n\n", baseTag, curTag)
 	var faster, slower, flat int
-	for _, e := range tr.Entries {
+	for _, p := range d.Pairs {
 		switch {
-		case e.Ratio > 1.05:
+		case p.Ratio > 1.05:
 			slower++
-		case e.Ratio < 0.95:
+		case p.Ratio < 0.95:
 			faster++
 		default:
 			flat++
 		}
 	}
 	fmt.Fprintf(w, "%d shared configuration(s): %d faster (>5%%), %d slower (>5%%), %d flat; %d added, %d removed.\n\n",
-		len(tr.Entries), faster, slower, flat, len(tr.Added), len(tr.Removed))
-	if len(tr.Entries) > 0 {
+		len(d.Pairs), faster, slower, flat, len(d.Added), len(d.Removed))
+	if len(d.Pairs) > 0 {
 		fmt.Fprintln(w, "| Configuration | Base ms | Current ms | Ratio |")
 		fmt.Fprintln(w, "|---|--:|--:|--:|")
-		for _, e := range tr.Entries {
-			fmt.Fprintf(w, "| %s | %s | %s | %.2f |\n", e.Key, ms(e.BaseNs), ms(e.CurNs), e.Ratio)
+		for _, p := range d.Pairs {
+			fmt.Fprintf(w, "| %s | %s | %s | %.2f |\n", p.Key, ms(p.BaseNs), ms(p.CurNs), p.Ratio)
 		}
 		fmt.Fprintln(w)
 	}
-	writeKeyList(w, "Added (no baseline measurement)", tr.Added)
-	writeKeyList(w, "Removed (no longer measured)", tr.Removed)
+	writeKeyList(w, "Added (no baseline measurement)", d.Added)
+	writeKeyList(w, "Removed (no longer measured)", d.Removed)
 }
 
 func writeKeyList(w io.Writer, title string, keys []ConfigKey) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/experiments"
@@ -18,7 +19,9 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // halves its time from one thread to two and stalls at four.
 func fixtureReport() *experiments.BenchReport {
 	srow := func(alg, class string, threads int, pixels int64, samples ...int64) experiments.BenchResult {
-		r := trow(alg, class, threads, samples[(len(samples)-1)/2])
+		// NsPerOp is the median repeat, as RunGrid sets it.
+		sorted := slices.Sorted(slices.Values(samples))
+		r := trow(alg, class, threads, sorted[(len(sorted)-1)/2])
 		r.Pixels = pixels
 		r.SampleNs = samples
 		r.AllocsPerOp = 7
@@ -177,10 +180,9 @@ func TestAnalysisGoldens(t *testing.T) {
 	gone := trow("CCLLRPC", "Aerial", 0, 3_000_000)
 	gone.Pixels = 1000
 	baseRep.Results = append(baseRep.Results, gone)
-	base := experiments.Analyze(baseRep)
 
 	var md bytes.Buffer
-	if err := cur.WriteMarkdown(&md, base); err != nil {
+	if err := cur.WriteMarkdown(&md, baseRep); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "analysis_golden.md", md.Bytes())
@@ -196,28 +198,4 @@ func TestAnalysisGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "scaling_golden.csv", scaling.Bytes())
-}
-
-func TestComputeTrajectory(t *testing.T) {
-	cur := experiments.Analyze(fixtureReport())
-	baseRep := fixtureReport()
-	// Rescale one row's pixels: incomparable, so it must show up as both
-	// added and removed.
-	baseRep.Results[0].Pixels = 999
-	base := experiments.Analyze(baseRep)
-	tr := experiments.ComputeTrajectory(base, cur)
-	if len(tr.Added) != 1 || tr.Added[0].String() != "BREMSP/Aerial" {
-		t.Fatalf("added = %v", tr.Added)
-	}
-	if len(tr.Removed) != 1 || tr.Removed[0].String() != "BREMSP/Aerial" {
-		t.Fatalf("removed = %v", tr.Removed)
-	}
-	if len(tr.Entries) != len(cur.Stats)-1 {
-		t.Fatalf("entries = %+v", tr.Entries)
-	}
-	for _, e := range tr.Entries {
-		if e.Ratio != 1.0 {
-			t.Fatalf("identical reports produced ratio %v for %s", e.Ratio, e.Key)
-		}
-	}
 }

@@ -20,18 +20,19 @@ func ReadBenchReport(r io.Reader) (*BenchReport, error) {
 	return &rep, nil
 }
 
-// Regression is one configuration whose ns/op worsened beyond its tolerance
-// when a fresh run is compared against a baseline report.
-type Regression struct {
+// Pair is one configuration both reports measured over the same pixel
+// count with a positive baseline ns/op.
+type Pair struct {
 	Key    ConfigKey
 	BaseNs int64
 	CurNs  int64
-	// Ratio is CurNs / BaseNs (1.30 = 30% slower than the baseline).
+	// Ratio is CurNs / BaseNs (1.30 = 30% slower than the baseline, < 1
+	// faster).
 	Ratio float64
-	// Tolerance is the threshold this pair was judged against.
+	// Tolerance is the regression threshold this pair is judged against.
 	Tolerance float64
-	// Allowed marks a regression on the policy's allowlist: reported, but
-	// not gating.
+	// Allowed marks a pair on the policy's allowlist: its regression is
+	// reported, but not gating.
 	Allowed bool
 }
 
@@ -96,40 +97,50 @@ func (p *Policy) allowed(key ConfigKey) bool {
 }
 
 // DiffSummary is the outcome of comparing a fresh report against a
-// baseline: the regressions beyond tolerance (worst first, allowlisted ones
-// flagged rather than omitted), how many pairs were actually compared, and
-// the configurations only one side measured. Added/Removed exist because
-// grids evolve between PRs — a changed benchmark set must be visible, not
-// an error and not silence.
+// baseline: every compared pair (worst ratio first), and the configurations
+// only one side measured. Added/Removed exist because grids evolve between
+// PRs — a changed benchmark set must be visible, not an error and not
+// silence.
 type DiffSummary struct {
-	Regressions []Regression
-	Compared    int
-	Added       []ConfigKey // in cur only (or pixel-count mismatch)
-	Removed     []ConfigKey // in base only (or pixel-count mismatch)
+	Pairs   []Pair
+	Added   []ConfigKey // in cur only (or pixel-count mismatch)
+	Removed []ConfigKey // in base only (or pixel-count mismatch)
+}
+
+// Regressions returns the pairs whose ns/op worsened beyond their
+// tolerance, worst first, allowlisted ones flagged rather than omitted.
+func (d *DiffSummary) Regressions() []Pair {
+	var out []Pair
+	for _, p := range d.Pairs {
+		if p.Ratio > 1+p.Tolerance {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // Gating returns the regressions that should fail a gate: beyond tolerance
 // and not allowlisted.
-func (d *DiffSummary) Gating() []Regression {
-	gating := make([]Regression, 0, len(d.Regressions))
-	for _, r := range d.Regressions {
-		if !r.Allowed {
-			gating = append(gating, r)
+func (d *DiffSummary) Gating() []Pair {
+	var out []Pair
+	for _, p := range d.Regressions() {
+		if !p.Allowed {
+			out = append(out, p)
 		}
 	}
-	return gating
+	return out
 }
 
-// DiffReports compares a fresh report against a baseline. A pair is
-// comparable when both reports measured the same ConfigKey (algorithm,
-// class, threads) over the same pixel count with a positive baseline ns/op;
-// everything else lands on the Added/Removed lists (a -scale mismatch makes
-// ns/op incomparable, so mismatched pixel counts count as both added and
-// removed). tolerance is the default threshold; a non-nil policy overrides
-// it per configuration and supplies the allowlist. Callers should treat
-// Compared == 0 as "no check happened", not as a pass. ns/op is
-// machine-relative, so a diff is only meaningful when both reports come
-// from the same machine class.
+// DiffReports compares a fresh report against a baseline by ns/op, which
+// RunGrid sets to a row's median repeat. A pair is comparable when both
+// reports measured the same ConfigKey (algorithm, class, threads) over the
+// same pixel count with a positive baseline ns/op; everything else lands on
+// the Added/Removed lists (a -scale mismatch makes ns/op incomparable, so
+// mismatched pixel counts count as both added and removed). tolerance is
+// the default threshold; a non-nil policy overrides it per configuration
+// and supplies the allowlist. Callers should treat an empty Pairs as "no
+// check happened", not as a pass. ns/op is machine-relative, so a diff is
+// only meaningful when both reports come from the same machine class.
 func DiffReports(base, cur *BenchReport, tolerance float64, policy *Policy) *DiffSummary {
 	type baseRow struct {
 		ns, pixels int64
@@ -157,28 +168,24 @@ func DiffReports(base, cur *BenchReport, tolerance float64, policy *Policy) *Dif
 		if br.ns <= 0 {
 			continue
 		}
-		d.Compared++
 		tol := tolerance
 		if policy != nil && policy.tolerance(key) > 0 {
 			tol = policy.tolerance(key)
 		}
-		ratio := float64(r.NsPerOp) / float64(br.ns)
-		if ratio > 1+tol {
-			d.Regressions = append(d.Regressions, Regression{
-				Key:       key,
-				BaseNs:    br.ns,
-				CurNs:     r.NsPerOp,
-				Ratio:     ratio,
-				Tolerance: tol,
-				Allowed:   policy.allowed(key),
-			})
-		}
+		d.Pairs = append(d.Pairs, Pair{
+			Key:       key,
+			BaseNs:    br.ns,
+			CurNs:     r.NsPerOp,
+			Ratio:     float64(r.NsPerOp) / float64(br.ns),
+			Tolerance: tol,
+			Allowed:   policy.allowed(key),
+		})
 	}
 	for _, key := range baseOrder {
 		if !baseNs[key].matched {
 			d.Removed = append(d.Removed, key)
 		}
 	}
-	sort.Slice(d.Regressions, func(i, j int) bool { return d.Regressions[i].Ratio > d.Regressions[j].Ratio })
+	sort.SliceStable(d.Pairs, func(i, j int) bool { return d.Pairs[i].Ratio > d.Pairs[j].Ratio })
 	return d
 }

@@ -38,17 +38,18 @@ func TestDiffReports(t *testing.T) {
 	scaled.Pixels = 999
 	cur.Results = append(cur.Results, scaled)
 	d := experiments.DiffReports(base, cur, 0.25, nil)
-	if len(d.Regressions) != 2 {
-		t.Fatalf("got %d regressions %+v, want 2", len(d.Regressions), d.Regressions)
+	regs := d.Regressions()
+	if len(regs) != 2 {
+		t.Fatalf("got %d regressions %+v, want 2", len(regs), regs)
 	}
-	if d.Compared != 3 { // the two BREMSP rows + ARemSP; New/Zero/scaled skipped
-		t.Fatalf("compared %d pairs, want 3", d.Compared)
+	if len(d.Pairs) != 3 { // the two BREMSP rows + ARemSP; New/Zero/scaled skipped
+		t.Fatalf("compared %d pairs, want 3", len(d.Pairs))
 	}
 	// Sorted worst first.
-	if r := d.Regressions[0]; r.Key.Algorithm != "BREMSP" || r.Key.Class != "Aerial" || r.Ratio != 1.6 {
+	if r := regs[0]; r.Key.Algorithm != "BREMSP" || r.Key.Class != "Aerial" || r.Ratio != 1.6 {
 		t.Fatalf("worst regression = %+v", r)
 	}
-	if r := d.Regressions[1]; r.Key.Algorithm != "ARemSP" || r.CurNs != 2600 {
+	if r := regs[1]; r.Key.Algorithm != "ARemSP" || r.CurNs != 2600 {
 		t.Fatalf("second regression = %+v", r)
 	}
 	// The evolved set is reported, not an error: New appears as added (plus
@@ -65,11 +66,35 @@ func TestDiffReports(t *testing.T) {
 	if len(d.Removed) != 1 || d.Removed[0].String() != "Gone/Aerial" {
 		t.Fatalf("removed = %v, want [Gone/Aerial]", d.Removed)
 	}
-	if got := experiments.DiffReports(base, cur, 0.75, nil); len(got.Regressions) != 0 {
-		t.Fatalf("tolerance 0.75: got %+v, want none", got.Regressions)
+	if got := experiments.DiffReports(base, cur, 0.75, nil).Regressions(); len(got) != 0 {
+		t.Fatalf("tolerance 0.75: got %+v, want none", got)
 	}
-	if d := experiments.DiffReports(report(row("X", "Y", 5)), cur, 0.25, nil); d.Compared != 0 {
-		t.Fatalf("disjoint reports compared %d pairs, want 0", d.Compared)
+	if d := experiments.DiffReports(report(row("X", "Y", 5)), cur, 0.25, nil); len(d.Pairs) != 0 {
+		t.Fatalf("disjoint reports compared %d pairs, want 0", len(d.Pairs))
+	}
+}
+
+// TestDiffReportsRescaledAndIdentical: a row measured at another pixel
+// count is incomparable, so it is listed as both added and removed, and
+// identical rows compare at ratio 1.0.
+func TestDiffReportsRescaledAndIdentical(t *testing.T) {
+	cur := fixtureReport()
+	base := fixtureReport()
+	base.Results[0].Pixels = 999
+	d := experiments.DiffReports(base, cur, 0.25, nil)
+	if len(d.Added) != 1 || d.Added[0].String() != "BREMSP/Aerial" {
+		t.Fatalf("added = %v", d.Added)
+	}
+	if len(d.Removed) != 1 || d.Removed[0].String() != "BREMSP/Aerial" {
+		t.Fatalf("removed = %v", d.Removed)
+	}
+	if len(d.Pairs) != len(cur.Results)-1 {
+		t.Fatalf("pairs = %+v", d.Pairs)
+	}
+	for _, p := range d.Pairs {
+		if p.Ratio != 1.0 {
+			t.Fatalf("identical reports produced ratio %v for %s", p.Ratio, p.Key)
+		}
 	}
 }
 
@@ -84,11 +109,11 @@ func TestDiffReportsThreadsAware(t *testing.T) {
 		trow("PBREMSP", "NLCD", 8, 1000), // new thread count: added
 	)
 	d := experiments.DiffReports(base, cur, 0.25, nil)
-	if d.Compared != 2 {
-		t.Fatalf("compared %d, want 2", d.Compared)
+	if len(d.Pairs) != 2 {
+		t.Fatalf("compared %d, want 2", len(d.Pairs))
 	}
-	if len(d.Regressions) != 1 || d.Regressions[0].Key.String() != "PBREMSP/NLCD@4" {
-		t.Fatalf("regressions = %+v, want exactly PBREMSP/NLCD@4", d.Regressions)
+	if regs := d.Regressions(); len(regs) != 1 || regs[0].Key.String() != "PBREMSP/NLCD@4" {
+		t.Fatalf("regressions = %+v, want exactly PBREMSP/NLCD@4", regs)
 	}
 	if len(d.Added) != 1 || d.Added[0].String() != "PBREMSP/NLCD@8" {
 		t.Fatalf("added = %v, want [PBREMSP/NLCD@8]", d.Added)
@@ -112,15 +137,16 @@ func TestDiffReportsPolicy(t *testing.T) {
 		Allow:            []string{"ARemSP/Aerial"},
 	}
 	d := experiments.DiffReports(base, cur, 0.25, policy)
-	if len(d.Regressions) != 2 {
-		t.Fatalf("regressions = %+v, want 2 (allowlisted + gating)", d.Regressions)
+	regs := d.Regressions()
+	if len(regs) != 2 {
+		t.Fatalf("regressions = %+v, want 2 (allowlisted + gating)", regs)
 	}
 	gating := d.Gating()
 	if len(gating) != 1 || gating[0].Key.String() != "PBREMSP/NLCD@4" {
 		t.Fatalf("gating = %+v, want exactly PBREMSP/NLCD@4", gating)
 	}
 	var sawAllowed bool
-	for _, r := range d.Regressions {
+	for _, r := range regs {
 		if r.Key.String() == "ARemSP/Aerial" {
 			if !r.Allowed {
 				t.Fatalf("ARemSP/Aerial should be allowlisted: %+v", r)

@@ -25,8 +25,8 @@ type BenchResult struct {
 }
 
 // ImageResult is one image's median time over a grid row's repeats and,
-// for the kernels that time their phases (PAREMSP and PBREMSP), the median
-// of each phase under the names the service's phases JSON uses.
+// for the kernels that time their phases (every REMSP algorithm), the
+// median of each phase under the names the service's phases JSON uses.
 type ImageResult struct {
 	Name      string `json:"name"`
 	NsPerOp   int64  `json:"ns_per_op"`

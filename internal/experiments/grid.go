@@ -13,10 +13,10 @@ import (
 )
 
 // GridAlg is one algorithm the grid runner can sweep: the name its report
-// rows carry and the library algorithm it labels with. The algorithms
-// SeqBaselines maps are parallel and measured at every configured
-// GOMAXPROCS value; the others ignore the thread axis and are measured
-// once per class, with Threads recorded as 0.
+// rows carry and the library algorithm it labels with. The algorithms whose
+// labelings split their raster (paremsp.Options.Splits) are measured at
+// every configured GOMAXPROCS value; the others ignore the thread axis and
+// are measured once per class, with Threads recorded as 0.
 type GridAlg struct {
 	Name      string
 	Algorithm paremsp.Algorithm
@@ -194,7 +194,7 @@ func RunGrid(cfg *GridConfig, meta GridMeta) *BenchReport {
 		}
 		for _, alg := range cfg.algorithms() {
 			ths := axis
-			if _, parallel := SeqBaselines[alg.Name]; !parallel {
+			if !(paremsp.Options{Algorithm: alg.Algorithm}).Splits() {
 				ths = []int{0}
 			}
 			for _, th := range ths {

@@ -83,8 +83,9 @@ func (im *Image) Reset(width, height int) {
 // open a component, so each row pair budgets 2*w labels — and seam rows are
 // merged with the paper's locked MERGER. One thread is the sequential
 // labeler. The equivalence buffers come from sc (nil allocates fresh ones);
-// the scan and relabel poll ctx every 64 rows.
-func LabelIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, error) {
+// the scan and relabel poll ctx every 64 rows. It returns n with the phase
+// times core.Kernel.Run measured.
+func LabelIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, core.PhaseTimes, error) {
 	w := img.Width
 	lm.Reshape(w, img.Height)
 	k := core.Kernel{
@@ -95,8 +96,7 @@ func LabelIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core
 		Seam:    func(c *core.Chunk, merge func(x, y binimg.Label)) { mergeGrayBoundary(img, lm, merge, c.Lo) },
 		Relabel: func(c *core.Chunk) bool { return core.RelabelFlat(c, lm.L[c.Lo*w:c.Hi*w], w) },
 	}
-	n, _, err := k.Run(ctx, sc, opt)
-	return n, err
+	return k.Run(ctx, sc, opt)
 }
 
 // grayPairRows is the pair-row scan of Alg. 6 with the foreground predicate
@@ -232,8 +232,9 @@ func mergeGrayBoundary(img *Image, lm *binimg.LabelMap, merge func(x, y binimg.L
 // transitive closure: a gradual ramp is one component even though its ends
 // differ by more than delta. Tolerance is not transitive, so the exhaustive
 // Rosenfeld scan is used (every visited neighbor examined and merged), as a
-// kernel that is never split. Buffers and cancellation follow LabelIntoCtx.
-func LabelDeltaIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, delta uint8) (int, error) {
+// kernel that is never split. Buffers, cancellation and the returned phase
+// times follow LabelIntoCtx.
+func LabelDeltaIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc *core.Scratch, delta uint8) (int, core.PhaseTimes, error) {
 	w, h := img.Width, img.Height
 	lm.Reshape(w, h)
 	k := core.Kernel{
@@ -241,8 +242,7 @@ func LabelDeltaIntoCtx(ctx context.Context, img *Image, lm *binimg.LabelMap, sc 
 		Scan:    func(c *core.Chunk) (binimg.Label, bool) { return deltaScan(img, lm, c.P, delta, c.Done) },
 		Relabel: func(c *core.Chunk) bool { return core.RelabelFlat(c, lm.L, w) },
 	}
-	n, _, err := k.Run(ctx, sc, core.Options{})
-	return n, err
+	return k.Run(ctx, sc, core.Options{})
 }
 
 // deltaScan is LabelDeltaIntoCtx's exhaustive Rosenfeld scan, polling done

@@ -17,7 +17,7 @@ import (
 // is the sequential labeler.
 func plabel(img *grayccl.Image, threads int) (*binimg.LabelMap, int) {
 	lm := &binimg.LabelMap{}
-	n, _ := grayccl.LabelIntoCtx(context.Background(), img, lm, nil, core.Options{Threads: threads})
+	n, _, _ := grayccl.LabelIntoCtx(context.Background(), img, lm, nil, core.Options{Threads: threads})
 	return lm, n
 }
 
@@ -25,7 +25,7 @@ func label(img *grayccl.Image) (*binimg.LabelMap, int) { return plabel(img, 1) }
 
 func labelDelta(img *grayccl.Image, delta uint8) (*binimg.LabelMap, int) {
 	lm := &binimg.LabelMap{}
-	n, _ := grayccl.LabelDeltaIntoCtx(context.Background(), img, lm, nil, delta)
+	n, _, _ := grayccl.LabelDeltaIntoCtx(context.Background(), img, lm, nil, delta)
 	return lm, n
 }
 

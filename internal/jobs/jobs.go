@@ -113,8 +113,9 @@ type ResultInfo struct {
 	// outside the dedup key like BandRows. Records written before it
 	// existed read back without one.
 	Alg string `json:"alg,omitempty"`
-	// Phases holds per-phase times when the parallel algorithms produced
-	// the labeling; zero otherwise.
+	// Phases holds the labeling's per-phase times when a REMSP kernel
+	// produced it (binary, gray or volume); zero for the baselines and the
+	// band stream.
 	Phases core.PhaseTimes `json:"phases,omitempty"`
 }
 

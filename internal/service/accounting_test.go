@@ -158,10 +158,11 @@ func TestEngineAccounting(t *testing.T) {
 	})
 }
 
-// TestPhaseHistogramsSkipUnphasedKernels: only the parallel kernels
-// (PAREMSP, PBREMSP) time their phases, so a sequential or gray labeling
-// must not land a 0 ns sample in the phase histograms, and a count-only
-// labeling, which stops after FLATTEN, none in the relabel histogram.
+// TestPhaseHistogramsSkipUnphasedKernels: every REMSP labeling — binary,
+// gray and volume — lands one sample in each phase histogram, the
+// baselines and the band stream, which time no phases, land none (never a
+// 0 ns sample), and a count-only labeling, which stops after FLATTEN, none
+// in the relabel histogram.
 func TestPhaseHistogramsSkipUnphasedKernels(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
 	const (
@@ -169,16 +170,23 @@ func TestPhaseHistogramsSkipUnphasedKernels(t *testing.T) {
 		relabel = `ccserve_phase_duration_ns_count{phase="relabel"}`
 	)
 	grayB, _ := grayBody(t, 9, 7, 5)
+	volB, _ := volumeBody(t, 9, 7, 5, 6)
+	pbm := pbmBody(t, testImage(t))
 	for _, tc := range []struct {
 		path          string
 		ct            string
 		body          []byte
 		want, relabel int64
 	}{
-		{"/v1/label?alg=aremsp", ctPBM, pbmBody(t, testImage(t)), 0, 0},
-		{"/v1/label?mode=gray", ctPGM, grayB, 0, 0},
-		{"/v1/label?alg=paremsp", ctPBM, pbmBody(t, testImage(t)), 1, 1},
-		{"/v1/label?alg=paremsp&components=false", ctPBM, pbmBody(t, testImage(t)), 1, 0},
+		{"/v1/label?alg=aremsp", ctPBM, pbm, 1, 1},
+		{"/v1/label?alg=cclremsp", ctPBM, pbm, 1, 1},
+		{"/v1/label?mode=gray", ctPGM, grayB, 1, 1},
+		{"/v1/label?mode=gray-delta&delta=40", ctPGM, grayB, 1, 1},
+		{"/v1/volume", ctPGM, volB, 1, 1},
+		{"/v1/label?alg=floodfill", ctPBM, pbm, 0, 0},
+		{"/v1/stats", ctPBM, pbm, 0, 0},
+		{"/v1/label?alg=paremsp", ctPBM, pbm, 1, 1},
+		{"/v1/label?alg=paremsp&components=false", ctPBM, pbm, 1, 0},
 	} {
 		before, beforeRelabel := metricValue(t, srv.URL, scan), metricValue(t, srv.URL, relabel)
 		resp := post(t, srv.URL+tc.path, tc.ct, ctJSON, tc.body)

@@ -90,17 +90,11 @@ type Engine struct {
 	labelVols pool[paremsp.LabelVolumeMap]
 	scratch   pool[paremsp.Scratch]
 
-	// run performs one labeling; tests substitute it to control timing. The
-	// context is the request's: the labeling polls it between row blocks and
-	// returns its error when canceled.
-	run func(ctx context.Context, img *paremsp.Image, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runBM is run for packed bitmaps: every binary body but a pinned byte
-	// algorithm's, unpinned ones labeled as PAREMSP.
-	runBM func(ctx context.Context, bm *paremsp.Bitmap, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runGray is run for gray-level jobs (modes gray and gray-delta).
-	runGray func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error)
-	// runVol is run for volumetric jobs (mode volume).
-	runVol func(ctx context.Context, vol *paremsp.Volume, dst *paremsp.LabelVolumeMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.VolumeResult, error)
+	// gate is called where every raster and volume labeling's kernel runs,
+	// with the labeling's context and options; a non-nil error is the
+	// labeling's outcome in place of the kernel's. It lets every labeling
+	// run; tests replace it to hold, fail or observe labelings.
+	gate func(ctx context.Context, opt paremsp.Options) error
 }
 
 // pool is a sync.Pool of *T that counts its borrows: gets is every get,
@@ -149,8 +143,7 @@ type task interface {
 }
 
 // rasterTask labels a 2-D raster — binary, bit-packed or gray — of pixels
-// pixels into a pooled label map with the kernel seam in force when the
-// task was made.
+// pixels into a pooled label map with the root entry point for its type.
 type rasterTask[T any] struct {
 	in     *T
 	from   *pool[T]
@@ -160,7 +153,11 @@ type rasterTask[T any] struct {
 
 func (t rasterTask[T]) run(ctx context.Context, e *Engine, opt paremsp.Options) jobResult {
 	lm, sc := e.labelMaps.get(), e.scratch.get()
-	res, err := t.kernel(ctx, t.in, lm, sc, opt)
+	var res *paremsp.Result
+	err := e.gate(ctx, opt)
+	if err == nil {
+		res, err = t.kernel(ctx, t.in, lm, sc, opt)
+	}
 	e.scratch.put(sc)
 	t.release(e)
 	if err != nil || res.Labels == nil {
@@ -177,15 +174,15 @@ func (t rasterTask[T]) run(ctx context.Context, e *Engine, opt paremsp.Options) 
 func (t rasterTask[T]) release(*Engine) { t.from.put(t.in) }
 
 func (e *Engine) imageTask(img *paremsp.Image) task {
-	return rasterTask[paremsp.Image]{in: img, from: &e.images, pixels: area(img.Width, img.Height), kernel: e.run}
+	return rasterTask[paremsp.Image]{in: img, from: &e.images, pixels: area(img.Width, img.Height), kernel: paremsp.LabelIntoCtx}
 }
 
 func (e *Engine) bitmapTask(bm *paremsp.Bitmap) task {
-	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, pixels: area(bm.Width, bm.Height), kernel: e.runBM}
+	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, pixels: area(bm.Width, bm.Height), kernel: paremsp.LabelBitmapIntoCtx}
 }
 
 func (e *Engine) grayTask(img *paremsp.GrayImage) task {
-	return rasterTask[paremsp.GrayImage]{in: img, from: &e.grays, pixels: area(img.Width, img.Height), kernel: e.runGray}
+	return rasterTask[paremsp.GrayImage]{in: img, from: &e.grays, pixels: area(img.Width, img.Height), kernel: paremsp.LabelGrayIntoCtx}
 }
 
 func area(w, h int) int64 { return int64(w) * int64(h) }
@@ -216,14 +213,18 @@ type volumeTask struct{ vol *paremsp.Volume }
 
 func (t volumeTask) run(ctx context.Context, e *Engine, opt paremsp.Options) jobResult {
 	lv, sc := e.labelVols.get(), e.scratch.get()
-	vres, err := e.runVol(ctx, t.vol, lv, sc, opt)
+	var vres *paremsp.VolumeResult
+	err := e.gate(ctx, opt)
+	if err == nil {
+		vres, err = paremsp.LabelVolumeIntoCtx(ctx, t.vol, lv, sc, opt)
+	}
 	e.scratch.put(sc)
 	t.release(e)
 	if err != nil {
 		e.labelVols.put(lv)
 		return jobResult{err: err}
 	}
-	return jobResult{vres: vres, pixels: int64(len(vres.Labels.L)), components: int64(vres.NumComponents)}
+	return jobResult{vres: vres, pixels: int64(len(vres.Labels.L)), components: int64(vres.NumComponents), phases: vres.Phases}
 }
 
 func (t volumeTask) release(e *Engine) { e.volumes.put(t.vol) }
@@ -307,10 +308,7 @@ func NewEngine(cfg Config) *Engine {
 		threads:    max(cfg.Threads, 0),
 		queue:      make(chan *job, depth),
 		onPanic:    cfg.OnPanic,
-		run:        paremsp.LabelIntoCtx,
-		runBM:      paremsp.LabelBitmapIntoCtx,
-		runGray:    paremsp.LabelGrayIntoCtx,
-		runVol:     paremsp.LabelVolumeIntoCtx,
+		gate:       func(context.Context, paremsp.Options) error { return nil },
 	}
 	e.metrics.labelings = make([]atomic.Int64, len(algNames))
 	e.cpus.Store(int64(runtime.GOMAXPROCS(0)))
@@ -697,7 +695,7 @@ func (e *Engine) worker() {
 // pinned count as asked, otherwise every free token and at least one.
 func (e *Engine) takeThreads(opt paremsp.Options) int {
 	pinned := opt.Threads
-	if !splits(opt) {
+	if !opt.Splits() {
 		pinned = 1
 	}
 	if pinned > 0 {
@@ -713,27 +711,16 @@ func (e *Engine) takeThreads(opt paremsp.Options) int {
 	}
 }
 
-// splits reports whether opt selects a labeler that divides its raster
-// among threads: PAREMSP or PBREMSP (the default is one or the other), in
-// any mode but gray-delta. AREMSP, CCLREMSP, BREMSP, the baselines and the
-// gray-delta scan run on one goroutine.
-func splits(opt paremsp.Options) bool {
-	switch opt.Algorithm {
-	case "", paremsp.AlgPAREMSP, paremsp.AlgPBREMSP:
-		return opt.Mode != paremsp.ModeGrayDelta
-	}
-	return false
-}
-
 // account lands one run in the counters. Busy time covers every run,
-// whatever its outcome: the worker is occupied either way. A stream stays out of the service-time statistics
-// — the jobNs mean RetryAfter is derived from and the service-time
-// histogram — because its duration follows the client's upload pace.
-// Phases are observed only when the kernel timed them (PAREMSP, PBREMSP),
-// so the phase histograms never record zeros for the kernels that do not,
-// and relabel only when it ran: a count-only result, which carries no label
-// map, stopped after FLATTEN. Histogram observes are two uncontended atomic
-// adds each, with nothing allocated.
+// whatever its outcome: the worker is occupied either way. A stream stays
+// out of the service-time statistics — the jobNs mean RetryAfter is derived
+// from and the service-time histogram — because its duration follows the
+// client's upload pace. Phases are observed only when the kernel timed them
+// (every REMSP labeling: binary, gray and volume), so the phase histograms
+// never record zeros for the baselines and the band stream, and relabel
+// only when it ran: a count-only labeling stops after FLATTEN, so its
+// relabel time reads 0. Histogram observes are two uncontended atomic adds
+// each, with nothing allocated.
 func (e *Engine) account(r jobResult, elapsed int64) {
 	m := &e.metrics
 	m.busyNs.Add(elapsed)
@@ -757,7 +744,7 @@ func (e *Engine) account(r jobResult, elapsed int64) {
 	if r.phases.Total() > 0 {
 		ph := [phaseCount]time.Duration{r.phases.Scan, r.phases.Merge, r.phases.Flatten, r.phases.Relabel}
 		n := phaseCount
-		if r.res.Labels == nil {
+		if r.phases.Relabel == 0 {
 			n = phaseRelabel
 		}
 		for i, d := range ph[:n] {

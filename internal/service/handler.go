@@ -493,7 +493,7 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 	case out.bres != nil:
 		res.Stats, res.NumComponents = out.bres, out.bres.NumComponents
 	case out.vres != nil:
-		res.NumComponents = out.vres.NumComponents
+		res.NumComponents, res.Phases = out.vres.NumComponents, out.vres.Phases
 		if comps {
 			res.VolumeSizes = paremsp.VolumeComponentSizes(out.vres.Labels, out.vres.NumComponents)
 			if tr != nil {

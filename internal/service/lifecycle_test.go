@@ -12,23 +12,24 @@ import (
 	"time"
 
 	paremsp "repro"
+	"repro/internal/dataset"
 	"repro/internal/jobs"
 )
 
-// blockFirstRun substitutes eng.run so the first call parks on its context
+// blockFirstRun gates eng so the first labeling parks on its context
 // (simulating a labeling that reached a poll point and saw the cancellation)
-// and every later call delegates to the real labeling. started receives one
-// value per parked call.
+// and every later one runs for real. started receives one value per parked
+// call.
 func blockFirstRun(eng *Engine, started chan<- struct{}) {
 	var calls atomic.Int32
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
-	})
+	}
 }
 
 // TestEngineLabelCancelMidRun cancels a labeling that is already on a
@@ -97,6 +98,29 @@ func TestLabelRequestTimeout504(t *testing.T) {
 	}
 }
 
+// TestMultiPassRequestTimeoutFreesWorker: a multipass labeling that
+// outlives -request-timeout stops at its next row-block poll and frees the
+// only worker, so the timed-out request answers 504 and the next unpinned
+// request 200 within a second. Uncanceled, multipass labels this
+// 1024x1024 serpentine in about 5 s on a 2-vCPU host.
+func TestMultiPassRequestTimeoutFreesWorker(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{RequestTimeout: 200 * time.Millisecond})
+	serpentine := pbmBody(t, dataset.Serpentine(1024, 1024, 1, 1))
+	resp := post(t, srv.URL+"/v1/label?alg=multipass&components=false", ctPBM, ctJSON, serpentine)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("multipass status = %d, want 504", resp.StatusCode)
+	}
+	start := time.Now()
+	resp = post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if d := time.Since(start); resp.StatusCode != http.StatusOK || d > time.Second {
+		t.Fatalf("next request: status %d after %v, want 200 within 1s (worker still held?)", resp.StatusCode, d)
+	}
+}
+
 // TestDrainLifecycle drives the full drain contract over HTTP: before the
 // drain everything admits; after StartDrain, /healthz flips to 503
 // "draining", every admission endpoint sheds with 503 + Retry-After while
@@ -130,13 +154,13 @@ func TestDrainLifecycle(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
 		return nil
-	})
+	}
 	inflight := make(chan *http.Response, 1)
 	go func() {
 		inflight <- post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
@@ -194,13 +218,13 @@ func TestDrainRejectsQueuedJobs(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
 		return nil
-	})
+	}
 
 	// One job on the worker, one parked in the queue.
 	running, err := eng.SubmitLabel(context.Background(), testImage(t), paremsp.Options{}, nil)
@@ -256,12 +280,12 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		eng.Close()
 	})
 	var calls atomic.Int32
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if calls.Add(1) == 1 {
 			panic("labeling exploded")
 		}
 		return nil
-	})
+	}
 
 	resp := post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
 	body, _ := io.ReadAll(resp.Body)
@@ -367,13 +391,13 @@ func TestJobDrainCancelsViaBaseContext(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-release
 		}
 		return nil
-	})
+	}
 
 	// First job occupies the worker; the second sits in the queue with the
 	// base context as its lifetime.
@@ -402,14 +426,14 @@ func TestJobDeleteReleasesWorker(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	started := make(chan struct{}, 1)
 	var runs atomic.Int32
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if runs.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
-	})
+	}
 
 	a := submitJobs(t, srv.URL+"/v1/jobs", ctPBM, pbmBody(t, testImage(t))).Jobs[0]
 	<-started

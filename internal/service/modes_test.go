@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -400,16 +399,8 @@ func TestContoursHTTPDifferential(t *testing.T) {
 func TestEngineGrayCancel(t *testing.T) {
 	eng := NewEngine(Config{Workers: 1, Threads: 1})
 	defer eng.Close()
-	var calls atomic.Int32
 	started := make(chan struct{}, 1)
-	eng.runGray = func(ctx context.Context, img *paremsp.GrayImage, dst *paremsp.LabelMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.Result, error) {
-		if calls.Add(1) == 1 {
-			started <- struct{}{}
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return paremsp.LabelGrayIntoCtx(ctx, img, dst, sc, opt)
-	}
+	blockFirstRun(eng, started)
 
 	mkGray := func(seed int64) *paremsp.GrayImage {
 		g := eng.GetGray()
@@ -467,16 +458,8 @@ func TestEngineGrayCancel(t *testing.T) {
 func TestEngineVolumeCancel(t *testing.T) {
 	eng := NewEngine(Config{Workers: 1, Threads: 1})
 	defer eng.Close()
-	var calls atomic.Int32
 	started := make(chan struct{}, 1)
-	eng.runVol = func(ctx context.Context, vol *paremsp.Volume, dst *paremsp.LabelVolumeMap, sc *paremsp.Scratch, opt paremsp.Options) (*paremsp.VolumeResult, error) {
-		if calls.Add(1) == 1 {
-			started <- struct{}{}
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return paremsp.LabelVolumeIntoCtx(ctx, vol, dst, sc, opt)
-	}
+	blockFirstRun(eng, started)
 
 	mkVol := func(seed int64) *paremsp.Volume {
 		v := eng.GetVolume()

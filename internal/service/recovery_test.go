@@ -58,14 +58,14 @@ func TestServiceRecoveryAfterReopen(t *testing.T) {
 	// "crash".
 	started := make(chan struct{}, 1)
 	var parked atomic.Int32
-	gateBinary(eng1, func(ctx context.Context, _ paremsp.Options) error {
+	eng1.gate = func(ctx context.Context, _ paremsp.Options) error {
 		if parked.Add(1) == 1 {
 			started <- struct{}{}
 			<-ctx.Done()
 			return ctx.Err()
 		}
 		return nil
-	})
+	}
 	other, err := paremsp.ParseImage("#.#\n.#.\n#.#")
 	if err != nil {
 		t.Fatal(err)

@@ -281,11 +281,11 @@ func TestQueueFull429(t *testing.T) {
 	eng, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, HandlerConfig{})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
-	gateBinary(eng, func(ctx context.Context, _ paremsp.Options) error {
+	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
 		started <- struct{}{}
 		<-block
 		return nil
-	})
+	}
 
 	body := pbmBody(t, testImage(t))
 	type outcome struct {

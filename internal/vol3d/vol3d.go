@@ -191,8 +191,9 @@ func (lv *LabelVolume) Reset(w, h, d int) {
 // slab-boundary plane is merged against the plane below it with the
 // paper's locked MERGER. One thread is the sequential two-pass labeler. The
 // equivalence buffers come from sc (nil allocates fresh ones); the scan and
-// relabel poll ctx every 64 raster rows.
-func LabelIntoCtx(ctx context.Context, vol *Volume, lv *LabelVolume, sc *core.Scratch, opt core.Options) (int, error) {
+// relabel poll ctx every 64 raster rows. It returns n with the phase times
+// core.Kernel.Run measured.
+func LabelIntoCtx(ctx context.Context, vol *Volume, lv *LabelVolume, sc *core.Scratch, opt core.Options) (int, core.PhaseTimes, error) {
 	w, h := vol.W, vol.H
 	lv.Reset(w, h, vol.D)
 	plane := w * h
@@ -204,8 +205,7 @@ func LabelIntoCtx(ctx context.Context, vol *Volume, lv *LabelVolume, sc *core.Sc
 		Seam:    func(c *core.Chunk, merge func(x, y binimg.Label)) { mergeBoundaryPlane(vol, lv, merge, c.Lo) },
 		Relabel: func(c *core.Chunk) bool { return core.RelabelFlat(c, lv.L[c.Lo*plane:c.Hi*plane], w) },
 	}
-	n, _, err := k.Run(ctx, sc, opt)
-	return n, err
+	return k.Run(ctx, sc, opt)
 }
 
 // mergeBoundaryPlane unites every foreground voxel of plane z with its

@@ -14,7 +14,7 @@ import (
 // thread is the sequential labeler.
 func plabel(vol *vol3d.Volume, threads int) (*vol3d.LabelVolume, int) {
 	lv := &vol3d.LabelVolume{}
-	n, _ := vol3d.LabelIntoCtx(context.Background(), vol, lv, nil, core.Options{Threads: threads})
+	n, _, _ := vol3d.LabelIntoCtx(context.Background(), vol, lv, nil, core.Options{Threads: threads})
 	return lv, n
 }
 

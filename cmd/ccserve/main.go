@@ -47,9 +47,8 @@
 // deprecated former name.
 //
 // /healthz is a liveness probe and /metrics exposes request counters,
-// latency and per-phase histograms, approximate latency percentiles and
-// job-state gauges in Prometheus text format. SIGINT or SIGTERM triggers
-// a graceful shutdown.
+// latency and per-phase histograms and job-state gauges in Prometheus
+// text format. SIGINT or SIGTERM triggers a graceful shutdown.
 //
 // Observability: every request is tagged with an X-Request-ID (an inbound
 // header is honored and echoed, otherwise one is generated), /v1/label

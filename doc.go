@@ -212,10 +212,11 @@
 // (SIGKILL included) are resubmitted through the normal admission path and
 // run again; jobs whose persisted input is missing or whom the engine
 // refuses land in the canceled terminal state with a "recovery:" reason —
-// observable, and re-runnable by resubmitting. Metrics split the store's
-// footprint (ccserve_jobs_store_mem_bytes / ccserve_jobs_store_disk_bytes)
-// and count spills and recovery outcomes (ccserve_jobs_spilled_total,
-// ccserve_jobs_recovered_total, ccserve_jobs_recovery_canceled_total);
+// observable, and re-runnable by resubmitting. Metrics show the store's
+// footprint in RAM (ccserve_jobs_result_bytes) and on disk
+// (ccserve_jobs_store_disk_bytes) and count spills and recovery outcomes
+// (ccserve_jobs_spilled_total, ccserve_jobs_recovered_total,
+// ccserve_jobs_recovery_canceled_total);
 // ccserve_jobs_journal_errors_total counts journal appends that failed to
 // reach disk — the store keeps serving, but nonzero means restart recovery
 // may lose or resurrect jobs, so alert on it.

@@ -113,6 +113,11 @@ type ResultInfo struct {
 	// outside the dedup key like BandRows. Records written before it
 	// existed read back without one.
 	Alg string `json:"alg,omitempty"`
+	// QueueWaitNs is how long the labeling waited in the engine queue, as
+	// the engine measured it: the decode before admission is not in it.
+	// Execution detail for the status trace, outside the dedup key like
+	// BandRows; records written before it existed read back without one.
+	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"`
 	// Phases holds the labeling's per-phase times when a REMSP kernel
 	// produced it (binary, gray or volume); zero for the baselines and the
 	// band stream.

@@ -162,44 +162,51 @@ func TestEngineAccounting(t *testing.T) {
 // gray and volume — lands one sample in each phase histogram, the
 // baselines and the band stream, which time no phases, land none (never a
 // 0 ns sample), and a count-only labeling, which stops after FLATTEN, none
-// in the relabel histogram.
+// in the relabel histogram. The response-shaping layers land one sample
+// each when they run: components for every JSON labeling with components,
+// whatever the labeler, and contours for a contours request.
 func TestPhaseHistogramsSkipUnphasedKernels(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
-	const (
-		scan    = `ccserve_phase_duration_ns_count{phase="scan"}`
-		relabel = `ccserve_phase_duration_ns_count{phase="relabel"}`
-	)
+	series := [...]string{
+		`ccserve_phase_duration_ns_count{phase="scan"}`,
+		`ccserve_phase_duration_ns_count{phase="relabel"}`,
+		`ccserve_phase_duration_ns_count{phase="components"}`,
+		`ccserve_phase_duration_ns_count{phase="contours"}`,
+	}
 	grayB, _ := grayBody(t, 9, 7, 5)
 	volB, _ := volumeBody(t, 9, 7, 5, 6)
 	pbm := pbmBody(t, testImage(t))
 	for _, tc := range []struct {
-		path          string
-		ct            string
-		body          []byte
-		want, relabel int64
+		path string
+		ct   string
+		body []byte
+		want [len(series)]int64 // scan, relabel, components, contours samples
 	}{
-		{"/v1/label?alg=aremsp", ctPBM, pbm, 1, 1},
-		{"/v1/label?alg=cclremsp", ctPBM, pbm, 1, 1},
-		{"/v1/label?mode=gray", ctPGM, grayB, 1, 1},
-		{"/v1/label?mode=gray-delta&delta=40", ctPGM, grayB, 1, 1},
-		{"/v1/volume", ctPGM, volB, 1, 1},
-		{"/v1/label?alg=floodfill", ctPBM, pbm, 0, 0},
-		{"/v1/stats", ctPBM, pbm, 0, 0},
-		{"/v1/label?alg=paremsp", ctPBM, pbm, 1, 1},
-		{"/v1/label?alg=paremsp&components=false", ctPBM, pbm, 1, 0},
+		{"/v1/label?alg=aremsp", ctPBM, pbm, [...]int64{1, 1, 1, 0}},
+		{"/v1/label?alg=cclremsp", ctPBM, pbm, [...]int64{1, 1, 1, 0}},
+		{"/v1/label?mode=gray", ctPGM, grayB, [...]int64{1, 1, 1, 0}},
+		{"/v1/label?mode=gray-delta&delta=40", ctPGM, grayB, [...]int64{1, 1, 1, 0}},
+		{"/v1/volume", ctPGM, volB, [...]int64{1, 1, 1, 0}},
+		{"/v1/label?alg=floodfill", ctPBM, pbm, [...]int64{0, 0, 1, 0}},
+		{"/v1/stats", ctPBM, pbm, [...]int64{0, 0, 0, 0}},
+		{"/v1/label?alg=paremsp", ctPBM, pbm, [...]int64{1, 1, 1, 0}},
+		{"/v1/label?alg=paremsp&components=false", ctPBM, pbm, [...]int64{1, 0, 0, 0}},
+		{"/v1/label?contours=true", ctPBM, pbm, [...]int64{1, 1, 1, 1}},
 	} {
-		before, beforeRelabel := metricValue(t, srv.URL, scan), metricValue(t, srv.URL, relabel)
+		var before [len(series)]int64
+		for i, s := range series {
+			before[i] = metricValue(t, srv.URL, s)
+		}
 		resp := post(t, srv.URL+tc.path, tc.ct, ctJSON, tc.body)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", tc.path, resp.StatusCode)
 		}
-		if got := metricValue(t, srv.URL, scan) - before; got != tc.want {
-			t.Errorf("%s: scan-phase samples delta = %d, want %d", tc.path, got, tc.want)
-		}
-		if got := metricValue(t, srv.URL, relabel) - beforeRelabel; got != tc.relabel {
-			t.Errorf("%s: relabel-phase samples delta = %d, want %d", tc.path, got, tc.relabel)
+		for i, s := range series {
+			if got := metricValue(t, srv.URL, s) - before[i]; got != tc.want[i] {
+				t.Errorf("%s: %s delta = %d, want %d", tc.path, s, got, tc.want[i])
+			}
 		}
 	}
 }

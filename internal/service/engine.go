@@ -478,11 +478,11 @@ var streamOptions = paremsp.Options{Threads: 1}
 // uploads would otherwise inflate every backoff hint to the cap. Before
 // any raster job has completed the estimate is the 1-second floor.
 func (e *Engine) RetryAfter() time.Duration {
-	done := e.metrics.jobsTimed.Load()
+	_, done := e.metrics.jobHist.snapshot()
 	if done == 0 {
 		return time.Second
 	}
-	mean := time.Duration(e.metrics.jobNs.Load() / done)
+	mean := time.Duration(e.metrics.jobHist.sum.Load() / done)
 	backlog := int64(len(e.queue)) + e.metrics.inFlight.Load()
 	est := mean * time.Duration(backlog+1) / time.Duration(e.workers)
 	if est < time.Second {
@@ -713,14 +713,14 @@ func (e *Engine) takeThreads(opt paremsp.Options) int {
 
 // account lands one run in the counters. Busy time covers every run,
 // whatever its outcome: the worker is occupied either way. A stream stays
-// out of the service-time statistics — the jobNs mean RetryAfter is derived
-// from and the service-time histogram — because its duration follows the
-// client's upload pace. Phases are observed only when the kernel timed them
-// (every REMSP labeling: binary, gray and volume), so the phase histograms
-// never record zeros for the baselines and the band stream, and relabel
-// only when it ran: a count-only labeling stops after FLATTEN, so its
-// relabel time reads 0. Histogram observes are two uncontended atomic adds
-// each, with nothing allocated.
+// out of the service-time histogram, whose mean RetryAfter is derived from,
+// because its duration follows the client's upload pace. Phases are
+// observed only when the kernel timed them (every REMSP labeling: binary,
+// gray and volume), so the phase histograms never record zeros for the
+// baselines and the band stream, and relabel only when it ran: a
+// count-only labeling stops after FLATTEN, so its relabel time reads 0.
+// Histogram observes are two uncontended atomic adds each, with nothing
+// allocated.
 func (e *Engine) account(r jobResult, elapsed int64) {
 	m := &e.metrics
 	m.busyNs.Add(elapsed)
@@ -738,18 +738,25 @@ func (e *Engine) account(r jobResult, elapsed int64) {
 	if r.paced {
 		return
 	}
-	m.jobNs.Add(elapsed)
-	m.jobsTimed.Add(1)
 	m.jobHist.observe(elapsed)
 	if r.phases.Total() > 0 {
-		ph := [phaseCount]time.Duration{r.phases.Scan, r.phases.Merge, r.phases.Flatten, r.phases.Relabel}
-		n := phaseCount
+		ph := [...]time.Duration{r.phases.Scan, r.phases.Merge, r.phases.Flatten, r.phases.Relabel}
+		n := len(ph)
 		if r.phases.Relabel == 0 {
 			n = phaseRelabel
 		}
 		for i, d := range ph[:n] {
-			m.phaseNs[i].Add(d.Nanoseconds())
 			m.phaseHist[i].observe(d.Nanoseconds())
 		}
 	}
+}
+
+// observeShaping lands a response-shaping layer (phaseComponents or
+// phaseContours) that began at start in its phase histogram and returns
+// its duration. The layers run after the labeling, off the worker, so
+// finish observes them and account never sees them.
+func (e *Engine) observeShaping(phase int, start time.Time) int64 {
+	ns := time.Since(start).Nanoseconds()
+	e.metrics.phaseHist[phase].observe(ns)
+	return ns
 }

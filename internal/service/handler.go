@@ -197,12 +197,13 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	h.engine.Snapshot().WriteTo(w)
-	h.engine.writeHistograms(w)
-	h.obs.writeRequestHists(w)
-	writeRuntimeMetrics(w)
+	pw := &promWriter{w: w}
+	h.engine.Snapshot().write(pw)
+	h.engine.writeHistograms(pw)
+	h.obs.writeRequestHists(pw)
+	writeRuntimeMetrics(pw)
 	if h.jobs != nil {
-		writeJobsMetrics(w, h.jobs.Counts())
+		writeJobsMetrics(pw, h.jobs.Counts())
 	}
 }
 
@@ -480,15 +481,22 @@ func binaryInfo(w, h, fg int) jobs.ResultInfo {
 // after rendering, a job keeps it out of the pool until eviction or
 // deletion releases it to the GC. Contours are traced under ctx here, on
 // the caller's goroutine: tracing is output shaping, not labeling, so it
-// does not hold a worker. A synchronous request's trace, which ctx
-// carries, times the component summaries and the contours.
+// does not hold a worker. The component summaries and the contours are
+// timed into the phase histograms, and into the request's trace when ctx
+// carries one. The result keeps the engine's own queue wait for a job's
+// status trace.
 func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultInfo, out jobResult, comps bool) (*jobs.Result, error) {
 	if out.err != nil {
 		return nil, out.err
 	}
 	res := &jobs.Result{ResultInfo: info}
-	res.Threads, res.Alg = out.threads, out.alg
-	tr, start := traceFrom(ctx), time.Now()
+	res.Threads, res.Alg, res.QueueWaitNs = out.threads, out.alg, out.wait.Nanoseconds()
+	tr := traceFrom(ctx)
+	if tr == nil {
+		// A job has no request trace; its layers still reach the histograms.
+		tr = new(Trace)
+	}
+	start := time.Now()
 	switch {
 	case out.bres != nil:
 		res.Stats, res.NumComponents = out.bres, out.bres.NumComponents
@@ -496,18 +504,14 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 		res.NumComponents, res.Phases = out.vres.NumComponents, out.vres.Phases
 		if comps {
 			res.VolumeSizes = paremsp.VolumeComponentSizes(out.vres.Labels, out.vres.NumComponents)
-			if tr != nil {
-				tr.ComponentsNs = time.Since(start).Nanoseconds()
-			}
+			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, start)
 		}
 		h.engine.PutVolumeResult(out.vres)
 	default:
 		res.Labels, res.NumComponents, res.Phases = out.res.Labels, out.res.NumComponents, out.res.Phases
 		if comps {
 			res.Components = paremsp.ComponentsOf(res.Labels)
-			if tr != nil {
-				tr.ComponentsNs = time.Since(start).Nanoseconds()
-			}
+			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, start)
 		}
 		if kind == jobs.KindContours {
 			start = time.Now()
@@ -518,9 +522,7 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 				h.engine.PutResult(out.res)
 				return nil, err
 			}
-			if tr != nil {
-				tr.ContoursNs = time.Since(start).Nanoseconds()
-			}
+			tr.ContoursNs = h.engine.observeShaping(phaseContours, start)
 		}
 	}
 	return res, nil

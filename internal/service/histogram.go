@@ -1,8 +1,6 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 )
@@ -50,39 +48,13 @@ func (h *hist) observe(ns int64) {
 
 // snapshot copies the buckets and derives the total count. The copy is not
 // atomic across buckets — a scrape racing observes may see a count one off
-// from sum — which Prometheus tolerates and quantile estimation shrugs at.
+// from sum — which Prometheus tolerates.
 func (h *hist) snapshot() (b [histSlots]int64, count int64) {
 	for i := range h.buckets {
 		b[i] = h.buckets[i].Load()
 		count += b[i]
 	}
 	return b, count
-}
-
-// quantile approximates the q-th quantile (q in [0, 1]) as the upper bound
-// of the bucket where the cumulative count crosses q·total — exact within
-// the 2× bucket resolution. An empty histogram reports 0; overflow-bucket
-// hits report the first out-of-range power of two.
-func (h *hist) quantile(q float64) int64 {
-	b, count := h.snapshot()
-	if count == 0 {
-		return 0
-	}
-	target := int64(q*float64(count) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := range b {
-		cum += b[i]
-		if cum >= target {
-			if i >= histFinite {
-				return int64(1) << uint(histFinite)
-			}
-			return bucketBound(i)
-		}
-	}
-	return int64(1) << uint(histFinite)
 }
 
 // histSeries is one labeled series of a histogram family: labels is the
@@ -93,17 +65,12 @@ type histSeries struct {
 	h      *hist
 }
 
-// writePromHist renders one histogram family — HELP and TYPE once, then
-// every series' cumulative buckets, sum and count — in the Prometheus text
-// exposition under the ccserve_ prefix. Empty trailing buckets are elided
-// (the +Inf bucket carries the total regardless), keeping scrapes compact.
-func writePromHist(w io.Writer, name, help string, series []histSeries) (int64, error) {
-	var total int64
-	n, err := fmt.Fprintf(w, "# HELP ccserve_%s %s\n# TYPE ccserve_%s histogram\n", name, help, name)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
+// hist writes one histogram family — HELP and TYPE once, then every
+// series' cumulative buckets, sum and count. Empty trailing buckets are
+// elided (the +Inf bucket carries the total regardless), keeping scrapes
+// compact.
+func (pw *promWriter) hist(name, help string, series []histSeries) {
+	pw.family("histogram", name, help)
 	for _, s := range series {
 		b, count := s.h.snapshot()
 		last := -1
@@ -112,37 +79,16 @@ func writePromHist(w io.Writer, name, help string, series []histSeries) (int64, 
 				last = i
 			}
 		}
-		sep := ""
+		sep, curly := "", ""
 		if s.labels != "" {
-			sep = ","
+			sep, curly = ",", "{"+s.labels+"}"
 		}
 		var cum int64
 		for i := 0; i <= last; i++ {
 			cum += b[i]
-			n, err = fmt.Fprintf(w, "ccserve_%s_bucket{%s%sle=\"%d\"} %d\n", name, s.labels, sep, bucketBound(i), cum)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
+			pw.printf("ccserve_%s_bucket{%s%sle=\"%d\"} %d\n", name, s.labels, sep, bucketBound(i), cum)
 		}
-		n, err = fmt.Fprintf(w, "ccserve_%s_bucket{%s%sle=\"+Inf\"} %d\n", name, s.labels, sep, count)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-		curly := ""
-		if s.labels != "" {
-			curly = "{" + s.labels + "}"
-		}
-		n, err = fmt.Fprintf(w, "ccserve_%s_sum%s %d\nccserve_%s_count%s %d\n", name, curly, s.sumLoad(), name, curly, count)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
+		pw.printf("ccserve_%s_bucket{%s%sle=\"+Inf\"} %d\nccserve_%s_sum%s %d\nccserve_%s_count%s %d\n",
+			name, s.labels, sep, count, name, curly, s.h.sum.Load(), name, curly, count)
 	}
-	return total, nil
 }
-
-// sumLoad reads the series' sum; split out so the fmt call above stays on
-// one line per exposition row.
-func (s histSeries) sumLoad() int64 { return s.h.sum.Load() }

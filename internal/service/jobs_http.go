@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,7 +56,9 @@ type jobJSON struct {
 // sibling phases object) to completion, and the thread count and labeler
 // the labeling ran with. It is derived from the store's transition
 // timestamps and the result summary, so it needs no extra bookkeeping on
-// the hot path.
+// the hot path. A done job's queue wait is the engine's own measurement
+// from the summary; before that, and for records written before the
+// summary carried it, it is start minus submission, decode included.
 type jobTraceJSON struct {
 	QueueWaitNs int64  `json:"queue_wait_ns"`
 	DecodeNs    int64  `json:"decode_ns,omitempty"`
@@ -131,6 +134,7 @@ func jobJSONFrom(j jobs.Job, dedup bool) jobJSON {
 		out.Depth = info.Depth
 		if out.Trace != nil {
 			out.Trace.DecodeNs, out.Trace.Threads, out.Trace.Alg = info.DecodeNs, info.Threads, info.Alg
+			out.Trace.QueueWaitNs = cmp.Or(info.QueueWaitNs, out.Trace.QueueWaitNs)
 		}
 		out.Phases = phasesJSONFrom(info.Phases)
 	}

@@ -560,20 +560,26 @@ func TestRetryAfterEstimate(t *testing.T) {
 	if got := eng.RetryAfter(); got != time.Second {
 		t.Fatalf("no completed jobs: RetryAfter = %v, want the 1s floor", got)
 	}
+	// timed lands 4 service times of d in a fresh service-time histogram.
+	timed := func(d time.Duration) {
+		eng.metrics.jobHist = hist{}
+		for i := 0; i < 4; i++ {
+			eng.metrics.jobHist.observe(d.Nanoseconds())
+		}
+	}
 	// 4 timed jobs at a 10s mean; empty queue, nothing in flight:
 	// (0+1) * 10s / 2 workers = 5s.
-	eng.metrics.jobsTimed.Store(4)
-	eng.metrics.jobNs.Store(4 * (10 * time.Second).Nanoseconds())
+	timed(10 * time.Second)
 	if got := eng.RetryAfter(); got != 5*time.Second {
 		t.Fatalf("RetryAfter = %v, want 5s", got)
 	}
 	// Fast jobs floor at 1s.
-	eng.metrics.jobNs.Store(4 * (20 * time.Millisecond).Nanoseconds())
+	timed(20 * time.Millisecond)
 	if got := eng.RetryAfter(); got != time.Second {
 		t.Fatalf("fast jobs: RetryAfter = %v, want 1s floor", got)
 	}
 	// Slow jobs cap at 60s.
-	eng.metrics.jobNs.Store(4 * (10 * time.Minute).Nanoseconds())
+	timed(10 * time.Minute)
 	if got := eng.RetryAfter(); got != time.Minute {
 		t.Fatalf("slow jobs: RetryAfter = %v, want 60s cap", got)
 	}
@@ -650,7 +656,7 @@ func TestJobMetricsExposition(t *testing.T) {
 		"ccserve_jobs_running 0",
 		"ccserve_jobs_failed 0",
 		"ccserve_jobs_evicted_total 0",
-		"ccserve_job_latency_ns_total",
+		"ccserve_job_service_ns_count 1",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"io"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -217,13 +216,13 @@ func (o *Obs) middleware(next http.Handler) http.Handler {
 	})
 }
 
-// writeRequestHists renders the per-endpoint latency histogram family.
-func (o *Obs) writeRequestHists(w io.Writer) {
+// writeRequestHists writes the per-endpoint latency histogram family.
+func (o *Obs) writeRequestHists(pw *promWriter) {
 	series := make([]histSeries, 0, epCount)
 	for i := range o.req {
 		series = append(series, histSeries{labels: `endpoint="` + epNames[i] + `"`, h: &o.req[i]})
 	}
-	writePromHist(w, "http_request_duration_ns",
+	pw.hist("http_request_duration_ns",
 		"End-to-end request latency per endpoint in nanoseconds (log2 buckets).", series)
 }
 

@@ -3,26 +3,27 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	paremsp "repro"
 	"repro/internal/jobs"
+	"repro/internal/pnm"
 )
 
 func TestHistBucketsAndQuantiles(t *testing.T) {
 	var h hist
-	if got := h.quantile(0.5); got != 0 {
-		t.Fatalf("empty hist quantile = %d, want 0", got)
-	}
 	h.observe(0)       // bucket 0
 	h.observe(1)       // bucket 1
 	h.observe(2)       // bucket 2
@@ -37,14 +38,6 @@ func TestHistBucketsAndQuantiles(t *testing.T) {
 	if b[0] != 2 || b[1] != 1 || b[2] != 2 || b[10] != 1 || b[histFinite] != 1 {
 		t.Fatalf("bucket counts = %v", b)
 	}
-	if got := h.quantile(0.5); got != bucketBound(2) {
-		t.Fatalf("p50 = %d, want %d", got, bucketBound(2))
-	}
-	// The overflow hit dominates the extreme tail and must report the first
-	// out-of-range power of two, not a finite bound that lies.
-	if got := h.quantile(1.0); got != int64(1)<<uint(histFinite) {
-		t.Fatalf("p100 = %d, want 2^%d", got, histFinite)
-	}
 }
 
 func TestWritePromHistCumulative(t *testing.T) {
@@ -53,8 +46,9 @@ func TestWritePromHistCumulative(t *testing.T) {
 		h.observe(v)
 	}
 	var buf bytes.Buffer
-	if _, err := writePromHist(&buf, "x_ns", "help text.", []histSeries{{h: &h}}); err != nil {
-		t.Fatal(err)
+	pw := &promWriter{w: &buf}
+	if pw.hist("x_ns", "help text.", []histSeries{{h: &h}}); pw.err != nil {
+		t.Fatal(pw.err)
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -70,6 +64,30 @@ func TestWritePromHistCumulative(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// failWriter fails every write and counts the attempts.
+type failWriter struct{ calls int }
+
+func (w *failWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, errors.New("scraper gone")
+}
+
+// TestPromWriterStopsAtFirstError: after a failed write the exposition
+// writes nothing more, in every section, and keeps that first error.
+func TestPromWriterStopsAtFirstError(t *testing.T) {
+	var h hist
+	h.observe(5)
+	fw := &failWriter{}
+	pw := &promWriter{w: fw}
+	pw.metrics([]promMetric{{"counter", "a_total", "a.", 1}, {"gauge", "b", "b.", 2}})
+	pw.labeled("counter", "c_total", "c.", []promSeries{{labels: `k="v"`, v: 3}})
+	pw.hist("x_ns", "x.", []histSeries{{h: &h}})
+	writeRuntimeMetrics(pw)
+	if fw.calls != 1 || pw.err == nil {
+		t.Fatalf("%d writes, err %v; want 1 write and its error", fw.calls, pw.err)
 	}
 }
 
@@ -186,9 +204,9 @@ func TestPromExpositionValid(t *testing.T) {
 	for _, family := range []string{
 		"ccserve_http_request_duration_ns", "ccserve_queue_wait_ns",
 		"ccserve_job_service_ns", "ccserve_phase_duration_ns",
-		"ccserve_job_latency_p50_ns", "ccserve_jobs_submitted_total",
+		"ccserve_jobs_submitted_total",
 		"ccserve_pool_get_total", "ccserve_pool_miss_total", "ccserve_labelings_total",
-		"ccserve_worker_busy_ns_total", "ccserve_workers_busy",
+		"ccserve_worker_busy_ns_total",
 		"ccserve_go_goroutines", "ccserve_go_heap_objects_bytes",
 		"ccserve_go_gc_pause_seconds",
 	} {
@@ -319,7 +337,7 @@ func TestRequestIDEchoAndServerTiming(t *testing.T) {
 		t.Fatalf("inbound request ID not echoed: got %q", got)
 	}
 	st := resp.Header.Get("Server-Timing")
-	for _, field := range []string{"queue;dur=", "decode;dur=", "scan;dur=", "merge;dur=", "flatten;dur=", "relabel;dur=",
+	for _, field := range []string{"queue_wait;dur=", "decode;dur=", "scan;dur=", "merge;dur=", "flatten;dur=", "relabel;dur=",
 		"components;dur=", "contours;dur=", "total;dur="} {
 		if !strings.Contains(st, field) {
 			t.Fatalf("Server-Timing %q missing %q", st, field)
@@ -504,6 +522,13 @@ func TestAccessLogFields(t *testing.T) {
 		t.Errorf("access entry has contours_ns without contours: %v", entry)
 	}
 	checkLayerFields(t, entry, obs.ring.dump(1, id)[0])
+	// Server-Timing names each layer as the access line does, less "_ns".
+	for _, e := range strings.Split(resp.Header.Get("Server-Timing"), ", ") {
+		name, _, _ := strings.Cut(e, ";")
+		if name != "total" && !slices.Contains(layerKeys, name+"_ns") {
+			t.Errorf("Server-Timing entry %q names no access-line key", e)
+		}
+	}
 }
 
 // TestShapingTimesInTrace: the component summaries and the contour trace
@@ -595,6 +620,29 @@ func TestJobStatusTrace(t *testing.T) {
 		if j := pollJob(t, srv.URL, sub.Jobs[0].ID, string(jobs.StateDone)); j.Trace == nil || j.Trace.Alg != want {
 			t.Fatalf("%s job trace = %+v, want alg %q", query, j.Trace, want)
 		}
+	}
+	// The queue wait is the engine's own: on an idle engine it is far
+	// shorter than a decode that takes milliseconds, which it must not
+	// include.
+	stripes := paremsp.NewGrayImage(2048, 2048)
+	for i := range stripes.Pix {
+		stripes.Pix[i] = uint8(i / 64 % 2 * 255)
+	}
+	var pgm bytes.Buffer
+	if err := pnm.EncodeGrayPGM(&pgm, stripes); err != nil {
+		t.Fatal(err)
+	}
+	sub = submitJobs(t, srv.URL+"/v1/jobs", ctPGM, pgm.Bytes())
+	if j := pollJob(t, srv.URL, sub.Jobs[0].ID, string(jobs.StateDone)); j.Trace == nil || j.Trace.QueueWaitNs >= j.Trace.DecodeNs {
+		t.Fatalf("job trace = %+v, want queue_wait_ns < decode_ns", j.Trace)
+	}
+	// A record written before the summary carried the wait keeps start
+	// minus submission.
+	created := time.Now()
+	old := jobJSONFrom(jobs.Job{State: jobs.StateDone, Created: created, Started: created.Add(time.Millisecond),
+		Finished: created.Add(2 * time.Millisecond), Info: &jobs.ResultInfo{DecodeNs: 1}}, false)
+	if old.Trace == nil || old.Trace.QueueWaitNs != time.Millisecond.Nanoseconds() {
+		t.Fatalf("job trace without a recorded wait = %+v, want queue_wait_ns 1ms", old.Trace)
 	}
 }
 

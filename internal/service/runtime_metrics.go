@@ -1,8 +1,6 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"math"
 	rtmetrics "runtime/metrics"
 	"strconv"
@@ -26,12 +24,12 @@ var runtimeGauges = []struct {
 // runtimePauseSample is the GC stop-the-world pause distribution.
 const runtimePauseSample = "/sched/pauses/total/gc:seconds"
 
-// writeRuntimeMetrics renders the Go runtime's own health gauges — goroutine
-// count, heap bytes, GC heap goal, and the GC pause histogram — in the
-// Prometheus text exposition. Sampling is done per scrape (runtime/metrics
-// reads are cheap and lock-free); metrics the running toolchain does not
-// export are skipped rather than rendered as zero.
-func writeRuntimeMetrics(w io.Writer) (int64, error) {
+// writeRuntimeMetrics writes the Go runtime's own health gauges — goroutine
+// count, heap bytes, GC heap goal, and the GC pause histogram. Sampling is
+// done per scrape (runtime/metrics reads are cheap and lock-free); metrics
+// the running toolchain does not export are skipped rather than rendered
+// as zero.
+func writeRuntimeMetrics(pw *promWriter) {
 	samples := make([]rtmetrics.Sample, 0, len(runtimeGauges)+1)
 	for _, g := range runtimeGauges {
 		samples = append(samples, rtmetrics.Sample{Name: g.sample})
@@ -39,7 +37,6 @@ func writeRuntimeMetrics(w io.Writer) (int64, error) {
 	samples = append(samples, rtmetrics.Sample{Name: runtimePauseSample})
 	rtmetrics.Read(samples)
 
-	var total int64
 	for i, g := range runtimeGauges {
 		var v int64
 		switch samples[i].Value.Kind() {
@@ -50,39 +47,25 @@ func writeRuntimeMetrics(w io.Writer) (int64, error) {
 		default:
 			continue
 		}
-		n, err := writeProm(w, []promMetric{{"gauge", g.name, g.help, v}})
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
+		pw.metrics([]promMetric{{"gauge", g.name, g.help, v}})
 	}
 	pauses := samples[len(samples)-1]
 	if pauses.Value.Kind() == rtmetrics.KindFloat64Histogram {
-		n, err := writeRuntimeHistogram(w, "go_gc_pause_seconds",
+		pw.runtimeHist("go_gc_pause_seconds",
 			"Distribution of individual GC stop-the-world pause latencies in seconds (runtime/metrics "+runtimePauseSample+").",
 			pauses.Value.Float64Histogram())
-		total += n
-		if err != nil {
-			return total, err
-		}
 	}
-	return total, nil
 }
 
-// writeRuntimeHistogram renders a runtime/metrics Float64Histogram as a
-// Prometheus histogram: cumulative bucket counts with le taken from the
-// runtime's bucket upper bounds, eliding buckets that add nothing so the
-// runtime's ~100-bucket layout does not bloat every scrape. The runtime does
-// not track an exact sum, so _sum is approximated from bucket midpoints
+// runtimeHist writes a runtime/metrics Float64Histogram as a Prometheus
+// histogram: cumulative bucket counts with le taken from the runtime's
+// bucket upper bounds, eliding buckets that add nothing so the runtime's
+// ~100-bucket layout does not bloat every scrape. The runtime does not
+// track an exact sum, so _sum is approximated from bucket midpoints
 // (infinite edges fall back to the finite edge) — good enough for rate()
 // dashboards, and the count/bucket lines stay exact.
-func writeRuntimeHistogram(w io.Writer, name, help string, h *rtmetrics.Float64Histogram) (int64, error) {
-	var total int64
-	n, err := fmt.Fprintf(w, "# HELP ccserve_%s %s\n# TYPE ccserve_%s histogram\n", name, help, name)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
+func (pw *promWriter) runtimeHist(name, help string, h *rtmetrics.Float64Histogram) {
+	pw.family("histogram", name, help)
 	var count uint64
 	var sum float64
 	for i, c := range h.Counts {
@@ -103,15 +86,8 @@ func writeRuntimeHistogram(w io.Writer, name, help string, h *rtmetrics.Float64H
 			// The closing +Inf line below carries this bucket's count.
 			continue
 		}
-		n, err := fmt.Fprintf(w, "ccserve_%s_bucket{le=%q} %d\n",
-			name, strconv.FormatFloat(hi, 'g', -1, 64), count)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
+		pw.printf("ccserve_%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(hi, 'g', -1, 64), count)
 	}
-	n, err = fmt.Fprintf(w, "ccserve_%s_bucket{le=\"+Inf\"} %d\nccserve_%s_sum %g\nccserve_%s_count %d\n",
+	pw.printf("ccserve_%s_bucket{le=\"+Inf\"} %d\nccserve_%s_sum %g\nccserve_%s_count %d\n",
 		name, count, name, sum, name, count)
-	total += int64(n)
-	return total, err
 }

@@ -19,8 +19,9 @@ func TestWriteRuntimeHistogram(t *testing.T) {
 		Buckets: []float64{math.Inf(-1), 1e-6, 1e-5, 1e-4, math.Inf(1)},
 	}
 	var buf bytes.Buffer
-	if _, err := writeRuntimeHistogram(&buf, "test_seconds", "help.", h); err != nil {
-		t.Fatal(err)
+	pw := &promWriter{w: &buf}
+	if pw.runtimeHist("test_seconds", "help.", h); pw.err != nil {
+		t.Fatal(pw.err)
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -53,8 +54,9 @@ func TestWriteRuntimeHistogram(t *testing.T) {
 
 func TestWriteRuntimeMetricsLive(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := writeRuntimeMetrics(&buf); err != nil {
-		t.Fatal(err)
+	pw := &promWriter{w: &buf}
+	if writeRuntimeMetrics(pw); pw.err != nil {
+		t.Fatal(pw.err)
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -107,7 +109,7 @@ func TestSnapshotPoolsAndBusy(t *testing.T) {
 	if s.BusyNs <= 0 {
 		t.Errorf("worker busy ns = %d, want > 0", s.BusyNs)
 	}
-	if s.BusyNs < s.JobNs {
-		t.Errorf("busy ns %d < raster job ns %d: busy must cover every job", s.BusyNs, s.JobNs)
+	if job := eng.metrics.jobHist.sum.Load(); s.BusyNs < job {
+		t.Errorf("busy ns %d < raster job ns %d: busy must cover every job", s.BusyNs, job)
 	}
 }

@@ -46,11 +46,10 @@
 //	POST /v1/jobs    the same workloads as async jobs (see jobs_http.go).
 //	GET  /healthz    liveness probe.
 //	GET  /metrics    Prometheus-style text: requests, completions,
-//	                 rejections, queue depth, cumulative per-phase
-//	                 scan/merge/flatten/relabel nanoseconds, and log₂-bucket
-//	                 latency histograms (per-endpoint request duration,
-//	                 queue wait, job service time, per-phase durations)
-//	                 with approximate p50/p95/p99 gauges.
+//	                 rejections, queue depth, and log₂-bucket latency
+//	                 histograms (per-endpoint request duration, queue
+//	                 wait, job service time, and per-phase durations:
+//	                 scan/merge/flatten/relabel, components, contours).
 //
 // Label and stats component lists render paremsp.Component through one
 // conversion; only stats lists report runs. components=false leaves the
@@ -62,9 +61,10 @@
 // honored when present (generated otherwise) and echoed on the response;
 // end-to-end latency lands in a lock-free per-endpoint histogram; and a
 // per-request Trace — queue wait, decode, scan, merge, flatten, relabel,
-// encode — is captured into a fixed-size ring buffer. Synchronous responses
-// carry the trace live as a Server-Timing header; async job status bodies
-// embed a trace derived from the store's transition timestamps. The
+// components, contours, encode — is captured into a fixed-size ring
+// buffer. Synchronous responses carry the trace live as a Server-Timing
+// header; async job status bodies embed a trace derived from the store's
+// transition timestamps and the result summary. The
 // instrumentation is allocation-free on the hot path (pooled request
 // state, atomic histogram adds, in-place ring copies).
 //

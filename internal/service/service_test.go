@@ -400,8 +400,8 @@ func TestMetricsPhaseTimings(t *testing.T) {
 	if s.Pixels != 256*256 {
 		t.Fatalf("pixels = %d, want %d", s.Pixels, 256*256)
 	}
-	if s.ScanNs <= 0 {
-		t.Fatalf("cumulative scan time = %d ns, want > 0", s.ScanNs)
+	if ns := metricValue(t, srv.URL, `ccserve_phase_duration_ns_sum{phase="scan"}`); ns <= 0 {
+		t.Fatalf("cumulative scan time = %d ns, want > 0", ns)
 	}
 }
 

@@ -164,7 +164,7 @@ func (r *traceRing) dump(n int, id string) []Trace {
 // happens after the headers are on the wire — and lives only in the ring
 // record and the access line.
 func appendServerTiming(b []byte, t *Trace, total time.Duration) []byte {
-	b = appendTimingEntry(b, "queue", t.QueueNs)
+	b = appendTimingEntry(b, "queue_wait", t.QueueNs)
 	b = appendTimingEntry(b, "decode", t.DecodeNs)
 	b = appendTimingEntry(b, "scan", t.ScanNs)
 	b = appendTimingEntry(b, "merge", t.MergeNs)

@@ -245,11 +245,6 @@
 // being force-canceled through their contexts, a drain summary is logged,
 // and the process exits 0.
 //
-// internal/faultinject provides the failpoints (decode-error, worker-stall,
-// worker-panic, encode-slow, queue-full; one atomic load when disarmed)
-// behind the chaos suite in internal/service and the CCSERVE_FAULTS
-// environment variable for manual drills.
-//
 // # Beyond the paper: gray, 3-D and contour modes
 //
 // The REMSP machinery generalizes past binary 2-D rasters, and the library

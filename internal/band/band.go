@@ -129,7 +129,7 @@ func Stream(src Source, opt Options) (*Result, error) {
 	if h > 0 && bandRows > h {
 		bandRows = h
 	}
-	l := newLabeler(w, h, bandRows)
+	l := &labeler{w: w, h: h, gp: make([]Label, 1, 64), st: make([]stats.Acc, 1, 64)}
 	done := poll.Done(opt.Ctx)
 	var bm binimg.Bitmap
 	y := 0
@@ -164,9 +164,10 @@ func Stream(src Source, opt Options) (*Result, error) {
 	return l.finish(), nil
 }
 
-// labeler is the streaming engine. Per-band buffers (pl, glob, rs) are sized
-// once for the band height and reused; global state (gp, st) grows with the
-// component count only.
+// labeler is the streaming engine. Per-band buffers (pl, glob, rs) are
+// sized by the bands read and reused, so a header that names a huge raster
+// reserves nothing until its rows arrive; global state (gp, st) grows with
+// the component count only.
 type labeler struct {
 	w, h int
 
@@ -177,18 +178,6 @@ type labeler struct {
 
 	gp []Label     // global DSU over provisional component ids; gp[0] unused
 	st []stats.Acc // per-global-id statistics, valid at DSU roots
-}
-
-func newLabeler(w, h, bandRows int) *labeler {
-	n := scan.MaxRunLabels(w, bandRows)
-	return &labeler{
-		w:    w,
-		h:    h,
-		pl:   make([]Label, n+1),
-		glob: make([]Label, n+1),
-		gp:   make([]Label, 1, 64),
-		st:   make([]stats.Acc, 1, 64),
-	}
 }
 
 func (l *labeler) gfind(x Label) Label {
@@ -223,6 +212,9 @@ func (l *labeler) newGlobal() Label {
 // the package comment).
 func (l *labeler) addBand(y0 int, bm *binimg.Bitmap, emit func(int, []binimg.Run, func(Label) Label) error) error {
 	rows := bm.Height
+	if n := scan.MaxRunLabels(l.w, rows) + 1; len(l.pl) < n {
+		l.pl, l.glob = make([]Label, n), make([]Label, n)
+	}
 
 	// 1. Band-local run scan. Labels restart at 1 every band; the parent
 	// array needs no clearing because the sink initializes each label it

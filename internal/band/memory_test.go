@@ -151,3 +151,29 @@ func TestStreamFixedMemory16k(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamHeaderOnlyReservesNothing streams bodies whose headers name a
+// 200000x200000 raster but carry no pixel. Each fails at its first band
+// without sizing the band tables from the header, which at BandRows 200000
+// would be two 80 GB tables.
+func TestStreamHeaderOnlyReservesNothing(t *testing.T) {
+	for _, hdr := range []string{"P4\n200000 200000\n", "P5\n200000 200000\n255\n"} {
+		for _, rows := range []int{0, 200000} {
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			src, err := pnm.NewBandReaderBytes([]byte(hdr), 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = band.Stream(src, band.Options{BandRows: rows})
+			runtime.ReadMemStats(&m1)
+			if err == nil {
+				t.Fatalf("%q at BandRows %d: a header-only body streamed", hdr, rows)
+			}
+			if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%q at BandRows %d: allocated %d bytes, want < 1 MiB", hdr, rows, got)
+			}
+		}
+	}
+}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/pnm"
 	"repro/internal/service"
@@ -428,13 +427,6 @@ func CCServe(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "ccserve:", err)
 		return 2
-	}
-	if env := os.Getenv("CCSERVE_FAULTS"); env != "" {
-		if err := faultinject.ArmFromEnv(env); err != nil {
-			fmt.Fprintln(stderr, "ccserve:", err)
-			return 2
-		}
-		logger.Warn("fault injection armed (chaos mode; not for production)", "faults", env)
 	}
 	if sqliteAlias {
 		logger.Warn("-job-store=sqlite is deprecated; use -job-store=disk (the same store)")

@@ -20,7 +20,8 @@ const (
 	resExt = ".res"
 	inExt  = ".in"
 	// blobMagic versions the on-disk result encoding; a format change bumps
-	// it and old files simply fail to open (the job is then re-runnable).
+	// it and old files fail to open, so Store.Result evicts their jobs and
+	// they are re-runnable.
 	blobMagic = "ccblob1\n"
 )
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,6 +176,52 @@ func TestDurableRecoveryInputLost(t *testing.T) {
 	got, _ := s2.Get("lost")
 	if got.State != StateCanceled || got.Err != "recovery: input lost" {
 		t.Fatalf("job = %+v, want canceled with input-lost reason", got)
+	}
+}
+
+// TestDurableUnreadableBlobIsDropped: on a reopened store, a done job whose
+// result blob was truncated or deleted answers ErrNoBlob and is evicted —
+// counted and reported — so a resubmission recomputes it instead of
+// deduplicating to a result that cannot be served.
+func TestDurableUnreadableBlobIsDropped(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spoil func(path string) error
+	}{
+		{"truncated", func(path string) error { return os.Truncate(path, 20) }},
+		{"deleted", os.Remove},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			clk := &fakeClock{t: time.Now()}
+			s := openDurable(t, dir, clk, Options{})
+			j, _ := s.CreateOrGet("spoiled", KindLabels, Params{}, []byte("in"))
+			s.Complete("spoiled", j.Gen, labelsResult(50, 1))
+			s.Close()
+			if err := c.spoil(filepath.Join(dir, "blobs", fmt.Sprintf("spoiled-%d.res", j.Gen))); err != nil {
+				t.Fatal(err)
+			}
+
+			var evicted atomic.Int64
+			s2 := openDurable(t, dir, clk, Options{OnEvent: func(ev Event) {
+				if ev.Type == EventEvicted && ev.ID == "spoiled" {
+					evicted.Add(1)
+				}
+			}})
+			defer s2.Close()
+			if _, err := s2.Result("spoiled"); !errors.Is(err, ErrNoBlob) {
+				t.Fatalf("Result = %v, want ErrNoBlob", err)
+			}
+			if _, ok := s2.Get("spoiled"); ok {
+				t.Fatal("the job whose result is unreadable is still listed")
+			}
+			if got := s2.Counts().Evicted; got != 1 || evicted.Load() != 1 {
+				t.Fatalf("evicted counter %d, events %d; want 1 and 1", got, evicted.Load())
+			}
+			if _, existed := s2.CreateOrGet("spoiled", KindLabels, Params{}, []byte("in")); existed {
+				t.Fatal("a resubmission deduplicated to the job whose result is unreadable")
+			}
+		})
 	}
 }
 

@@ -525,8 +525,9 @@ func (s *Store) dropBlobs(j *Job) {
 	s.blobs.DeleteInput(j.ID, j.Gen)
 }
 
-// evicted accounts a job the store dropped on its own — TTL expiry or byte
-// pressure: its payloads are released, the eviction counted and reported.
+// evicted accounts a job the store dropped on its own — TTL expiry, byte
+// pressure or an unreadable result blob: its payloads are released, the
+// eviction counted and reported.
 func (s *Store) evicted(j *Job) {
 	s.dropBlobs(j)
 	s.evictions.Add(1)
@@ -755,13 +756,22 @@ func (s *Store) Get(id string) (Job, bool) {
 
 // Result fetches a done job's payload from the blob store — from RAM when
 // resident, from disk when the durable backend spilled it. ErrNoBlob if the
-// job is unknown, not done, or its result was evicted.
+// job is unknown, not done, or its result was evicted. A done job whose
+// blob cannot be read back (deleted, truncated, corrupt) is evicted, so a
+// resubmission recomputes it; after Close it is left, as in Get.
 func (s *Store) Result(id string) (*Result, error) {
 	j, ok := s.Get(id)
 	if !ok || j.State != StateDone {
 		return nil, ErrNoBlob
 	}
-	return s.blobs.Open(id, j.Gen)
+	r, err := s.blobs.Open(id, j.Gen)
+	if err != nil && !s.closed.Load() {
+		if dropped, ok := s.meta.Evict(id, j.Gen); ok {
+			s.evicted(&dropped)
+		}
+		return nil, ErrNoBlob
+	}
+	return r, err
 }
 
 // Remove deletes the job, reporting whether it existed. Removing a queued

@@ -14,7 +14,6 @@ import (
 
 	paremsp "repro"
 	"repro/internal/band"
-	"repro/internal/faultinject"
 )
 
 // Typed engine errors. The HTTP layer maps ErrQueueFull to 429 and ErrClosed
@@ -92,8 +91,9 @@ type Engine struct {
 
 	// gate is called where every raster and volume labeling's kernel runs,
 	// with the labeling's context and options; a non-nil error is the
-	// labeling's outcome in place of the kernel's. It lets every labeling
-	// run; tests replace it to hold, fail or observe labelings.
+	// labeling's outcome in place of the kernel's, and a panic takes the
+	// path a kernel's panic takes. It lets every labeling run; tests
+	// replace it to hold, fail, panic or observe labelings.
 	gate func(ctx context.Context, opt paremsp.Options) error
 }
 
@@ -500,9 +500,6 @@ func (e *Engine) RetryAfter() time.Duration {
 // input goes back to its pool.
 func (e *Engine) submit(ctx context.Context, t task, opt paremsp.Options, onStart func()) (*Submitted, error) {
 	e.metrics.requests.Add(1)
-	if faultinject.Fire(faultinject.QueueFull) {
-		return nil, e.reject(t, ErrQueueFull)
-	}
 	if opt.Threads == 0 {
 		opt.Threads = e.threads
 	}
@@ -621,39 +618,12 @@ func (e *Engine) recoverPanic(errp *error) {
 	*errp = fmt.Errorf("%w: %v", ErrWorkerPanic, v)
 }
 
-// sleepCtx sleeps for d or until ctx is done, whichever comes first. Used by
-// the worker-stall failpoint so an injected stall still honors cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// injectWorkerFaults runs the worker-stall and worker-panic failpoints. The
-// panic deliberately escapes into compute's recoverPanic so the chaos suite
-// exercises the same containment path a real panic takes.
-func injectWorkerFaults(ctx context.Context) {
-	if !faultinject.Armed() {
-		return
-	}
-	if d := faultinject.Delay(faultinject.WorkerStall); d > 0 {
-		sleepCtx(ctx, d)
-	}
-	if faultinject.Fire(faultinject.WorkerPanic) {
-		panic("faultinject: worker-panic")
-	}
-}
-
 // compute runs one task with panic containment: a panic in the labeling
-// (or an injected one) surfaces as a wrapped ErrWorkerPanic instead of
-// killing the worker goroutine, and leaves the task's buffers quarantined
-// (see task.run).
+// or its gate surfaces as a wrapped ErrWorkerPanic instead of killing the
+// worker goroutine, and leaves the task's buffers quarantined (see
+// task.run).
 func (e *Engine) compute(j *job) (r jobResult) {
 	defer e.recoverPanic(&r.err)
-	injectWorkerFaults(j.ctx)
 	return j.task.run(j.ctx, e, j.opt)
 }
 

@@ -18,7 +18,6 @@ import (
 
 	paremsp "repro"
 	"repro/internal/band"
-	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/pnm"
 	"repro/internal/stream"
@@ -381,9 +380,6 @@ type decoded struct {
 // so the raster is not read a second time. On error the borrowed input is
 // already back in its pool.
 func (h *Handler) decode(kind jobs.Kind, p jobs.Params, body io.Reader) (decoded, error) {
-	if faultinject.Fire(faultinject.DecodeError) {
-		return decoded{}, errors.New("faultinject: decode-error")
-	}
 	e := h.engine
 	switch kind {
 	case jobs.KindStats:
@@ -538,9 +534,6 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 // dropped: the status is already sent, and a failed write means the
 // client has gone.
 func writeResult(w http.ResponseWriter, kind jobs.Kind, accept string, res *jobs.Result, comps bool) {
-	if d := faultinject.Delay(faultinject.EncodeSlow); d > 0 {
-		time.Sleep(d)
-	}
 	if res.Stats != nil || kind == jobs.KindVolume || accept == ctJSON {
 		w.Header().Set("Content-Type", ctJSON)
 		w.WriteHeader(http.StatusOK)

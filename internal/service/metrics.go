@@ -205,7 +205,7 @@ func (s Snapshot) write(pw *promWriter) {
 		misses = append(misses, promSeries{labels: label, v: p.Misses})
 	}
 	pw.labeled("counter", "pool_get_total",
-		"Borrows from the engine's raster/labelmap/scratch sync.Pools.", gets)
+		"Borrows from the engine's image/bitmap/labelmap/scratch/gray/volume/labelvol sync.Pools.", gets)
 	pw.labeled("counter", "pool_miss_total",
 		"Pool borrows that had to allocate (gets minus misses = reuse hits).", misses)
 	algs := make([]promSeries, 0, len(algNames))
@@ -230,7 +230,7 @@ func writeJobsMetrics(pw *promWriter, c jobs.Counts) {
 		{"gauge", "jobs_store_disk_bytes", "Bytes the durable job store holds on disk (result and pending-input blobs); 0 on the memory backend.", c.DiskBytes},
 		{"counter", "jobs_submitted_total", "Async jobs created (dedup hits excluded).", c.Submitted},
 		{"counter", "jobs_dedup_hits_total", "Submissions answered by an existing identical job.", c.DedupHits},
-		{"counter", "jobs_evicted_total", "Jobs evicted by TTL or the result-byte cap.", c.Evicted},
+		{"counter", "jobs_evicted_total", "Jobs evicted by TTL, the result-byte cap or an unreadable result blob.", c.Evicted},
 		{"counter", "jobs_spilled_total", "Result payloads the durable store spilled from RAM to disk under the result-byte cap.", c.Spilled},
 		{"counter", "jobs_recovered_total", "Jobs resubmitted to the engine during startup recovery.", c.Recovered},
 		{"counter", "jobs_recovery_canceled_total", "Journaled jobs canceled during startup recovery (input lost or engine refused).", c.RecoveryCanceled},

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	paremsp "repro"
-	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/pnm"
 )
@@ -97,6 +96,7 @@ func TestSpecValidationUniform(t *testing.T) {
 		{"level-high", "?level=1.5"},
 		{"level-negative", "?level=-0.1"},
 		{"bad-threads", "?threads=-2"},
+		{"threads-over-cap", "?threads=1025"},
 		{"bad-mode", "?mode=tesseract"},
 		{"delta-without-mode", "?delta=9"},
 		{"bad-band", "?band=-1"},
@@ -171,10 +171,10 @@ func TestErrorEnvelopeStatusPaths(t *testing.T) {
 		envelopeOf(t, resp, http.StatusServiceUnavailable, codeUnavailable)
 	})
 	t.Run("429-queue-full-keeps-retry-after", func(t *testing.T) {
-		defer faultinject.Reset()
-		faultinject.Arm(faultinject.QueueFull, faultinject.Spec{Every: 1})
-		_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
-		resp := post(t, srv.URL+"/v1/label", ctPBM, ctJSON, pbmBody(t, testImage(t)))
+		eng, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, HandlerConfig{})
+		body := pbmBody(t, testImage(t))
+		fillPool(t, eng, srv.URL, body)
+		resp := post(t, srv.URL+"/v1/label", ctPBM, ctJSON, body)
 		if resp.Header.Get("Retry-After") == "" {
 			t.Fatal("429 lost its Retry-After header")
 		}

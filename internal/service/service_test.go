@@ -274,35 +274,36 @@ func TestLabelOversizedBody(t *testing.T) {
 	}
 }
 
-// TestQueueFull429 fills the pool (1 worker + 1 queue slot) with blocked
-// requests, checks that the next request is shed with 429 while the admitted
-// ones complete once unblocked, and that /metrics accounts all of it.
-func TestQueueFull429(t *testing.T) {
-	eng, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, HandlerConfig{})
+// admitted is the outcome of a /v1/label request the engine admitted.
+type admitted struct{ status, comps int }
+
+// fillPool fills eng's one worker and one queue slot: the gate parks every
+// labeling, one /v1/label request of body runs and a second waits in the
+// queue, so the next admission is shed. The returned release lets both
+// finish and returns their outcomes; the test's cleanup unparks them too.
+func fillPool(t *testing.T, eng *Engine, url string, body []byte) (release func() []admitted) {
+	t.Helper()
 	block := make(chan struct{})
-	started := make(chan struct{}, 8)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(block) }) }
+	t.Cleanup(unblock)
+	started := make(chan struct{}, 1)
 	eng.gate = func(ctx context.Context, _ paremsp.Options) error {
-		started <- struct{}{}
+		select {
+		case started <- struct{}{}:
+		default:
+		}
 		<-block
 		return nil
 	}
-
-	body := pbmBody(t, testImage(t))
-	type outcome struct {
-		status int
-		comps  int
-	}
-	results := make(chan outcome, 2)
-	var wg sync.WaitGroup
+	results := make(chan admitted, 2)
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			resp := post(t, srv.URL+"/v1/label", ctPBM, ctJSON, body)
+			resp := post(t, url+"/v1/label", ctPBM, ctJSON, body)
 			defer resp.Body.Close()
 			var lr labelResponse
 			json.NewDecoder(resp.Body).Decode(&lr)
-			results <- outcome{resp.StatusCode, lr.NumComponents}
+			results <- admitted{resp.StatusCode, lr.NumComponents}
 		}()
 		if i == 0 {
 			// Wait for the worker to pick up the first request so the second
@@ -314,7 +315,6 @@ func TestQueueFull429(t *testing.T) {
 			}
 		}
 	}
-	// Wait until the second request occupies the queue slot.
 	deadline := time.Now().Add(5 * time.Second)
 	for len(eng.queue) != 1 {
 		if time.Now().After(deadline) {
@@ -322,21 +322,40 @@ func TestQueueFull429(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	resp := post(t, srv.URL+"/v1/label", ctPBM, "", body)
-	rejectedBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third request: status %d, want 429 (%s)", resp.StatusCode, rejectedBody)
+	return func() []admitted {
+		unblock()
+		return []admitted{<-results, <-results}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 response missing Retry-After")
-	}
+}
 
-	close(block)
+// TestQueueFull429 fills the pool (1 worker + 1 queue slot) with parked
+// requests, checks that a burst of further requests is shed, each with 429
+// and Retry-After, while the admitted ones complete once released, and that
+// /metrics accounts all of it.
+func TestQueueFull429(t *testing.T) {
+	eng, srv := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Threads: 1}, HandlerConfig{})
+	body := pbmBody(t, testImage(t))
+	release := fillPool(t, eng, srv.URL, body)
+
+	const shed = 10
+	var wg sync.WaitGroup
+	for i := 0; i < shed; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := post(t, srv.URL+"/v1/label", ctPBM, "", body)
+			rejectedBody, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Errorf("shed request: status %d, want 429 (%s)", resp.StatusCode, rejectedBody)
+			} else if resp.Header.Get("Retry-After") == "" {
+				t.Error("429 response missing Retry-After")
+			}
+		}()
+	}
 	wg.Wait()
-	close(results)
-	for r := range results {
+
+	for _, r := range release() {
 		if r.status != http.StatusOK {
 			t.Fatalf("admitted request: status %d, want 200", r.status)
 		}
@@ -346,9 +365,9 @@ func TestQueueFull429(t *testing.T) {
 	}
 
 	s := eng.Snapshot()
-	if s.Requests != 3 || s.Completed != 2 || s.Rejected != 1 {
-		t.Fatalf("snapshot requests/completed/rejected = %d/%d/%d, want 3/2/1",
-			s.Requests, s.Completed, s.Rejected)
+	if s.Requests != 2+shed || s.Completed != 2 || s.Rejected != shed {
+		t.Fatalf("snapshot requests/completed/rejected = %d/%d/%d, want %d/2/%d",
+			s.Requests, s.Completed, s.Rejected, 2+shed, shed)
 	}
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -358,9 +377,9 @@ func TestQueueFull429(t *testing.T) {
 	defer mresp.Body.Close()
 	metricsText, _ := io.ReadAll(mresp.Body)
 	for _, want := range []string{
-		"ccserve_requests_total 3",
+		fmt.Sprintf("ccserve_requests_total %d", 2+shed),
 		"ccserve_completed_total 2",
-		"ccserve_rejected_total 1",
+		fmt.Sprintf("ccserve_rejected_total %d", shed),
 		"ccserve_workers 1",
 	} {
 		if !strings.Contains(string(metricsText), want) {
@@ -645,15 +664,18 @@ func TestLabelDensityMatchesDecodedRaster(t *testing.T) {
 // TestLabelHeaderOnlyBodyIsRefused sends bodies whose headers name a
 // 200000x200000 raster (40 GB as bytes) but carry no pixels. Each gets
 // 400 invalid_argument and the server stays up: the decoders grow rasters
-// with the rows delivered instead of reserving the header's size.
+// with the rows delivered instead of reserving the header's size, and the
+// band stream sizes its tables by the first band it reads.
 func TestLabelHeaderOnlyBodyIsRefused(t *testing.T) {
 	_, srv := newTestServer(t, Config{}, HandlerConfig{})
-	for _, c := range []struct{ query, ct, body string }{
-		{"", ctPBM, "P4\n200000 200000\n"},
-		{"?level=0.5", ctPGM, "P5\n200000 200000\n255\n"},
-		{"?mode=gray", ctPGM, "P5\n200000 200000\n255\n"},
+	for _, c := range []struct{ path, ct, body string }{
+		{"/v1/label", ctPBM, "P4\n200000 200000\n"},
+		{"/v1/label?level=0.5", ctPGM, "P5\n200000 200000\n255\n"},
+		{"/v1/label?mode=gray", ctPGM, "P5\n200000 200000\n255\n"},
+		{"/v1/stats", ctPBM, "P4\n200000 200000\n"},
+		{"/v1/stats?band=1048576", ctPBM, "P4\n200000 200000\n"},
 	} {
-		resp := post(t, srv.URL+"/v1/label"+c.query, c.ct, ctJSON, []byte(c.body))
+		resp := post(t, srv.URL+c.path, c.ct, ctJSON, []byte(c.body))
 		var e struct {
 			Error struct {
 				Code string `json:"code"`
@@ -664,7 +686,7 @@ func TestLabelHeaderOnlyBodyIsRefused(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != "invalid_argument" {
-			t.Fatalf("%q%s: status %d, code %q, want 400 invalid_argument", c.body, c.query, resp.StatusCode, e.Error.Code)
+			t.Fatalf("%s %q: status %d, code %q, want 400 invalid_argument", c.path, c.body, resp.StatusCode, e.Error.Code)
 		}
 	}
 	resp, err := http.Get(srv.URL + "/healthz")

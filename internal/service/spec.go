@@ -77,6 +77,11 @@ type requestSpec struct {
 	components bool
 }
 
+// maxThreads bounds ?threads=: a pinned count splits a raster into up to
+// that many chunks, each with a goroutine per phase and a run set of its
+// own. The paper sweeps 1-24 threads.
+const maxThreads = 1024
+
 // kindModes lists the modes each job kind labels. The first is the kind's
 // natural mode, which binary — the mode when ?mode= is absent — stands for.
 var kindModes = map[jobs.Kind][]paremsp.Mode{
@@ -116,7 +121,7 @@ func (h *Handler) parseSpec(r *http.Request) (requestSpec, error) {
 	}
 	if v := q.Get("threads"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > maxThreads {
 			return requestSpec{}, badParam("invalid threads %q", v)
 		}
 		p.Threads = n

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/band"
 	"repro/internal/baseline"
@@ -199,6 +200,14 @@ type Options struct {
 	// carries no Labels, and dst is left undefined but reusable. The gray
 	// and volume entry points ignore it.
 	CountOnly bool
+	// Components asks a run-kernel labeling (AlgBREMSP and AlgPBREMSP, and
+	// LabelBitmapIntoCtx's AlgPAREMSP) for its per-component statistics
+	// in Result.Components: after FLATTEN it folds each run its scan
+	// recorded into its final label's record, a pass over the runs instead
+	// of the label map. With CountOnly as well such a labeling writes no
+	// label map at all, and dst may be nil. Every other labeling ignores
+	// it; ComponentsOf computes the same records from its Labels.
+	Components bool
 }
 
 // Splits reports whether the labeling o selects divides its raster among
@@ -233,6 +242,13 @@ type Result struct {
 	// AREMSP, CCLREMSP, BREMSP, PBREMSP and the gray modes); zero for the
 	// baselines, which have no four-phase structure.
 	Phases PhaseTimes
+	// Components holds the records a run-kernel labeling folded from its
+	// runs when Options.Components asked for them: ComponentsOf(Labels)
+	// of its label map, Runs included, whether or not it wrote the map.
+	// It is nil for every other labeling.
+	Components []Component
+	// ComponentsTime is the fold's wall time, which is in no phase.
+	ComponentsTime time.Duration
 }
 
 // Label runs the selected algorithm over img.
@@ -310,14 +326,20 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	if lm == nil {
 		lm = &LabelMap{}
 	}
-	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly}
+	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly, Components: opt.Components}
 	switch alg {
 	case AlgPAREMSP, AlgAREMSP:
 		n, res.Phases, err = core.PAREMSP(ctx, img, lm, sc, copt)
 	case AlgCCLREMSP:
 		n, res.Phases, err = core.CCLREMSP(ctx, img, lm, sc, copt)
 	case AlgBREMSP, AlgPBREMSP:
+		if sc == nil {
+			sc = &Scratch{} // the fold's records are read from it
+		}
 		n, res.Phases, err = core.PBREMSP(ctx, img, lm, sc, copt)
+		if err == nil && opt.Components {
+			res.Components, res.ComponentsTime = sc.Components()
+		}
 	case AlgCCLLRPC:
 		lm, n = baseline.CCLLRPC(img)
 	case AlgARUN:
@@ -378,7 +400,8 @@ func LabelBitmapInto(bm *Bitmap, dst *LabelMap, sc *Scratch, opt Options) (*Resu
 }
 
 // LabelBitmapIntoCtx is LabelBitmapInto with cooperative cancellation (see
-// LabelIntoCtx; both bit-packed algorithms poll ctx per row block).
+// LabelIntoCtx; both bit-packed algorithms poll ctx per row block, and so
+// does the fold of Options.Components).
 func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scratch, opt Options) (*Result, error) {
 	if bm == nil {
 		return nil, fmt.Errorf("paremsp: nil bitmap")
@@ -393,15 +416,19 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 	if opt.Connectivity != 0 && opt.Connectivity != 8 {
 		return nil, fmt.Errorf("paremsp: algorithm %q supports only 8-connectivity", alg)
 	}
-	if dst == nil {
-		dst = &LabelMap{}
-	}
 	res := &Result{}
 	if !opt.CountOnly {
+		// A count-only run kernel never touches its map, so it needs none.
+		if dst == nil {
+			dst = &LabelMap{}
+		}
 		res.Labels = dst
 	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
 	var err error
-	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly}
+	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly, Components: opt.Components}
 	switch alg {
 	case AlgPAREMSP:
 		res.NumComponents, res.Phases, err = core.PAREMSPBitmap(ctx, bm, dst, sc, copt)
@@ -413,6 +440,9 @@ func LabelBitmapIntoCtx(ctx context.Context, bm *Bitmap, dst *LabelMap, sc *Scra
 	}
 	if err != nil {
 		return nil, err
+	}
+	if opt.Components {
+		res.Components, res.ComponentsTime = sc.Components()
 	}
 	return res, nil
 }

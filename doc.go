@@ -75,7 +75,14 @@
 // (y/2, x, y mod 2), and a rank pass over the runs after FLATTEN — each
 // row pair's two run lists merged by start, each final label ranked when
 // first seen — renumbers the run kernel's labels into that order. The pass
-// is timed in the flatten phase and skipped for Options.CountOnly.
+// is timed in the flatten phase and skipped for Options.CountOnly. Asked
+// for Options.Components, the run kernel also folds each run it recorded
+// into its final label's Component after FLATTEN and the rank pass (the
+// per-run bookkeeping of He, Chao and Suzuki's run-based two-scan, IEEE
+// TIP 2008, which LabelStream keeps too): a pass over the runs, not the
+// pixels, returning in Result.Components exactly what ComponentsOf reads
+// from the map, with the fold's time in Result.ComponentsTime. With
+// CountOnly as well, it writes no label map at all.
 //
 // # Streaming and out-of-core statistics
 //
@@ -138,19 +145,25 @@
 // it finishes. A lone request therefore splits across every core, the
 // paper's strong scaling, and a fully busy pool gives each labeling about
 // one; a pinned count runs as asked, and a labeler that never splits holds
-// exactly one token. A synchronous binary JSON request with
-// ?components=false reads only the component count, which FLATTEN already
-// yields, so it labels with Options.CountOnly: the labeling stops after
-// FLATTEN, the relabel phase reads 0 in the JSON phases, Server-Timing and
-// GET /debug/requests, and the label map it scanned into is not cleared
-// first and goes back to its pool at once. Every other format, and every
-// async job, runs the full pipeline.
+// exactly one token. A synchronous binary JSON request reads nothing of
+// the label map but the component count, which FLATTEN already yields,
+// and the component list, which the run kernel folds from its runs, so
+// with ?components=false, or on the packed path (unpinned, alg=bremsp,
+// alg=pbremsp), it labels with Options.CountOnly: the labeling stops after
+// FLATTEN and the fold, the relabel phase reads 0 in the JSON phases,
+// Server-Timing and GET /debug/requests, and a packed labeling borrows no
+// label map; a pinned byte algorithm's map is not cleared first and goes
+// back to its pool at once. Contours requests and labels and contours
+// jobs keep their map, and on the packed path fold their components too;
+// every other format, and every other async job, runs the full pipeline
+// and computes any component list from the map, off the worker.
 //
 // The service is fully instrumented: every request carries an X-Request-ID
 // (inbound honored, otherwise generated, always echoed), synchronous
 // responses report per-layer durations in a Server-Timing header (queue,
-// decode, the four phases, then the components and contours shaping that
-// follows the labeling), /metrics exposes lock-free log₂-bucket latency
+// decode, the four phases, then the components and contours shaping; the
+// components entry is the run kernel's fold where it ran one), /metrics
+// exposes lock-free log₂-bucket latency
 // histograms (per-endpoint request duration, queue wait, worker service
 // time, per-phase splits) alongside the counters, and recent per-request
 // traces are retained in a ring buffer dumped by GET /debug/requests on the

@@ -14,6 +14,7 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/poll"
 	"repro/internal/scan"
+	"repro/internal/stats"
 )
 
 // PBREMSP labels img with the parallel bit-packed algorithm into lm,
@@ -23,8 +24,12 @@ import (
 // race-free) before scanning them, so the packing cost parallelizes with the
 // scan and is reported inside the Scan phase; packing runs at memcpy speed
 // and is not polled. Options, results and cancellation are PAREMSP's,
-// except that opt.CountOnly leaves lm untouched: the runs carry the
-// provisional labels, so nothing is written to lm until phase IV.
+// except that opt.CountOnly leaves lm untouched (lm may then be nil): the
+// runs carry the provisional labels, so nothing is written to lm until
+// phase IV. With opt.Components the kernel folds its runs into
+// per-component records after phase III, which sc.Components returns, so
+// pass a non-nil sc to read them; with CountOnly as well the labeling
+// yields its count and its components and writes no map.
 func PBREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
@@ -51,7 +56,8 @@ func PBREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, 
 // merge underneath is unchanged; only the order of the final labels
 // differs, and a rank pass over the runs after FLATTEN (rankPairOrder)
 // restores PAREMSP's. The pass is timed inside phase III and skipped for
-// opt.CountOnly.
+// opt.CountOnly, unless opt.Components asks for records, which are
+// numbered in the same order.
 func PAREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	if sc == nil {
 		sc = &Scratch{}
@@ -70,17 +76,19 @@ func PAREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, 
 // merges across chunk seams at run granularity: the first-row runs of every
 // chunk but the first are united with the overlapping last-row runs of the
 // chunk above using the concurrent MERGER. Phase III runs FLATTEN over each
-// chunk's created labels (and the rank pass, for pairOrder); phase IV
-// writes the final label map row by row, runs and the background between
-// them, so the map needs no clearing first.
+// chunk's created labels (and the rank pass, for pairOrder), and the fold
+// (foldRuns) follows it for opt.Components; phase IV writes the final
+// label map row by row, runs and the background between them, so the map
+// needs no clearing first.
 func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options, pairOrder bool) (int, PhaseTimes, error) {
+	w, h := bm.Width, bm.Height
 	if !opt.CountOnly {
-		lm.Reshape(bm.Width, bm.Height)
+		lm.Reshape(w, h)
 	}
-	runs := sc.runSets(chunkCount(opt.Threads, bm.Height))
+	runs := sc.runSets(chunkCount(opt.Threads, h))
 	k := Kernel{
 		// The run scan is single-row, so chunks need no row-pair alignment.
-		Rows: bm.Height, Unit: 1, Stride: scan.RunLabelStride(bm.Width),
+		Rows: h, Unit: 1, Stride: scan.RunLabelStride(w),
 		Scan: func(c *Chunk) (Label, bool) {
 			if src != nil {
 				bm.FromImageRows(src, c.Lo, c.Hi)
@@ -93,6 +101,9 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 			scan.MergeRuns(runs[c.I].RowRuns(c.Lo), runs[c.I-1].RowRuns(c.Lo-1), merge)
 		},
 		Relabel: func(c *Chunk) bool { return relabelRuns(lm, c.P, runs[c.I], c.Done) },
+		Fold: func(chunks []Chunk, n Label) bool {
+			return foldRuns(sc.accTable(n, w, h), chunks[0].P, runs, chunks[0].Done)
+		},
 	}
 	if pairOrder {
 		k.Renumber = func(chunks []Chunk, n Label) { rankPairOrder(chunks, runs, sc.ranks(n)) }
@@ -148,6 +159,29 @@ func rankPairOrder(chunks []Chunk, runs []*scan.RunSet, rank []Label) {
 			p[l] = rank[p[l]]
 		}
 	}
+}
+
+// foldRuns folds every run of every run set into the stats.Acc of its
+// final label f = p[r.Label], accs[f-1]: the per-run bookkeeping of
+// run-based two-scan labeling (He, Chao and Suzuki, IEEE TIP 2008) that
+// band.Stream keeps too, here over the runs the scan recorded instead of a
+// label map's pixels. A run's sums are exact integers, so the records
+// equal stats.Components of the map relabelRuns writes from the same runs.
+// It polls done every poll.Rows rows and reports whether it ran to
+// completion.
+func foldRuns(accs []stats.Acc, p []Label, sets []*scan.RunSet, done <-chan struct{}) bool {
+	for _, rs := range sets {
+		for i, rows := 0, rs.Rows(); i < rows; i++ {
+			if i%poll.Rows == 0 && poll.Stopped(done) {
+				return false
+			}
+			y := rs.Row0 + i
+			for _, r := range rs.RowRuns(y) {
+				accs[p[r.Label]-1].AddRun(y, int(r.Start), int(r.End))
+			}
+		}
+	}
+	return true
 }
 
 // relabelRuns writes the final labels of rs's rows into lm: each row's

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/binimg"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/stats"
 )
 
@@ -168,4 +171,47 @@ func FuzzBitScanAgainstFloodFill(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFoldMatchesComponents: every run-kernel entry point asked for
+// components (Options.Components) folds exactly stats.Components of the
+// map it writes, Runs included, at every thread count, through one
+// Scratch whose fold table shrinks and grows across shapes and densities.
+func TestFoldMatchesComponents(t *testing.T) {
+	ctx := context.Background()
+	packed := func(alg func(context.Context, *binimg.Bitmap, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error)) func(*binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error) {
+		return func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, core.PhaseTimes, error) {
+			bm := &binimg.Bitmap{}
+			bm.FromImage(img)
+			return alg(ctx, bm, lm, sc, opt)
+		}
+	}
+	cases := []struct {
+		name  string
+		label func(*binimg.Image, *binimg.LabelMap, *core.Scratch, core.Options) (int, core.PhaseTimes, error)
+	}{
+		{"PBREMSP/image", func(img *binimg.Image, lm *binimg.LabelMap, sc *core.Scratch, opt core.Options) (int, core.PhaseTimes, error) {
+			return core.PBREMSP(ctx, img, lm, sc, opt)
+		}},
+		{"PBREMSP/bitmap", packed(core.PBREMSPBitmap)},
+		{"PAREMSP/bitmap", packed(core.PAREMSPBitmap)},
+	}
+	shapes := []struct{ w, h int }{{200, 150}, {5, 3}, {64, 64}, {3, 200}, {129, 7}, {1, 1}, {150, 90}}
+	for _, c := range cases {
+		for _, threads := range []int{1, 2, 5} {
+			sc := &core.Scratch{}
+			lm := &binimg.LabelMap{}
+			for i, s := range shapes {
+				img := dataset.UniformNoise(s.w, s.h, []float64{0.2, 0.5, 0.8}[i%3], int64(60+i))
+				n, _, err := c.label(img, lm, sc, core.Options{Threads: threads, Components: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := sc.Components()
+				if want := stats.Components(lm); len(got) != n || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s threads %d, %dx%d: folded %d records %v, the map has %v", c.name, threads, s.w, s.h, len(got), got, want)
+				}
+			}
+		}
+	}
 }

@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/poll"
 	"repro/internal/scan"
+	"repro/internal/stats"
 	"repro/internal/unionfind"
 )
 
@@ -81,14 +83,17 @@ func (s *RemSink) Parents() []Label { return s.p }
 // REMSP algorithm. One Scratch serves every kernel — binary, gray and
 // volume — so the buffer grows to the largest request and is reused across
 // modes. For the bit-packed algorithms it additionally retains the packed
-// bitmap and the per-chunk run buffers. A Scratch must not be shared by
-// concurrent labelings.
+// bitmap, the per-chunk run buffers and the table their runs fold into
+// (Options.Components). A Scratch must not be shared by concurrent
+// labelings.
 type Scratch struct {
 	p    []Label
 	lt   *unionfind.LockTable
 	bm   *binimg.Bitmap
 	runs []*scan.RunSet
 	rank []Label
+	accs []stats.Acc   // the last labeling's fold, one per final label
+	fold time.Duration // and its wall time
 }
 
 // parents returns a parent array with n+1 slots (slot 0 is the
@@ -138,6 +143,31 @@ func (s *Scratch) ranks(n Label) []Label {
 	return s.rank
 }
 
+// accTable returns the retained fold table: n empty accumulators for a
+// w x h raster, one per final label.
+func (s *Scratch) accTable(n Label, w, h int) []stats.Acc {
+	s.accs = slices.Grow(s.accs[:0], int(n))[:n]
+	empty := stats.NewAcc(w, h)
+	for i := range s.accs {
+		s.accs[i] = empty
+	}
+	return s.accs
+}
+
+// Components returns the per-component records the last labeling into s
+// folded from its runs (Options.Components), indexed by label-1, with the
+// fold's wall time. They equal stats.Components of the label map the
+// labeling writes, Runs included. After a labeling that folded nothing the
+// list is empty. The list is the one allocation: s keeps only the
+// accumulators.
+func (s *Scratch) Components() ([]stats.Component, time.Duration) {
+	out := make([]stats.Component, len(s.accs))
+	for i := range s.accs {
+		out[i] = s.accs[i].Component(Label(i + 1))
+	}
+	return out, s.fold
+}
+
 // Options configures a labeling run.
 type Options struct {
 	// Threads is the number of chunks scanned and relabeled concurrently
@@ -151,6 +181,13 @@ type Options struct {
 	// map uses it as scratch without clearing it first; one that keeps its
 	// provisional labels elsewhere does not touch it.
 	CountOnly bool
+	// Components asks a kernel that keeps its runs (PBREMSP and its
+	// bitmap entry points) to fold every run into the statistics of its
+	// final label after phase III, a pass over the runs instead of the
+	// pixels; Scratch.Components returns the records. Phase III then
+	// renumbers even a CountOnly labeling, whose map stays untouched.
+	// Other kernels ignore it.
+	Components bool
 }
 
 // PhaseTimes records per-phase wall time of one run. The paper's Fig. 5a
@@ -197,9 +234,15 @@ type Kernel struct {
 	Relabel func(c *Chunk) bool
 	// Renumber, when set, reorders the n final labels after FLATTEN by
 	// rewriting c.P over every chunk's created labels. It runs inside
-	// phase III, and not at all for a CountOnly labeling, whose count is
-	// the same in any order.
+	// phase III when anything reads the final labels: not for a CountOnly
+	// labeling without a fold, whose count is the same in any order.
 	Renumber func(chunks []Chunk, n Label)
+	// Fold, when set, folds every chunk's share of the raster into n
+	// per-component records kept in the Scratch (see Scratch.Components),
+	// reading final labels through c.P and polling like Scan, for a
+	// labeling that asks for components (Options.Components). It runs
+	// after phase III and before phase IV, timed apart from the phases.
+	Fold func(chunks []Chunk, n Label) bool
 }
 
 // Chunk is the share of a raster one goroutine scans and relabels.
@@ -221,22 +264,26 @@ type Chunk struct {
 //	     lock-based MERGER (Alg. 8);
 //	III  FLATTEN each chunk's created labels, chunk by chunk, then
 //	     Renumber them when the kernel has it;
+//	     then, timed apart, Fold the chunks into component records when
+//	     the kernel has it and opt.Components asks;
 //	IV   relabel every chunk concurrently, unless opt.CountOnly.
 //
 // The raster splits into chunks of whole units, as many as opt.Threads
-// allows (see Options.Threads); the parent array and the MERGER lock table
-// come from sc (nil allocates them). The seam-merge and flatten phases
-// touch the equivalence table, not the raster, and are a small fraction of
-// the total, so they are not polled; Run checks ctx after each phase
-// instead. It returns the component count, and the phase times accumulated
-// so far along with ctx's error when canceled.
+// allows (see Options.Threads); the parent array, the MERGER lock table
+// and the fold's table come from sc (nil allocates them). The seam-merge
+// and flatten phases touch the equivalence table, not the raster, and are
+// a small fraction of the total, so they are not polled; Run checks ctx
+// after each phase instead. It returns the component count, and the phase
+// times accumulated so far along with ctx's error when canceled; the fold's
+// records and time stay in sc.
 func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	var times PhaseTimes
-	if k.Rows == 0 || k.Stride == 0 {
-		return 0, times, nil
-	}
 	if sc == nil {
 		sc = &Scratch{}
+	}
+	sc.accs, sc.fold = sc.accs[:0], 0
+	if k.Rows == 0 || k.Stride == 0 {
+		return 0, times, nil
 	}
 	p := sc.parents(k.units() * k.Stride)
 	done := poll.Done(ctx)
@@ -279,12 +326,21 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 	for i := range chunks {
 		n = unionfind.Flatten(p, chunks[i].Offset+1, chunks[i].last, n)
 	}
-	if k.Renumber != nil && !opt.CountOnly {
+	fold := k.Fold != nil && opt.Components
+	if k.Renumber != nil && (fold || !opt.CountOnly) {
 		k.Renumber(chunks, n)
 	}
 	times.Flatten = time.Since(t0)
 	if poll.Stopped(done) {
 		return 0, times, poll.Err(ctx)
+	}
+	if fold {
+		t0 = time.Now()
+		ok = k.Fold(chunks, n)
+		sc.fold = time.Since(t0)
+		if !ok {
+			return 0, times, poll.Err(ctx)
+		}
 	}
 	if opt.CountOnly {
 		return int(n), times, nil

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -253,6 +254,73 @@ func TestCountOnlyNeedsNoClearedMap(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestComponentsFoldNeedsNoMap: a components-only run-kernel labeling
+// (Options.Components with CountOnly) folds its records from its runs
+// after FLATTEN and the rank pass, so a map whose every label is
+// 0x7FFFFFFF stays untouched, byte for byte, while the records equal
+// stats.Components of PAREMSP's map, Runs included. Into a warm Scratch
+// the fold allocates only the returned []Component: one object more than
+// the count-only labeling (none for an empty list), whose own few are the
+// kernel's per-call closures, chunk list and sinks.
+func TestComponentsFoldNeedsNoMap(t *testing.T) {
+	ctx := context.Background()
+	imgs := []*binimg.Image{
+		dataset.UniformNoise(97, 61, 0.55, 43),
+		dataset.UniformNoise(64, 33, 0.25, 44),
+		dataset.LandCover(120, 75, 9, 0.5, 45),
+		binimg.New(13, 9),
+	}
+	const stale = binimg.Label(0x7FFFFFFF)
+	for _, threads := range []int{1, 3} {
+		sc := &core.Scratch{}
+		for i, img := range imgs {
+			ref := &binimg.LabelMap{}
+			wantN, _, err := core.PAREMSP(ctx, img, ref, nil, core.Options{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stats.Components(ref)
+			bm := &binimg.Bitmap{}
+			bm.FromImage(img)
+			lm := &binimg.LabelMap{}
+			lm.Reshape(img.Width, img.Height)
+			for j := range lm.L {
+				lm.L[j] = stale
+			}
+			countOnly := core.Options{Threads: threads, CountOnly: true}
+			opt := countOnly
+			opt.Components = true
+			n, times, err := core.PAREMSPBitmap(ctx, bm, lm, sc, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := sc.Components()
+			if n != wantN || times.Relabel != 0 {
+				t.Fatalf("threads %d, image %d: %d components, relabel %v; want %d, 0", threads, i, n, times.Relabel, wantN)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("threads %d, image %d: folded %v, want %v", threads, i, got, want)
+			}
+			if slices.ContainsFunc(lm.L, func(v binimg.Label) bool { return v != stale }) {
+				t.Fatalf("threads %d, image %d: a components-only labeling wrote the label map", threads, i)
+			}
+			base := testing.AllocsPerRun(20, func() { core.PAREMSPBitmap(ctx, bm, lm, sc, countOnly) })
+			folded := testing.AllocsPerRun(20, func() {
+				core.PAREMSPBitmap(ctx, bm, lm, sc, opt)
+				sc.Components()
+			})
+			list := 0.0 // an empty list allocates nothing
+			if wantN > 0 {
+				list = 1
+			}
+			if folded != base+list {
+				t.Fatalf("threads %d, image %d: components-only labeling allocates %v objects, count-only %v; want %v more",
+					threads, i, folded, base, list)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -55,7 +56,9 @@ func readAccounting(t *testing.T, eng *Engine, base string) accountingState {
 // type, on both the synchronous and the async job path: one admission is
 // one request, a labeling adds its pixels (voxels) and components, borrows
 // exactly its input, output and scratch buffers, and lands one queue-wait
-// sample; only non-stream labelings land a service-time sample.
+// sample; only non-stream labelings land a service-time sample. A sync
+// JSON labeling on the packed path folds its components from its runs and
+// borrows no label map; its job keeps one.
 func TestEngineAccounting(t *testing.T) {
 	eng, _, srv := newJobsServer(t, Config{Workers: 1, Threads: 1}, jobs.Options{TTL: time.Hour})
 	img := testImage(t)
@@ -78,18 +81,23 @@ func TestEngineAccounting(t *testing.T) {
 		pixels    int64
 		comps     int64
 		pools     []string // borrowed once per labeling; every other pool untouched
+		syncNoMap bool     // the sync labeling borrows no labelmap
 		timed     bool     // lands a job_service_ns sample
 	}{
-		{"image", "/v1/label?alg=paremsp", "?alg=paremsp", ctPBM, p4, 20, 5, []string{"image", "labelmap", "scratch"}, true},
-		{"bitmap", "/v1/label?alg=bremsp", "?alg=bremsp", ctPBM, p4, 20, 5, []string{"bitmap", "labelmap", "scratch"}, true},
-		{"unpinned", "/v1/label", "", ctPBM, p4Other, 30, 2, []string{"bitmap", "labelmap", "scratch"}, true},
-		{"gray", "/v1/label?mode=gray", "?kind=gray", ctPGM, grayB, 63, int64(grayN), []string{"gray", "labelmap", "scratch"}, true},
-		{"volume", "/v1/volume", "?kind=volume", ctPGM, volB, 120, int64(volN), []string{"volume", "labelvol", "scratch"}, true},
-		{"stream", "/v1/stats", "?kind=stats", ctPBM, p4, 20, 5, nil, false},
+		{"image", "/v1/label?alg=paremsp", "?alg=paremsp", ctPBM, p4, 20, 5, []string{"image", "labelmap", "scratch"}, false, true},
+		{"bitmap", "/v1/label?alg=bremsp", "?alg=bremsp", ctPBM, p4, 20, 5, []string{"bitmap", "labelmap", "scratch"}, true, true},
+		{"unpinned", "/v1/label", "", ctPBM, p4Other, 30, 2, []string{"bitmap", "labelmap", "scratch"}, true, true},
+		{"gray", "/v1/label?mode=gray", "?kind=gray", ctPGM, grayB, 63, int64(grayN), []string{"gray", "labelmap", "scratch"}, false, true},
+		{"volume", "/v1/volume", "?kind=volume", ctPGM, volB, 120, int64(volN), []string{"volume", "labelvol", "scratch"}, false, true},
+		{"stream", "/v1/stats", "?kind=stats", ctPBM, p4, 20, 5, nil, false, false},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"sync", "job"} {
 			t.Run(tc.name+"/"+path, func(t *testing.T) {
+				pools := tc.pools
+				if path == "sync" && tc.syncNoMap {
+					pools = slices.DeleteFunc(slices.Clone(pools), func(p string) bool { return p == "labelmap" })
+				}
 				before := readAccounting(t, eng, srv.URL)
 				if path == "sync" {
 					resp := post(t, srv.URL+tc.sync, tc.ct, ctJSON, tc.body)
@@ -126,7 +134,7 @@ func TestEngineAccounting(t *testing.T) {
 				}
 				for i, p := range a.Pools {
 					want := int64(0)
-					for _, name := range tc.pools {
+					for _, name := range pools {
 						if name == p.Name {
 							want = 1
 						}
@@ -162,9 +170,12 @@ func TestEngineAccounting(t *testing.T) {
 // gray and volume — lands one sample in each phase histogram, the
 // baselines and the band stream, which time no phases, land none (never a
 // 0 ns sample), and a count-only labeling, which stops after FLATTEN, none
-// in the relabel histogram. The response-shaping layers land one sample
-// each when they run: components for every JSON labeling with components,
-// whatever the labeler, and contours for a contours request.
+// in the relabel histogram: a JSON labeling without components, and one on
+// the packed path (unpinned or alg=pbremsp), whose run kernel folds its
+// components from its runs and writes no map. The response-shaping layers
+// land one sample each when they run: components for every JSON labeling
+// with components, whatever the labeler, and contours for a contours
+// request.
 func TestPhaseHistogramsSkipUnphasedKernels(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1}, HandlerConfig{})
 	series := [...]string{
@@ -191,6 +202,8 @@ func TestPhaseHistogramsSkipUnphasedKernels(t *testing.T) {
 		{"/v1/stats", ctPBM, pbm, [...]int64{0, 0, 0, 0}},
 		{"/v1/label?alg=paremsp", ctPBM, pbm, [...]int64{1, 1, 1, 0}},
 		{"/v1/label?alg=paremsp&components=false", ctPBM, pbm, [...]int64{1, 0, 0, 0}},
+		{"/v1/label", ctPBM, pbm, [...]int64{1, 0, 1, 0}},
+		{"/v1/label?alg=pbremsp", ctPBM, pbm, [...]int64{1, 0, 1, 0}},
 		{"/v1/label?contours=true", ctPBM, pbm, [...]int64{1, 1, 1, 1}},
 	} {
 		var before [len(series)]int64

@@ -144,15 +144,22 @@ type task interface {
 
 // rasterTask labels a 2-D raster — binary, bit-packed or gray — of pixels
 // pixels into a pooled label map with the root entry point for its type.
+// A run-kernel task (runs) keeps its provisional labels in its runs, so a
+// count-only labeling of one borrows no map.
 type rasterTask[T any] struct {
 	in     *T
 	from   *pool[T]
 	pixels int64
+	runs   bool
 	kernel func(context.Context, *T, *paremsp.LabelMap, *paremsp.Scratch, paremsp.Options) (*paremsp.Result, error)
 }
 
 func (t rasterTask[T]) run(ctx context.Context, e *Engine, opt paremsp.Options) jobResult {
-	lm, sc := e.labelMaps.get(), e.scratch.get()
+	sc := e.scratch.get()
+	var lm *paremsp.LabelMap
+	if !opt.CountOnly || !t.runs {
+		lm = e.labelMaps.get()
+	}
 	var res *paremsp.Result
 	err := e.gate(ctx, opt)
 	if err == nil {
@@ -178,7 +185,7 @@ func (e *Engine) imageTask(img *paremsp.Image) task {
 }
 
 func (e *Engine) bitmapTask(bm *paremsp.Bitmap) task {
-	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, pixels: area(bm.Width, bm.Height), kernel: paremsp.LabelBitmapIntoCtx}
+	return rasterTask[paremsp.Bitmap]{in: bm, from: &e.bitmaps, pixels: area(bm.Width, bm.Height), runs: true, kernel: paremsp.LabelBitmapIntoCtx}
 }
 
 func (e *Engine) grayTask(img *paremsp.GrayImage) task {
@@ -722,11 +729,12 @@ func (e *Engine) account(r jobResult, elapsed int64) {
 }
 
 // observeShaping lands a response-shaping layer (phaseComponents or
-// phaseContours) that began at start in its phase histogram and returns
-// its duration. The layers run after the labeling, off the worker, so
-// finish observes them and account never sees them.
-func (e *Engine) observeShaping(phase int, start time.Time) int64 {
-	ns := time.Since(start).Nanoseconds()
+// phaseContours) that took d in its phase histogram and returns d in ns.
+// The layers run after the labeling's phases — off the worker, or, for a
+// run kernel's component fold, on it — and finish observes them all, so
+// account never sees them.
+func (e *Engine) observeShaping(phase int, d time.Duration) int64 {
+	ns := d.Nanoseconds()
 	e.metrics.phaseHist[phase].observe(ns)
 	return ns
 }

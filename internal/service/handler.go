@@ -298,10 +298,14 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
-	// A JSON labeling without components reads nothing of the label map
-	// but its count, which FLATTEN yields, so it stops there.
+	// A JSON labeling reads nothing of the label map but its count, which
+	// FLATTEN yields, and its components, which the run kernel folds from
+	// its runs, so without components, or on the packed path, it stops
+	// after FLATTEN and writes no map.
+	comps := spec.components && accept == ctJSON
 	opt := options(spec.params)
-	opt.CountOnly = spec.kind == jobs.KindLabels && !spec.components && accept == ctJSON
+	opt.Components = comps
+	opt.CountOnly = spec.kind == jobs.KindLabels && accept == ctJSON && (!comps || packed(spec.params.Alg))
 	if tr != nil {
 		// A stream parses only its header up front — band decoding is
 		// interleaved with labeling on the worker — so its DecodeNs is the
@@ -325,7 +329,7 @@ func (h *Handler) serveSync(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		tr.QueueNs, tr.Threads = out.wait.Nanoseconds(), out.threads
 	}
-	res, err := h.finish(ctx, spec.kind, d.info, out, spec.components && accept == ctJSON)
+	res, err := h.finish(ctx, spec.kind, d.info, out, comps)
 	if err != nil {
 		h.writeErr(w, err)
 		return
@@ -471,16 +475,18 @@ func binaryInfo(w, h, fg int) jobs.ResultInfo {
 // finish turns a task's outcome into the jobs.Result every response is
 // rendered from; it is the one post-labeling step behind the synchronous
 // endpoints, fresh async jobs and recovered ones. comps asks for the
-// per-component summaries (component statistics, volume sizes). A volume
-// keeps only its summary, so its label volume goes straight back to the
-// pool; a label map rides the result — a synchronous request recycles it
-// after rendering, a job keeps it out of the pool until eviction or
-// deletion releases it to the GC. Contours are traced under ctx here, on
-// the caller's goroutine: tracing is output shaping, not labeling, so it
-// does not hold a worker. The component summaries and the contours are
-// timed into the phase histograms, and into the request's trace when ctx
-// carries one. The result keeps the engine's own queue wait for a job's
-// status trace.
+// per-component summaries (component statistics, volume sizes): a run
+// kernel asked for them too (Options.Components) and folded them from its
+// runs on the worker, and every other labeling's are computed here from
+// its map. A volume keeps only its summary, so its label volume goes
+// straight back to the pool; a label map rides the result — a synchronous
+// request recycles it after rendering, a job keeps it out of the pool
+// until eviction or deletion releases it to the GC. Contours are traced
+// under ctx here, on the caller's goroutine: tracing and the map passes
+// are output shaping, not labeling, so they do not hold a worker. The
+// component summaries, folded or not, and the contours are timed into the
+// phase histograms, and into the request's trace when ctx carries one.
+// The result keeps the engine's own queue wait for a job's status trace.
 func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultInfo, out jobResult, comps bool) (*jobs.Result, error) {
 	if out.err != nil {
 		return nil, out.err
@@ -500,14 +506,18 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 		res.NumComponents, res.Phases = out.vres.NumComponents, out.vres.Phases
 		if comps {
 			res.VolumeSizes = paremsp.VolumeComponentSizes(out.vres.Labels, out.vres.NumComponents)
-			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, start)
+			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, time.Since(start))
 		}
 		h.engine.PutVolumeResult(out.vres)
 	default:
 		res.Labels, res.NumComponents, res.Phases = out.res.Labels, out.res.NumComponents, out.res.Phases
-		if comps {
+		switch {
+		case comps && out.res.Components != nil:
+			res.Components = out.res.Components
+			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, out.res.ComponentsTime)
+		case comps:
 			res.Components = paremsp.ComponentsOf(res.Labels)
-			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, start)
+			tr.ComponentsNs = h.engine.observeShaping(phaseComponents, time.Since(start))
 		}
 		if kind == jobs.KindContours {
 			start = time.Now()
@@ -518,7 +528,7 @@ func (h *Handler) finish(ctx context.Context, kind jobs.Kind, info jobs.ResultIn
 				h.engine.PutResult(out.res)
 				return nil, err
 			}
-			tr.ContoursNs = h.engine.observeShaping(phaseContours, start)
+			tr.ContoursNs = h.engine.observeShaping(phaseContours, time.Since(start))
 		}
 	}
 	return res, nil

@@ -332,7 +332,11 @@ func (h *Handler) admitJob(id string, gen uint64, kind jobs.Kind, body []byte, p
 	// Counted before the job can run, so WaitJobs cannot miss a completion
 	// that is about to start.
 	h.pending.Add(1)
-	sub, err := h.engine.submit(jctx, d.task, options(p), func() { h.jobs.Start(id, gen) })
+	// A job keeps its map, since any format can be fetched later, and its
+	// components, which a run kernel folds from its runs as it labels.
+	opt := options(p)
+	opt.Components = true
+	sub, err := h.engine.submit(jctx, d.task, opt, func() { h.jobs.Start(id, gen) })
 	if err != nil {
 		h.pending.Done()
 		jcancel()

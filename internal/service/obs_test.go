@@ -511,17 +511,36 @@ func TestAccessLogFields(t *testing.T) {
 	if _, ok := entry["duration"]; !ok {
 		t.Fatalf("access entry has no duration: %v", entry)
 	}
-	// The default JSON labeling decodes, scans, relabels, summarizes its
-	// components and encodes; it traces no contours.
-	for _, k := range []string{"decode_ns", "scan_ns", "relabel_ns", "components_ns", "encode_ns"} {
+	// The default JSON labeling decodes, scans, folds its components from
+	// its runs and encodes; it writes no label map, so it never relabels,
+	// and it traces no contours.
+	for _, k := range []string{"decode_ns", "scan_ns", "components_ns", "encode_ns"} {
 		if ns, _ := entry[k].(float64); ns <= 0 {
 			t.Errorf("access entry %s = %v, want > 0: %v", k, entry[k], entry)
 		}
 	}
-	if _, ok := entry["contours_ns"]; ok {
-		t.Errorf("access entry has contours_ns without contours: %v", entry)
+	for _, k := range []string{"relabel_ns", "contours_ns"} {
+		if _, ok := entry[k]; ok {
+			t.Errorf("access entry has %s for a default JSON labeling: %v", k, entry)
+		}
 	}
 	checkLayerFields(t, entry, obs.ring.dump(1, id)[0])
+
+	// A CCL1 answer is the label map itself, so its labeling relabels.
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/label", bytes.NewReader(pbmBody(t, testImage(t))))
+	req.Header.Set("Content-Type", ctPBM)
+	req.Header.Set("Accept", ctCCL)
+	req.Header.Set(headerRequestID, "access-ccl1")
+	cresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, cresp.Body)
+	cresp.Body.Close()
+	ccl := accessLine(t, &out, "access-ccl1")
+	if ns, _ := ccl["relabel_ns"].(float64); cresp.StatusCode != http.StatusOK || ns <= 0 {
+		t.Errorf("CCL1 access entry (status %d) relabel_ns = %v, want > 0: %v", cresp.StatusCode, ccl["relabel_ns"], ccl)
+	}
 	// Server-Timing names each layer as the access line does, less "_ns".
 	for _, e := range strings.Split(resp.Header.Get("Server-Timing"), ", ") {
 		name, _, _ := strings.Cut(e, ";")
@@ -534,7 +553,8 @@ func TestAccessLogFields(t *testing.T) {
 // TestShapingTimesInTrace: the component summaries and the contour trace
 // run between the labeling and the encode, and the request's trace, its
 // Server-Timing and its access line time them; a count-only request runs
-// neither.
+// neither. The default JSON labeling folds its components from its runs
+// and writes no map: components but no relabel.
 func TestShapingTimesInTrace(t *testing.T) {
 	var out syncWriter
 	obs := NewObs(slog.New(slog.NewJSONHandler(&out, &slog.HandlerOptions{Level: slog.LevelInfo})), 0)
@@ -550,6 +570,7 @@ func TestShapingTimesInTrace(t *testing.T) {
 	}{
 		{"shape-contours", "?contours=true", true},
 		{"shape-count-only", "?components=false", false},
+		{"shape-default", "", true},
 	} {
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/label"+c.query, bytes.NewReader(body))
 		req.Header.Set("Content-Type", ctPBM)
@@ -581,8 +602,12 @@ func TestShapingTimesInTrace(t *testing.T) {
 			t.Fatalf("%s: %d traces, want 1", c.id, len(traces))
 		}
 		tr := traces[0]
-		if c.shaped && (tr.ComponentsNs <= 0 || tr.ContoursNs <= 0 || tr.EncodeNs <= 0) {
+		contours := c.query == "?contours=true"
+		if c.shaped && (tr.ComponentsNs <= 0 || contours && tr.ContoursNs <= 0 || tr.EncodeNs <= 0) {
 			t.Fatalf("%s: trace components/contours/encode = %d/%d/%d ns, want all > 0", c.id, tr.ComponentsNs, tr.ContoursNs, tr.EncodeNs)
+		}
+		if c.shaped && !contours && (tr.ContoursNs != 0 || tr.RelabelNs != 0) {
+			t.Fatalf("%s: trace contours/relabel = %d/%d ns, want 0/0", c.id, tr.ContoursNs, tr.RelabelNs)
 		}
 		if !c.shaped && (tr.ComponentsNs != 0 || tr.ContoursNs != 0 || tr.EncodeNs <= 0) {
 			t.Fatalf("%s: trace components/contours/encode = %d/%d/%d ns, want 0/0/>0", c.id, tr.ComponentsNs, tr.ContoursNs, tr.EncodeNs)

@@ -41,8 +41,9 @@ type Trace struct {
 	MergeNs   int64     `json:"merge_ns"`
 	FlattenNs int64     `json:"flatten_ns"`
 	RelabelNs int64     `json:"relabel_ns"`
-	// ComponentsNs and ContoursNs time the response shaping after the
-	// labeling: the component statistics or volume sizes, and the contours.
+	// ComponentsNs and ContoursNs time the response shaping: the component
+	// statistics (the run kernel's fold over its runs, or a pass over the
+	// label map after the labeling) or volume sizes, and the contours.
 	ComponentsNs int64 `json:"components_ns"`
 	ContoursNs   int64 `json:"contours_ns"`
 	EncodeNs     int64 `json:"encode_ns"`

@@ -8,6 +8,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	paremsp "repro"
@@ -247,9 +248,13 @@ func TestNumberingDigests(t *testing.T) {
 // FuzzPackedPAREMSPNumbering: the run kernel with the rank pass
 // (LabelBitmapIntoCtx with AlgPAREMSP) must give PAREMSP's label map over
 // the unpacked image, byte for byte, at every thread count from 1 to 7,
-// into a reused destination and Scratch. The first byte sets the width,
-// the rest are pixels, one bit each. The seed corpus runs as part of
-// `go test`; `go test -fuzz=FuzzPackedPAREMSPNumbering .` explores further.
+// into a reused destination and Scratch. Asked for components, alone and
+// with CountOnly, it must fold from its runs exactly ComponentsOf
+// PAREMSP's map, Runs included, and the count-only labeling must return
+// no map; AlgPBREMSP's fold must equal ComponentsOf its own map. The first
+// byte sets the width, the rest are pixels, one bit each. The seed corpus
+// runs as part of `go test`; `go test -fuzz=FuzzPackedPAREMSPNumbering .`
+// explores further.
 func FuzzPackedPAREMSPNumbering(f *testing.F) {
 	f.Add([]byte{3, 0xA5, 0x5A, 0xFF})
 	f.Add([]byte{1, 0xB6, 0x6D})
@@ -281,7 +286,35 @@ func FuzzPackedPAREMSPNumbering(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameLabels(t, fmt.Sprintf("%dx%d threads=%d", w, h, th), want, nwant, res.Labels.L, res.NumComponents)
+			what := fmt.Sprintf("%dx%d threads=%d", w, h, th)
+			sameLabels(t, what, want, nwant, res.Labels.L, res.NumComponents)
+
+			wantComps := paremsp.ComponentsOf(&paremsp.LabelMap{Width: w, Height: h, L: want})
+			for _, countOnly := range []bool{false, true} {
+				opt := paremsp.Options{Algorithm: paremsp.AlgPAREMSP, Threads: th, Components: true, CountOnly: countOnly}
+				res, err := paremsp.LabelBitmapIntoCtx(ctx, bm, dst, sc, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.NumComponents != nwant || !reflect.DeepEqual(res.Components, wantComps) {
+					t.Fatalf("%s count-only=%v: folded %d components %v, want %d %v",
+						what, countOnly, res.NumComponents, res.Components, nwant, wantComps)
+				}
+				if countOnly && res.Labels != nil {
+					t.Fatalf("%s: a count-only labeling returned a label map", what)
+				}
+				if !countOnly {
+					sameLabels(t, what+" with components", want, nwant, res.Labels.L, res.NumComponents)
+				}
+			}
+
+			res, err = paremsp.LabelBitmapIntoCtx(ctx, bm, dst, sc, paremsp.Options{Algorithm: paremsp.AlgPBREMSP, Threads: th, Components: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if own := paremsp.ComponentsOf(res.Labels); !reflect.DeepEqual(res.Components, own) {
+				t.Fatalf("%s pbremsp: folded %v, its own map has %v", what, res.Components, own)
+			}
 		}
 	})
 }

@@ -200,13 +200,13 @@ type Options struct {
 	// carries no Labels, and dst is left undefined but reusable. The gray
 	// and volume entry points ignore it.
 	CountOnly bool
-	// Components asks a run-kernel labeling (AlgBREMSP and AlgPBREMSP, and
-	// LabelBitmapIntoCtx's AlgPAREMSP) for its per-component statistics
-	// in Result.Components: after FLATTEN it folds each run its scan
-	// recorded into its final label's record, a pass over the runs instead
-	// of the label map. With CountOnly as well such a labeling writes no
-	// label map at all, and dst may be nil. Every other labeling ignores
-	// it; ComponentsOf computes the same records from its Labels.
+	// Components asks LabelBitmapIntoCtx for its per-component
+	// statistics in Result.Components: its run kernel (every algorithm it
+	// accepts) folds each run its scan recorded into its final label's
+	// record, a pass over the runs instead of the label map. With
+	// CountOnly as well it writes no label map at all, and dst may be nil.
+	// Every other entry point ignores it; ComponentsOf computes the same
+	// records from a labeling's Labels.
 	Components bool
 }
 
@@ -242,7 +242,7 @@ type Result struct {
 	// AREMSP, CCLREMSP, BREMSP, PBREMSP and the gray modes); zero for the
 	// baselines, which have no four-phase structure.
 	Phases PhaseTimes
-	// Components holds the records a run-kernel labeling folded from its
+	// Components holds the records LabelBitmapIntoCtx folded from its
 	// runs when Options.Components asked for them: ComponentsOf(Labels)
 	// of its label map, Runs included, whether or not it wrote the map.
 	// It is nil for every other labeling.
@@ -326,20 +326,14 @@ func LabelIntoCtx(ctx context.Context, img *Image, dst *LabelMap, sc *Scratch, o
 	if lm == nil {
 		lm = &LabelMap{}
 	}
-	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly, Components: opt.Components}
+	copt := core.Options{Threads: opt.kernelThreads(), CountOnly: opt.CountOnly}
 	switch alg {
 	case AlgPAREMSP, AlgAREMSP:
 		n, res.Phases, err = core.PAREMSP(ctx, img, lm, sc, copt)
 	case AlgCCLREMSP:
 		n, res.Phases, err = core.CCLREMSP(ctx, img, lm, sc, copt)
 	case AlgBREMSP, AlgPBREMSP:
-		if sc == nil {
-			sc = &Scratch{} // the fold's records are read from it
-		}
 		n, res.Phases, err = core.PBREMSP(ctx, img, lm, sc, copt)
-		if err == nil && opt.Components {
-			res.Components, res.ComponentsTime = sc.Components()
-		}
 	case AlgCCLLRPC:
 		lm, n = baseline.CCLLRPC(img)
 	case AlgARUN:

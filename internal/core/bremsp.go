@@ -10,6 +10,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"repro/internal/binimg"
 	"repro/internal/poll"
@@ -27,7 +28,7 @@ import (
 // except that opt.CountOnly leaves lm untouched (lm may then be nil): the
 // runs carry the provisional labels, so nothing is written to lm until
 // phase IV. With opt.Components the kernel folds its runs into
-// per-component records after phase III, which sc.Components returns, so
+// per-component records after its phases, which sc.Components returns, so
 // pass a non-nil sc to read them; with CountOnly as well the labeling
 // yields its count and its components and writes no map.
 func PBREMSP(ctx context.Context, img *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options) (int, PhaseTimes, error) {
@@ -76,12 +77,14 @@ func PAREMSPBitmap(ctx context.Context, bm *binimg.Bitmap, lm *binimg.LabelMap, 
 // merges across chunk seams at run granularity: the first-row runs of every
 // chunk but the first are united with the overlapping last-row runs of the
 // chunk above using the concurrent MERGER. Phase III runs FLATTEN over each
-// chunk's created labels (and the rank pass, for pairOrder), and the fold
-// (foldRuns) follows it for opt.Components; phase IV writes the final
-// label map row by row, runs and the background between them, so the map
-// needs no clearing first.
+// chunk's created labels (and the rank pass, for pairOrder); phase IV
+// writes the final label map row by row, runs and the background between
+// them, so the map needs no clearing first. For opt.Components the fold
+// (foldRuns) follows the phases: neither phase IV nor the fold changes the
+// runs or the flattened parents the other reads.
 func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *binimg.LabelMap, sc *Scratch, opt Options, pairOrder bool) (int, PhaseTimes, error) {
 	w, h := bm.Width, bm.Height
+	sc.accs, sc.fold = sc.accs[:0], 0
 	if !opt.CountOnly {
 		lm.Reshape(w, h)
 	}
@@ -101,14 +104,23 @@ func pbremsp(ctx context.Context, bm *binimg.Bitmap, src *binimg.Image, lm *bini
 			scan.MergeRuns(runs[c.I].RowRuns(c.Lo), runs[c.I-1].RowRuns(c.Lo-1), merge)
 		},
 		Relabel: func(c *Chunk) bool { return relabelRuns(lm, c.P, runs[c.I], c.Done) },
-		Fold: func(chunks []Chunk, n Label) bool {
-			return foldRuns(sc.accTable(n, w, h), chunks[0].P, runs, chunks[0].Done)
-		},
 	}
 	if pairOrder {
 		k.Renumber = func(chunks []Chunk, n Label) { rankPairOrder(chunks, runs, sc.ranks(n)) }
 	}
-	return k.Run(ctx, sc, opt)
+	n, times, err := k.Run(ctx, sc, opt)
+	// With no component there is nothing to fold, and an empty raster's
+	// run sets were never scanned.
+	if err != nil || !opt.Components || n == 0 {
+		return n, times, err
+	}
+	t0 := time.Now()
+	ok := foldRuns(sc.accTable(Label(n), w, h), sc.p, runs, poll.Done(ctx))
+	sc.fold = time.Since(t0)
+	if !ok {
+		return 0, times, poll.Err(ctx)
+	}
+	return n, times, nil
 }
 
 // rankPairOrder renumbers a flattened run labeling in PAREMSP's order.

@@ -154,12 +154,12 @@ func (s *Scratch) accTable(n Label, w, h int) []stats.Acc {
 	return s.accs
 }
 
-// Components returns the per-component records the last labeling into s
-// folded from its runs (Options.Components), indexed by label-1, with the
-// fold's wall time. They equal stats.Components of the label map the
-// labeling writes, Runs included. After a labeling that folded nothing the
-// list is empty. The list is the one allocation: s keeps only the
-// accumulators.
+// Components returns the per-component records the last run-kernel
+// labeling into s (PBREMSP and its bitmap entry points) folded from its
+// runs (Options.Components), indexed by label-1, with the fold's wall
+// time. They equal stats.Components of the label map the labeling writes,
+// Runs included. After such a labeling that folded nothing the list is
+// empty. The list is the one allocation: s keeps only the accumulators.
 func (s *Scratch) Components() ([]stats.Component, time.Duration) {
 	out := make([]stats.Component, len(s.accs))
 	for i := range s.accs {
@@ -183,10 +183,10 @@ type Options struct {
 	CountOnly bool
 	// Components asks a kernel that keeps its runs (PBREMSP and its
 	// bitmap entry points) to fold every run into the statistics of its
-	// final label after phase III, a pass over the runs instead of the
-	// pixels; Scratch.Components returns the records. Phase III then
-	// renumbers even a CountOnly labeling, whose map stays untouched.
-	// Other kernels ignore it.
+	// final label once its phases are done, a pass over the runs instead
+	// of the pixels, timed apart from the phases; Scratch.Components
+	// returns the records. Phase III then renumbers even a CountOnly
+	// labeling, whose map stays untouched. Other kernels ignore it.
 	Components bool
 }
 
@@ -234,15 +234,9 @@ type Kernel struct {
 	Relabel func(c *Chunk) bool
 	// Renumber, when set, reorders the n final labels after FLATTEN by
 	// rewriting c.P over every chunk's created labels. It runs inside
-	// phase III when anything reads the final labels: not for a CountOnly
-	// labeling without a fold, whose count is the same in any order.
+	// phase III, and not at all for a CountOnly labeling that asks for no
+	// components, whose count is the same in any order.
 	Renumber func(chunks []Chunk, n Label)
-	// Fold, when set, folds every chunk's share of the raster into n
-	// per-component records kept in the Scratch (see Scratch.Components),
-	// reading final labels through c.P and polling like Scan, for a
-	// labeling that asks for components (Options.Components). It runs
-	// after phase III and before phase IV, timed apart from the phases.
-	Fold func(chunks []Chunk, n Label) bool
 }
 
 // Chunk is the share of a raster one goroutine scans and relabels.
@@ -264,26 +258,22 @@ type Chunk struct {
 //	     lock-based MERGER (Alg. 8);
 //	III  FLATTEN each chunk's created labels, chunk by chunk, then
 //	     Renumber them when the kernel has it;
-//	     then, timed apart, Fold the chunks into component records when
-//	     the kernel has it and opt.Components asks;
 //	IV   relabel every chunk concurrently, unless opt.CountOnly.
 //
 // The raster splits into chunks of whole units, as many as opt.Threads
-// allows (see Options.Threads); the parent array, the MERGER lock table
-// and the fold's table come from sc (nil allocates them). The seam-merge
-// and flatten phases touch the equivalence table, not the raster, and are
-// a small fraction of the total, so they are not polled; Run checks ctx
-// after each phase instead. It returns the component count, and the phase
-// times accumulated so far along with ctx's error when canceled; the fold's
-// records and time stay in sc.
+// allows (see Options.Threads); the parent array and the MERGER lock table
+// come from sc (nil allocates them). The seam-merge and flatten phases
+// touch the equivalence table, not the raster, and are a small fraction of
+// the total, so they are not polled; Run checks ctx after each phase
+// instead. It returns the component count, and the phase times accumulated
+// so far along with ctx's error when canceled.
 func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseTimes, error) {
 	var times PhaseTimes
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	sc.accs, sc.fold = sc.accs[:0], 0
 	if k.Rows == 0 || k.Stride == 0 {
 		return 0, times, nil
+	}
+	if sc == nil {
+		sc = &Scratch{}
 	}
 	p := sc.parents(k.units() * k.Stride)
 	done := poll.Done(ctx)
@@ -326,21 +316,12 @@ func (k *Kernel) Run(ctx context.Context, sc *Scratch, opt Options) (int, PhaseT
 	for i := range chunks {
 		n = unionfind.Flatten(p, chunks[i].Offset+1, chunks[i].last, n)
 	}
-	fold := k.Fold != nil && opt.Components
-	if k.Renumber != nil && (fold || !opt.CountOnly) {
+	if k.Renumber != nil && (opt.Components || !opt.CountOnly) {
 		k.Renumber(chunks, n)
 	}
 	times.Flatten = time.Since(t0)
 	if poll.Stopped(done) {
 		return 0, times, poll.Err(ctx)
-	}
-	if fold {
-		t0 = time.Now()
-		ok = k.Fold(chunks, n)
-		sc.fold = time.Since(t0)
-		if !ok {
-			return 0, times, poll.Err(ctx)
-		}
 	}
 	if opt.CountOnly {
 		return int(n), times, nil

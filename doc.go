@@ -76,13 +76,14 @@
 // row pair's two run lists merged by start, each final label ranked when
 // first seen — renumbers the run kernel's labels into that order. The pass
 // is timed in the flatten phase and skipped for Options.CountOnly. Asked
-// for Options.Components, the run kernel also folds each run it recorded
-// into its final label's Component after FLATTEN and the rank pass (the
+// for Options.Components, LabelBitmapInto's run kernel also folds each run
+// it recorded into its final label's Component once its phases end (the
 // per-run bookkeeping of He, Chao and Suzuki's run-based two-scan, IEEE
 // TIP 2008, which LabelStream keeps too): a pass over the runs, not the
 // pixels, returning in Result.Components exactly what ComponentsOf reads
 // from the map, with the fold's time in Result.ComponentsTime. With
-// CountOnly as well, it writes no label map at all.
+// CountOnly as well, it stops after FLATTEN, the rank pass and the fold,
+// and writes no label map at all.
 //
 // # Streaming and out-of-core statistics
 //
